@@ -25,8 +25,6 @@ from .linkbudget import (
 from .numerics import (
     BracketError,
     Interval,
-    QuadratureSpec,
-    ToleranceNotReached,
     binary_entropy,
     find_root,
     gaussian_disk_fraction,

@@ -3,19 +3,17 @@
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
 ``orbit``, ``table1``.  Every run echoes the fully resolved configuration to
 stderr so results are reproducible from the log alone.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical-convergence failures.
+success, 2 for configuration errors, 3 when a root bracket has no sign change.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
-import math
 import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .detection import BinaryCoherentEnsemble, distinguishability_angle, helstrom_error
 from .linkbudget import (
     bob_free_space,
     eve_free_space,
@@ -24,7 +22,7 @@ from .linkbudget import (
     fraction_to_db,
     gamma_partial,
 )
-from .numerics import BracketError, ToleranceNotReached
+from .numerics import BracketError
 from .orbitsim import (
     alignment_periods,
     integrated_gamma,
@@ -37,6 +35,7 @@ from .scenario_io import (
     ConfigError,
     ScenarioConfig,
     SweepAxis,
+    capacity_row,
     config_from_dict,
     config_to_dict,
     emit_table1,
@@ -159,27 +158,6 @@ def _emit(args: argparse.Namespace, header: Sequence[str], rows) -> None:
         sys.stdout.write(text)
 
 
-def _point_row(config: ScenarioConfig, point) -> list[float]:
-    eve = BinaryCoherentEnsemble(
-        mean_photons=point.gamma * point.received_mean_photons, prior_q=point.q
-    )
-    clock = config.link.clock_rate
-    return [
-        point.gamma,
-        point.received_mean_photons,
-        point.q,
-        point.info_bob,
-        point.info_eve_helstrom,
-        point.holevo_eve,
-        point.private_capacity,
-        point.dw_rate,
-        helstrom_error(eve),
-        math.degrees(distinguishability_angle(eve.mean_photons)),
-        point.private_capacity * clock,
-        point.dw_rate * clock,
-    ]
-
-
 def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
     gamma = args.gamma if args.gamma is not None else resolved_gamma(config)
     if args.optimize_photons:
@@ -191,7 +169,7 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
             point = private_capacity(config.detector, photons, gamma)
         else:
             point = private_capacity_fixed(config.detector, photons, gamma, q)
-    _emit(args, list(CAPACITY_SWEEP_OUTPUTS), [_point_row(config, point)])
+    _emit(args, list(CAPACITY_SWEEP_OUTPUTS), [capacity_row(point, config.link.clock_rate)])
 
 
 def _run_sweep(args: argparse.Namespace, config: ScenarioConfig) -> None:
@@ -325,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketError, ToleranceNotReached) as exc:
+    except BracketError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

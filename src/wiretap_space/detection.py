@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import Interval, binary_entropy, maximize_1d
+from .numerics import binary_entropy
 
 __all__ = [
     "BinaryCoherentEnsemble",
@@ -89,10 +89,11 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
 
     Within the rank-2 span the projector angles are constrained by
     ``phi0 + phi1 = pi/2 - phi`` and chosen to minimise
-    ``q sin^2(phi0) + (1-q) sin^2(phi1)``.  For the uniform prior the
-    symmetric split ``phi0 = phi1 = (pi/2 - phi)/2`` is optimal and is used
-    directly; otherwise the angle is found numerically.  The resulting average
-    error always equals :func:`helstrom_error`.
+    ``q sin^2(phi0) + (1-q) sin^2(phi1)``.  The minimiser has the closed
+    form ``phi0 = atan2((1-q) sin 2b, q + (1-q) cos 2b) / 2`` with
+    ``b = pi/2 - phi`` (Helstrom 1976), which reduces to the symmetric split
+    ``b/2`` for the uniform prior.  The resulting average error always equals
+    :func:`helstrom_error`.
     """
     q = ensemble.prior_q
     c = overlap(ensemble.mean_photons)
@@ -101,15 +102,8 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     if beta <= 0.0:
         # Orthogonal limit: both states identified perfectly.
         return HelstromSolution(0.0, 0.0, 0.0, phi, 0.0, 0.0)
-    if abs(q - 0.5) < 1e-12:
-        phi0 = 0.5 * beta
-    else:
-        def neg_avg_error(angle: float) -> float:
-            s0 = math.sin(angle)
-            s1 = math.sin(beta - angle)
-            return -(q * s0 * s0 + (1.0 - q) * s1 * s1)
-
-        phi0, _ = maximize_1d(neg_avg_error, Interval(0.0, beta), tol=1e-9)
+    two_beta = 2.0 * beta
+    phi0 = 0.5 * math.atan2((1.0 - q) * math.sin(two_beta), q + (1.0 - q) * math.cos(two_beta))
     phi1 = beta - phi0
     e0 = math.sin(phi0) ** 2
     e1 = math.sin(phi1) ** 2

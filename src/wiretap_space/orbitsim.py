@@ -18,13 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    Interval,
-    QuadratureSpec,
-    find_root,
-    gaussian_disk_fraction,
-)
+from .numerics import Interval, _disk_fraction, find_root
 
 __all__ = [
     "PhysicalConstants",
@@ -144,7 +138,8 @@ def _elevation(psi: float, orbit_radius: float, earth_radius: float) -> float:
     slant = math.sqrt(
         orbit_radius**2 + earth_radius**2 - 2.0 * orbit_radius * earth_radius * math.cos(psi)
     )
-    return math.asin((orbit_radius * math.cos(psi) - earth_radius) / slant)
+    # Near psi = 0 the ratio can round just above 1; the true value is <= 1.
+    return math.asin(min((orbit_radius * math.cos(psi) - earth_radius) / slant, 1.0))
 
 
 def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -214,7 +209,6 @@ def _eta_eve_series(
     d_bob: np.ndarray,
     along: np.ndarray,
     beam_offset: np.ndarray,
-    quad_spec: QuadratureSpec,
 ) -> np.ndarray:
     theta = scenario.divergence_full_angle
     disk = 0.5 * scenario.eve_telescope_diameter
@@ -224,8 +218,7 @@ def _eta_eve_series(
     # where her disk is within ~8 beam widths of the axis (beyond that the
     # captured fraction is below 1e-19).
     candidates = (along > 0.0) & (along < d_bob) & (beam_offset <= disk + 8.0 * widths)
-    for i in np.nonzero(candidates)[0]:
-        eta[i] = gaussian_disk_fraction(float(widths[i]), float(beam_offset[i]), disk, quad_spec)
+    eta[candidates] = _disk_fraction(widths[candidates], beam_offset[candidates], disk)
     return eta
 
 
@@ -238,7 +231,7 @@ def instantaneous_efficiencies(
     times = np.array([float(t)])
     d_bob, _, along, beam_offset = _pass_geometry(scenario, constants, times)
     eta_bob = _eta_bob_series(scenario, d_bob)
-    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset, DEFAULT_QUADRATURE)
+    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset)
     return float(eta_bob[0]), float(eta_eve[0])
 
 
@@ -264,7 +257,7 @@ def _profile_once(
     times = _two_zone_times(half_duration, fine, coarse, scenario.fine_window)
     d_bob, d_eve, along, beam_offset = _pass_geometry(scenario, constants, times)
     eta_bob = _eta_bob_series(scenario, d_bob)
-    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset, DEFAULT_QUADRATURE)
+    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset)
     int_bob = float(np.trapezoid(eta_bob, times))
     int_eve = float(np.trapezoid(eta_eve, times))
     return times, eta_bob, eta_eve, d_bob, d_eve, beam_offset, int_bob, int_eve

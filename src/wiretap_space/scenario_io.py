@@ -3,19 +3,16 @@
 Configs are single JSON documents; omitted fields fall back to the LEO
 reference preset.  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
-configs produce byte-identical files.  The environment variable
-``WIRETAP_SPACE_THREADS`` caps sweep parallelism (0 = one worker per CPU);
-results are order-preserving and independent of the worker count.
+configs produce byte-identical files.  Each 12-column capacity row is
+built by :func:`capacity_row`, for sweeps and single points alike.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Sequence
 
 from .detection import BinaryCoherentEnsemble, helstrom_error, distinguishability_angle
 from .linkbudget import (
@@ -50,14 +47,13 @@ __all__ = [
     "config_to_dict",
     "resolved_gamma",
     "emit_table1",
+    "capacity_row",
     "sweep",
     "exclusion_sweep",
     "format_cell",
     "write_csv",
     "rows_to_json",
 ]
-
-THREADS_ENV_VAR = "WIRETAP_SPACE_THREADS"
 
 CAPACITY_SWEEP_PARAMS = (
     "received_mean_photons",
@@ -475,27 +471,6 @@ def resolved_gamma(config: ScenarioConfig) -> float:
     return gamma
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1") or "1"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError([f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"]) from None
-    if n < 0:
-        raise ConfigError([f"{THREADS_ENV_VAR} must be >= 0, got {n}"])
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def _map_ordered(fn: Callable, items: list) -> list:
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 CAPACITY_SWEEP_OUTPUTS = (
     "gamma",
     "received_mean_photons",
@@ -510,6 +485,27 @@ CAPACITY_SWEEP_OUTPUTS = (
     "private_rate_bps",
     "dw_rate_bps",
 )
+
+
+def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
+    """The :data:`CAPACITY_SWEEP_OUTPUTS` columns for one evaluated point."""
+    eve = BinaryCoherentEnsemble(
+        mean_photons=point.gamma * point.received_mean_photons, prior_q=point.q
+    )
+    return [
+        point.gamma,
+        point.received_mean_photons,
+        point.q,
+        point.info_bob,
+        point.info_eve_helstrom,
+        point.holevo_eve,
+        point.private_capacity,
+        point.dw_rate,
+        helstrom_error(eve),
+        math.degrees(distinguishability_angle(eve.mean_photons)),
+        point.private_capacity * clock_rate,
+        point.dw_rate * clock_rate,
+    ]
 
 
 def _apply_cell(config: ScenarioConfig, assignments: dict[str, float]) -> ScenarioConfig:
@@ -567,31 +563,12 @@ def sweep(
                  f"choose from {', '.join(CAPACITY_SWEEP_PARAMS)}"]
             )
     header = [axis.param for axis in axes] + list(CAPACITY_SWEEP_OUTPUTS)
-    cells = _grid_cells(axes)
-
-    def evaluate(assignments: dict[str, float]) -> list[float]:
-        cell_config = _apply_cell(config, assignments)
-        point = _evaluate_cell(cell_config)
-        eve = BinaryCoherentEnsemble(
-            mean_photons=point.gamma * point.received_mean_photons, prior_q=point.q
-        )
-        clock = cell_config.link.clock_rate
-        return [assignments[axis.param] for axis in axes] + [
-            point.gamma,
-            point.received_mean_photons,
-            point.q,
-            point.info_bob,
-            point.info_eve_helstrom,
-            point.holevo_eve,
-            point.private_capacity,
-            point.dw_rate,
-            helstrom_error(eve),
-            math.degrees(distinguishability_angle(eve.mean_photons)),
-            point.private_capacity * clock,
-            point.dw_rate * clock,
-        ]
-
-    return header, _map_ordered(evaluate, cells)
+    clock = config.link.clock_rate
+    rows = []
+    for assignments in _grid_cells(axes):
+        point = _evaluate_cell(_apply_cell(config, assignments))
+        rows.append([assignments[axis.param] for axis in axes] + capacity_row(point, clock))
+    return header, rows
 
 
 def exclusion_sweep(

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wiretap_space
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -143,6 +148,13 @@ class TestOrbitCommand:
         assert summary["integrated_gamma"] < 0.1
         assert summary["eve_intercept_window_s"] < 1.0
 
+    def test_non_integer_altitude_succeeds(self, capsys, tmp_path):
+        path = tmp_path / "ephemeris.json"
+        path.write_text(json.dumps({"orbit": {"alice_altitude_m": 1406588.6041677513}}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_OK, err
+        assert json.loads(out)["pass_half_duration_s"] > 0.0
+
     def test_solve_gamma_reports_required_offset(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--format", "json", "--solve-gamma", "0.1")
         assert code == EXIT_OK
@@ -160,3 +172,12 @@ class TestTable1Command:
         ]
         geo = rows[-1]
         assert float(geo["exclusion_radius_m"]) == pytest.approx(366.6, abs=1.0)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate costs about half a second of every CLI start.
+    src = str(Path(wiretap_space.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, wiretap_space.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

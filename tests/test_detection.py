@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import entropy_bits
+from oracles import entropy_bits, grid_argmax
 from wiretap_space.detection import (
     BinaryCoherentEnsemble,
     distinguishability_angle,
@@ -128,6 +128,25 @@ class TestHelstromProjector:
     def test_orthogonal_limit(self):
         sol = helstrom_projector(BinaryCoherentEnsemble(3000.0, 0.5))
         assert sol.avg_error == 0.0
+
+    @pytest.mark.parametrize(
+        "q,photons", [(0.1, 0.05), (0.3, 0.4), (0.5, 1.0), (0.7, 3.0), (0.9, 0.2), (0.02, 6.0)]
+    )
+    def test_closed_form_angle_against_brute_force(self, q, photons):
+        sol = helstrom_projector(BinaryCoherentEnsemble(photons, q))
+        beta = math.pi / 2 - sol.angle_phi
+        n = 1_000_001
+
+        def neg_avg_error(angle):
+            return -(q * np.sin(angle) ** 2 + (1.0 - q) * np.sin(beta - angle) ** 2)
+
+        reference = grid_argmax(neg_avg_error, 0.0, beta, n)
+        assert sol.projector_angle_0 == pytest.approx(reference, abs=1.5 * beta / (n - 1))
+
+    @pytest.mark.parametrize("q", [0.2, 0.8])
+    def test_identical_states_guess_likelier_symbol(self, q):
+        sol = helstrom_projector(BinaryCoherentEnsemble(0.0, q))
+        assert sol.avg_error == pytest.approx(min(q, 1.0 - q), abs=1e-15)
 
 
 class TestHolevoBinary:

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bisect_reference, entropy_bits, grid_argmax, mc_disk_fraction
+from oracles import bisect_reference, entropy_bits, grid_argmax, mc_disk_fraction, mp_disk_fraction
 from wiretap_space.numerics import (
     BracketError,
     Interval,
-    QuadratureSpec,
-    ToleranceNotReached,
+    _disk_fraction,
     binary_entropy,
     find_root,
     gaussian_disk_fraction,
@@ -139,12 +138,38 @@ class TestGaussianDiskFraction:
     def test_far_offset_is_zero(self):
         assert gaussian_disk_fraction(0.01, 100.0, 1.0) == 0.0
 
-    def test_tolerance_failure_carries_estimate(self):
-        spec = QuadratureSpec(absolute_tolerance=1e-11, max_subdivisions=1)
-        with pytest.raises(ToleranceNotReached) as info:
-            gaussian_disk_fraction(1.0, 0.0, 30.0, spec)
-        assert 0.0 <= info.value.best_estimate <= 1.0
-        assert info.value.residual > 0.0
+    def test_against_bessel_integral_oracle(self):
+        # The accuracy stated in the gaussian_disk_fraction docstring, over its
+        # domain: disks of 0.01 to 100 beam radii, offsets up to 7 beam radii
+        # beyond the rim.
+        rng = np.random.default_rng(20240611)
+        worst_abs = worst_rel_bulk = worst_rel_tail = 0.0
+        for _ in range(150):
+            w = float(10.0 ** rng.uniform(-2.0, 1.0))
+            radius = float(w * 10.0 ** rng.uniform(-2.0, 2.0))
+            offset = float(rng.uniform(0.0, radius + 7.0 * w))
+            reference = mp_disk_fraction(w, offset, radius)
+            error = abs(gaussian_disk_fraction(w, offset, radius) - reference)
+            worst_abs = max(worst_abs, error)
+            if reference >= 1e-10:
+                worst_rel_bulk = max(worst_rel_bulk, error / reference)
+            elif reference >= 1e-45:
+                worst_rel_tail = max(worst_rel_tail, error / reference)
+        assert worst_abs <= 5e-14
+        assert worst_rel_bulk <= 2e-13
+        assert worst_rel_tail <= 5e-12
+
+    def test_oracle_on_axis_closed_form(self):
+        for w, a in [(1.0, 1.0), (2.0, 0.2), (0.3, 0.9)]:
+            assert mp_disk_fraction(w, 0.0, a) == pytest.approx(-math.expm1(-2.0 * a * a / (w * w)), rel=1e-15)
+
+    def test_array_helper_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        w = 10.0 ** rng.uniform(-2.0, 1.0, 64)
+        offset = rng.uniform(0.0, 5.0, 64) * w
+        values = _disk_fraction(w, offset, 0.8)
+        assert values.shape == (64,)
+        assert values.tolist() == [gaussian_disk_fraction(float(a), float(b), 0.8) for a, b in zip(w, offset)]
 
     @pytest.mark.parametrize("w,offset,a", [(0.0, 0.0, 1.0), (1.0, -0.1, 1.0), (1.0, 0.0, -1.0)])
     def test_domain_errors(self, w, offset, a):
@@ -162,9 +187,3 @@ class TestDomainTypes:
     def test_interval_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
-
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(absolute_tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import propagated_lap_period
+from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     DEFAULT_CONSTANTS,
     OrbitScenario,
@@ -18,6 +19,8 @@ from wiretap_space.orbitsim import (
     integrated_gamma,
     pass_window,
     required_orbital_exclusion,
+    _eta_eve_series,
+    _pass_geometry,
     write_pass_profile,
 )
 
@@ -66,6 +69,15 @@ class TestPassWindow:
         horizon = math.acos(DEFAULT_CONSTANTS.earth_radius / a) / rel
         assert pass_window(scenario) <= horizon + 1e-9
 
+    def test_non_integer_altitudes(self):
+        # The elevation's asin argument used to round above 1 near psi = 0 for
+        # about half of non-integer-metre altitudes, raising a domain error.
+        rng = np.random.default_rng(1406588)
+        altitudes = sorted([1406588.6041677513, *rng.uniform(400e3, 800e3, 64)])
+        assert not any(float(h).is_integer() for h in altitudes)
+        windows = [pass_window(replace(LEO, alice_altitude=float(h))) for h in altitudes]
+        assert all(b > a for a, b in zip(windows, windows[1:]))
+
 
 class TestInstantaneousEfficiencies:
     def test_culmination_interceptor_swallows_beam(self):
@@ -77,6 +89,22 @@ class TestInstantaneousEfficiencies:
         w = 0.5 * 1e-5 * 600e3
         expected = 0.01 * (1.0 - math.exp(-2.0 * 0.25 / (w * w)))
         assert eta_bob == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_series_matches_per_sample_scalar(self, legacy):
+        scenario = replace(LEO, legacy_beam_width=legacy)
+        times = np.linspace(-0.02, 0.02, 401)
+        d_bob, _, along, beam_offset = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
+        eta = _eta_eve_series(scenario, d_bob, along, beam_offset)
+        theta = scenario.divergence_full_angle
+        disk = 0.5 * scenario.eve_telescope_diameter
+        expected = []
+        for a, b, offset in zip(along, d_bob, beam_offset):
+            w = (theta if legacy else 0.5 * theta) * a
+            near = 0.0 < a < b and offset <= disk + 8.0 * w
+            expected.append(gaussian_disk_fraction(float(w), float(offset), disk) if near else 0.0)
+        assert eta.tolist() == expected
+        assert 0 < np.count_nonzero(eta) < eta.size
 
     def test_interceptor_dark_away_from_alignment(self):
         _, eta_eve = instantaneous_efficiencies(LEO, t=30.0)

@@ -179,28 +179,6 @@ class TestSweep:
             outputs.append(buffer.getvalue().encode())
         assert outputs[0] == outputs[1]
 
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        config = config_from_dict({"operating": {"gamma": 0.1}})
-        axis = SweepAxis(param="received_mean_photons", lo=0.5, hi=8.0, points=6, scale="log")
-        header, rows = sweep(config, [axis])
-        monkeypatch.setenv("WIRETAP_SPACE_THREADS", "4")
-        header2, rows2 = sweep(config, [axis])
-        assert header == header2
-        assert rows == rows2
-        monkeypatch.setenv("WIRETAP_SPACE_THREADS", "0")  # auto: one worker per CPU
-        _, rows3 = sweep(config, [axis])
-        assert rows == rows3
-
-    def test_invalid_thread_count_rejected(self, monkeypatch):
-        config = config_from_dict({"operating": {"gamma": 0.1}})
-        axis = SweepAxis(param="received_mean_photons", lo=0.5, hi=8.0, points=3, scale="log")
-        monkeypatch.setenv("WIRETAP_SPACE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            sweep(config, [axis])
-        monkeypatch.setenv("WIRETAP_SPACE_THREADS", "-2")
-        with pytest.raises(ConfigError):
-            sweep(config, [axis])
-
 
 class TestExclusionSweep:
     def test_gamma_axis(self):
