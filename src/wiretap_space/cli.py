@@ -3,25 +3,19 @@
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
 ``orbit``, ``table1``.  Every run echoes the fully resolved configuration to
 stderr so results are reproducible from the log alone.  Exit codes: 0 on
-success, 2 for configuration errors, 3 when a root bracket has no sign change.
+success, 2 for configuration errors, 3 for numerical failures: a root bracket
+with no sign change, or a float overflow or division by zero on extreme inputs.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .linkbudget import (
-    bob_free_space,
-    eve_free_space,
-    exclusion_radius_partial,
-    exclusion_radius_total,
-    fraction_to_db,
-    gamma_partial,
-)
+from .linkbudget import bob_free_space, eve_free_space, fraction_to_db, gamma_partial
 from .numerics import BracketError
 from .orbitsim import (
     alignment_periods,
@@ -31,6 +25,7 @@ from .orbitsim import (
 )
 from .scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
+    EXCLUSION_OUTPUTS,
     TABLE1_HEADER,
     ConfigError,
     ScenarioConfig,
@@ -39,8 +34,10 @@ from .scenario_io import (
     config_from_dict,
     config_to_dict,
     emit_table1,
+    exclusion_radii,
     exclusion_sweep,
     load_config,
+    parse_axis,
     preset_config,
     PRESET_NAMES,
     resolved_gamma,
@@ -121,13 +118,7 @@ def _parse_axis(text: str) -> SweepAxis:
             [f"axis spec must be PARAM:MIN:MAX:POINTS[:SCALE], got {text!r}"]
         )
     try:
-        return SweepAxis(
-            param=parts[0],
-            lo=float(parts[1]),
-            hi=float(parts[2]),
-            points=int(parts[3]),
-            scale=parts[4] if len(parts) == 5 else "linear",
-        )
+        return parse_axis(*parts)
     except ValueError as exc:
         raise ConfigError([f"axis spec {text!r}: {exc}"]) from exc
 
@@ -144,18 +135,22 @@ def _echo_config(config: ScenarioConfig) -> None:
     print("resolved-config: " + json.dumps(config_to_dict(config)), file=sys.stderr)
 
 
-def _emit(args: argparse.Namespace, header: Sequence[str], rows) -> None:
-    if args.format == "json":
-        text = json.dumps(rows_to_json(header, rows), indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        write_csv(buffer, header, rows)
-        text = buffer.getvalue()
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    """The ``--out`` file, or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args: argparse.Namespace, header: Sequence[str], rows) -> None:
+    with _output(args) as stream:
+        if args.format == "json":
+            stream.write(json.dumps(rows_to_json(header, rows), indent=2) + "\n")
+        else:
+            write_csv(stream, header, rows)
 
 
 def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
@@ -209,22 +204,8 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
         header, rows = exclusion_sweep(config, _parse_axis(args.axis))
         _emit(args, header, rows)
         return
-    geometry = config.geometry
-    header = ["gamma_target", "radius_partial_m", "radius_total_m"]
-    row = [
-        args.gamma_target,
-        exclusion_radius_partial(
-            args.gamma_target,
-            geometry.dist_bob,
-            geometry.eta_b,
-            geometry.diam_eve / geometry.diam_bob,
-            geometry.divergence_full_angle,
-        ),
-        exclusion_radius_total(
-            args.gamma_target, geometry.dist_bob, geometry.diam_bob, geometry.divergence_full_angle
-        ),
-    ]
-    _emit(args, header, [row])
+    row = [args.gamma_target, *exclusion_radii(config.geometry, args.gamma_target)]
+    _emit(args, ["gamma_target", *EXCLUSION_OUTPUTS], [row])
 
 
 def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
@@ -251,19 +232,11 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
             scenario, config.constants, gamma_target=args.solve_gamma
         )
     print("pass-summary: " + json.dumps(summary), file=sys.stderr)
-    if args.format == "json":
-        text = json.dumps(summary, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    with _output(args) as stream:
+        if args.format == "json":
+            stream.write(json.dumps(summary, indent=2) + "\n")
         else:
-            sys.stdout.write(text)
-        return
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_pass_profile(profile, fh)
-    else:
-        write_pass_profile(profile, sys.stdout)
+            write_pass_profile(profile, stream)
 
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig) -> None:
@@ -303,7 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except BracketError as exc:
+    except (BracketError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

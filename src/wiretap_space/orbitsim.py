@@ -49,6 +49,18 @@ class PhysicalConstants:
     earth_radius: float = 6.371e6
     earth_angular_velocity: float = 7.2921159e-5
 
+    def __post_init__(self):
+        problems = []
+        for name in ("earth_mu", "earth_radius"):
+            if not getattr(self, name) > 0:
+                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.earth_angular_velocity >= 0:
+            problems.append(
+                f"earth_angular_velocity must be >= 0, got {self.earth_angular_velocity}"
+            )
+        if problems:
+            raise ValueError("; ".join(problems))
+
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 

@@ -1,18 +1,23 @@
 """Configuration parsing, scenario presets, sweeps and report tables.
 
-Configs are single JSON documents; omitted fields fall back to the LEO
-reference preset.  All tabular output is deterministic: row-major grid
+Configs are single JSON documents.  One schema table, ``_SCHEMA``, maps each
+JSON field to its section's dataclass attribute; defaults and type rules
+come from the dataclass field defaults (the LEO reference preset), and the
+same table drives validation, the resolved-config echo and the lookup of
+sweep parameters.  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
 configs produce byte-identical files.  Each 12-column capacity row is
-built by :func:`capacity_row`, for sweeps and single points alike.
+built by :func:`capacity_row`, for sweeps and single points alike, and each
+exclusion row by :func:`exclusion_radii`.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import IO, Any, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import IO, Any, NamedTuple, Sequence
 
 from .detection import BinaryCoherentEnsemble, helstrom_error, distinguishability_angle
 from .linkbudget import (
@@ -47,8 +52,10 @@ __all__ = [
     "config_to_dict",
     "resolved_gamma",
     "emit_table1",
+    "parse_axis",
     "capacity_row",
     "sweep",
+    "exclusion_radii",
     "exclusion_sweep",
     "format_cell",
     "write_csv",
@@ -149,43 +156,61 @@ class ReportRow:
     private_rate_bps: float
 
 
-# The LEO reference preset doubles as the global defaults.
-_DEFAULTS: dict[str, Any] = {
-    "label": "micius-leo",
-    "detector": {"p_dark": 1e-7, "eta_optical": 1.0, "stray_mean": 1e-4},
-    "geometry": {
-        "dist_bob_m": 1.2e6,
-        "dist_eve_m": 1.2e6,
-        "diam_bob_m": 1.0,
-        "diam_eve_m": 2.0,
-        "divergence_rad": 1e-5,
-        "eta_b": 0.01,
-        "exclusion_radius_m": 12.5,
-    },
-    "link": {"clock_rate_hz": 1e9, "wavelength_m": 8.5e-7},
-    "operating": {"received_mean_photons": 4.0, "gamma": None, "q": None},
-    "orbit": {
-        "alice_altitude_m": 6e5,
-        "eve_orbit_offset_m": 1.6e4,
-        "eve_telescope_diameter_m": 2.0,
-        "diam_bob_m": 1.0,
-        "eta_b": 0.01,
-        "divergence_rad": 1e-5,
-        "min_elevation_deg": 20.0,
-        "time_step_s": 1.0,
-        "fine_time_step_s": 2e-4,
-        "fine_window_s": 5.0,
-        "bob_aperture_model": "gaussian",
-        "legacy_beam_width": False,
-    },
-    "constants": {
-        "earth_mu": 3.986004418e14,
-        "earth_radius_m": 6.371e6,
-        "earth_angular_velocity_rad_s": 7.2921159e-5,
-    },
-    "sweep": [],
+class _Field(NamedTuple):
+    key: str  # JSON key
+    attr: str  # dataclass attribute
+    degrees: bool = False  # JSON value in degrees, attribute in radians
+
+
+# The config schema: one row per JSON field, in echo order.  Defaults and
+# type rules come from each section's dataclass field defaults.
+_SCHEMA: dict[str, tuple[type, tuple[_Field, ...]]] = {
+    "detector": (DetectorModel, (
+        _Field("p_dark", "p_dark"),
+        _Field("eta_optical", "eta_optical"),
+        _Field("stray_mean", "stray_mean"),
+    )),
+    "geometry": (LinkGeometry, (
+        _Field("dist_bob_m", "dist_bob"),
+        _Field("dist_eve_m", "dist_eve"),
+        _Field("diam_bob_m", "diam_bob"),
+        _Field("diam_eve_m", "diam_eve"),
+        _Field("divergence_rad", "divergence_full_angle"),
+        _Field("eta_b", "eta_b"),
+        _Field("exclusion_radius_m", "exclusion_radius"),
+    )),
+    "link": (ClockedLink, (
+        _Field("clock_rate_hz", "clock_rate"),
+        _Field("wavelength_m", "wavelength"),
+    )),
+    "operating": (OperatingPoint, (
+        _Field("received_mean_photons", "received_mean_photons"),
+        _Field("gamma", "gamma"),
+        _Field("q", "q"),
+    )),
+    "orbit": (OrbitScenario, (
+        _Field("alice_altitude_m", "alice_altitude"),
+        _Field("eve_orbit_offset_m", "eve_orbit_offset"),
+        _Field("eve_telescope_diameter_m", "eve_telescope_diameter"),
+        _Field("diam_bob_m", "diam_bob"),
+        _Field("eta_b", "eta_b"),
+        _Field("divergence_rad", "divergence_full_angle"),
+        _Field("min_elevation_deg", "min_elevation", degrees=True),
+        _Field("time_step_s", "time_step"),
+        _Field("fine_time_step_s", "fine_time_step"),
+        _Field("fine_window_s", "fine_window"),
+        _Field("bob_aperture_model", "bob_aperture_model"),
+        _Field("legacy_beam_width", "legacy_beam_width"),
+    )),
+    "constants": (PhysicalConstants, (
+        _Field("earth_mu", "earth_mu"),
+        _Field("earth_radius_m", "earth_radius"),
+        _Field("earth_angular_velocity_rad_s", "earth_angular_velocity"),
+    )),
 }
 
+# The LEO reference preset is the dataclass defaults; the others move the
+# receiver and interceptor to medium and geostationary range.
 _PRESET_OVERRIDES: dict[str, dict[str, Any]] = {
     "micius-leo": {},
     "micius-meo": {
@@ -200,85 +225,84 @@ _PRESET_OVERRIDES: dict[str, dict[str, Any]] = {
 
 PRESET_NAMES = tuple(_PRESET_OVERRIDES)
 
-_SECTIONS = ("detector", "geometry", "link", "operating", "orbit", "constants")
-
-
-def _merge(base: dict[str, Any], override: dict[str, Any], violations: list[str]) -> dict[str, Any]:
-    merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for key, value in override.items():
-        if key not in merged:
-            violations.append(f"unknown key {key!r}")
-            continue
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                violations.append(f"section {key!r} must be an object")
-                continue
-            section = merged[key]
-            for sub_key, sub_value in value.items():
-                if sub_key not in section:
-                    violations.append(f"unknown key {key}.{sub_key!r}")
-                else:
-                    section[sub_key] = sub_value
-        else:
-            merged[key] = value
-    return merged
-
-
-def _number(raw: dict[str, Any], section: str, key: str, violations: list[str],
-            allow_none: bool = False) -> Any:
-    value = raw[key]
-    if value is None and allow_none:
+def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
+    """``value`` as the type of ``default``; appends a violation on mismatch."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            violations.append(f"{name} must be a boolean")
+        return value
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            violations.append(f"{name} must be a string")
+        return value
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{section}.{key} must be a number, got {value!r}")
+        violations.append(f"{name} must be a number, got {value!r}")
         return None
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        violations.append(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear") -> SweepAxis:
+    """One sweep axis from JSON values or the strings of a CLI axis spec.
+
+    Bounds must be finite numbers and ``points`` a whole number; booleans
+    are rejected.  Raises ``ValueError`` naming the offending part; values
+    of no numeric form raise what ``float`` and ``int`` raise.
+    """
+    bounds = []
+    for name, value in (("min", lo), ("max", hi)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        bound = float(value)
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        bounds.append(bound)
+    if isinstance(points, bool) or isinstance(points, float) and not points.is_integer():
+        raise ValueError(f"points must be a whole number, got {points!r}")
+    return SweepAxis(param=param, lo=bounds[0], hi=bounds[1], points=int(points), scale=scale)
 
 
 def config_from_dict(data: dict[str, Any], label: str | None = None) -> ScenarioConfig:
-    """Build a fully validated config; unset fields take preset defaults."""
-    violations: list[str] = []
+    """Build a fully validated config; unset fields take the dataclass defaults."""
     if not isinstance(data, dict):
         raise ConfigError([f"top-level document must be an object, got {type(data).__name__}"])
-    raw = _merge(_DEFAULTS, data, violations)
+    violations: list[str] = []
+    raw: dict[str, Any] = {"label": "micius-leo", "sweep": []}
+    given: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
+    for key, value in data.items():
+        if key in _SCHEMA:
+            if not isinstance(value, dict):
+                violations.append(f"section {key!r} must be an object")
+                continue
+            known = {f.key for f in _SCHEMA[key][1]}
+            for sub_key, sub_value in value.items():
+                if sub_key in known:
+                    given[key][sub_key] = sub_value
+                else:
+                    violations.append(f"unknown key {key}.{sub_key!r}")
+        elif key in raw:
+            raw[key] = value
+        else:
+            violations.append(f"unknown key {key!r}")
     if label is not None:
         raw["label"] = label
     if not isinstance(raw["label"], str) or not raw["label"]:
         violations.append("label must be a non-empty string")
 
-    det_raw = raw["detector"]
-    geo_raw = raw["geometry"]
-    link_raw = raw["link"]
-    op_raw = raw["operating"]
-    orbit_raw = raw["orbit"]
-    const_raw = raw["constants"]
-
-    for section, keys in (
-        ("detector", ("p_dark", "eta_optical", "stray_mean")),
-        ("geometry", ("dist_bob_m", "dist_eve_m", "diam_bob_m", "diam_eve_m",
-                      "divergence_rad", "eta_b", "exclusion_radius_m")),
-        ("link", ("clock_rate_hz", "wavelength_m")),
-        ("constants", ("earth_mu", "earth_radius_m", "earth_angular_velocity_rad_s")),
-    ):
-        section_raw = raw[section]
-        for key in keys:
-            value = _number(section_raw, section, key, violations)
-            if value is not None:
-                section_raw[key] = value
-
-    for key in ("received_mean_photons", "gamma", "q"):
-        op_raw[key] = _number(op_raw, "operating", key, violations, allow_none=(key != "received_mean_photons"))
-
-    for key in ("alice_altitude_m", "eve_orbit_offset_m", "eve_telescope_diameter_m",
-                "diam_bob_m", "eta_b", "divergence_rad", "min_elevation_deg",
-                "time_step_s", "fine_time_step_s", "fine_window_s"):
-        value = _number(orbit_raw, "orbit", key, violations)
-        if value is not None:
-            orbit_raw[key] = value
-    if not isinstance(orbit_raw["bob_aperture_model"], str):
-        violations.append("orbit.bob_aperture_model must be a string")
-    if not isinstance(orbit_raw["legacy_beam_width"], bool):
-        violations.append("orbit.legacy_beam_width must be a boolean")
+    kwargs: dict[str, dict[str, Any]] = {}
+    for section, (cls, section_fields) in _SCHEMA.items():
+        kwargs[section] = values = {f.name: f.default for f in fields(cls)}
+        for f in section_fields:
+            if f.key in given[section]:
+                value = _checked(given[section][f.key], values[f.attr], f"{section}.{f.key}", violations)
+                values[f.attr] = math.radians(value) if f.degrees and value is not None else value
 
     axes: list[SweepAxis] = []
     sweep_raw = raw["sweep"]
@@ -294,15 +318,15 @@ def config_from_dict(data: dict[str, Any], label: str | None = None) -> Scenario
             violations.append(f"unknown key sweep[{i}].{key!r}")
         try:
             axes.append(
-                SweepAxis(
-                    param=axis_raw.get("param", ""),
-                    lo=float(axis_raw.get("min", 0.0)),
-                    hi=float(axis_raw.get("max", 0.0)),
-                    points=int(axis_raw.get("points", 0)),
-                    scale=axis_raw.get("scale", "linear"),
+                parse_axis(
+                    axis_raw.get("param", ""),
+                    axis_raw.get("min", 0.0),
+                    axis_raw.get("max", 0.0),
+                    axis_raw.get("points", 0),
+                    axis_raw.get("scale", "linear"),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             violations.append(f"sweep[{i}]: {exc}")
     if len(axes) > 2:
         violations.append(f"at most 2 sweep axes supported, got {len(axes)}")
@@ -310,76 +334,15 @@ def config_from_dict(data: dict[str, Any], label: str | None = None) -> Scenario
     if violations:
         raise ConfigError(violations)
 
-    try:
-        detector = DetectorModel(
-            p_dark=det_raw["p_dark"],
-            eta_optical=det_raw["eta_optical"],
-            stray_mean=det_raw["stray_mean"],
-        )
-    except ValueError as exc:
-        violations.append(f"detector: {exc}")
-    try:
-        geometry = LinkGeometry(
-            dist_bob=geo_raw["dist_bob_m"],
-            dist_eve=geo_raw["dist_eve_m"],
-            diam_bob=geo_raw["diam_bob_m"],
-            diam_eve=geo_raw["diam_eve_m"],
-            divergence_full_angle=geo_raw["divergence_rad"],
-            eta_b=geo_raw["eta_b"],
-            exclusion_radius=geo_raw["exclusion_radius_m"],
-        )
-    except ValueError as exc:
-        violations.append(f"geometry: {exc}")
-    try:
-        link = ClockedLink(clock_rate=link_raw["clock_rate_hz"], wavelength=link_raw["wavelength_m"])
-    except ValueError as exc:
-        violations.append(f"link: {exc}")
-    try:
-        operating = OperatingPoint(
-            received_mean_photons=op_raw["received_mean_photons"],
-            gamma=op_raw["gamma"],
-            q=op_raw["q"],
-        )
-    except ValueError as exc:
-        violations.append(f"operating: {exc}")
-    try:
-        orbit = OrbitScenario(
-            alice_altitude=orbit_raw["alice_altitude_m"],
-            eve_orbit_offset=orbit_raw["eve_orbit_offset_m"],
-            eve_telescope_diameter=orbit_raw["eve_telescope_diameter_m"],
-            diam_bob=orbit_raw["diam_bob_m"],
-            eta_b=orbit_raw["eta_b"],
-            divergence_full_angle=orbit_raw["divergence_rad"],
-            min_elevation=math.radians(orbit_raw["min_elevation_deg"]),
-            time_step=orbit_raw["time_step_s"],
-            fine_time_step=orbit_raw["fine_time_step_s"],
-            fine_window=orbit_raw["fine_window_s"],
-            bob_aperture_model=orbit_raw["bob_aperture_model"],
-            legacy_beam_width=orbit_raw["legacy_beam_width"],
-        )
-    except ValueError as exc:
-        violations.append(f"orbit: {exc}")
-    try:
-        constants = PhysicalConstants(
-            earth_mu=const_raw["earth_mu"],
-            earth_radius=const_raw["earth_radius_m"],
-            earth_angular_velocity=const_raw["earth_angular_velocity_rad_s"],
-        )
-    except ValueError as exc:
-        violations.append(f"constants: {exc}")
-
+    sections = {}
+    for section, (cls, _) in _SCHEMA.items():
+        try:
+            sections[section] = cls(**kwargs[section])
+        except ValueError as exc:
+            violations.append(f"{section}: {exc}")
     if violations:
         raise ConfigError(violations)
-    return ScenarioConfig(
-        label=raw["label"],
-        detector=detector,
-        geometry=geometry,
-        link=link,
-        operating=operating,
-        orbit=orbit,
-        constants=constants,
-        sweep_axes=tuple(axes),
-    )
+    return ScenarioConfig(label=raw["label"], sweep_axes=tuple(axes), **sections)
 
 
 def preset_config(name: str) -> ScenarioConfig:
@@ -405,55 +368,18 @@ def load_config(path: str) -> ScenarioConfig:
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     """Fully resolved config as a JSON-serialisable dict (for run echoing)."""
-    return {
-        "label": config.label,
-        "detector": {
-            "p_dark": config.detector.p_dark,
-            "eta_optical": config.detector.eta_optical,
-            "stray_mean": config.detector.stray_mean,
-        },
-        "geometry": {
-            "dist_bob_m": config.geometry.dist_bob,
-            "dist_eve_m": config.geometry.dist_eve,
-            "diam_bob_m": config.geometry.diam_bob,
-            "diam_eve_m": config.geometry.diam_eve,
-            "divergence_rad": config.geometry.divergence_full_angle,
-            "eta_b": config.geometry.eta_b,
-            "exclusion_radius_m": config.geometry.exclusion_radius,
-        },
-        "link": {
-            "clock_rate_hz": config.link.clock_rate,
-            "wavelength_m": config.link.wavelength,
-        },
-        "operating": {
-            "received_mean_photons": config.operating.received_mean_photons,
-            "gamma": config.operating.gamma,
-            "q": config.operating.q,
-        },
-        "orbit": {
-            "alice_altitude_m": config.orbit.alice_altitude,
-            "eve_orbit_offset_m": config.orbit.eve_orbit_offset,
-            "eve_telescope_diameter_m": config.orbit.eve_telescope_diameter,
-            "diam_bob_m": config.orbit.diam_bob,
-            "eta_b": config.orbit.eta_b,
-            "divergence_rad": config.orbit.divergence_full_angle,
-            "min_elevation_deg": math.degrees(config.orbit.min_elevation),
-            "time_step_s": config.orbit.time_step,
-            "fine_time_step_s": config.orbit.fine_time_step,
-            "fine_window_s": config.orbit.fine_window,
-            "bob_aperture_model": config.orbit.bob_aperture_model,
-            "legacy_beam_width": config.orbit.legacy_beam_width,
-        },
-        "constants": {
-            "earth_mu": config.constants.earth_mu,
-            "earth_radius_m": config.constants.earth_radius,
-            "earth_angular_velocity_rad_s": config.constants.earth_angular_velocity,
-        },
-        "sweep": [
-            {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale}
-            for a in config.sweep_axes
-        ],
-    }
+    out: dict[str, Any] = {"label": config.label}
+    for section, (_, section_fields) in _SCHEMA.items():
+        obj = getattr(config, section)
+        out[section] = {}
+        for f in section_fields:
+            value = getattr(obj, f.attr)
+            out[section][f.key] = math.degrees(value) if f.degrees else value
+    out["sweep"] = [
+        {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale}
+        for a in config.sweep_axes
+    ]
+    return out
 
 
 def resolved_gamma(config: ScenarioConfig) -> float:
@@ -508,26 +434,14 @@ def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
     ]
 
 
-def _apply_cell(config: ScenarioConfig, assignments: dict[str, float]) -> ScenarioConfig:
-    detector, geometry, operating = config.detector, config.geometry, config.operating
-    for param, value in assignments.items():
-        if param == "received_mean_photons":
-            operating = replace(operating, received_mean_photons=value)
-        elif param == "gamma":
-            operating = replace(operating, gamma=value)
-        elif param == "q":
-            operating = replace(operating, q=value)
-        elif param == "stray_mean":
-            detector = replace(detector, stray_mean=value)
-        elif param == "p_dark":
-            detector = replace(detector, p_dark=value)
-        elif param == "dist_bob_m":
-            geometry = replace(geometry, dist_bob=value)
-        elif param == "exclusion_radius_m":
-            geometry = replace(geometry, exclusion_radius=value)
-        else:
-            raise ConfigError([f"unknown sweep parameter {param!r}"])
-    return replace(config, detector=detector, geometry=geometry, operating=operating)
+def _field_of(param: str) -> tuple[str, str]:
+    """(section, attribute) of the first schema field keyed ``param``."""
+    return next(
+        (section, f.attr)
+        for section, (_, section_fields) in _SCHEMA.items()
+        for f in section_fields
+        if f.key == param
+    )
 
 
 def _evaluate_cell(config: ScenarioConfig) -> SecrecyPoint:
@@ -536,13 +450,6 @@ def _evaluate_cell(config: ScenarioConfig) -> SecrecyPoint:
     if config.operating.q is None:
         return private_capacity(config.detector, mu, gamma)
     return private_capacity_fixed(config.detector, mu, gamma, config.operating.q)
-
-
-def _grid_cells(axes: Sequence[SweepAxis]) -> list[dict[str, float]]:
-    if len(axes) == 1:
-        return [{axes[0].param: v} for v in axes[0].grid()]
-    outer, inner = axes
-    return [{outer.param: u, inner.param: v} for u in outer.grid() for v in inner.grid()]
 
 
 def sweep(
@@ -562,13 +469,39 @@ def sweep(
                 [f"unknown sweep parameter {axis.param!r}; "
                  f"choose from {', '.join(CAPACITY_SWEEP_PARAMS)}"]
             )
+    targets = [_field_of(axis.param) for axis in axes]
     header = [axis.param for axis in axes] + list(CAPACITY_SWEEP_OUTPUTS)
     clock = config.link.clock_rate
     rows = []
-    for assignments in _grid_cells(axes):
-        point = _evaluate_cell(_apply_cell(config, assignments))
-        rows.append([assignments[axis.param] for axis in axes] + capacity_row(point, clock))
+    for values in itertools.product(*(axis.grid() for axis in axes)):
+        cell = config
+        for (section, attr), value in zip(targets, values):
+            cell = replace(cell, **{section: replace(getattr(cell, section), **{attr: value})})
+        rows.append([*values, *capacity_row(_evaluate_cell(cell), clock)])
     return header, rows
+
+
+EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
+
+
+def exclusion_radii(
+    geometry: LinkGeometry, gamma_target: float, dist_bob: float | None = None
+) -> list[float]:
+    """The :data:`EXCLUSION_OUTPUTS` columns: both models' radii for a target.
+
+    ``dist_bob`` overrides the geometry's receiver range.
+    """
+    dist = geometry.dist_bob if dist_bob is None else dist_bob
+    return [
+        exclusion_radius_partial(
+            gamma_target,
+            dist,
+            geometry.eta_b,
+            geometry.diam_eve / geometry.diam_bob,
+            geometry.divergence_full_angle,
+        ),
+        exclusion_radius_total(gamma_target, dist, geometry.diam_bob, geometry.divergence_full_angle),
+    ]
 
 
 def exclusion_sweep(
@@ -580,27 +513,13 @@ def exclusion_sweep(
             [f"exclusion sweep parameter must be one of {', '.join(EXCLUSION_SWEEP_PARAMS)}, "
              f"got {axis.param!r}"]
         )
-    geometry = config.geometry
-    header = [axis.param, "radius_partial_m", "radius_total_m"]
+    header = [axis.param, *EXCLUSION_OUTPUTS]
     rows = []
     for value in axis.grid():
-        gamma_target = value if axis.param == "gamma_target" else 0.1
-        dist = value if axis.param == "dist_bob_m" else geometry.dist_bob
-        rows.append(
-            [
-                value,
-                exclusion_radius_partial(
-                    gamma_target,
-                    dist,
-                    geometry.eta_b,
-                    geometry.diam_eve / geometry.diam_bob,
-                    geometry.divergence_full_angle,
-                ),
-                exclusion_radius_total(
-                    gamma_target, dist, geometry.diam_bob, geometry.divergence_full_angle
-                ),
-            ]
-        )
+        if axis.param == "gamma_target":
+            rows.append([value, *exclusion_radii(config.geometry, value)])
+        else:
+            rows.append([value, *exclusion_radii(config.geometry, 0.1, dist_bob=value)])
     return header, rows
 
 
@@ -630,13 +549,7 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
         geometry = config.geometry
         loss = bob_free_space(geometry)
         gamma_target = 0.1
-        radius = exclusion_radius_partial(
-            gamma_target,
-            geometry.dist_bob,
-            geometry.eta_b,
-            geometry.diam_eve / geometry.diam_bob,
-            geometry.divergence_full_angle,
-        )
+        radius, _ = exclusion_radii(geometry, gamma_target)
         _, best = optimal_signal_strength(config.detector, gamma_target)
         rows.append(
             ReportRow(

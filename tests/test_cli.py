@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from wiretap_space.scenario_io import CAPACITY_SWEEP_PARAMS, config_from_dict, config_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,53 @@ class TestConfigHandling:
         code, _, _ = run_cli(capsys, "capacity", "--config", str(path))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, data, field",
+        [
+            ("capacity", {"operating": {"received_mean_photons": float("inf")}}, "operating.received_mean_photons"),
+            ("capacity", {"detector": {"stray_mean": float("nan")}}, "detector.stray_mean"),
+            ("orbit", {"orbit": {"divergence_rad": float("inf")}}, "orbit.divergence_rad"),
+            ("linkbudget", {"geometry": {"dist_bob_m": 10**400}}, "geometry.dist_bob_m"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, command, data, field):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {field} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"earth_mu": -1}, "constants: earth_mu must be > 0, got -1.0"),
+            ({"earth_radius_m": 0}, "constants: earth_radius must be > 0, got 0.0"),
+        ],
+    )
+    def test_invalid_constants_exit_2(self, capsys, tmp_path, constants, message):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps({"constants": constants}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("linkbudget", {"geometry": {"dist_bob_m": 1e300}}),
+            ("linkbudget", {"geometry": {"divergence_rad": 1e-300}}),
+            ("capacity", {"geometry": {"dist_eve_m": 1e-300}}),
+        ],
+    )
+    def test_float_overflow_exits_3(self, capsys, tmp_path, command, data):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == EXIT_NUMERIC
+        assert "numerical failure: " in err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "row.csv"
         code, out, _ = run_cli(capsys, "linkbudget", "--out", str(out_path))
@@ -97,6 +147,20 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gamma:0.1:inf:3", "max must be finite, got 'inf'"),
+            ("gamma:nan:0.5:3", "min must be finite, got 'nan'"),
+            ("gamma:0.1:0.5:2.7", "invalid literal for int()"),
+        ],
+    )
+    def test_axis_spec_rejections(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "sweep", "--axis", spec)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: axis spec {spec!r}: {message}" in err
 
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nonsense")
@@ -141,6 +205,14 @@ class TestOrbitCommand:
         header = out_path.read_text().splitlines()[0]
         assert header == "t_s,eta_bob,eta_eve,d_bob_m,d_eve_m,offset_m"
 
+    def test_json_summary_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "summary.json"
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--out", str(out_path))
+        assert code == EXIT_OK
+        assert out == ""
+        printed = json.loads(err.split("pass-summary: ", 1)[1].splitlines()[0])
+        assert json.loads(out_path.read_text()) == printed
+
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--format", "json", "--offset", "20000")
         assert code == EXIT_OK
@@ -181,3 +253,104 @@ def test_import_does_not_load_scipy_integrate():
     probe = "import sys, wiretap_space.cli; print('scipy.integrate' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# Fuzzing: arbitrary JSON values in every config field and arbitrary --axis
+# strings must end in exit 0, 2 or 3, never in an uncaught exception.  The
+# ``orbit`` command is left out: its pass cost scales with
+# 1/fine_time_step_s (1e-9 s would ask numpy for about 37 GiB) until the
+# pass integral adapts its own step.
+_EXTREMES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 10**400, float("inf"), float("-inf"), float("nan")]
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10**6),
+    st.floats(),
+    st.sampled_from(_EXTREMES),
+    st.text(max_size=6),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=5,
+)
+_DEFAULT_DOC = config_to_dict(config_from_dict({}))
+
+
+def _field_values(default):
+    """Mostly the default or a nearby number, sometimes any JSON value."""
+    near = (
+        st.floats(0.1, 10.0).map(lambda f: default * f)
+        if isinstance(default, float)
+        else st.floats(0.01, 0.99)
+    )
+    return st.one_of(st.just(default), near, _JSON_VALUES)
+
+
+_SECTIONS = {
+    section: st.fixed_dictionaries({}, optional={key: _field_values(value) for key, value in fields.items()})
+    for section, fields in _DEFAULT_DOC.items()
+    if isinstance(fields, dict)
+}
+_AXIS_POINTS = st.one_of(st.integers(-1, 4), st.sampled_from([2.7, 3.0, True, float("inf"), float("nan"), "3", None]))
+_AXIS_NUMBERS = st.one_of(st.floats(0.01, 1.0), _JSON_SCALARS)
+_AXIS_OBJECTS = st.fixed_dictionaries(
+    {
+        "param": st.sampled_from(CAPACITY_SWEEP_PARAMS + ("gamma_target", "bogus")),
+        "min": _AXIS_NUMBERS,
+        "max": _AXIS_NUMBERS,
+        "points": _AXIS_POINTS,
+    },
+    optional={"scale": st.sampled_from(["linear", "log", "cubic"])},
+)
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{section: strategy | _JSON_VALUES for section, strategy in _SECTIONS.items()},
+        "label": _JSON_SCALARS,
+        "sweep": st.lists(_AXIS_OBJECTS, max_size=3) | _JSON_VALUES,
+        "bogus": _JSON_VALUES,
+    },
+)
+_SPEC_PART = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e300", "1e-300", "", "x", "0.1", "0.5"]),
+    st.text(alphabet="0123456789.-+einfa", max_size=6),
+)
+_AXIS_SPECS = st.one_of(
+    st.text(max_size=12).filter(lambda text: text.count(":") < 3),
+    st.tuples(
+        st.sampled_from(CAPACITY_SWEEP_PARAMS + ("gamma_target", "bogus")),
+        _SPEC_PART,
+        _SPEC_PART,
+        st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["2.7", "inf", "nan", "x", ""])),
+        st.sampled_from([(), ("linear",), ("log",), ("cubic",)]),
+    ).map(lambda parts: ":".join([*parts[:4], *parts[4]])),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    command=st.sampled_from(["capacity", "linkbudget", "exclusion", "sweep"]),
+    data=_CONFIGS,
+    specs=st.lists(_AXIS_SPECS, max_size=2),
+)
+def test_arbitrary_configs_end_in_a_defined_exit_code(tmp_path_factory, command, data, specs):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += [f"--axis={spec}" for spec in specs]
+    elif command == "exclusion" and specs:
+        argv.append(f"--axis={specs[0]}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)

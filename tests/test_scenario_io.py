@@ -1,11 +1,15 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from wiretap_space.scenario_io import (
+    _SCHEMA,
     ConfigError,
     SweepAxis,
+    capacity_row,
     config_from_dict,
     config_to_dict,
     emit_table1,
@@ -17,6 +21,7 @@ from wiretap_space.scenario_io import (
     sweep,
     write_csv,
 )
+from wiretap_space.secrecy import private_capacity_fixed
 
 
 class TestConfigLoading:
@@ -56,6 +61,69 @@ class TestConfigLoading:
             )
         text = " ".join(info.value.violations)
         assert "p_dark" in text and "eta_b" in text
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"orbit": {"divergence_rad": value}})
+        assert info.value.violations == [f"orbit.divergence_rad must be finite, got {value!r}"]
+
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            ({"earth_mu": -1}, "earth_mu must be > 0, got -1.0"),
+            ({"earth_radius_m": 0}, "earth_radius must be > 0, got 0.0"),
+            ({"earth_angular_velocity_rad_s": -1e-5}, "earth_angular_velocity must be >= 0, got -1e-05"),
+        ],
+    )
+    def test_constants_validated(self, constants, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"constants": constants})
+        assert info.value.violations == [f"constants: {message}"]
+
+    def test_type_errors_follow_section_order(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"constants": {"earth_mu": "x"}, "orbit": {"legacy_beam_width": 1}})
+        assert info.value.violations == [
+            "orbit.legacy_beam_width must be a boolean",
+            "constants.earth_mu must be a number, got 'x'",
+        ]
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ({"points": float("inf")}, "points must be a whole number, got inf"),
+            ({"points": 2.7}, "points must be a whole number, got 2.7"),
+            ({"points": True}, "points must be a whole number, got True"),
+            ({"min": True}, "min must be a number, got True"),
+            ({"max": float("nan")}, "max must be finite, got nan"),
+        ],
+    )
+    def test_sweep_axis_types_rejected(self, axis, message):
+        data = {"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3, **axis}]}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.violations == [f"sweep[0]: {message}"]
+
+    def test_whole_float_points_accepted(self):
+        config = config_from_dict({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3.0}]})
+        assert config.sweep_axes == (SweepAxis(param="gamma", lo=0.1, hi=0.5, points=3),)
+
+    def test_readme_schema_table_matches(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Configuration schema", 1)[1]
+        rows = re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*) \|", section, flags=re.MULTILINE)
+        keys = ["label"] + [
+            f"{name}.{f.key}" for name, (_, fields) in _SCHEMA.items() for f in fields
+        ] + ["sweep"]
+        assert [field for field, _ in rows] == keys
+        resolved = config_to_dict(config_from_dict({}))
+        for field, cell in rows:
+            default = resolved
+            for part in field.split("."):
+                default = default[part]
+            text = cell.strip().strip("`")
+            assert (text if field == "label" else json.loads(text)) == default, field
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -167,6 +235,31 @@ class TestSweep:
             SweepAxis(param="gamma", lo=-1.0, hi=0.5, points=4, scale="log")
         with pytest.raises(ValueError):
             SweepAxis(param="gamma", lo=0.5, hi=0.1, points=4)
+
+    @pytest.mark.parametrize(
+        "section, param, lo, hi",
+        [
+            ("operating", "received_mean_photons", 1.0, 4.0),
+            ("operating", "gamma", 0.05, 0.2),
+            ("operating", "q", 0.3, 0.6),
+            ("detector", "stray_mean", 1e-6, 1e-3),
+            ("detector", "p_dark", 1e-8, 1e-6),
+            ("geometry", "dist_bob_m", 1.0e6, 1.3e6),
+            ("geometry", "exclusion_radius_m", 11.0, 14.0),
+        ],
+    )
+    def test_each_parameter_reaches_its_field(self, section, param, lo, hi):
+        base = {"operating": {"q": 0.5}}
+        header, rows = sweep(config_from_dict(base), [SweepAxis(param=param, lo=lo, hi=hi, points=2)])
+        for value, row in zip((lo, hi), rows):
+            direct = config_from_dict({**base, section: {**base.get(section, {}), param: value}})
+            point = private_capacity_fixed(
+                direct.detector,
+                direct.operating.received_mean_photons,
+                resolved_gamma(direct),
+                direct.operating.q,
+            )
+            assert row == [value, *capacity_row(point, direct.link.clock_rate)]
 
     def test_deterministic_output(self):
         config = config_from_dict({"operating": {"gamma": 0.1}})
