@@ -3,19 +3,28 @@
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
 ``orbit``, ``table1``.  Every run echoes the fully resolved configuration to
 stderr so results are reproducible from the log alone.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical failures: a root bracket
-with no sign change, or a float overflow or division by zero on extreme inputs.
+success, 2 for configuration errors (an invalid config or flag value, or an
+unwritable ``--out`` path), 3 for numerical failures: the orbital-offset
+bracket with no sign change, or a result or intermediate that a float cannot
+hold on extreme inputs.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from typing import Sequence
 
-from .linkbudget import bob_free_space, eve_free_space, fraction_to_db, gamma_partial
+from .linkbudget import (
+    bob_free_space,
+    eve_free_space,
+    fraction_to_db,
+    gamma_partial,
+    radius_vs_gamma_curve,
+)
 from .numerics import BracketError
 from .orbitsim import (
     alignment_periods,
@@ -34,7 +43,6 @@ from .scenario_io import (
     config_from_dict,
     config_to_dict,
     emit_table1,
-    exclusion_radii,
     exclusion_sweep,
     load_config,
     parse_axis,
@@ -50,6 +58,17 @@ from .secrecy import optimal_signal_strength, private_capacity, private_capacity
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite number, as in configs."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,9 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cap = sub.add_parser("capacity", parents=[common], help="evaluate one operating point")
-    cap.add_argument("--photons", type=float, help="received mean photon number")
-    cap.add_argument("--gamma", type=float, help="channel degradation override")
-    cap.add_argument("--q", type=float, help="fix the input probability instead of optimising")
+    cap.add_argument("--photons", type=_finite_float, help="received mean photon number")
+    cap.add_argument("--gamma", type=_finite_float, help="channel degradation override")
+    cap.add_argument(
+        "--q", type=_finite_float, help="fix the input probability instead of optimising"
+    )
     cap.add_argument(
         "--optimize-photons",
         action="store_true",
@@ -91,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("linkbudget", parents=[common], help="static link budget for the geometry")
 
     exc = sub.add_parser("exclusion", parents=[common], help="exclusion radii, both models")
-    exc.add_argument("--gamma-target", type=float, default=0.1)
+    exc.add_argument("--gamma-target", type=_finite_float, default=0.1)
     exc.add_argument(
         "--axis",
         metavar="PARAM:MIN:MAX:POINTS[:SCALE]",
@@ -99,10 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     orb = sub.add_parser("orbit", parents=[common], help="simulate one orbital pass")
-    orb.add_argument("--offset", type=float, help="interceptor orbit offset in metres")
+    orb.add_argument("--offset", type=_finite_float, help="interceptor orbit offset in metres")
     orb.add_argument(
         "--solve-gamma",
-        type=float,
+        type=_finite_float,
         metavar="GAMMA",
         help="also solve for the offset achieving this integrated degradation",
     )
@@ -139,7 +160,11 @@ def _echo_config(config: ScenarioConfig) -> None:
 def _output(args: argparse.Namespace):
     """The ``--out`` file, or stdout."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError([f"cannot write output {args.out!r}: {exc}"]) from exc
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -204,8 +229,8 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
         header, rows = exclusion_sweep(config, _parse_axis(args.axis))
         _emit(args, header, rows)
         return
-    row = [args.gamma_target, *exclusion_radii(config.geometry, args.gamma_target)]
-    _emit(args, ["gamma_target", *EXCLUSION_OUTPUTS], [row])
+    rows = radius_vs_gamma_curve(config.geometry, [args.gamma_target])
+    _emit(args, ["gamma_target", *EXCLUSION_OUTPUTS], [astuple(row) for row in rows])
 
 
 def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
@@ -240,19 +265,7 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
 
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    rows = [
-        [
-            row.configuration,
-            row.distance_km,
-            row.channel_loss_db,
-            row.plob_rate_bps,
-            row.exclusion_radius_m,
-            row.gamma,
-            row.private_rate_bps,
-        ]
-        for row in emit_table1()
-    ]
-    _emit(args, list(TABLE1_HEADER), rows)
+    _emit(args, list(TABLE1_HEADER), [astuple(row) for row in emit_table1()])
 
 
 _RUNNERS = {

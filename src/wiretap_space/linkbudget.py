@@ -10,15 +10,13 @@ Two exclusion-radius models are provided.  The "partial" model gives the
 interceptor a fixed telescope at the same range as the receiver and inverts
 the degradation ratio in closed form.  The "total" model is more
 conservative: the interceptor collects *all* light outside the exclusion
-cone, and the radius solves an implicit equation handled by bisection.
+cone; its implicit equation also inverts in closed form.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-
-from .numerics import Interval, find_root
 
 __all__ = [
     "LinkBudgetWarning",
@@ -195,23 +193,29 @@ def exclusion_radius_total(
 ) -> float:
     """Exclusion radius when the interceptor collects *all* outside light.
 
-    Solves ``exp(-2 (r/(theta d))^2) = gamma (1 - exp(-2 (D_B/(theta d))^2))``
-    for ``r`` by bisection on ``[0, 10 w(d)]``: the left side is the beam
-    power beyond radius ``r`` on the outside-cone scale, the right side the
-    target fraction of the receiver's collected power.
+    Inverts ``exp(-2 (r/(theta d))^2) = gamma (1 - exp(-2 (D_B/(theta d))^2))``
+    exactly: ``r = theta d sqrt(-ln(rhs) / 2)`` with ``rhs`` the right side,
+    taken through ``expm1`` so small apertures keep full precision.  The left
+    side is the beam power beyond radius ``r`` on the outside-cone scale, the
+    right side the target fraction of the receiver's collected power.
+
+    Raises ``FloatingPointError`` when the radius cannot be represented: the
+    right side underflows to 0 or the radius overflows.
     """
     if not 0.0 < gamma_target < 1.0:
         raise ValueError(f"gamma_target must be in (0, 1), got {gamma_target}")
     if not dist > 0 or not diam_bob > 0 or not divergence > 0:
         raise ValueError("dist, diam_bob and divergence must be > 0")
     scale = divergence * dist
-    rhs = gamma_target * (1.0 - math.exp(-2.0 * (diam_bob / scale) ** 2))
-    w = 0.5 * scale
-
-    def imbalance(r: float) -> float:
-        return math.exp(-2.0 * (r / scale) ** 2) - rhs
-
-    return find_root(imbalance, Interval(0.0, 10.0 * w), tol=1e-10 * max(w, 1.0))
+    rhs = -gamma_target * math.expm1(-2.0 * (diam_bob / scale) ** 2)
+    if rhs > 0.0:
+        radius = scale * math.sqrt(-0.5 * math.log(rhs))
+        if math.isfinite(radius):
+            return radius
+    raise FloatingPointError(
+        f"exclusion radius cannot be represented: gamma_target={gamma_target}, "
+        f"dist={dist}, diam_bob={diam_bob}, divergence={divergence}"
+    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ _CLAMP_EPS = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Points of the coarse scan that seeds :func:`maximize_1d`.
+GRID_POINTS = 64
+
 
 class BracketError(ValueError):
     """The supplied bracket does not straddle a sign change."""
@@ -92,29 +95,22 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float):
     return d, fd
 
 
-def maximize_1d(
-    f: Callable[[float], float],
-    domain: Interval,
-    tol: float,
-    grid_points: int = 64,
-) -> tuple[float, float]:
+def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tuple[float, float]:
     """Maximise ``f`` over ``domain``; returns ``(argmax, max)``.
 
-    A coarse grid scan (including both endpoints) seeds a golden-section
-    refinement of the best grid cell's neighbourhood.  The grid seed makes the
-    search robust to mild non-unimodality, e.g. flat clipped plateaus next to
-    a single interior peak.
+    A coarse scan of :data:`GRID_POINTS` points (including both endpoints)
+    seeds a golden-section refinement of the best grid cell's neighbourhood.
+    The grid seed makes the search robust to mild non-unimodality, e.g. flat
+    clipped plateaus next to a single interior peak.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     lo, hi = domain.lo, domain.hi
-    step = (hi - lo) / (grid_points - 1)
+    step = (hi - lo) / (GRID_POINTS - 1)
     best_x, best_f = lo, f(lo)
     best_i = 0
-    for i in range(1, grid_points):
-        x = lo + i * step if i < grid_points - 1 else hi
+    for i in range(1, GRID_POINTS):
+        x = lo + i * step if i < GRID_POINTS - 1 else hi
         fx = f(x)
         if fx > best_f:
             best_x, best_f, best_i = x, fx, i

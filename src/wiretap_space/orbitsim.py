@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# Orbital-offset search range of :func:`required_orbital_exclusion`, metres.
+OFFSET_BOUNDS = (1e3, 2e5)
+
+
 class StepSizeWarning(UserWarning):
     """The pass integral changed by more than 1% when the grid was refined."""
 
@@ -145,15 +149,6 @@ def angular_velocity(orbit_radius: float, constants: PhysicalConstants = DEFAULT
     return math.sqrt(constants.earth_mu / orbit_radius**3)
 
 
-def _elevation(psi: float, orbit_radius: float, earth_radius: float) -> float:
-    """Elevation of the satellite at central angle ``psi`` from the station."""
-    slant = math.sqrt(
-        orbit_radius**2 + earth_radius**2 - 2.0 * orbit_radius * earth_radius * math.cos(psi)
-    )
-    # Near psi = 0 the ratio can round just above 1; the true value is <= 1.
-    return math.asin(min((orbit_radius * math.cos(psi) - earth_radius) / slant, 1.0))
-
-
 def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Half-width T of the symmetric integration window ``[-T, T]``.
 
@@ -161,19 +156,26 @@ def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_
     (culmination-centred, so twice the culmination-to-crossing time), capped
     at the horizon-to-horizon limit so the line of sight never drops below
     the geometric horizon inside the window.
+
+    The central angle at which the elevation crosses ``el`` is exact: the
+    slant range ``s = (r^2 - R^2) / (R sin el + sqrt(r^2 - R^2 cos^2 el))``
+    places the satellite at ``atan2(s cos el, R + s sin el)`` from the
+    station.  This equals ``acos(R cos(el) / r) - el`` but avoids its
+    cancellation near zenith.
     """
-    orbit_radius = constants.earth_radius + scenario.alice_altitude
+    earth_radius = constants.earth_radius
+    orbit_radius = earth_radius + scenario.alice_altitude
     rel_rate = angular_velocity(orbit_radius, constants) - constants.earth_angular_velocity
     if rel_rate <= 0:
         raise ValueError("transmitter must move faster than the ground station rotates")
     if scenario.min_elevation >= 0.5 * math.pi - 1e-12:
         return 0.0
-    psi_horizon = math.acos(constants.earth_radius / orbit_radius)
-
-    def above_min(psi: float) -> float:
-        return _elevation(psi, orbit_radius, constants.earth_radius) - scenario.min_elevation
-
-    psi_cross = find_root(above_min, Interval(1e-12, psi_horizon), tol=1e-12)
+    psi_horizon = math.acos(earth_radius / orbit_radius)
+    cos_el, sin_el = math.cos(scenario.min_elevation), math.sin(scenario.min_elevation)
+    slant = (orbit_radius - earth_radius) * (orbit_radius + earth_radius) / (
+        earth_radius * sin_el + math.sqrt(orbit_radius**2 - (earth_radius * cos_el) ** 2)
+    )
+    psi_cross = math.atan2(slant * cos_el, earth_radius + slant * sin_el)
     return min(2.0 * psi_cross / rel_rate, psi_horizon / rel_rate)
 
 
@@ -323,13 +325,13 @@ def required_orbital_exclusion(
     scenario: OrbitScenario,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     gamma_target: float = 0.1,
-    offset_bounds: tuple[float, float] = (1e3, 2e5),
     tol: float = 25.0,
 ) -> float:
     """Orbital separation below the transmitter achieving ``gamma_target``.
 
-    Bisects :func:`integrated_gamma` over the offset; each probe is a full
-    pass integration, so the default tolerance is a coarse 25 m.
+    Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`;
+    each probe is a full pass integration, so the default tolerance is a
+    coarse 25 m.
     """
     if not 0.0 < gamma_target < 1.0:
         raise ValueError(f"gamma_target must be in (0, 1), got {gamma_target}")
@@ -340,7 +342,7 @@ def required_orbital_exclusion(
             warnings.simplefilter("ignore", StepSizeWarning)
             return integrated_gamma(probe, constants).integrated_gamma - gamma_target
 
-    return find_root(excess, Interval(*offset_bounds), tol=tol)
+    return find_root(excess, Interval(*OFFSET_BOUNDS), tol=tol)
 
 
 def alignment_periods(

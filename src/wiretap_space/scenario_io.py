@@ -8,7 +8,7 @@ sweep parameters.  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
 configs produce byte-identical files.  Each 12-column capacity row is
 built by :func:`capacity_row`, for sweeps and single points alike, and each
-exclusion row by :func:`exclusion_radii`.
+pair of exclusion radii by :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
 """
 from __future__ import annotations
 
@@ -23,10 +23,9 @@ from .detection import BinaryCoherentEnsemble, helstrom_error, distinguishabilit
 from .linkbudget import (
     LinkGeometry,
     bob_free_space,
-    exclusion_radius_partial,
-    exclusion_radius_total,
     fraction_to_db,
     gamma_partial,
+    radius_vs_gamma_curve,
 )
 from .orbitsim import OrbitScenario, PhysicalConstants
 from .receiver import DetectorModel
@@ -55,7 +54,6 @@ __all__ = [
     "parse_axis",
     "capacity_row",
     "sweep",
-    "exclusion_radii",
     "exclusion_sweep",
     "format_cell",
     "write_csv",
@@ -484,54 +482,31 @@ def sweep(
 EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
 
 
-def exclusion_radii(
-    geometry: LinkGeometry, gamma_target: float, dist_bob: float | None = None
-) -> list[float]:
-    """The :data:`EXCLUSION_OUTPUTS` columns: both models' radii for a target.
-
-    ``dist_bob`` overrides the geometry's receiver range.
-    """
-    dist = geometry.dist_bob if dist_bob is None else dist_bob
-    return [
-        exclusion_radius_partial(
-            gamma_target,
-            dist,
-            geometry.eta_b,
-            geometry.diam_eve / geometry.diam_bob,
-            geometry.divergence_full_angle,
-        ),
-        exclusion_radius_total(gamma_target, dist, geometry.diam_bob, geometry.divergence_full_angle),
-    ]
-
-
 def exclusion_sweep(
     config: ScenarioConfig, axis: SweepAxis
 ) -> tuple[list[str], list[list[float]]]:
-    """Exclusion radii for both interceptor models along one axis."""
+    """Exclusion radii for both interceptor models along one axis.
+
+    The ``dist_bob_m`` axis holds the degradation target at 0.1.
+    """
     if axis.param not in EXCLUSION_SWEEP_PARAMS:
         raise ConfigError(
             [f"exclusion sweep parameter must be one of {', '.join(EXCLUSION_SWEEP_PARAMS)}, "
              f"got {axis.param!r}"]
         )
-    header = [axis.param, *EXCLUSION_OUTPUTS]
-    rows = []
-    for value in axis.grid():
-        if axis.param == "gamma_target":
-            rows.append([value, *exclusion_radii(config.geometry, value)])
-        else:
-            rows.append([value, *exclusion_radii(config.geometry, 0.1, dist_bob=value)])
-    return header, rows
+    grid = axis.grid()
+    if axis.param == "gamma_target":
+        curve = radius_vs_gamma_curve(config.geometry, grid)
+    else:
+        curve = [
+            radius_vs_gamma_curve(replace(config.geometry, dist_bob=dist), [0.1])[0]
+            for dist in grid
+        ]
+    rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]
+    return [axis.param, *EXCLUSION_OUTPUTS], rows
 
 
-TABLE1_HEADER = (
-    "configuration",
-    "distance_km",
-    "channel_loss_db",
-    "plob_rate_bps",
-    "exclusion_radius_m",
-    "gamma",
-    "private_rate_bps",
-)
+TABLE1_HEADER = tuple(f.name for f in fields(ReportRow))
 
 
 def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportRow]:
@@ -549,7 +524,7 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
         geometry = config.geometry
         loss = bob_free_space(geometry)
         gamma_target = 0.1
-        radius, _ = exclusion_radii(geometry, gamma_target)
+        (exclusion,) = radius_vs_gamma_curve(geometry, [gamma_target])
         _, best = optimal_signal_strength(config.detector, gamma_target)
         rows.append(
             ReportRow(
@@ -557,7 +532,7 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
                 distance_km=geometry.dist_bob / 1e3,
                 channel_loss_db=fraction_to_db(loss),
                 plob_rate_bps=plob_bound(loss) * config.link.clock_rate,
-                exclusion_radius_m=radius,
+                exclusion_radius_m=exclusion.radius_partial,
                 gamma=gamma_target,
                 private_rate_bps=best.private_capacity * config.link.clock_rate,
             )

@@ -41,6 +41,7 @@ __all__ = [
 Q_SEARCH_BOUNDS = (0.01, 0.99)
 Q_SEARCH_TOL = 1e-4
 PHOTON_SEARCH_BOUNDS = (1e-3, 1e2)
+LOG_TOL = 1e-3  # photon search tolerance in log10 of the photon number
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,6 @@ def private_capacity(
     detector: DetectorModel,
     received_mean_photons: float,
     gamma: float,
-    q_bounds: tuple[float, float] = Q_SEARCH_BOUNDS,
-    q_tol: float = Q_SEARCH_TOL,
 ) -> SecrecyPoint:
     """Maximise the secrecy value over the input probability.
 
@@ -153,7 +152,7 @@ def private_capacity(
         info_bob, info_eve, _ = _secrecy_terms(detector, received_mean_photons, gamma, q)
         return info_bob - info_eve
 
-    q_opt, _ = maximize_1d(unclipped, Interval(*q_bounds), tol=q_tol)
+    q_opt, _ = maximize_1d(unclipped, Interval(*Q_SEARCH_BOUNDS), tol=Q_SEARCH_TOL)
     return private_capacity_fixed(detector, received_mean_photons, gamma, q_opt)
 
 
@@ -206,27 +205,21 @@ def dw_rate_symmetric(detector: DetectorModel, received_mean_photons: float, gam
     return max(value, 0.0)
 
 
-def optimal_signal_strength(
-    detector: DetectorModel,
-    gamma: float,
-    photon_bounds: tuple[float, float] = PHOTON_SEARCH_BOUNDS,
-    log_tol: float = 1e-3,
-) -> tuple[float, SecrecyPoint]:
+def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[float, SecrecyPoint]:
     """Maximise the q-optimised capacity over the received mean photon number.
 
     Nested 1-D searches: the outer scan runs over log10 of the photon number
     (the capacity surface is smooth and near-separable in the two variables),
-    the inner search optimises ``q`` at each probe.
+    the inner search optimises ``q`` at each probe.  The outer search spans
+    :data:`PHOTON_SEARCH_BOUNDS` to :data:`LOG_TOL`.
     """
-    lo, hi = photon_bounds
-    if not 0 < lo < hi:
-        raise ValueError(f"photon_bounds must satisfy 0 < lo < hi, got {photon_bounds}")
+    lo, hi = PHOTON_SEARCH_BOUNDS
 
     def capacity_at_log(log_mu: float) -> float:
         return private_capacity(detector, 10.0**log_mu, gamma).private_capacity
 
     log_best, _ = maximize_1d(
-        capacity_at_log, Interval(math.log10(lo), math.log10(hi)), tol=log_tol
+        capacity_at_log, Interval(math.log10(lo), math.log10(hi)), tol=LOG_TOL
     )
     mu = 10.0**log_best
     return mu, private_capacity(detector, mu, gamma)

@@ -3,8 +3,10 @@
 Nothing here shares code with the library paths it checks: the disk
 fraction is estimated by Monte Carlo and by an mpmath radial Bessel integral
 instead of the noncentral chi-square CDF, maxima by dense grid enumeration
-instead of golden section, roots by a plain bisection loop, and orbital
-periods by step-wise propagation instead of rate differences.
+instead of golden section, roots by a plain bisection loop, the pass window
+and the total-collection exclusion radius by 50-digit bisection of the
+equations the library inverts in closed form, and orbital periods by
+step-wise propagation instead of rate differences.
 """
 from __future__ import annotations
 
@@ -129,6 +131,48 @@ def bisect_reference(f, lo: float, hi: float, iterations: int = 100) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_pass_half_width(
+    altitude: float, min_elevation: float, earth_radius: float, earth_mu: float, earth_rate: float
+) -> float:
+    """Pass-window half-width by 50-digit bisection of the elevation.
+
+    Seen from the station, a satellite at central angle ``psi`` stands at
+    elevation ``atan2(r cos psi - R, r sin psi)``, falling from 90 degrees
+    overhead to 0 at the horizon ``acos(R / r)``.  The crossing of
+    ``min_elevation`` is bisected on that range; the window is twice the
+    crossing angle, capped at the horizon, over the relative angular rate.
+    """
+    radius = mpmath.mpf(earth_radius)
+    orbit = radius + mpmath.mpf(altitude)
+    horizon = mpmath.acos(radius / orbit)
+
+    def above(psi):
+        return mpmath.atan2(orbit * mpmath.cos(psi) - radius, orbit * mpmath.sin(psi)) - min_elevation
+
+    cross = bisect_reference(above, mpmath.mpf(0), horizon, iterations=120)
+    rate = mpmath.sqrt(mpmath.mpf(earth_mu) / orbit**3) - mpmath.mpf(earth_rate)
+    return float(min(2 * cross, horizon) / rate)
+
+
+def mp_total_exclusion_radius(gamma: float, dist: float, diam_bob: float, divergence: float) -> float:
+    """Total-collection exclusion radius by 50-digit bisection of its equation.
+
+    Solves ``exp(-2 (r/s)^2) = gamma (1 - exp(-2 (D_B/s)^2))`` with
+    ``s = divergence * dist`` for ``r``; the left side falls from 1 at
+    ``r = 0``, and the upper end doubles until it lies past the root.
+    """
+    scale = mpmath.mpf(divergence) * mpmath.mpf(dist)
+    rhs = mpmath.mpf(gamma) * (1 - mpmath.exp(-2 * (mpmath.mpf(diam_bob) / scale) ** 2))
+
+    def excess(r):
+        return mpmath.exp(-2 * (r / scale) ** 2) - rhs
+
+    upper = scale
+    while excess(upper) > 0:
+        upper *= 2
+    return float(bisect_reference(excess, mpmath.mpf(0), upper, iterations=200))
 
 
 def propagated_lap_period(

@@ -136,6 +136,33 @@ class TestConfigHandling:
         assert out == ""
         assert out_path.read_text().startswith("configuration,")
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "row.csv"
+        code, out, err = run_cli(capsys, "linkbudget", "--out", str(out_path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: cannot write output {str(out_path)!r}" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("capacity", "--photons", "inf"),
+            ("capacity", "--photons", "nan"),
+            ("capacity", "--gamma", "-inf"),
+            ("capacity", "--q", "NaN"),
+            ("capacity", "--q", "half"),
+            ("exclusion", "--gamma-target", "inf"),
+            ("orbit", "--offset", "nan"),
+            ("orbit", "--solve-gamma", "1e999"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}"])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number, got {value!r}" in err
+
 
 class TestSweepCommand:
     def test_axis_flag(self, capsys):
@@ -187,11 +214,20 @@ class TestExclusionCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
 
-    def test_unreachable_target_exits_3(self, capsys):
-        # degradation target so small the bisection bracket cannot contain it
-        code, _, err = run_cli(capsys, "exclusion", "--gamma-target", "1e-300")
+    def test_tiny_target_has_exact_radius(self, capsys):
+        code, out, _ = run_cli(capsys, "exclusion", "--gamma-target", "1e-300")
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["radius_total_m"] == "223.705738"
+
+    def test_unrepresentable_radius_exits_3(self, capsys, tmp_path):
+        # gamma (1 - exp(-2 (D_B/(theta d))^2)) underflows to 0 at this range
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"geometry": {"dist_bob_m": 1e300}}))
+        code, out, err = run_cli(capsys, "exclusion", "--config", str(path))
         assert code == EXIT_NUMERIC
-        assert "numerical failure" in err
+        assert out == ""
+        assert "numerical failure: exclusion radius cannot be represented" in err
 
 
 class TestOrbitCommand:

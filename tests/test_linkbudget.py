@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mp_total_exclusion_radius
 from wiretap_space.linkbudget import (
     BeamModel,
     LinkBudgetWarning,
@@ -157,11 +158,42 @@ class TestExclusionRadiusTotal:
         radius = exclusion_radius_total(0.999, 1e5, 50.0, 1e-5)
         assert radius < 0.2
 
-    def test_bracket_failure_on_inconsistent_parameters(self):
-        from wiretap_space.numerics import BracketError
+    def test_against_mpmath_oracle(self):
+        rng = np.random.default_rng(20261018)
 
-        with pytest.raises(BracketError):
-            exclusion_radius_total(1e-300, 1.2e6, 1.0, 1e-5)
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 200)
+
+        cases = zip(
+            log_uniform(1e-6, 0.999), log_uniform(1e4, 1e8), log_uniform(0.1, 30.0), log_uniform(1e-6, 1e-4)
+        )
+        for gamma, dist, diam, divergence in cases:
+            expected = mp_total_exclusion_radius(gamma, dist, diam, divergence)
+            assert exclusion_radius_total(gamma, dist, diam, divergence) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("aperture_ratio", [2.0, 3.0, 4.0])
+    def test_target_near_one(self, aperture_ratio):
+        # With gamma (1 - exp(-2 (D/(theta d))^2)) near 1 the radius has
+        # condition number 1 / (2 |ln rhs|) in rhs: half an ulp of gamma
+        # itself moves it by up to 5.5e-14 at gamma = 0.999.
+        diam = aperture_ratio * 1e-5 * 1e6
+        expected = mp_total_exclusion_radius(0.999, 1e6, diam, 1e-5)
+        assert exclusion_radius_total(0.999, 1e6, diam, 1e-5) == pytest.approx(expected, rel=1e-13)
+
+    def test_tiny_target_has_exact_radius(self):
+        # A root far beyond ten beam radii: no search bracket limits it.
+        radius = exclusion_radius_total(1e-300, 1.2e6, 1.0, 1e-5)
+        assert radius == pytest.approx(mp_total_exclusion_radius(1e-300, 1.2e6, 1.0, 1e-5), rel=1e-14)
+        assert radius == pytest.approx(223.7057, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "dist, diam, divergence",
+        [(1e300, 1.0, 1e-5), (1.7e308, 1e300, 1.0)],
+        ids=["right-side-underflows", "radius-overflows"],
+    )
+    def test_unrepresentable_radius_raises(self, dist, diam, divergence):
+        with pytest.raises(FloatingPointError, match="cannot be represented"):
+            exclusion_radius_total(0.1, dist, diam, divergence)
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import propagated_lap_period
+from oracles import mp_pass_half_width, propagated_lap_period
 from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     DEFAULT_CONSTANTS,
@@ -77,6 +77,22 @@ class TestPassWindow:
         assert not any(float(h).is_integer() for h in altitudes)
         windows = [pass_window(replace(LEO, alice_altitude=float(h))) for h in altitudes]
         assert all(b > a for a, b in zip(windows, windows[1:]))
+
+
+    def test_against_mpmath_oracle(self):
+        # 200-30000 km x 0.01-89.9 degrees; the corners include the near-zenith
+        # cutoff at low altitude, where acos(R cos(el) / r) - el cancels.
+        rng = np.random.default_rng(20261018)
+        cases = [(200e3, 89.9), (200e3, 0.01), (30000e3, 89.9), (30000e3, 0.01)]
+        cases += zip(rng.uniform(200e3, 30000e3, 200), rng.uniform(0.01, 89.9, 200))
+        c = DEFAULT_CONSTANTS
+        for altitude, elevation_deg in cases:
+            scenario = replace(LEO, alice_altitude=float(altitude), min_elevation=math.radians(elevation_deg))
+            expected = mp_pass_half_width(
+                scenario.alice_altitude, scenario.min_elevation,
+                c.earth_radius, c.earth_mu, c.earth_angular_velocity,
+            )
+            assert pass_window(scenario) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestInstantaneousEfficiencies:
