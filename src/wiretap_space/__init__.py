@@ -42,7 +42,6 @@ from .orbitsim import (
     integrated_gamma,
     pass_window,
     required_orbital_exclusion,
-    write_pass_profile,
 )
 from .receiver import BobChannel, DetectorModel, bob_click_model, mutual_info_bob
 from .scenario_io import (

@@ -27,10 +27,10 @@ from .linkbudget import (
 )
 from .numerics import BracketError
 from .orbitsim import (
+    PASS_PROFILE_COLUMNS,
     alignment_periods,
     integrated_gamma,
     required_orbital_exclusion,
-    write_pass_profile,
 )
 from .scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
@@ -39,6 +39,7 @@ from .scenario_io import (
     ConfigError,
     ScenarioConfig,
     SweepAxis,
+    capacity_point,
     capacity_row,
     config_from_dict,
     config_to_dict,
@@ -53,7 +54,7 @@ from .scenario_io import (
     sweep,
     write_csv,
 )
-from .secrecy import optimal_signal_strength, private_capacity, private_capacity_fixed
+from .secrecy import optimal_signal_strength
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,10 +186,7 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
     else:
         photons = args.photons if args.photons is not None else config.operating.received_mean_photons
         q = args.q if args.q is not None else config.operating.q
-        if q is None:
-            point = private_capacity(config.detector, photons, gamma)
-        else:
-            point = private_capacity_fixed(config.detector, photons, gamma, q)
+        point = capacity_point(config.detector, photons, gamma, q)
     _emit(args, list(CAPACITY_SWEEP_OUTPUTS), [capacity_row(point, config.link.clock_rate)])
 
 
@@ -226,7 +224,7 @@ def _run_linkbudget(args: argparse.Namespace, config: ScenarioConfig) -> None:
 
 def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
     if args.axis:
-        header, rows = exclusion_sweep(config, _parse_axis(args.axis))
+        header, rows = exclusion_sweep(config, _parse_axis(args.axis), args.gamma_target)
         _emit(args, header, rows)
         return
     rows = radius_vs_gamma_curve(config.geometry, [args.gamma_target])
@@ -261,7 +259,9 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
         if args.format == "json":
             stream.write(json.dumps(summary, indent=2) + "\n")
         else:
-            write_pass_profile(profile, stream)
+            series = (profile.times, profile.eta_bob, profile.eta_eve,
+                      profile.d_bob, profile.d_eve, profile.beam_offset)
+            write_csv(stream, PASS_PROFILE_COLUMNS, zip(*series))
 
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig) -> None:

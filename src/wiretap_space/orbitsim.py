@@ -6,15 +6,14 @@ three line up at ``t = 0`` (transmitter at zenith, interceptor directly
 beneath it).  The module traces instantaneous collection efficiencies over
 one pass, integrates them into an effective channel-degradation factor,
 solves for the orbital exclusion radius achieving a target degradation, and
-reports revisit/alignment periods.
+reports revisit/alignment periods.  The pass grid is derived from the
+geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO
 
 import numpy as np
 
@@ -33,12 +32,15 @@ __all__ = [
     "integrated_gamma",
     "required_orbital_exclusion",
     "alignment_periods",
-    "write_pass_profile",
 ]
 
 
 # Orbital-offset search range of :func:`required_orbital_exclusion`, metres.
 OFFSET_BOUNDS = (1e3, 2e5)
+
+# Trapezoid panels of the beam crossing and of the half window (coarse grid).
+CROSSING_PANELS = 512
+PASS_PANELS = 512
 
 
 class StepSizeWarning(UserWarning):
@@ -74,9 +76,9 @@ class OrbitScenario:
     """Two-satellite plus ground-station configuration.
 
     ``eve_orbit_offset`` is the radial separation of the interceptor's orbit
-    below the transmitter's (the orbital exclusion radius).  The time grid is
-    two-zone: ``fine_time_step`` inside ``|t| < fine_window`` where the
-    interceptor sweeps through the beam, ``time_step`` elsewhere.
+    below the transmitter's (the orbital exclusion radius).  The time grid
+    of the pass integral follows from these fields (see
+    :func:`integrated_gamma`); it has no settings of its own.
 
     ``bob_aperture_model`` selects how the ground station's collected
     fraction is computed: ``"gaussian"`` (encircled power, default) or
@@ -95,9 +97,6 @@ class OrbitScenario:
     eta_b: float = 0.01
     divergence_full_angle: float = 1e-5
     min_elevation: float = math.radians(20.0)
-    time_step: float = 1.0
-    fine_time_step: float = 2e-4
-    fine_window: float = 5.0
     bob_aperture_model: str = "gaussian"
     legacy_beam_width: bool = False
 
@@ -109,8 +108,7 @@ class OrbitScenario:
             problems.append(
                 f"eve_orbit_offset must be in (0, alice_altitude), got {self.eve_orbit_offset}"
             )
-        for name in ("eve_telescope_diameter", "diam_bob", "divergence_full_angle",
-                     "time_step", "fine_time_step", "fine_window"):
+        for name in ("eve_telescope_diameter", "diam_bob", "divergence_full_angle"):
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.eta_b <= 1.0:
@@ -249,26 +247,37 @@ def instantaneous_efficiencies(
     return float(eta_bob[0]), float(eta_eve[0])
 
 
-def _two_zone_times(half_duration: float, fine: float, coarse: float, fine_window: float) -> np.ndarray:
-    window = min(fine_window, half_duration)
-    positive = np.arange(0.0, window, fine)
-    if window < half_duration:
-        positive = np.concatenate(
-            [positive, np.arange(window, half_duration, coarse), [half_duration]]
-        )
-    else:
-        positive = np.concatenate([positive, [half_duration]])
-    return np.concatenate([-positive[:0:-1], positive])
+def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -> float:
+    """Time from alignment until the interceptor's disk is ``D_E/2 + 8w``
+    off the beam axis (see :func:`_eta_eve_series`), at her speed across
+    the axis ``a_E omega_E - [v_A + (offset / h)(v_G - v_A)]``.  The speed
+    is positive unless rounding makes it 0; the crossing is then endless.
+    """
+    a_alice = constants.earth_radius + scenario.alice_altitude
+    a_eve = a_alice - scenario.eve_orbit_offset
+    v_alice = a_alice * angular_velocity(a_alice, constants)
+    v_ground = constants.earth_radius * constants.earth_angular_velocity
+    v_axis = v_alice + scenario.eve_orbit_offset / scenario.alice_altitude * (v_ground - v_alice)
+    speed = a_eve * angular_velocity(a_eve, constants) - v_axis
+    radius_per_m = (1.0 if scenario.legacy_beam_width else 0.5) * scenario.divergence_full_angle
+    reach = 0.5 * scenario.eve_telescope_diameter + 8.0 * radius_per_m * scenario.eve_orbit_offset
+    return reach / speed if speed > 0.0 else math.inf
 
 
 def _profile_once(
     scenario: OrbitScenario,
     constants: PhysicalConstants,
     half_duration: float,
-    fine: float,
-    coarse: float,
+    crossing: float,
+    refine: int,
 ):
-    times = _two_zone_times(half_duration, fine, coarse, scenario.fine_window)
+    """Pass series and integrals on a grid mirrored about 0: ``refine *
+    CROSSING_PANELS`` panels cover ``[0, crossing]``, and panels of at most
+    ``half_duration / (refine * PASS_PANELS)`` the rest of the half window."""
+    fine = np.linspace(0.0, crossing, refine * CROSSING_PANELS + 1)
+    coarse_panels = refine * math.ceil(PASS_PANELS * (half_duration - crossing) / half_duration)
+    positive = np.concatenate([fine, np.linspace(crossing, half_duration, coarse_panels + 1)[1:]])
+    times = np.concatenate([-positive[:0:-1], positive])
     d_bob, d_eve, along, beam_offset = _pass_geometry(scenario, constants, times)
     eta_bob = _eta_bob_series(scenario, d_bob)
     eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset)
@@ -284,17 +293,18 @@ def integrated_gamma(
 
     The factor is the interceptor's time-integrated collection efficiency
     over the station's, both on the symmetric window from
-    :func:`pass_window`.  The integral is evaluated twice, at the scenario's
-    steps and at half steps; the refined result is returned and a
+    :func:`pass_window`, on a grid fit to 1.25 times the interceptor's beam
+    crossing (:func:`_crossing_half_time`, :func:`_profile_once`) and again
+    with every panel halved; the refined result is returned and a
     :class:`StepSizeWarning` is emitted when the two disagree by more than 1%.
     """
     half = pass_window(scenario, constants)
     if half <= 0.0:
         raise ValueError("pass window is empty; lower min_elevation")
-    coarse, fine = scenario.time_step, scenario.fine_time_step
-    *_, int_bob_1, int_eve_1 = _profile_once(scenario, constants, half, fine, coarse)
+    crossing = min(1.25 * _crossing_half_time(scenario, constants), half)
+    *_, int_bob_1, int_eve_1 = _profile_once(scenario, constants, half, crossing, 1)
     times, eta_bob, eta_eve, d_bob, d_eve, beam_offset, int_bob_2, int_eve_2 = _profile_once(
-        scenario, constants, half, 0.5 * fine, 0.5 * coarse
+        scenario, constants, half, crossing, 2
     )
     gamma_1 = int_eve_1 / int_bob_1
     gamma_2 = int_eve_2 / int_bob_2
@@ -302,7 +312,7 @@ def integrated_gamma(
     if delta > 0.01:
         warnings.warn(
             f"integrated degradation changed by {delta:.2%} on step halving; "
-            "decrease the time steps",
+            "the pass grid does not resolve this scenario",
             StepSizeWarning,
             stacklevel=2,
         )
@@ -366,20 +376,3 @@ def alignment_periods(
 
 
 PASS_PROFILE_COLUMNS = ("t_s", "eta_bob", "eta_eve", "d_bob_m", "d_eve_m", "offset_m")
-
-
-def write_pass_profile(profile: PassProfile, stream: IO[str]) -> None:
-    """Emit the pass time series as CSV with a fixed column set."""
-    writer = csv.writer(stream, lineterminator="\r\n")
-    writer.writerow(PASS_PROFILE_COLUMNS)
-    for i in range(len(profile.times)):
-        writer.writerow(
-            [
-                f"{profile.times[i]:.9g}",
-                f"{profile.eta_bob[i]:.9g}",
-                f"{profile.eta_eve[i]:.9g}",
-                f"{profile.d_bob[i]:.9g}",
-                f"{profile.d_eve[i]:.9g}",
-                f"{profile.beam_offset[i]:.9g}",
-            ]
-        )

@@ -52,6 +52,7 @@ __all__ = [
     "resolved_gamma",
     "emit_table1",
     "parse_axis",
+    "capacity_point",
     "capacity_row",
     "sweep",
     "exclusion_sweep",
@@ -70,6 +71,7 @@ CAPACITY_SWEEP_PARAMS = (
     "exclusion_radius_m",
 )
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
+MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
 
 
 class ConfigError(ValueError):
@@ -194,9 +196,6 @@ _SCHEMA: dict[str, tuple[type, tuple[_Field, ...]]] = {
         _Field("eta_b", "eta_b"),
         _Field("divergence_rad", "divergence_full_angle"),
         _Field("min_elevation_deg", "min_elevation", degrees=True),
-        _Field("time_step_s", "time_step"),
-        _Field("fine_time_step_s", "fine_time_step"),
-        _Field("fine_window_s", "fine_window"),
         _Field("bob_aperture_model", "bob_aperture_model"),
         _Field("legacy_beam_width", "legacy_beam_width"),
     )),
@@ -411,6 +410,13 @@ CAPACITY_SWEEP_OUTPUTS = (
 )
 
 
+def capacity_point(detector: DetectorModel, mu: float, gamma: float, q: float | None) -> SecrecyPoint:
+    """The point at a fixed input probability ``q``, or at the optimal one if ``q`` is None."""
+    if q is None:
+        return private_capacity(detector, mu, gamma)
+    return private_capacity_fixed(detector, mu, gamma, q)
+
+
 def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
     """The :data:`CAPACITY_SWEEP_OUTPUTS` columns for one evaluated point."""
     eve = BinaryCoherentEnsemble(
@@ -442,12 +448,12 @@ def _field_of(param: str) -> tuple[str, str]:
     )
 
 
-def _evaluate_cell(config: ScenarioConfig) -> SecrecyPoint:
-    gamma = resolved_gamma(config)
-    mu = config.operating.received_mean_photons
-    if config.operating.q is None:
-        return private_capacity(config.detector, mu, gamma)
-    return private_capacity_fixed(config.detector, mu, gamma, config.operating.q)
+def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
+    """The grid of each axis, once their product is known to fit :data:`MAX_SWEEP_CELLS`."""
+    cells = math.prod(axis.points for axis in axes)
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError([f"sweep grid has {cells} cells; at most {MAX_SWEEP_CELLS} are allowed"])
+    return [axis.grid() for axis in axes]
 
 
 def sweep(
@@ -471,11 +477,13 @@ def sweep(
     header = [axis.param for axis in axes] + list(CAPACITY_SWEEP_OUTPUTS)
     clock = config.link.clock_rate
     rows = []
-    for values in itertools.product(*(axis.grid() for axis in axes)):
+    for values in itertools.product(*_axis_grids(axes)):
         cell = config
         for (section, attr), value in zip(targets, values):
             cell = replace(cell, **{section: replace(getattr(cell, section), **{attr: value})})
-        rows.append([*values, *capacity_row(_evaluate_cell(cell), clock)])
+        mu, q = cell.operating.received_mean_photons, cell.operating.q
+        point = capacity_point(cell.detector, mu, resolved_gamma(cell), q)
+        rows.append([*values, *capacity_row(point, clock)])
     return header, rows
 
 
@@ -483,23 +491,23 @@ EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
 
 
 def exclusion_sweep(
-    config: ScenarioConfig, axis: SweepAxis
+    config: ScenarioConfig, axis: SweepAxis, gamma_target: float = 0.1
 ) -> tuple[list[str], list[list[float]]]:
     """Exclusion radii for both interceptor models along one axis.
 
-    The ``dist_bob_m`` axis holds the degradation target at 0.1.
+    The ``dist_bob_m`` axis holds the degradation target at ``gamma_target``.
     """
     if axis.param not in EXCLUSION_SWEEP_PARAMS:
         raise ConfigError(
             [f"exclusion sweep parameter must be one of {', '.join(EXCLUSION_SWEEP_PARAMS)}, "
              f"got {axis.param!r}"]
         )
-    grid = axis.grid()
+    (grid,) = _axis_grids([axis])
     if axis.param == "gamma_target":
         curve = radius_vs_gamma_curve(config.geometry, grid)
     else:
         curve = [
-            radius_vs_gamma_curve(replace(config.geometry, dist_bob=dist), [0.1])[0]
+            radius_vs_gamma_curve(replace(config.geometry, dist_bob=dist), [gamma_target])[0]
             for dist in grid
         ]
     rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from wiretap_space.scenario_io import CAPACITY_SWEEP_PARAMS, config_from_dict, config_to_dict
+from wiretap_space.linkbudget import radius_vs_gamma_curve
+from wiretap_space.scenario_io import (
+    CAPACITY_SWEEP_PARAMS,
+    MAX_SWEEP_CELLS,
+    config_from_dict,
+    config_to_dict,
+    format_cell,
+)
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +144,15 @@ class TestConfigHandling:
         assert out == ""
         assert out_path.read_text().startswith("configuration,")
 
+    @pytest.mark.parametrize("key", ["time_step_s", "fine_time_step_s", "fine_window_s"])
+    def test_pass_grid_keys_are_unknown(self, capsys, tmp_path, key):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"orbit": {key: 1.0}}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: unknown key orbit.{key!r}" in err
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "row.csv"
         code, out, err = run_cli(capsys, "linkbudget", "--out", str(out_path))
@@ -189,6 +206,28 @@ class TestSweepCommand:
         assert out == ""
         assert f"config error: axis spec {spec!r}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "specs, cells",
+        [
+            (["gamma:0.1:0.5:1000000000000"], 10**12),
+            (["gamma:0.1:0.5:1000", "q:0.1:0.9:1000"], 10**6),
+            (["gamma:0.1:0.5:2", f"q:0.1:0.9:{MAX_SWEEP_CELLS // 2 + 1}"], MAX_SWEEP_CELLS + 2),
+        ],
+    )
+    def test_oversized_grid_exits_2(self, capsys, specs, cells):
+        code, out, err = run_cli(capsys, "sweep", *(f"--axis={spec}" for spec in specs))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: sweep grid has {cells} cells; at most {MAX_SWEEP_CELLS} are allowed" in err
+
+    def test_oversized_config_grid_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 10**9}]}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "config error: sweep grid has 1000000000 cells" in err
+
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nonsense")
         assert code == EXIT_CONFIG
@@ -213,6 +252,25 @@ class TestExclusionCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("target", ["0.5", "0.1"])
+    def test_distance_axis_holds_gamma_target(self, capsys, target):
+        code, out, _ = run_cli(
+            capsys, "exclusion", "--gamma-target", target, "--axis", "dist_bob_m:1e6:2e6:2"
+        )
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        geometry = config_from_dict({}).geometry
+        for row, dist in zip(rows, (1e6, 2e6), strict=True):
+            (expected,) = radius_vs_gamma_curve(replace(geometry, dist_bob=dist), [float(target)])
+            assert row["radius_partial_m"] == format_cell(expected.radius_partial)
+            assert row["radius_total_m"] == format_cell(expected.radius_total)
+
+    def test_oversized_axis_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "exclusion", "--axis", "gamma_target:0.01:0.5:200001")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "config error: sweep grid has 200001 cells" in err
 
     def test_tiny_target_has_exact_radius(self, capsys):
         code, out, _ = run_cli(capsys, "exclusion", "--gamma-target", "1e-300")
@@ -292,10 +350,7 @@ def test_import_does_not_load_scipy_integrate():
 
 
 # Fuzzing: arbitrary JSON values in every config field and arbitrary --axis
-# strings must end in exit 0, 2 or 3, never in an uncaught exception.  The
-# ``orbit`` command is left out: its pass cost scales with
-# 1/fine_time_step_s (1e-9 s would ask numpy for about 37 GiB) until the
-# pass integral adapts its own step.
+# strings must end in exit 0, 2 or 3, never in an uncaught exception.
 _EXTREMES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 10**400, float("inf"), float("-inf"), float("nan")]
 _JSON_SCALARS = st.one_of(
     st.none(),
@@ -328,7 +383,10 @@ _SECTIONS = {
     for section, fields in _DEFAULT_DOC.items()
     if isinstance(fields, dict)
 }
-_AXIS_POINTS = st.one_of(st.integers(-1, 4), st.sampled_from([2.7, 3.0, True, float("inf"), float("nan"), "3", None]))
+_AXIS_POINTS = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([2.7, 3.0, True, float("inf"), float("nan"), "3", None, 10**9, 10**12]),
+)
 _AXIS_NUMBERS = st.one_of(st.floats(0.01, 1.0), _JSON_SCALARS)
 _AXIS_OBJECTS = st.fixed_dictionaries(
     {
@@ -359,7 +417,7 @@ _AXIS_SPECS = st.one_of(
         st.sampled_from(CAPACITY_SWEEP_PARAMS + ("gamma_target", "bogus")),
         _SPEC_PART,
         _SPEC_PART,
-        st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["2.7", "inf", "nan", "x", ""])),
+        st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["2.7", "inf", "nan", "x", "", "1000000000000"])),
         st.sampled_from([(), ("linear",), ("log",), ("cubic",)]),
     ).map(lambda parts: ":".join([*parts[:4], *parts[4]])),
 )
@@ -372,7 +430,7 @@ _AXIS_SPECS = st.one_of(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    command=st.sampled_from(["capacity", "linkbudget", "exclusion", "sweep"]),
+    command=st.sampled_from(["capacity", "linkbudget", "exclusion", "sweep", "orbit"]),
     data=_CONFIGS,
     specs=st.lists(_AXIS_SPECS, max_size=2),
 )
@@ -384,6 +442,8 @@ def test_arbitrary_configs_end_in_a_defined_exit_code(tmp_path_factory, command,
         argv += [f"--axis={spec}" for spec in specs]
     elif command == "exclusion" and specs:
         argv.append(f"--axis={specs[0]}")
+    elif command == "orbit":
+        argv += ["--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

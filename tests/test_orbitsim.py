@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import warnings
@@ -5,12 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import mp_pass_half_width, propagated_lap_period
+from oracles import bisect_reference, mp_pass_half_width, propagated_lap_period
+from wiretap_space import orbitsim
+from wiretap_space.cli import EXIT_OK, main
 from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
+    CROSSING_PANELS,
     DEFAULT_CONSTANTS,
     OrbitScenario,
+    PASS_PANELS,
     PASS_PROFILE_COLUMNS,
     StepSizeWarning,
     alignment_periods,
@@ -19,12 +25,73 @@ from wiretap_space.orbitsim import (
     integrated_gamma,
     pass_window,
     required_orbital_exclusion,
+    _crossing_half_time,
+    _eta_bob_series,
     _eta_eve_series,
     _pass_geometry,
-    write_pass_profile,
 )
 
 LEO = OrbitScenario()  # 600 km transmitter, interceptor 16 km below
+# Samples of the refined pass grid, for every input: both halves of
+# 2 * CROSSING_PANELS fine and at most 2 * PASS_PANELS coarse panels.
+MAX_PASS_SAMPLES = 4 * (CROSSING_PANELS + PASS_PANELS) + 1
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _bench_pass(rng) -> OrbitScenario:
+    """400-800 km, offsets 1-40 km, 5e-6 - 2e-5 rad beams, 1-4 m telescopes."""
+    return OrbitScenario(
+        alice_altitude=rng.uniform(400e3, 800e3),
+        eve_orbit_offset=_log_uniform(rng, 1e3, 40e3),
+        eve_telescope_diameter=rng.uniform(1.0, 4.0),
+        divergence_full_angle=_log_uniform(rng, 5e-6, 2e-5),
+        min_elevation=math.radians(rng.uniform(10.0, 40.0)),
+        legacy_beam_width=bool(rng.integers(2)),
+    )
+
+
+def _wide_pass(rng) -> OrbitScenario:
+    """300-1500 km, offsets 0.2-200 km, 1e-6 - 1e-4 rad beams, 0.1-4 m telescopes."""
+    return OrbitScenario(
+        alice_altitude=rng.uniform(300e3, 1500e3),
+        eve_orbit_offset=_log_uniform(rng, 200.0, 200e3),
+        eve_telescope_diameter=_log_uniform(rng, 0.1, 4.0),
+        divergence_full_angle=_log_uniform(rng, 1e-6, 1e-4),
+        min_elevation=math.radians(rng.uniform(5.0, 60.0)),
+        bob_aperture_model=("gaussian", "footprint")[rng.integers(2)],
+        legacy_beam_width=bool(rng.integers(2)),
+    )
+
+
+def _candidate_extent(scenario: OrbitScenario, sign: float) -> float:
+    """Last time on one side of alignment at which the interceptor's disk is
+    within 8 beam radii of the beam axis, by bisection on the pass geometry."""
+    theta = scenario.divergence_full_angle
+    disk = 0.5 * scenario.eve_telescope_diameter
+
+    def clearance(t):
+        _, _, along, beam_offset = _pass_geometry(scenario, DEFAULT_CONSTANTS, np.array([sign * t]))
+        width = (theta if scenario.legacy_beam_width else 0.5 * theta) * along[0]
+        return beam_offset[0] - disk - 8.0 * width
+
+    half = pass_window(scenario)
+    return half if clearance(half) <= 0.0 else bisect_reference(clearance, 0.0, half)
+
+
+def _dense_gamma(scenario: OrbitScenario) -> float:
+    """Degradation on uniform grids: 2**16 panels over the window for the
+    station, 2**15 over the bisected interceptor extent for the interceptor."""
+    half = pass_window(scenario)
+    times = np.linspace(-half, half, 2**16 + 1)
+    d_bob, *_ = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
+    int_bob = np.trapezoid(_eta_bob_series(scenario, d_bob), times)
+    times = np.linspace(-_candidate_extent(scenario, -1.0), _candidate_extent(scenario, 1.0), 2**15 + 1)
+    d_bob, _, along, beam_offset = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
+    int_eve = np.trapezoid(_eta_eve_series(scenario, d_bob, along, beam_offset), times)
+    return float(int_eve / int_bob)
 
 
 class TestAngularVelocity:
@@ -159,11 +226,76 @@ class TestIntegratedGamma:
         assert visible.size > 0
         assert visible[-1] - visible[0] < 1.0
 
-    def test_convergence_under_step_halving(self):
-        coarse = integrated_gamma(replace(LEO, fine_time_step=4e-4, time_step=2.0))
-        fine = integrated_gamma(replace(LEO, fine_time_step=2e-4, time_step=1.0))
-        assert coarse.integrated_gamma == pytest.approx(fine.integrated_gamma, rel=0.01)
-        assert fine.convergence_delta < 0.01
+    def test_matches_dense_reference_on_bench_passes(self):
+        rng = np.random.default_rng(63)
+        for _ in range(24):
+            scenario = _bench_pass(rng)
+            profile = integrated_gamma(scenario)
+            assert profile.integrated_gamma == pytest.approx(_dense_gamma(scenario), rel=1e-6, abs=0.0)
+
+    def test_within_convergence_delta_of_dense_reference(self):
+        # Beams far narrower than the disk make the interceptor's efficiency
+        # nearly a step; the step-halving delta then bounds the error.
+        rng = np.random.default_rng(3000)
+        for _ in range(24):
+            scenario = _wide_pass(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepSizeWarning)
+                profile = integrated_gamma(scenario)
+            bound = max(1e-6, profile.convergence_delta)
+            assert profile.integrated_gamma == pytest.approx(_dense_gamma(scenario), rel=bound, abs=0.0)
+
+    def test_fine_zone_covers_the_beam_crossing(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            scenario = _wide_pass(rng)
+            crossing = _crossing_half_time(scenario, DEFAULT_CONSTANTS)
+            fine_zone = min(1.25 * crossing, pass_window(scenario))
+            extent = max(_candidate_extent(scenario, -1.0), _candidate_extent(scenario, 1.0))
+            assert crossing / 1.01 <= extent <= fine_zone
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepSizeWarning)
+                profile = integrated_gamma(scenario)
+            assert np.all(profile.eta_eve[np.abs(profile.times) > fine_zone] == 0.0)
+
+    def test_zero_crossing_speed_spans_the_window(self):
+        # 0.1 pm apart, both orbits round to the same radius and speed
+        scenario = replace(LEO, eve_orbit_offset=1e-13)
+        assert _crossing_half_time(scenario, DEFAULT_CONSTANTS) == math.inf
+        assert integrated_gamma(scenario).times.size == 4 * CROSSING_PANELS + 1
+
+    def test_reference_pass_samples(self):
+        assert integrated_gamma(LEO).times.size == MAX_PASS_SAMPLES == 4097
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        altitude=st.floats(1e3, 3e7),
+        offset_share=st.floats(1e-9, 1.0, exclude_max=True),
+        eve_diameter=st.floats(1e-3, 1e3),
+        divergence=st.floats(1e-9, 1.0),
+        elevation=st.floats(1e-6, 0.5 * math.pi),
+        model=st.sampled_from(["gaussian", "footprint"]),
+        legacy=st.booleans(),
+    )
+    def test_samples_bounded_by_panel_constants(
+        self, altitude, offset_share, eve_diameter, divergence, elevation, model, legacy
+    ):
+        scenario = OrbitScenario(
+            alice_altitude=altitude,
+            eve_orbit_offset=offset_share * altitude,
+            eve_telescope_diameter=eve_diameter,
+            divergence_full_angle=divergence,
+            min_elevation=elevation,
+            bob_aperture_model=model,
+            legacy_beam_width=legacy,
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                profile = integrated_gamma(scenario)
+        except ValueError:
+            return  # no pass: GEO and beyond, or a zenith-only window
+        assert 4 * CROSSING_PANELS + 1 <= profile.times.size <= MAX_PASS_SAMPLES
 
     def test_monotone_in_offset(self):
         offsets = [5e3, 10e3, 20e3, 50e3, 100e3]
@@ -175,11 +307,12 @@ class TestIntegratedGamma:
                 gammas.append(profile.integrated_gamma)
         assert all(b < a for a, b in zip(gammas, gammas[1:]))
 
-    def test_step_size_warning_on_unresolvable_grid(self):
-        # a 50 ms fine grid cannot resolve the ~10 ms intercept spike
-        scenario = replace(LEO, fine_time_step=0.05, time_step=4.0)
-        with pytest.warns(StepSizeWarning):
-            integrated_gamma(scenario)
+    def test_step_size_warning_on_unresolvable_grid(self, monkeypatch):
+        # two panels cannot resolve the interceptor's beam crossing
+        monkeypatch.setattr(orbitsim, "CROSSING_PANELS", 2)
+        with pytest.warns(StepSizeWarning, match="does not resolve"):
+            profile = integrated_gamma(LEO)
+        assert profile.convergence_delta > 0.01
 
     def test_profile_lengths_consistent(self):
         profile = integrated_gamma(LEO)
@@ -260,17 +393,38 @@ class TestAlignmentPeriods:
         assert abs(intercept_sim - intercept) <= step
 
 
+def _profile_csv_reference(profile) -> bytes:
+    """The pass profile as CSV, written row by row: CRLF, 9 significant digits."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(PASS_PROFILE_COLUMNS)
+    series = (profile.times, profile.eta_bob, profile.eta_eve,
+              profile.d_bob, profile.d_eve, profile.beam_offset)
+    for i in range(len(profile.times)):
+        writer.writerow([f"{values[i]:.9g}" for values in series])
+    return buffer.getvalue().encode("utf-8")
+
+
 class TestPassProfileCsv:
-    def test_columns_and_shape(self):
+    @pytest.fixture
+    def cli_csv(self, tmp_path, capsys) -> bytes:
+        out_path = tmp_path / "pass.csv"
+        assert main(["orbit", "--out", str(out_path)]) == EXIT_OK
+        capsys.readouterr()
+        return out_path.read_bytes()
+
+    def test_columns_and_shape(self, cli_csv):
         profile = integrated_gamma(LEO)
-        buffer = io.StringIO()
-        write_pass_profile(profile, buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = cli_csv.decode("utf-8").split("\r\n")
         assert lines[0] == ",".join(PASS_PROFILE_COLUMNS)
-        assert len(lines) == profile.times.size + 1
+        assert lines[-1] == ""
+        assert len(lines) == profile.times.size + 2
         first = lines[1].split(",")
         assert len(first) == len(PASS_PROFILE_COLUMNS)
         assert float(first[0]) == pytest.approx(profile.times[0], rel=1e-8)
+
+    def test_bytes_match_row_writer(self, cli_csv):
+        assert cli_csv == _profile_csv_reference(integrated_gamma(LEO))
 
 
 class TestScenarioValidation:

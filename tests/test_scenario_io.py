@@ -1,14 +1,17 @@
 import io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from wiretap_space.scenario_io import (
     _SCHEMA,
+    MAX_SWEEP_CELLS,
     ConfigError,
     SweepAxis,
+    capacity_point,
     capacity_row,
     config_from_dict,
     config_to_dict,
@@ -21,7 +24,7 @@ from wiretap_space.scenario_io import (
     sweep,
     write_csv,
 )
-from wiretap_space.secrecy import private_capacity_fixed
+from wiretap_space.secrecy import private_capacity, private_capacity_fixed
 
 
 class TestConfigLoading:
@@ -273,6 +276,15 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("q", [None, 0.0, 0.3, 1.0])
+def test_capacity_point_picks_the_q_path(day_detector, q):
+    point = capacity_point(day_detector, 4.0, 0.1, q)
+    if q is None:
+        assert point == private_capacity(day_detector, 4.0, 0.1)
+    else:
+        assert point == private_capacity_fixed(day_detector, 4.0, 0.1, q)
+
+
 class TestExclusionSweep:
     def test_gamma_axis(self):
         config = config_from_dict({})
@@ -288,10 +300,25 @@ class TestExclusionSweep:
         _, rows = exclusion_sweep(config, axis)
         assert rows[1][1] == pytest.approx(2.0 * rows[0][1], rel=1e-9)
 
+    def test_distance_axis_holds_gamma_target(self):
+        config = config_from_dict({})
+        axis = SweepAxis(param="dist_bob_m", lo=1e6, hi=2e6, points=2)
+        _, loose = exclusion_sweep(config, axis, gamma_target=0.5)
+        _, tight = exclusion_sweep(config, axis, gamma_target=0.1)
+        assert all(a[1] < b[1] and a[2] < b[2] for a, b in zip(loose, tight, strict=True))
+        assert exclusion_sweep(config, axis)[1] == tight
+
     def test_rejects_capacity_parameter(self):
         config = config_from_dict({})
         with pytest.raises(ConfigError):
             exclusion_sweep(config, SweepAxis(param="q", lo=0.1, hi=0.5, points=3))
+
+    def test_grid_size_capped(self):
+        config = config_from_dict({})
+        axis = SweepAxis(param="gamma_target", lo=0.01, hi=0.5, points=MAX_SWEEP_CELLS)
+        assert len(exclusion_sweep(config, axis)[1]) == MAX_SWEEP_CELLS
+        with pytest.raises(ConfigError, match=f"at most {MAX_SWEEP_CELLS} are allowed"):
+            exclusion_sweep(config, replace(axis, points=MAX_SWEEP_CELLS + 1))
 
 
 class TestWriters:
