@@ -67,6 +67,7 @@ from .secrecy import (
     private_capacity_symmetric,
     private_rate,
     required_laser_power,
+    secrecy_points,
 )
 
 __version__ = "0.1.0"

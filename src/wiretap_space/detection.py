@@ -5,13 +5,18 @@ attenuation the receiver sees two pure states whose overlap is
 ``c = exp(-nbar/2)`` with ``nbar`` the received mean photon number; all
 discrimination quantities below depend on the states only through ``c``.
 Angles are kept in radians; degree rendering belongs to the reporting layer.
+The array forms (:func:`helstrom_errors`, :func:`holevo_bound`) take ``c``
+and the prior as broadcast arrays; they are the interceptor's part of the
+batched secrecy kernel, and the scalar functions wrap them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .numerics import binary_entropy
+import numpy as np
+
+from .numerics import _entropy
 
 __all__ = [
     "BinaryCoherentEnsemble",
@@ -21,6 +26,8 @@ __all__ = [
     "helstrom_error",
     "helstrom_projector",
     "holevo_binary",
+    "helstrom_errors",
+    "holevo_bound",
 ]
 
 
@@ -84,6 +91,20 @@ def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     return 0.5 * (1.0 - math.sqrt(max(radicand, 0.0)))
 
 
+def helstrom_errors(c, q):
+    """Array form of :func:`helstrom_projector` for overlaps ``c`` and priors ``q``.
+
+    Returns ``(error_given_0, error_given_1, projector_angle_0,
+    projector_angle_1)``.  At ``c = 0`` the angle formula gives zero angles
+    and errors: both states are identified perfectly.
+    """
+    beta = np.arcsin(c)  # pi/2 - phi without cancellation for small overlaps
+    two_beta = 2.0 * beta
+    phi0 = 0.5 * np.arctan2((1.0 - q) * np.sin(two_beta), q + (1.0 - q) * np.cos(two_beta))
+    phi1 = beta - phi0
+    return np.sin(phi0) ** 2, np.sin(phi1) ** 2, phi0, phi1
+
+
 def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     """Optimal projective measurement and its conditional error probabilities.
 
@@ -96,19 +117,16 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     :func:`helstrom_error`.
     """
     q = ensemble.prior_q
-    c = overlap(ensemble.mean_photons)
-    phi = math.acos(c)
-    beta = math.asin(c)  # pi/2 - phi without cancellation for small overlaps
-    if beta <= 0.0:
-        # Orthogonal limit: both states identified perfectly.
-        return HelstromSolution(0.0, 0.0, 0.0, phi, 0.0, 0.0)
-    two_beta = 2.0 * beta
-    phi0 = 0.5 * math.atan2((1.0 - q) * math.sin(two_beta), q + (1.0 - q) * math.cos(two_beta))
-    phi1 = beta - phi0
-    e0 = math.sin(phi0) ** 2
-    e1 = math.sin(phi1) ** 2
+    c = np.exp(-0.5 * ensemble.mean_photons)
+    e0, e1, phi0, phi1 = (float(v) for v in helstrom_errors(c, q))
     avg = q * e0 + (1.0 - q) * e1
-    return HelstromSolution(avg, e0, e1, phi, phi0, phi1)
+    return HelstromSolution(avg, e0, e1, distinguishability_angle(ensemble.mean_photons), phi0, phi1)
+
+
+def holevo_bound(c, q):
+    """Array form of :func:`holevo_binary` for overlaps ``c`` and priors ``q``."""
+    radicand = 1.0 - 4.0 * q * (1.0 - q) * (1.0 - c * c)
+    return _entropy(0.5 * (1.0 + np.sqrt(np.maximum(radicand, 0.0))))
 
 
 def holevo_binary(ensemble: BinaryCoherentEnsemble) -> float:
@@ -119,8 +137,4 @@ def holevo_binary(ensemble: BinaryCoherentEnsemble) -> float:
     is the binary entropy of the larger one.  For ``q = 1/2`` this reduces to
     ``h((1 + c) / 2)``.
     """
-    q = ensemble.prior_q
-    c = overlap(ensemble.mean_photons)
-    radicand = 1.0 - 4.0 * q * (1.0 - q) * (1.0 - c * c)
-    lam_plus = 0.5 * (1.0 + math.sqrt(max(radicand, 0.0)))
-    return binary_entropy(lam_plus)
+    return float(holevo_bound(np.exp(-0.5 * ensemble.mean_photons), ensemble.prior_q))

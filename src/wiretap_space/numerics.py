@@ -1,10 +1,12 @@
 """Shared numerical primitives.
 
-Binary Shannon entropy, bounded 1-D maximisation (grid scan plus
-golden-section refinement), bracketed bisection, and the power fraction of a
-Gaussian beam falling on an offset circular disk, in closed form as a
-noncentral chi-square CDF.  Everything here is a pure function of its inputs
-and safe to call concurrently.
+Binary Shannon entropy and binary-channel mutual information (array forms
+under the scalar ones), bounded 1-D maximisation (grid scan plus
+golden-section refinement) for one function or for many in lockstep,
+bracketed bisection, and the power fraction of a Gaussian beam falling on an
+offset circular disk, in closed form as a noncentral chi-square CDF.
+Everything here is a pure function of its inputs and safe to call
+concurrently.  scipy is imported on the first disk-fraction call only.
 """
 from __future__ import annotations
 
@@ -13,13 +15,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chndtr
 
 __all__ = [
     "Interval",
     "BracketError",
     "binary_entropy",
+    "binary_channel_information",
     "maximize_1d",
+    "maximize_lockstep",
     "find_root",
     "gaussian_disk_fraction",
 ]
@@ -32,6 +35,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Points of the coarse scan that seeds :func:`maximize_1d`.
 GRID_POINTS = 64
+# Cells per call of the objective in the scan of :func:`maximize_lockstep`;
+# it bounds the scan's arrays at SCAN_BLOCK_CELLS * GRID_POINTS elements.
+SCAN_BLOCK_CELLS = 128
 
 
 class BracketError(ValueError):
@@ -56,43 +62,112 @@ class Interval:
         return self.hi - self.lo
 
 
-def _clamped_probability(p: float, name: str = "probability") -> float:
-    if p < 0.0:
-        if p >= -_CLAMP_EPS:
-            return 0.0
-        raise ValueError(f"{name} out of [0, 1]: {p}")
-    if p > 1.0:
-        if p <= 1.0 + _CLAMP_EPS:
-            return 1.0
-        raise ValueError(f"{name} out of [0, 1]: {p}")
-    return p
+def _clamped_probability(p, name: str = "probability") -> np.ndarray:
+    """``p`` as a float array clamped to [0, 1]; raises naming the first value
+    more than the clamp slack outside."""
+    p = np.asarray(p, dtype=float)
+    outside = (p < -_CLAMP_EPS) | (p > 1.0 + _CLAMP_EPS)
+    if outside.any():
+        raise ValueError(f"{name} out of [0, 1]: {float(p[outside][0])}")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _entropy(p) -> np.ndarray:
+    """Array form of :func:`binary_entropy`."""
+    p = _clamped_probability(p)
+    inside = (p > 0.0) & (p < 1.0)
+    p = np.where(inside, p, 0.5)
+    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with the convention 0*log2(0) = 0."""
-    p = _clamped_probability(p)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return float(_entropy(p))
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum on [lo, hi]; one f-eval per step."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+def binary_channel_information(q, p, given_0, given_1) -> np.ndarray:
+    """Mutual information in bits of binary channels, as arrays.
+
+    ``q`` is the prior of input 0, ``p`` the probability of one output
+    symbol, and ``given_0`` (``given_1``) the probability of either output
+    symbol conditioned on input 0 (1); the binary entropy is symmetric, so
+    which output does not matter.  Returns
+    ``h(p) - q h(given_0) - (1-q) h(given_1)``, clipped at 0 against rounding.
+    """
+    h_out, h_0, h_1 = _entropy(np.stack(np.broadcast_arrays(p, given_0, given_1)))
+    return np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)
+
+
+def _first_strict_maximum(values: np.ndarray) -> np.ndarray:
+    """Per row, the index a left-to-right scan keeps on ``>``.
+
+    That is the first maximum; NaNs never win, except a NaN at index 0,
+    which nothing beats.
+    """
+    scan = np.where(np.isnan(values), -np.inf, values)
+    scan[:, 0] = np.where(np.isnan(values[:, 0]), np.inf, values[:, 0])
+    return np.argmax(scan, axis=1)
+
+
+def maximize_lockstep(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], domain: Interval, tol: float, cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximise ``cells`` independent functions over one ``domain`` at once.
+
+    ``f(x, cell)`` returns the values of the functions numbered ``cell`` at
+    the abscissae ``x`` (two arrays of one length).  Every cell takes the
+    steps of :func:`maximize_1d`: a scan of :data:`GRID_POINTS` points
+    (including both endpoints) that keeps the first strict maximum, then a
+    golden-section refinement of the ``[i-1, i+1]`` grid neighbourhood that
+    moves left on ``f(c) >= f(d)`` and stops once the cell's own bracket is
+    no wider than ``tol``; the refined point replaces the grid point only if
+    its value is strictly larger.  The scan runs :data:`SCAN_BLOCK_CELLS`
+    cells per call of ``f``, the refinement every cell still searching per
+    call, so ``f`` sees arrays and not points.  Returns ``(argmax, max)``
+    arrays of length ``cells``.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    lo, hi = domain.lo, domain.hi
+    step = (hi - lo) / (GRID_POINTS - 1)
+    grid = lo + np.arange(GRID_POINTS) * step
+    grid[-1] = hi
+    best_i = np.empty(cells, dtype=np.intp)
+    best_f = np.empty(cells)
+    for start in range(0, cells, SCAN_BLOCK_CELLS):
+        block = np.arange(start, min(start + SCAN_BLOCK_CELLS, cells))
+        values = f(np.tile(grid, block.size), np.repeat(block, GRID_POINTS))
+        values = values.reshape(block.size, GRID_POINTS)
+        best_i[block] = _first_strict_maximum(values)
+        best_f[block] = values[np.arange(block.size), best_i[block]]
+    best_x = grid[best_i]
+
+    # Golden section on each cell's grid neighbourhood, every cell in lockstep.
+    low = np.maximum(lo, lo + (best_i - 1) * step)
+    high = np.minimum(hi, lo + (best_i + 1) * step)
+    refined = np.flatnonzero(high - low > tol)
+    low, high = low[refined], high[refined]
+    c = high - _INV_PHI * (high - low)
+    d = low + _INV_PHI * (high - low)
+    fcd = f(np.concatenate((c, d)), np.concatenate((refined, refined)))
+    fc, fd = fcd[: refined.size], fcd[refined.size:]
+    active = np.flatnonzero(high - low > tol)
+    while active.size:
+        left = fc[active] >= fd[active]
+        to_left, to_right = active[left], active[~left]
+        high[to_left], d[to_left], fd[to_left] = d[to_left], c[to_left], fc[to_left]
+        c[to_left] = high[to_left] - _INV_PHI * (high[to_left] - low[to_left])
+        low[to_right], c[to_right], fc[to_right] = c[to_right], d[to_right], fd[to_right]
+        d[to_right] = low[to_right] + _INV_PHI * (high[to_right] - low[to_right])
+        fx = f(np.where(left, c[active], d[active]), refined[active])
+        fc[to_left], fd[to_right] = fx[left], fx[~left]
+        active = active[high[active] - low[active] > tol]
+    take_c = fc >= fd
+    gx, gf = np.where(take_c, c, d), np.where(take_c, fc, fd)
+    better = gf > best_f[refined]
+    best_x[refined[better]] = gx[better]
+    best_f[refined[better]] = gf[better]
+    return best_x, best_f
 
 
 def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tuple[float, float]:
@@ -101,26 +176,15 @@ def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tu
     A coarse scan of :data:`GRID_POINTS` points (including both endpoints)
     seeds a golden-section refinement of the best grid cell's neighbourhood.
     The grid seed makes the search robust to mild non-unimodality, e.g. flat
-    clipped plateaus next to a single interior peak.
+    clipped plateaus next to a single interior peak.  This is
+    :func:`maximize_lockstep` on one cell, calling ``f`` once per point in
+    the same order as a serial scan and search would.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    lo, hi = domain.lo, domain.hi
-    step = (hi - lo) / (GRID_POINTS - 1)
-    best_x, best_f = lo, f(lo)
-    best_i = 0
-    for i in range(1, GRID_POINTS):
-        x = lo + i * step if i < GRID_POINTS - 1 else hi
-        fx = f(x)
-        if fx > best_f:
-            best_x, best_f, best_i = x, fx, i
-    sub_lo = max(lo, lo + (best_i - 1) * step)
-    sub_hi = min(hi, lo + (best_i + 1) * step)
-    if sub_hi - sub_lo > tol:
-        gx, gf = _golden_max(f, sub_lo, sub_hi, tol)
-        if gf > best_f:
-            best_x, best_f = gx, gf
-    return best_x, best_f
+    def points(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        return np.array([f(v) for v in x.tolist()], dtype=float)
+
+    x, fx = maximize_lockstep(points, domain, tol, cells=1)
+    return float(x[0]), float(fx[0])
 
 
 def find_root(f: Callable[[float], float], bracket: Interval, tol: float) -> float:
@@ -159,6 +223,8 @@ def _disk_fraction(beam_radius_w, offset, disk_radius):
     disk radius with the squared offset as non-centrality (one minus the
     Marcum Q1 function).
     """
+    from scipy.special import chndtr  # on first use: only the pass integral needs scipy
+
     scale = 2.0 / np.asarray(beam_radius_w, dtype=float)
     return chndtr((scale * disk_radius) ** 2, 2.0, (scale * offset) ** 2)
 

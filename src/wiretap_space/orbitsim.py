@@ -37,6 +37,11 @@ __all__ = [
 
 # Orbital-offset search range of :func:`required_orbital_exclusion`, metres.
 OFFSET_BOUNDS = (1e3, 2e5)
+# Smallest interceptor orbit offset, metres.  Closer orbits differ from the
+# transmitter's only by rounding in the pass geometry: at 1e-9 m the pass
+# integral reads 4783 against 4464 at 1e-6 m, and at 1e-13 m the two
+# angular rates are equal.
+MIN_EVE_ORBIT_OFFSET = 1e-3
 
 # Trapezoid panels of the beam crossing and of the half window (coarse grid).
 CROSSING_PANELS = 512
@@ -76,7 +81,8 @@ class OrbitScenario:
     """Two-satellite plus ground-station configuration.
 
     ``eve_orbit_offset`` is the radial separation of the interceptor's orbit
-    below the transmitter's (the orbital exclusion radius).  The time grid
+    below the transmitter's (the orbital exclusion radius), at least
+    :data:`MIN_EVE_ORBIT_OFFSET`.  The time grid
     of the pass integral follows from these fields (see
     :func:`integrated_gamma`); it has no settings of its own.
 
@@ -104,9 +110,10 @@ class OrbitScenario:
         problems = []
         if not self.alice_altitude > 0:
             problems.append(f"alice_altitude must be > 0, got {self.alice_altitude}")
-        if not 0.0 < self.eve_orbit_offset < self.alice_altitude:
+        if not MIN_EVE_ORBIT_OFFSET <= self.eve_orbit_offset < self.alice_altitude:
             problems.append(
-                f"eve_orbit_offset must be in (0, alice_altitude), got {self.eve_orbit_offset}"
+                f"eve_orbit_offset must be in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude), "
+                f"got {self.eve_orbit_offset}; the pass geometry does not resolve closer orbits"
             )
         for name in ("eve_telescope_diameter", "diam_bob", "divergence_full_angle"):
             if not getattr(self, name) > 0:

@@ -3,16 +3,27 @@
 A gated single-photon detector either clicks or stays silent.  Dark counts
 and Poissonian stray light combine multiplicatively as independent no-click
 events; the signal is attenuated by the full channel efficiency while stray
-light only sees the receiver's internal optical efficiency.
+light only sees the receiver's internal optical efficiency.  The array
+forms (:func:`no_click_probabilities`, :func:`bob_information`) are the
+receiver's part of the batched secrecy kernel; the scalar functions wrap
+them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .numerics import binary_entropy
+import numpy as np
 
-__all__ = ["DetectorModel", "BobChannel", "bob_click_model", "mutual_info_bob"]
+from .numerics import binary_channel_information
+
+__all__ = [
+    "DetectorModel",
+    "BobChannel",
+    "bob_click_model",
+    "mutual_info_bob",
+    "no_click_probabilities",
+    "bob_information",
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,36 @@ class BobChannel:
             )
 
 
+def no_click_probabilities(received_mean_photons, p_dark, eta_optical, stray_mean):
+    """Array form of :func:`bob_click_model`: ``(eps0, eps1)`` broadcast over the inputs.
+
+    Raises the :class:`BobChannel` error of the first cell whose
+    probabilities are out of order.
+    """
+    stray = eta_optical * stray_mean
+    no_dark = 1.0 - p_dark
+    eps0 = no_dark * np.exp(-stray)
+    eps1 = no_dark * np.exp(-(received_mean_photons + stray))
+    ordered = (0.0 <= eps1) & (eps1 <= eps0) & (eps0 <= 1.0)
+    if not ordered.all():
+        first = np.flatnonzero(~ordered)[0]
+        eps0, eps1 = np.broadcast_arrays(eps0, eps1)
+        BobChannel(eps0=float(eps0.flat[first]), eps1=float(eps1.flat[first]))
+    return eps0, eps1
+
+
+def bob_information(q, eps0, eps1):
+    """Array form of :func:`mutual_info_bob` over the no-click probabilities.
+
+    Raises for the first ``q`` outside [0, 1].
+    """
+    q = np.asarray(q, dtype=float)
+    inside = (0.0 <= q) & (q <= 1.0)
+    if not inside.all():
+        raise ValueError(f"q must be in [0, 1], got {float(q[~inside][0])}")
+    return binary_channel_information(q, q * eps0 + (1.0 - q) * eps1, eps0, eps1)
+
+
 def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> BobChannel:
     """No-click probabilities for a threshold detector.
 
@@ -60,11 +101,10 @@ def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> Bo
     """
     if received_mean_photons < 0:
         raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
-    stray = detector.eta_optical * detector.stray_mean
-    no_dark = 1.0 - detector.p_dark
-    eps0 = no_dark * math.exp(-stray)
-    eps1 = no_dark * math.exp(-(received_mean_photons + stray))
-    return BobChannel(eps0=eps0, eps1=eps1)
+    eps0, eps1 = no_click_probabilities(
+        received_mean_photons, detector.p_dark, detector.eta_optical, detector.stray_mean
+    )
+    return BobChannel(eps0=float(eps0), eps1=float(eps1))
 
 
 def mutual_info_bob(q: float, channel: BobChannel) -> float:
@@ -73,12 +113,4 @@ def mutual_info_bob(q: float, channel: BobChannel) -> float:
     ``q`` is the prior probability of the vacuum symbol.  Equals
     ``h(q eps0 + (1-q) eps1) - q h(eps0) - (1-q) h(eps1)``.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    p_silent = q * channel.eps0 + (1.0 - q) * channel.eps1
-    info = (
-        binary_entropy(p_silent)
-        - q * binary_entropy(channel.eps0)
-        - (1.0 - q) * binary_entropy(channel.eps1)
-    )
-    return max(info, 0.0)
+    return float(bob_information(q, channel.eps0, channel.eps1))

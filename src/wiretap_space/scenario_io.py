@@ -36,6 +36,7 @@ from .secrecy import (
     plob_bound,
     private_capacity,
     private_capacity_fixed,
+    secrecy_points,
 )
 
 __all__ = [
@@ -462,7 +463,10 @@ def sweep(
     """Row-major grid evaluation of the secrecy quantities.
 
     Returns ``(header, rows)``; the first columns repeat the axis values,
-    the rest are the evaluated outputs at that cell.
+    the rest are the evaluated outputs at that cell.  Every cell is built
+    and validated first, so the first invalid cell in row-major order
+    raises; then one :func:`~wiretap_space.secrecy.secrecy_points` call
+    evaluates the whole grid, q-optimised cells in lockstep.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if not 1 <= len(axes) <= 2:
@@ -475,16 +479,20 @@ def sweep(
             )
     targets = [_field_of(axis.param) for axis in axes]
     header = [axis.param for axis in axes] + list(CAPACITY_SWEEP_OUTPUTS)
-    clock = config.link.clock_rate
-    rows = []
-    for values in itertools.product(*_axis_grids(axes)):
+    grid = list(itertools.product(*_axis_grids(axes)))
+    cells = []
+    for values in grid:
         cell = config
         for (section, attr), value in zip(targets, values):
             cell = replace(cell, **{section: replace(getattr(cell, section), **{attr: value})})
-        mu, q = cell.operating.received_mean_photons, cell.operating.q
-        point = capacity_point(cell.detector, mu, resolved_gamma(cell), q)
-        rows.append([*values, *capacity_row(point, clock)])
-    return header, rows
+        detector = cell.detector
+        cells.append((cell.operating.received_mean_photons, resolved_gamma(cell), cell.operating.q,
+                      detector.p_dark, detector.eta_optical, detector.stray_mean))
+    mu, gamma, q, p_dark, eta_optical, stray_mean = zip(*cells)
+    q = None if q[0] is None else q  # None in every cell unless q is set or swept
+    points = secrecy_points(mu, gamma, q, p_dark, eta_optical, stray_mean)
+    clock = config.link.clock_rate
+    return header, [[*values, *capacity_row(point, clock)] for values, point in zip(grid, points)]
 
 
 EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")

@@ -8,21 +8,31 @@ more pessimistic Devetak-Winter rate.  The interceptor sees exactly
 ``gamma`` times the legitimate receiver's mean photon number and suffers
 no further loss or noise.
 
-Two independent code paths exist on purpose: the general-prior machinery
-built on the measurement model, and uniform-prior closed forms; they must
-agree to float precision at ``q = 1/2`` and are cross-checked in the tests.
+All general-prior values come from one numpy kernel, :func:`_secrecy_terms`,
+over broadcast arrays of ``(mu, gamma, q, p_dark, eta_optical,
+stray_mean)``: the click model, the closed-form Helstrom angle, the Holevo
+bound, and both channels' mutual information through one helper,
+:func:`~wiretap_space.numerics.binary_channel_information`.
+:func:`secrecy_points` evaluates many points in one call and optimises
+every cell's prior in lockstep (:func:`~wiretap_space.numerics.maximize_lockstep`);
+``private_capacity_fixed``, ``private_capacity`` and ``devetak_winter_rate``
+are that call on one cell.  A cell's result does not depend on the batch it
+is evaluated in.
+
+The uniform-prior closed forms are a second code path on purpose; they
+must agree with the kernel to float precision at ``q = 1/2`` and are
+cross-checked in the tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import h as _PLANCK
+import numpy as np
 
-from .detection import BinaryCoherentEnsemble, helstrom_error, helstrom_projector, holevo_binary, overlap
-from .numerics import Interval, binary_entropy, maximize_1d
-from .receiver import DetectorModel, bob_click_model, mutual_info_bob
+from .detection import BinaryCoherentEnsemble, helstrom_error, helstrom_errors, holevo_bound, overlap
+from .numerics import Interval, binary_channel_information, binary_entropy, maximize_lockstep
+from .receiver import DetectorModel, bob_click_model, bob_information, no_click_probabilities
 
 __all__ = [
     "SecrecyPoint",
@@ -30,6 +40,7 @@ __all__ = [
     "private_capacity_fixed",
     "private_capacity",
     "devetak_winter_rate",
+    "secrecy_points",
     "private_capacity_symmetric",
     "dw_rate_symmetric",
     "optimal_signal_strength",
@@ -42,6 +53,9 @@ Q_SEARCH_BOUNDS = (0.01, 0.99)
 Q_SEARCH_TOL = 1e-4
 PHOTON_SEARCH_BOUNDS = (1e-3, 1e2)
 LOG_TOL = 1e-3  # photon search tolerance in log10 of the photon number
+# Exact by definition in the 2019 SI.
+_SPEED_OF_LIGHT = 299792458.0  # m/s
+_PLANCK = 6.62607015e-34  # J s
 
 
 @dataclass(frozen=True)
@@ -82,27 +96,21 @@ class ClockedLink:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
 
 
-def _binary_channel_information(q: float, flip_given_0: float, flip_given_1: float) -> float:
-    """I(X;Z) of a binary channel with conditional error probabilities."""
-    p_out0 = q * (1.0 - flip_given_0) + (1.0 - q) * flip_given_1
-    info = (
-        binary_entropy(p_out0)
-        - q * binary_entropy(flip_given_0)
-        - (1.0 - q) * binary_entropy(flip_given_1)
-    )
-    return max(info, 0.0)
+def _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean, holevo: bool = True):
+    """The secrecy kernel: ``(info_bob, info_eve_helstrom, holevo_eve)`` arrays.
 
-
-def _secrecy_terms(
-    detector: DetectorModel, received_mean_photons: float, gamma: float, q: float
-) -> tuple[float, float, float]:
-    """(info_bob, info_eve_helstrom, holevo_eve) at one operating point."""
-    channel = bob_click_model(detector, received_mean_photons)
-    info_bob = mutual_info_bob(q, channel)
-    eve = BinaryCoherentEnsemble(mean_photons=gamma * received_mean_photons, prior_q=q)
-    sol = helstrom_projector(eve)
-    info_eve = _binary_channel_information(q, sol.error_given_0, sol.error_given_1)
-    return info_bob, info_eve, holevo_binary(eve)
+    Broadcasts its inputs.  The interceptor's ensemble has mean photon
+    number ``gamma * mu`` and prior ``q``.  ``holevo=False`` skips the
+    Holevo bound (``holevo_eve`` is None), which the q-search does not use.
+    Raises for the first cell whose no-click probabilities are out of order
+    or whose ``q`` is outside [0, 1].
+    """
+    eps0, eps1 = no_click_probabilities(mu, p_dark, eta_optical, stray_mean)
+    info_bob = bob_information(q, eps0, eps1)
+    c = np.exp(-0.5 * (gamma * mu))
+    e0, e1, _, _ = helstrom_errors(c, q)
+    info_eve = binary_channel_information(q, q * (1.0 - e0) + (1.0 - q) * e1, e0, e1)
+    return info_bob, info_eve, holevo_bound(c, q) if holevo else None
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
@@ -110,6 +118,57 @@ def _check_point_args(received_mean_photons: float, gamma: float) -> None:
         raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+
+
+def _optimal_q(mu, gamma, p_dark, eta_optical, stray_mean) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of the 1-D input arrays, ``(q*, I(X;Y) - I(X;Z) at q*)``.
+
+    The unclipped difference is maximised (it is continuous where the
+    clipped value has flat zero plateaus), every cell in lockstep.
+    """
+    def unclipped(q, cell):
+        info_bob, info_eve, _ = _secrecy_terms(
+            mu[cell], gamma[cell], q, p_dark[cell], eta_optical[cell], stray_mean[cell], holevo=False
+        )
+        return info_bob - info_eve
+
+    return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, mu.size)
+
+
+def secrecy_points(
+    received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean
+) -> list[SecrecyPoint]:
+    """One :class:`SecrecyPoint` per cell of the broadcast 1-D inputs.
+
+    ``q=None`` maximises each cell's secrecy value over the input
+    probability, as :func:`private_capacity` does; otherwise ``q`` gives each
+    cell's input probability.  Point arguments are checked cell by cell in
+    order, with the messages of the one-point functions.
+    """
+    mu, gamma, p_dark, eta_optical, stray_mean = (
+        np.ravel(a).astype(float)
+        for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
+    )
+    bad = (mu < 0.0) | ~((0.0 < gamma) & (gamma < 1.0))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        _check_point_args(float(mu[first]), float(gamma[first]))
+    if q is None:
+        q, _ = _optimal_q(mu, gamma, p_dark, eta_optical, stray_mean)
+    else:
+        q = np.broadcast_to(np.asarray(q, dtype=float), mu.shape)
+    info_bob, info_eve, holevo_eve = _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean)
+    columns = (
+        gamma,
+        mu,
+        q,
+        info_bob,
+        info_eve,
+        holevo_eve,
+        np.maximum(info_bob - info_eve, 0.0),
+        np.maximum(info_bob - holevo_eve, 0.0),
+    )
+    return [SecrecyPoint(*values) for values in zip(*(column.tolist() for column in columns))]
 
 
 def private_capacity_fixed(
@@ -122,17 +181,10 @@ def private_capacity_fixed(
     Holevo bound.
     """
     _check_point_args(received_mean_photons, gamma)
-    info_bob, info_eve, holevo_eve = _secrecy_terms(detector, received_mean_photons, gamma, q)
-    return SecrecyPoint(
-        gamma=gamma,
-        received_mean_photons=received_mean_photons,
-        q=q,
-        info_bob=info_bob,
-        info_eve_helstrom=info_eve,
-        holevo_eve=holevo_eve,
-        private_capacity=max(info_bob - info_eve, 0.0),
-        dw_rate=max(info_bob - holevo_eve, 0.0),
+    (point,) = secrecy_points(
+        received_mean_photons, gamma, q, detector.p_dark, detector.eta_optical, detector.stray_mean
     )
+    return point
 
 
 def private_capacity(
@@ -147,22 +199,17 @@ def private_capacity(
     evaluated at the optimiser ``q*``.
     """
     _check_point_args(received_mean_photons, gamma)
-
-    def unclipped(q: float) -> float:
-        info_bob, info_eve, _ = _secrecy_terms(detector, received_mean_photons, gamma, q)
-        return info_bob - info_eve
-
-    q_opt, _ = maximize_1d(unclipped, Interval(*Q_SEARCH_BOUNDS), tol=Q_SEARCH_TOL)
-    return private_capacity_fixed(detector, received_mean_photons, gamma, q_opt)
+    (point,) = secrecy_points(
+        received_mean_photons, gamma, None, detector.p_dark, detector.eta_optical, detector.stray_mean
+    )
+    return point
 
 
 def devetak_winter_rate(
     detector: DetectorModel, received_mean_photons: float, gamma: float, q: float
 ) -> float:
     """Devetak-Winter rate ``[I(X;Y) - chi(X;E)]+`` in bits per use."""
-    _check_point_args(received_mean_photons, gamma)
-    info_bob, _, holevo_eve = _secrecy_terms(detector, received_mean_photons, gamma, q)
-    return max(info_bob - holevo_eve, 0.0)
+    return private_capacity_fixed(detector, received_mean_photons, gamma, q).dw_rate
 
 
 def private_capacity_symmetric(
@@ -208,21 +255,29 @@ def dw_rate_symmetric(detector: DetectorModel, received_mean_photons: float, gam
 def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[float, SecrecyPoint]:
     """Maximise the q-optimised capacity over the received mean photon number.
 
-    Nested 1-D searches: the outer scan runs over log10 of the photon number
-    (the capacity surface is smooth and near-separable in the two variables),
-    the inner search optimises ``q`` at each probe.  The outer search spans
-    :data:`PHOTON_SEARCH_BOUNDS` to :data:`LOG_TOL`.
+    Nested 1-D searches: the outer search runs over log10 of the photon
+    number (the capacity surface is smooth and near-separable in the two
+    variables), and each batch of its probes is one lockstep q-search, so
+    the 64-point photon scan is a single 64-cell search.  The outer search
+    spans :data:`PHOTON_SEARCH_BOUNDS` to :data:`LOG_TOL`.
     """
     lo, hi = PHOTON_SEARCH_BOUNDS
+    _check_point_args(lo, gamma)
+    fields = (detector.p_dark, detector.eta_optical, detector.stray_mean)
+    q_at = {}  # the q-search's optimum at each probed log10 photon number
 
-    def capacity_at_log(log_mu: float) -> float:
-        return private_capacity(detector, 10.0**log_mu, gamma).private_capacity
+    def capacity_at_log(log_mu, _cell):
+        mu = np.array([10.0**v for v in log_mu.tolist()])
+        q, unclipped = _optimal_q(mu, *(np.full(mu.shape, v) for v in (gamma, *fields)))
+        q_at.update(zip(log_mu.tolist(), q.tolist()))
+        return np.maximum(unclipped, 0.0)
 
-    log_best, _ = maximize_1d(
-        capacity_at_log, Interval(math.log10(lo), math.log10(hi)), tol=LOG_TOL
+    log_best, _ = maximize_lockstep(
+        capacity_at_log, Interval(math.log10(lo), math.log10(hi)), LOG_TOL, cells=1
     )
+    log_best = float(log_best[0])
     mu = 10.0**log_best
-    return mu, private_capacity(detector, mu, gamma)
+    return mu, private_capacity_fixed(detector, mu, gamma, q_at[log_best])
 
 
 def plob_bound(eta: float) -> float:

@@ -228,6 +228,25 @@ class TestSweepCommand:
         assert out == ""
         assert "config error: sweep grid has 1000000000 cells" in err
 
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            (["received_mean_photons:0.001:100:4:log", "exclusion_radius_m:1:30:12"],
+             "geometry yields degradation 378.4, outside (0, 1); no secrecy is possible at this operating point"),
+            # Row-major: the first bad cell is (11 m, 2e6 m), not the last (30 m, 4e6 m).
+            (["exclusion_radius_m:11:30:4", "dist_bob_m:1e6:4e6:4"],
+             "geometry yields degradation 98.8, outside (0, 1); no secrecy is possible at this operating point"),
+            (["dist_bob_m:-1000:2e6:5"], "dist_bob must be > 0, got -1000.0"),
+            (["received_mean_photons:0.1:20:3:log", "dist_bob_m:-2e6:2e6:4"], "dist_bob must be > 0, got -2000000.0"),
+        ],
+    )
+    def test_first_invalid_cell_exits_2(self, capsys, specs, message):
+        # Cells are validated in row-major order before the batched evaluation.
+        code, out, err = run_cli(capsys, "sweep", *(f"--axis={spec}" for spec in specs))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.splitlines()[1:] == [f"config error: {message}"]
+
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nonsense")
         assert code == EXIT_CONFIG
@@ -321,6 +340,22 @@ class TestOrbitCommand:
         assert code == EXIT_OK, err
         assert json.loads(out)["pass_half_duration_s"] > 0.0
 
+    @pytest.mark.parametrize("offset", ["1e-9", "1e-13"])
+    def test_offset_below_floor_exits_2(self, capsys, tmp_path, offset):
+        # Below 1 mm the pass geometry rounds: 1e-9 m used to print an
+        # integrated_gamma of 4783 (4464 at 1e-6 m), 1e-13 m "equal angular rates".
+        floor = "eve_orbit_offset must be in [0.001 m, alice_altitude)"
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--offset", offset)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {floor}, got {float(offset)}" in err
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps({"orbit": {"eve_orbit_offset_m": float(offset)}}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: orbit: {floor}, got {float(offset)}" in err
+
     def test_solve_gamma_reports_required_offset(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--format", "json", "--solve-gamma", "0.1")
         assert code == EXIT_OK
@@ -341,12 +376,14 @@ class TestTable1Command:
 
 
 def test_import_does_not_load_scipy_integrate():
-    # scipy.integrate costs about half a second of every CLI start.
+    # Importing scipy costs about half of a CLI start; only the pass integral
+    # needs it, and imports it on first use.  No scipy module at all, so
+    # scipy.integrate neither.
     src = str(Path(wiretap_space.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, wiretap_space.cli; print('scipy.integrate' in sys.modules)"
+    probe = "import sys, wiretap_space.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 # Fuzzing: arbitrary JSON values in every config field and arbitrary --axis

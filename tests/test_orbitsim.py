@@ -15,6 +15,7 @@ from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     CROSSING_PANELS,
     DEFAULT_CONSTANTS,
+    MIN_EVE_ORBIT_OFFSET,
     OrbitScenario,
     PASS_PANELS,
     PASS_PROFILE_COLUMNS,
@@ -259,8 +260,11 @@ class TestIntegratedGamma:
             assert np.all(profile.eta_eve[np.abs(profile.times) > fine_zone] == 0.0)
 
     def test_zero_crossing_speed_spans_the_window(self):
-        # 0.1 pm apart, both orbits round to the same radius and speed
-        scenario = replace(LEO, eve_orbit_offset=1e-13)
+        # 0.1 pm apart, both orbits round to the same radius and speed.  The
+        # offset floor rejects such a scenario, so it is built past the
+        # validation to reach the guard.
+        scenario = replace(LEO)
+        object.__setattr__(scenario, "eve_orbit_offset", 1e-13)
         assert _crossing_half_time(scenario, DEFAULT_CONSTANTS) == math.inf
         assert integrated_gamma(scenario).times.size == 4 * CROSSING_PANELS + 1
 
@@ -282,7 +286,7 @@ class TestIntegratedGamma:
     ):
         scenario = OrbitScenario(
             alice_altitude=altitude,
-            eve_orbit_offset=offset_share * altitude,
+            eve_orbit_offset=max(offset_share * altitude, MIN_EVE_ORBIT_OFFSET),
             eve_telescope_diameter=eve_diameter,
             divergence_full_angle=divergence,
             min_elevation=elevation,
@@ -433,6 +437,14 @@ class TestScenarioValidation:
             OrbitScenario(eve_orbit_offset=700e3)
         with pytest.raises(ValueError):
             OrbitScenario(eve_orbit_offset=0.0)
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-13, 0.999e-3])
+    def test_offset_below_floor_rejected(self, offset):
+        with pytest.raises(ValueError, match=r"eve_orbit_offset must be in \[0.001 m, alice_altitude\)"):
+            OrbitScenario(eve_orbit_offset=offset)
+
+    def test_offset_at_floor_accepted(self):
+        assert OrbitScenario(eve_orbit_offset=MIN_EVE_ORBIT_OFFSET).eve_orbit_offset == 1e-3
 
     def test_unknown_aperture_model(self):
         with pytest.raises(ValueError):

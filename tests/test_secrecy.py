@@ -1,9 +1,18 @@
+import math
+from dataclasses import astuple
+
 import mpmath
 import numpy as np
 import pytest
 
+from oracles import grid_argmax
+from wiretap_space import secrecy
+from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS
 from wiretap_space.receiver import DetectorModel
+from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
+    Q_SEARCH_BOUNDS,
+    Q_SEARCH_TOL,
     ClockedLink,
     devetak_winter_rate,
     dw_rate_symmetric,
@@ -14,6 +23,7 @@ from wiretap_space.secrecy import (
     private_capacity_symmetric,
     private_rate,
     required_laser_power,
+    secrecy_points,
 )
 
 
@@ -173,3 +183,107 @@ class TestUnclippedContinuity:
             diffs.append(point.info_bob - point.info_eve_helstrom)
         steps = np.abs(np.diff(diffs))
         assert steps.max() < 0.02
+
+
+def _bits(point):
+    return [value.hex() for value in astuple(point)]
+
+
+class TestBatchInvariance:
+    """A cell's point does not depend on the batch it is evaluated in."""
+
+    CELLS = 512
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rng = np.random.default_rng(20261018)
+        # Half the cells take a preset's detector, half a seeded one.
+        detectors = [preset_config(name).detector for name in PRESET_NAMES]
+        detectors += [
+            DetectorModel(
+                p_dark=float(10.0 ** rng.uniform(-9, -5)),
+                eta_optical=float(rng.uniform(0.5, 1.0)),
+                stray_mean=float(10.0 ** rng.uniform(-7, -2)),
+            )
+            for _ in range(len(detectors))
+        ]
+        chosen = [detectors[i] for i in rng.integers(len(detectors), size=self.CELLS)]
+        return {
+            "detectors": chosen,
+            "mu": 10.0 ** rng.uniform(-3.0, 2.0, self.CELLS),
+            "gamma": rng.uniform(0.01, 0.9, self.CELLS),
+        }
+
+    @staticmethod
+    def _grid(cells, q, order):
+        fields = [np.array([getattr(d, name) for d in cells["detectors"]])[order]
+                  for name in ("p_dark", "eta_optical", "stray_mean")]
+        return secrecy_points(cells["mu"][order], cells["gamma"][order], q, *fields)
+
+    @pytest.mark.parametrize("q", [None, 0.5, 0.3])
+    def test_alone_in_grid_and_reversed_agree(self, cells, q):
+        forward = self._grid(cells, q, slice(None))
+        reverse = self._grid(cells, q, slice(None, None, -1))[::-1]
+        for i, detector in enumerate(cells["detectors"]):
+            mu, gamma = float(cells["mu"][i]), float(cells["gamma"][i])
+            if q is None:
+                alone = private_capacity(detector, mu, gamma)
+            else:
+                alone = private_capacity_fixed(detector, mu, gamma, q)
+            assert _bits(alone) == _bits(forward[i]) == _bits(reverse[i]), i
+
+    def test_optimal_q_matches_dense_grid(self, cells):
+        points = self._grid(cells, None, slice(None))
+        for i in range(0, self.CELLS, 16):
+            detector = cells["detectors"][i]
+            mu, gamma = cells["mu"][i], cells["gamma"][i]
+
+            def unclipped(qs):
+                info_bob, info_eve, _ = secrecy._secrecy_terms(
+                    mu, gamma, qs, detector.p_dark, detector.eta_optical, detector.stray_mean
+                )
+                return info_bob - info_eve
+
+            reference = grid_argmax(unclipped, *Q_SEARCH_BOUNDS, n=98_001)
+            assert abs(points[i].q - reference) <= Q_SEARCH_TOL, i
+
+
+class TestKernelCalls:
+    """The batched paths evaluate whole arrays; a fall-back to one kernel
+    call per cell and q would show as hundreds or thousands of calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        kernel = secrecy._secrecy_terms
+
+        def counted(*args, **kwargs):
+            sizes.append(np.broadcast(*args[:6]).size)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(secrecy, "_secrecy_terms", counted)
+        return sizes
+
+    def test_sweep_grid_budget(self, calls):
+        axes = [
+            SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
+            SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"),
+        ]
+        _, rows = sweep(config_from_dict({}), axes)
+        assert len(rows) == 512
+        scan_calls = math.ceil(512 / SCAN_BLOCK_CELLS)
+        assert calls[:scan_calls] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls
+        # The golden section on a bracket of two grid steps: 12 iterations to
+        # Q_SEARCH_TOL, after one call for its first two points; then one
+        # evaluation of every cell at its optimum.
+        step = (Q_SEARCH_BOUNDS[1] - Q_SEARCH_BOUNDS[0]) / (GRID_POINTS - 1)
+        golden = math.ceil(math.log(2 * step / Q_SEARCH_TOL) / math.log((1 + math.sqrt(5)) / 2))
+        assert golden == 12
+        assert len(calls) <= scan_calls + 1 + golden + 1
+        assert calls[-1] == 512
+
+    def test_photon_scan_is_one_batch(self, calls, day_detector):
+        optimal_signal_strength(day_detector, 0.1)
+        # The 64 photon numbers of the scan form one 64-cell q-search.
+        assert calls[0] == GRID_POINTS * GRID_POINTS
+        assert len(calls) < 250  # a per-probe search of the scan alone would take 64 * 15
