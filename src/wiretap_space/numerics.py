@@ -38,6 +38,8 @@ GRID_POINTS = 64
 # Cells per call of the objective in the scan of :func:`maximize_lockstep`;
 # it bounds the scan's arrays at SCAN_BLOCK_CELLS * GRID_POINTS elements.
 SCAN_BLOCK_CELLS = 128
+# Beam radii past which :func:`gaussian_disk_fraction` saturates at 1 or 0.
+_REACH_RADII = 8.0
 
 
 class BracketError(ValueError):
@@ -221,12 +223,18 @@ def _disk_fraction(beam_radius_w, offset, disk_radius):
     In units of ``w / 2`` the collected fraction is the CDF of a noncentral
     chi-square variable with 2 degrees of freedom, evaluated at the squared
     disk radius with the squared offset as non-centrality (one minus the
-    Marcum Q1 function).
+    Marcum Q1 function), saturated at ``_REACH_RADII`` beam radii.
     """
     from scipy.special import chndtr  # on first use: only the pass integral needs scipy
 
-    scale = 2.0 / np.asarray(beam_radius_w, dtype=float)
-    return chndtr((scale * disk_radius) ** 2, 2.0, (scale * offset) ** 2)
+    w = np.asarray(beam_radius_w, dtype=float)
+    scale = 2.0 / w
+    fraction = chndtr((scale * disk_radius) ** 2, 2.0, (scale * offset) ** 2)
+    fraction = np.where(offset - _REACH_RADII * w >= disk_radius, 0.0, fraction)
+    fraction = np.where(offset + _REACH_RADII * w <= disk_radius, 1.0, fraction)
+    if not np.isfinite(fraction).all():
+        raise FloatingPointError("Gaussian disk fraction is not finite: beam too narrow for the disk")
+    return fraction
 
 
 def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: float) -> float:
@@ -258,6 +266,13 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
     error is below 5e-14 absolute (largest for fractions near 1 on large
     disks), below 2e-13 relative for fractions above 1e-10, and below 5e-12
     relative down to 1e-45.  Smaller fractions may round to 0.
+
+    The fraction is exactly 1 where ``offset + 8 w <= disk_radius`` and 0
+    where ``offset - 8 w >= disk_radius``.  There the CDF gives 1 and at most
+    6.4e-58 where it is finite, but it is NaN on large disks: outside from
+    about 8e5 beam radii, inside from about 1e10.  Within 8 beam radii of
+    the rim it is NaN from about 6e4 beam radii, first just inside the rim
+    band; that raises :class:`FloatingPointError`.
     """
     if not beam_radius_w > 0:
         raise ValueError(f"beam_radius_w must be > 0, got {beam_radius_w}")

@@ -7,7 +7,8 @@ beneath it).  The module traces instantaneous collection efficiencies over
 one pass, integrates them into an effective channel-degradation factor,
 solves for the orbital exclusion radius achieving a target degradation, and
 reports revisit/alignment periods.  The pass grid is derived from the
-geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples.
+geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples;
+the step-halving check reads every other one.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Interval, _disk_fraction, find_root
+from .numerics import Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
     "PhysicalConstants",
@@ -43,7 +44,8 @@ OFFSET_BOUNDS = (1e3, 2e5)
 # angular rates are equal.
 MIN_EVE_ORBIT_OFFSET = 1e-3
 
-# Trapezoid panels of the beam crossing and of the half window (coarse grid).
+# Trapezoid panels of the beam crossing and of the half window, on the grid of
+# every other pass sample; the pass grid halves each of them.
 CROSSING_PANELS = 512
 PASS_PANELS = 512
 
@@ -212,7 +214,17 @@ def _pass_geometry(scenario: OrbitScenario, constants: PhysicalConstants, times:
     return d_bob, d_eve, along, beam_offset
 
 
-def _eta_bob_series(scenario: OrbitScenario, d_bob: np.ndarray) -> np.ndarray:
+def _beam_reach(scenario: OrbitScenario, distance):
+    """Beam radius ``w`` at ``distance`` from the transmitter, and the
+    interceptor's reach there: she collects light only while her disk's
+    centre is within ``D_E/2 + 8w`` of the beam axis."""
+    radius = (1.0 if scenario.legacy_beam_width else 0.5) * scenario.divergence_full_angle * distance
+    return radius, 0.5 * scenario.eve_telescope_diameter + _REACH_RADII * radius
+
+
+def _efficiencies(scenario: OrbitScenario, constants: PhysicalConstants, times: np.ndarray):
+    """Pass series at the given times: (d_bob, d_eve, beam_offset, eta_bob, eta_eve)."""
+    d_bob, d_eve, along, beam_offset = _pass_geometry(scenario, constants, times)
     theta = scenario.divergence_full_angle
     if scenario.bob_aperture_model == "footprint":
         frac = np.minimum(scenario.diam_bob**2 / (theta * d_bob) ** 2, 1.0)
@@ -220,25 +232,13 @@ def _eta_bob_series(scenario: OrbitScenario, d_bob: np.ndarray) -> np.ndarray:
         w = 0.5 * theta * d_bob
         a = 0.5 * scenario.diam_bob
         frac = 1.0 - np.exp(-2.0 * a * a / (w * w))
-    return scenario.eta_b * frac
-
-
-def _eta_eve_series(
-    scenario: OrbitScenario,
-    d_bob: np.ndarray,
-    along: np.ndarray,
-    beam_offset: np.ndarray,
-) -> np.ndarray:
-    theta = scenario.divergence_full_angle
-    disk = 0.5 * scenario.eve_telescope_diameter
-    widths = theta * along if scenario.legacy_beam_width else 0.5 * theta * along
-    eta = np.zeros_like(d_bob)
-    # Interceptor collects only between transmitter and station, and only
-    # where her disk is within ~8 beam widths of the axis (beyond that the
-    # captured fraction is below 1e-19).
-    candidates = (along > 0.0) & (along < d_bob) & (beam_offset <= disk + 8.0 * widths)
-    eta[candidates] = _disk_fraction(widths[candidates], beam_offset[candidates], disk)
-    return eta
+    widths, reach = _beam_reach(scenario, along)
+    eta_eve = np.zeros_like(d_bob)
+    # The interceptor collects only between transmitter and station, and only
+    # within reach of the beam axis (beyond it her fraction is at most 6.4e-58).
+    near = (along > 0.0) & (along < d_bob) & (beam_offset <= reach)
+    eta_eve[near] = _disk_fraction(widths[near], beam_offset[near], 0.5 * scenario.eve_telescope_diameter)
+    return d_bob, d_eve, beam_offset, scenario.eta_b * frac, eta_eve
 
 
 def instantaneous_efficiencies(
@@ -247,18 +247,15 @@ def instantaneous_efficiencies(
     t: float = 0.0,
 ) -> tuple[float, float]:
     """Collection efficiencies of station and interceptor at time ``t``."""
-    times = np.array([float(t)])
-    d_bob, _, along, beam_offset = _pass_geometry(scenario, constants, times)
-    eta_bob = _eta_bob_series(scenario, d_bob)
-    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset)
+    *_, eta_bob, eta_eve = _efficiencies(scenario, constants, np.array([float(t)]))
     return float(eta_bob[0]), float(eta_eve[0])
 
 
 def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -> float:
-    """Time from alignment until the interceptor's disk is ``D_E/2 + 8w``
-    off the beam axis (see :func:`_eta_eve_series`), at her speed across
-    the axis ``a_E omega_E - [v_A + (offset / h)(v_G - v_A)]``.  The speed
-    is positive unless rounding makes it 0; the crossing is then endless.
+    """Time from alignment until the interceptor's disk is out of reach
+    (:func:`_beam_reach`) of the beam axis, at her speed across the axis
+    ``a_E omega_E - [v_A + (offset / h)(v_G - v_A)]``.  The speed is
+    positive unless rounding makes it 0; the crossing is then endless.
     """
     a_alice = constants.earth_radius + scenario.alice_altitude
     a_eve = a_alice - scenario.eve_orbit_offset
@@ -266,31 +263,8 @@ def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -
     v_ground = constants.earth_radius * constants.earth_angular_velocity
     v_axis = v_alice + scenario.eve_orbit_offset / scenario.alice_altitude * (v_ground - v_alice)
     speed = a_eve * angular_velocity(a_eve, constants) - v_axis
-    radius_per_m = (1.0 if scenario.legacy_beam_width else 0.5) * scenario.divergence_full_angle
-    reach = 0.5 * scenario.eve_telescope_diameter + 8.0 * radius_per_m * scenario.eve_orbit_offset
+    _, reach = _beam_reach(scenario, scenario.eve_orbit_offset)
     return reach / speed if speed > 0.0 else math.inf
-
-
-def _profile_once(
-    scenario: OrbitScenario,
-    constants: PhysicalConstants,
-    half_duration: float,
-    crossing: float,
-    refine: int,
-):
-    """Pass series and integrals on a grid mirrored about 0: ``refine *
-    CROSSING_PANELS`` panels cover ``[0, crossing]``, and panels of at most
-    ``half_duration / (refine * PASS_PANELS)`` the rest of the half window."""
-    fine = np.linspace(0.0, crossing, refine * CROSSING_PANELS + 1)
-    coarse_panels = refine * math.ceil(PASS_PANELS * (half_duration - crossing) / half_duration)
-    positive = np.concatenate([fine, np.linspace(crossing, half_duration, coarse_panels + 1)[1:]])
-    times = np.concatenate([-positive[:0:-1], positive])
-    d_bob, d_eve, along, beam_offset = _pass_geometry(scenario, constants, times)
-    eta_bob = _eta_bob_series(scenario, d_bob)
-    eta_eve = _eta_eve_series(scenario, d_bob, along, beam_offset)
-    int_bob = float(np.trapezoid(eta_bob, times))
-    int_eve = float(np.trapezoid(eta_eve, times))
-    return times, eta_bob, eta_eve, d_bob, d_eve, beam_offset, int_bob, int_eve
 
 
 def integrated_gamma(
@@ -301,21 +275,28 @@ def integrated_gamma(
     The factor is the interceptor's time-integrated collection efficiency
     over the station's, both on the symmetric window from
     :func:`pass_window`, on a grid fit to 1.25 times the interceptor's beam
-    crossing (:func:`_crossing_half_time`, :func:`_profile_once`) and again
-    with every panel halved; the refined result is returned and a
-    :class:`StepSizeWarning` is emitted when the two disagree by more than 1%.
+    crossing (:func:`_crossing_half_time`) and evaluated once.
+    ``convergence_delta`` is the relative change from the integral over
+    every other sample, and a :class:`StepSizeWarning` is emitted when it
+    exceeds 1%.  Raises :class:`FloatingPointError` where the interceptor's
+    collected fraction is not finite (see ``gaussian_disk_fraction``).
     """
     half = pass_window(scenario, constants)
     if half <= 0.0:
         raise ValueError("pass window is empty; lower min_elevation")
     crossing = min(1.25 * _crossing_half_time(scenario, constants), half)
-    *_, int_bob_1, int_eve_1 = _profile_once(scenario, constants, half, crossing, 1)
-    times, eta_bob, eta_eve, d_bob, d_eve, beam_offset, int_bob_2, int_eve_2 = _profile_once(
-        scenario, constants, half, crossing, 2
-    )
-    gamma_1 = int_eve_1 / int_bob_1
-    gamma_2 = int_eve_2 / int_bob_2
-    delta = abs(gamma_2 - gamma_1) / gamma_2 if gamma_2 > 0 else abs(gamma_2 - gamma_1)
+    # Mirrored about 0: 2 * CROSSING_PANELS panels cover [0, crossing], panels
+    # of at most half / (2 * PASS_PANELS) the rest of the half window.
+    fine = np.linspace(0.0, crossing, 2 * CROSSING_PANELS + 1)
+    coarse_panels = 2 * math.ceil(PASS_PANELS * (half - crossing) / half)
+    positive = np.concatenate([fine, np.linspace(crossing, half, coarse_panels + 1)[1:]])
+    times = np.concatenate([-positive[:0:-1], positive])
+    d_bob, d_eve, beam_offset, eta_bob, eta_eve = _efficiencies(scenario, constants, times)
+    int_bob = float(np.trapezoid(eta_bob, times))
+    int_eve = float(np.trapezoid(eta_eve, times))
+    gamma = int_eve / int_bob
+    coarse = float(np.trapezoid(eta_eve[::2], times[::2])) / float(np.trapezoid(eta_bob[::2], times[::2]))
+    delta = abs(gamma - coarse) / gamma if gamma > 0 else abs(gamma - coarse)
     if delta > 0.01:
         warnings.warn(
             f"integrated degradation changed by {delta:.2%} on step halving; "
@@ -331,9 +312,9 @@ def integrated_gamma(
         d_eve=d_eve,
         beam_offset=beam_offset,
         pass_half_duration=half,
-        integrated_eta_bob=int_bob_2,
-        integrated_eta_eve=int_eve_2,
-        integrated_gamma=gamma_2,
+        integrated_eta_bob=int_bob,
+        integrated_eta_eve=int_eve,
+        integrated_gamma=gamma,
         convergence_delta=delta,
     )
 

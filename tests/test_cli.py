@@ -356,6 +356,37 @@ class TestOrbitCommand:
         assert out == ""
         assert f"config error: orbit: {floor}, got {float(offset)}" in err
 
+    def test_beam_far_narrower_than_the_disk_prints_finite_json(self, capsys, tmp_path):
+        # 9 cm below the transmitter the interceptor sees a picometre beam on
+        # a 1.2 m disk; the pass integral used to print NaN and exit 0.
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"orbit": {
+            "alice_altitude_m": 534385.6530111203, "eve_orbit_offset_m": 0.08699603240212532,
+            "eve_telescope_diameter_m": 1.2471911255204324, "divergence_rad": 1.021380458115991e-06,
+            "legacy_beam_width": True,
+        }}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_OK, err
+
+        def reject(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+
+        summary = json.loads(out, parse_constant=reject)
+        assert summary["integrated_gamma"] > 0.0
+
+    def test_non_finite_disk_fraction_exits_3(self, capsys, tmp_path):
+        # The disk rim crosses a beam 2e5 times narrower than the disk.
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"orbit": {
+            "alice_altitude_m": 854952.7561328075, "eve_orbit_offset_m": 0.9689265089512085,
+            "eve_telescope_diameter_m": 0.8796605273624306, "divergence_rad": 4.045491271072542e-06,
+            "min_elevation_deg": 38.577238641982206,
+        }}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "numerical failure: Gaussian disk fraction is not finite" in err
+
     def test_solve_gamma_reports_required_offset(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--format", "json", "--solve-gamma", "0.1")
         assert code == EXIT_OK

@@ -138,6 +138,16 @@ class TestGaussianDiskFraction:
     def test_far_offset_is_zero(self):
         assert gaussian_disk_fraction(0.01, 100.0, 1.0) == 0.0
 
+    def test_saturates_beyond_eight_beam_radii(self):
+        # Picometre beams on a decimetre disk: the chi-square CDF is NaN here.
+        assert gaussian_disk_fraction(1e-11, 0.095, 0.62) == 1.0
+        assert gaussian_disk_fraction(1e-10, 0.7, 0.62) == 0.0
+
+    def test_non_finite_edge_band_raises(self):
+        # The rim on the beam axis of a disk a million beam radii wide.
+        with pytest.raises(FloatingPointError, match="not finite"):
+            gaussian_disk_fraction(1e-6, 1.0, 1.0)
+
     def test_against_bessel_integral_oracle(self):
         # The accuracy stated in the gaussian_disk_fraction docstring, over its
         # domain: disks of 0.01 to 100 beam radii, offsets up to 7 beam radii

@@ -27,8 +27,7 @@ from wiretap_space.orbitsim import (
     pass_window,
     required_orbital_exclusion,
     _crossing_half_time,
-    _eta_bob_series,
-    _eta_eve_series,
+    _efficiencies,
     _pass_geometry,
 )
 
@@ -87,11 +86,11 @@ def _dense_gamma(scenario: OrbitScenario) -> float:
     station, 2**15 over the bisected interceptor extent for the interceptor."""
     half = pass_window(scenario)
     times = np.linspace(-half, half, 2**16 + 1)
-    d_bob, *_ = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
-    int_bob = np.trapezoid(_eta_bob_series(scenario, d_bob), times)
+    *_, eta_bob, _ = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
+    int_bob = np.trapezoid(eta_bob, times)
     times = np.linspace(-_candidate_extent(scenario, -1.0), _candidate_extent(scenario, 1.0), 2**15 + 1)
-    d_bob, _, along, beam_offset = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
-    int_eve = np.trapezoid(_eta_eve_series(scenario, d_bob, along, beam_offset), times)
+    *_, eta_eve = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
+    int_eve = np.trapezoid(eta_eve, times)
     return float(int_eve / int_bob)
 
 
@@ -179,7 +178,7 @@ class TestInstantaneousEfficiencies:
         scenario = replace(LEO, legacy_beam_width=legacy)
         times = np.linspace(-0.02, 0.02, 401)
         d_bob, _, along, beam_offset = _pass_geometry(scenario, DEFAULT_CONSTANTS, times)
-        eta = _eta_eve_series(scenario, d_bob, along, beam_offset)
+        *_, eta = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
         theta = scenario.divergence_full_angle
         disk = 0.5 * scenario.eve_telescope_diameter
         expected = []
@@ -299,7 +298,45 @@ class TestIntegratedGamma:
                 profile = integrated_gamma(scenario)
         except ValueError:
             return  # no pass: GEO and beyond, or a zenith-only window
+        except FloatingPointError:
+            return  # a disk rim crossing a beam far narrower than the disk
         assert 4 * CROSSING_PANELS + 1 <= profile.times.size <= MAX_PASS_SAMPLES
+        assert math.isfinite(profile.integrated_gamma)
+        assert math.isfinite(profile.convergence_delta)
+
+    def test_one_geometry_evaluation_per_pass(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return _pass_geometry(*args)
+
+        monkeypatch.setattr(orbitsim, "_pass_geometry", counted)
+        profile = integrated_gamma(LEO)
+        assert calls == [profile.times.size]
+
+    @pytest.mark.parametrize("draw,seed", [(_bench_pass, 11), (_wide_pass, 12)])
+    def test_convergence_delta_from_the_coarse_grid(self, draw, seed):
+        # The coarse grid, built here: CROSSING_PANELS panels over the fine
+        # zone and panels of at most T / PASS_PANELS over the rest.
+        rng = np.random.default_rng(seed)
+        for _ in range(16):
+            scenario = draw(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepSizeWarning)
+                profile = integrated_gamma(scenario)
+            half = profile.pass_half_duration
+            zone = min(1.25 * _crossing_half_time(scenario, DEFAULT_CONSTANTS), half)
+            outer = math.ceil(PASS_PANELS * (half - zone) / half)
+            positive = np.concatenate([
+                np.linspace(0.0, zone, CROSSING_PANELS + 1),
+                np.linspace(zone, half, outer + 1)[1:],
+            ])
+            times = np.concatenate([-positive[:0:-1], positive])
+            *_, eta_bob, eta_eve = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
+            coarse = float(np.trapezoid(eta_eve, times)) / float(np.trapezoid(eta_bob, times))
+            gamma = profile.integrated_gamma
+            assert profile.convergence_delta == abs(gamma - coarse) / gamma
 
     def test_monotone_in_offset(self):
         offsets = [5e3, 10e3, 20e3, 50e3, 100e3]
