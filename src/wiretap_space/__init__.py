@@ -11,7 +11,6 @@ from .detection import (
     overlap,
 )
 from .linkbudget import (
-    BeamModel,
     LinkGeometry,
     bob_free_space,
     db_to_fraction,
@@ -38,7 +37,6 @@ from .orbitsim import (
     StepSizeWarning,
     alignment_periods,
     angular_velocity,
-    instantaneous_efficiencies,
     integrated_gamma,
     pass_window,
     required_orbital_exclusion,

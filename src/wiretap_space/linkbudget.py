@@ -1,10 +1,14 @@
 """Static downlink geometry and eavesdropper exclusion radii.
 
 The transmitted beam is Gaussian with a full divergence angle ``theta_div``
-quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``.
-Collection fractions use the footprint-area approximation (aperture area over
-beam footprint area) for the legitimate receiver; the interceptor's fraction
-adds the Gaussian tail factor imposed by the exclusion angle.
+quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``
+(:func:`_beam_radius`).  The receiver's collected fraction has two forms,
+both in :func:`_station_fraction`: the footprint-area approximation
+(aperture area over beam footprint area), used by the static budget, and
+the encircled power of the Gaussian beam, the orbital pass model's default.
+The interceptor's fraction adds the Gaussian tail factor imposed by the
+exclusion angle (:func:`_exclusion_tail`).  The pass model in ``orbitsim``
+imports these helpers, so each formula is written once.
 
 Two exclusion-radius models are provided.  The "partial" model gives the
 interceptor a fixed telescope at the same range as the receiver and inverts
@@ -18,9 +22,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "LinkBudgetWarning",
-    "BeamModel",
     "LinkGeometry",
     "ExclusionCurveRow",
     "bob_free_space",
@@ -50,22 +55,23 @@ def fraction_to_db(fraction: float) -> float:
     return -10.0 * math.log10(fraction)
 
 
-@dataclass(frozen=True)
-class BeamModel:
-    """Linear far-field beam growth: 1/e^2 radius ``divergence * d / 2``."""
+def _beam_radius(divergence, distance):
+    """Far-field 1/e^2 beam radius ``divergence * distance / 2``; broadcasts."""
+    return 0.5 * divergence * distance
 
-    divergence_full_angle: float
 
-    def __post_init__(self):
-        if not self.divergence_full_angle > 0:
-            raise ValueError(
-                f"divergence_full_angle must be > 0, got {self.divergence_full_angle}"
-            )
+def _station_fraction(diam, divergence, distance, model: str):
+    """Unclamped fraction of the beam collected by a centred aperture.
 
-    def radius_at(self, distance: float) -> float:
-        if distance < 0:
-            raise ValueError(f"distance must be >= 0, got {distance}")
-        return 0.5 * self.divergence_full_angle * distance
+    ``"footprint"``: ``D^2 / (theta d)^2``, aperture over footprint area.
+    ``"gaussian"``: encircled power ``1 - exp(-2 a^2 / w^2)`` with ``a = D/2``
+    and ``w`` the beam radius.  Broadcasts over arrays.
+    """
+    if model == "footprint":
+        return diam**2 / (divergence * distance) ** 2
+    a = 0.5 * diam
+    w = _beam_radius(divergence, distance)
+    return 1.0 - np.exp(-2.0 * a * a / (w * w))
 
 
 @dataclass(frozen=True)
@@ -102,24 +108,19 @@ class LinkGeometry:
         """Small-angle exclusion half-angle ``r_E / d_B``."""
         return self.exclusion_radius / self.dist_bob
 
-    @property
-    def beam(self) -> BeamModel:
-        return BeamModel(self.divergence_full_angle)
+
+def _exclusion_tail(geom: LinkGeometry) -> float:
+    """Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)`` of the exclusion cone."""
+    return math.exp(-2.0 * (2.0 * geom.exclusion_angle / geom.divergence_full_angle) ** 2)
 
 
-def bob_free_space(geom: LinkGeometry, exact_gaussian: bool = False) -> float:
+def bob_free_space(geom: LinkGeometry) -> float:
     """Fraction of transmitted light collected by the receiver aperture.
 
-    The default footprint-area approximation is ``D^2 / (theta^2 d^2)``,
-    clamped to 1 (with a warning) when the footprint is smaller than the
-    aperture.  ``exact_gaussian=True`` switches to the encircled-power
-    expression ``1 - exp(-2 a^2 / w(d)^2)`` for sensitivity studies.
+    The footprint-area approximation ``D^2 / (theta^2 d^2)``, clamped to 1
+    (with a warning) when the footprint is smaller than the aperture.
     """
-    if exact_gaussian:
-        w = geom.beam.radius_at(geom.dist_bob)
-        a = 0.5 * geom.diam_bob
-        return 1.0 - math.exp(-2.0 * a * a / (w * w))
-    ratio = geom.diam_bob**2 / (geom.divergence_full_angle * geom.dist_bob) ** 2
+    ratio = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
     if ratio > 1.0:
         warnings.warn(
             f"beam footprint smaller than receiver aperture (ratio {ratio:.3g}); clamped to 1",
@@ -136,9 +137,8 @@ def eve_free_space(geom: LinkGeometry) -> float:
     Footprint ratio at the interceptor's range times the Gaussian tail factor
     ``exp(-2 (2 theta_E / theta_div)^2)``.
     """
-    ratio = geom.diam_eve**2 / (geom.divergence_full_angle * geom.dist_eve) ** 2
-    tail = math.exp(-2.0 * (2.0 * geom.exclusion_angle / geom.divergence_full_angle) ** 2)
-    return ratio * tail
+    ratio = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
+    return ratio * _exclusion_tail(geom)
 
 
 def gamma_partial(geom: LinkGeometry) -> float:
@@ -148,12 +148,11 @@ def gamma_partial(geom: LinkGeometry) -> float:
     Values >= 1 are legal outputs (they mean no secrecy is possible) and are
     rejected only when fed into secrecy computations.
     """
-    tail = math.exp(-2.0 * (2.0 * geom.exclusion_angle / geom.divergence_full_angle) ** 2)
     return (
         (1.0 / geom.eta_b)
         * (geom.dist_bob / geom.dist_eve) ** 2
         * (geom.diam_eve / geom.diam_bob) ** 2
-        * tail
+        * _exclusion_tail(geom)
     )
 
 
@@ -185,7 +184,7 @@ def exclusion_radius_partial(
         raise ValueError(
             f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"
         )
-    return 0.5 * divergence * dist * math.sqrt(0.5 * math.log(log_arg))
+    return _beam_radius(divergence, dist) * math.sqrt(0.5 * math.log(log_arg))
 
 
 def exclusion_radius_total(

@@ -8,7 +8,10 @@ one pass, integrates them into an effective channel-degradation factor,
 solves for the orbital exclusion radius achieving a target degradation, and
 reports revisit/alignment periods.  The pass grid is derived from the
 geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples;
-the step-halving check reads every other one.
+the step-halving check reads every other one.  Beam radius and station
+fraction come from ``linkbudget`` (:func:`~.linkbudget._beam_radius`,
+:func:`~.linkbudget._station_fraction`), both orbits' radii and rates from
+:func:`_orbits`.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linkbudget import _beam_radius, _station_fraction
 from .numerics import Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
@@ -29,7 +33,6 @@ __all__ = [
     "PASS_PROFILE_COLUMNS",
     "angular_velocity",
     "pass_window",
-    "instantaneous_efficiencies",
     "integrated_gamma",
     "required_orbital_exclusion",
     "alignment_periods",
@@ -156,6 +159,13 @@ def angular_velocity(orbit_radius: float, constants: PhysicalConstants = DEFAULT
     return math.sqrt(constants.earth_mu / orbit_radius**3)
 
 
+def _orbits(scenario: OrbitScenario, constants: PhysicalConstants):
+    """(a_alice, a_eve, w_alice, w_eve): both orbits' radii and angular rates."""
+    a_alice = constants.earth_radius + scenario.alice_altitude
+    a_eve = a_alice - scenario.eve_orbit_offset
+    return a_alice, a_eve, angular_velocity(a_alice, constants), angular_velocity(a_eve, constants)
+
+
 def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Half-width T of the symmetric integration window ``[-T, T]``.
 
@@ -171,8 +181,8 @@ def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_
     cancellation near zenith.
     """
     earth_radius = constants.earth_radius
-    orbit_radius = earth_radius + scenario.alice_altitude
-    rel_rate = angular_velocity(orbit_radius, constants) - constants.earth_angular_velocity
+    orbit_radius, _, w_alice, _ = _orbits(scenario, constants)
+    rel_rate = w_alice - constants.earth_angular_velocity
     if rel_rate <= 0:
         raise ValueError("transmitter must move faster than the ground station rotates")
     if scenario.min_elevation >= 0.5 * math.pi - 1e-12:
@@ -193,10 +203,7 @@ def _pass_geometry(scenario: OrbitScenario, constants: PhysicalConstants, times:
     transmitter-interceptor distances, the interceptor's projection onto the
     transmitter-to-station beam axis, and her perpendicular distance from it.
     """
-    a_alice = constants.earth_radius + scenario.alice_altitude
-    a_eve = a_alice - scenario.eve_orbit_offset
-    w_alice = angular_velocity(a_alice, constants)
-    w_eve = angular_velocity(a_eve, constants)
+    a_alice, a_eve, w_alice, w_eve = _orbits(scenario, constants)
     w_ground = constants.earth_angular_velocity
 
     ax, ay = a_alice * np.cos(w_alice * times), a_alice * np.sin(w_alice * times)
@@ -218,37 +225,24 @@ def _beam_reach(scenario: OrbitScenario, distance):
     """Beam radius ``w`` at ``distance`` from the transmitter, and the
     interceptor's reach there: she collects light only while her disk's
     centre is within ``D_E/2 + 8w`` of the beam axis."""
-    radius = (1.0 if scenario.legacy_beam_width else 0.5) * scenario.divergence_full_angle * distance
+    widening = 2.0 if scenario.legacy_beam_width else 1.0
+    radius = widening * _beam_radius(scenario.divergence_full_angle, distance)
     return radius, 0.5 * scenario.eve_telescope_diameter + _REACH_RADII * radius
 
 
 def _efficiencies(scenario: OrbitScenario, constants: PhysicalConstants, times: np.ndarray):
     """Pass series at the given times: (d_bob, d_eve, beam_offset, eta_bob, eta_eve)."""
     d_bob, d_eve, along, beam_offset = _pass_geometry(scenario, constants, times)
-    theta = scenario.divergence_full_angle
-    if scenario.bob_aperture_model == "footprint":
-        frac = np.minimum(scenario.diam_bob**2 / (theta * d_bob) ** 2, 1.0)
-    else:
-        w = 0.5 * theta * d_bob
-        a = 0.5 * scenario.diam_bob
-        frac = 1.0 - np.exp(-2.0 * a * a / (w * w))
+    frac = _station_fraction(
+        scenario.diam_bob, scenario.divergence_full_angle, d_bob, scenario.bob_aperture_model
+    )
     widths, reach = _beam_reach(scenario, along)
     eta_eve = np.zeros_like(d_bob)
     # The interceptor collects only between transmitter and station, and only
     # within reach of the beam axis (beyond it her fraction is at most 6.4e-58).
     near = (along > 0.0) & (along < d_bob) & (beam_offset <= reach)
     eta_eve[near] = _disk_fraction(widths[near], beam_offset[near], 0.5 * scenario.eve_telescope_diameter)
-    return d_bob, d_eve, beam_offset, scenario.eta_b * frac, eta_eve
-
-
-def instantaneous_efficiencies(
-    scenario: OrbitScenario,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    t: float = 0.0,
-) -> tuple[float, float]:
-    """Collection efficiencies of station and interceptor at time ``t``."""
-    *_, eta_bob, eta_eve = _efficiencies(scenario, constants, np.array([float(t)]))
-    return float(eta_bob[0]), float(eta_eve[0])
+    return d_bob, d_eve, beam_offset, scenario.eta_b * np.minimum(frac, 1.0), eta_eve
 
 
 def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -> float:
@@ -257,12 +251,11 @@ def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -
     ``a_E omega_E - [v_A + (offset / h)(v_G - v_A)]``.  The speed is
     positive unless rounding makes it 0; the crossing is then endless.
     """
-    a_alice = constants.earth_radius + scenario.alice_altitude
-    a_eve = a_alice - scenario.eve_orbit_offset
-    v_alice = a_alice * angular_velocity(a_alice, constants)
+    a_alice, a_eve, w_alice, w_eve = _orbits(scenario, constants)
+    v_alice = a_alice * w_alice
     v_ground = constants.earth_radius * constants.earth_angular_velocity
     v_axis = v_alice + scenario.eve_orbit_offset / scenario.alice_altitude * (v_ground - v_alice)
-    speed = a_eve * angular_velocity(a_eve, constants) - v_axis
+    speed = a_eve * w_eve - v_axis
     _, reach = _beam_reach(scenario, scenario.eve_orbit_offset)
     return reach / speed if speed > 0.0 else math.inf
 
@@ -352,10 +345,7 @@ def alignment_periods(
     rate; the alignment period by the interceptor-vs-transmitter rate, which
     shrinks toward zero as their orbits approach (period diverges).
     """
-    a_alice = constants.earth_radius + scenario.alice_altitude
-    a_eve = a_alice - scenario.eve_orbit_offset
-    w_alice = angular_velocity(a_alice, constants)
-    w_eve = angular_velocity(a_eve, constants)
+    _, _, w_alice, w_eve = _orbits(scenario, constants)
     d_ground = w_alice - constants.earth_angular_velocity
     d_eve = w_eve - w_alice
     if d_ground == 0.0 or d_eve == 0.0:

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import mp_total_exclusion_radius
 from wiretap_space.linkbudget import (
-    BeamModel,
     LinkBudgetWarning,
     LinkGeometry,
     bob_free_space,
@@ -16,6 +15,8 @@ from wiretap_space.linkbudget import (
     fraction_to_db,
     gamma_partial,
     radius_vs_gamma_curve,
+    _beam_radius,
+    _station_fraction,
 )
 
 MICIUS = LinkGeometry()  # 1200 km, 1 m / 2 m telescopes, 20 dB receiver loss
@@ -44,9 +45,12 @@ class TestBobFreeSpace:
 
     def test_exact_gaussian_variant(self):
         geometry = micius_at(1.2e6)
-        w = geometry.beam.radius_at(1.2e6)
+        w = 0.5 * geometry.divergence_full_angle * geometry.dist_bob
         expected = 1.0 - math.exp(-2.0 * 0.25 / (w * w))
-        assert bob_free_space(geometry, exact_gaussian=True) == pytest.approx(expected, rel=1e-12)
+        value = _station_fraction(1.0, geometry.divergence_full_angle, geometry.dist_bob, "gaussian")
+        assert value == pytest.approx(expected, rel=1e-12)
+        # the encircled power of a 1 m aperture in a 6 m beam is about twice the footprint ratio
+        assert value == pytest.approx(2.0 * bob_free_space(geometry), rel=2e-2)
 
 
 class TestEveFreeSpace:
@@ -222,13 +226,11 @@ class TestUnitsHelpers:
             assert fraction_to_db(db_to_fraction(db)) == pytest.approx(db, abs=1e-12)
 
     def test_beam_model(self):
-        beam = BeamModel(1e-5)
-        assert beam.radius_at(0.0) == 0.0
-        assert beam.radius_at(1.2e6) == pytest.approx(6.0)
+        assert _beam_radius(1e-5, 0.0) == 0.0
+        assert _beam_radius(1e-5, 1.2e6) == pytest.approx(6.0)
+        assert _beam_radius(1e-5, np.array([6e5, 1.2e6])).tolist() == pytest.approx([3.0, 6.0])
         with pytest.raises(ValueError):
-            beam.radius_at(-1.0)
-        with pytest.raises(ValueError):
-            BeamModel(0.0)
+            LinkGeometry(divergence_full_angle=0.0)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

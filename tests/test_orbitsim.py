@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bisect_reference, mp_pass_half_width, propagated_lap_period
 from wiretap_space import orbitsim
 from wiretap_space.cli import EXIT_OK, main
+from wiretap_space.linkbudget import LinkGeometry, bob_free_space
 from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     CROSSING_PANELS,
@@ -22,7 +23,6 @@ from wiretap_space.orbitsim import (
     StepSizeWarning,
     alignment_periods,
     angular_velocity,
-    instantaneous_efficiencies,
     integrated_gamma,
     pass_window,
     required_orbital_exclusion,
@@ -64,6 +64,12 @@ def _wide_pass(rng) -> OrbitScenario:
         bob_aperture_model=("gaussian", "footprint")[rng.integers(2)],
         legacy_beam_width=bool(rng.integers(2)),
     )
+
+
+def _at(scenario: OrbitScenario, t: float) -> tuple[float, float]:
+    """(eta_bob, eta_eve) at one time, from the pass series on a one-sample grid."""
+    *_, eta_bob, eta_eve = _efficiencies(scenario, DEFAULT_CONSTANTS, np.array([t]))
+    return float(eta_bob[0]), float(eta_eve[0])
 
 
 def _candidate_extent(scenario: OrbitScenario, sign: float) -> float:
@@ -164,11 +170,11 @@ class TestPassWindow:
 
 class TestInstantaneousEfficiencies:
     def test_culmination_interceptor_swallows_beam(self):
-        _, eta_eve = instantaneous_efficiencies(LEO, t=0.0)
+        _, eta_eve = _at(LEO, 0.0)
         assert eta_eve > 0.999
 
     def test_culmination_bob_gaussian(self):
-        eta_bob, _ = instantaneous_efficiencies(LEO, t=0.0)
+        eta_bob, _ = _at(LEO, 0.0)
         w = 0.5 * 1e-5 * 600e3
         expected = 0.01 * (1.0 - math.exp(-2.0 * 0.25 / (w * w)))
         assert eta_bob == pytest.approx(expected, rel=1e-9)
@@ -189,15 +195,26 @@ class TestInstantaneousEfficiencies:
         assert eta.tolist() == expected
         assert 0 < np.count_nonzero(eta) < eta.size
 
+    def test_culmination_footprint_matches_static_budget(self):
+        scenario = replace(LEO, bob_aperture_model="footprint")
+        eta_bob, _ = _at(scenario, 0.0)
+        geometry = LinkGeometry(
+            dist_bob=scenario.alice_altitude,
+            diam_bob=scenario.diam_bob,
+            divergence_full_angle=scenario.divergence_full_angle,
+            eta_b=scenario.eta_b,
+        )
+        assert eta_bob == geometry.eta_b * bob_free_space(geometry)
+
     def test_interceptor_dark_away_from_alignment(self):
-        _, eta_eve = instantaneous_efficiencies(LEO, t=30.0)
+        _, eta_eve = _at(LEO, 30.0)
         assert eta_eve < 1e-12
 
     def test_footprint_inverse_square_ratio(self):
         scenario = replace(LEO, bob_aperture_model="footprint")
         t_cross = pass_window(scenario) / 2.0  # elevation hits 20 degrees here
-        eta_peak, _ = instantaneous_efficiencies(scenario, t=0.0)
-        eta_edge, _ = instantaneous_efficiencies(scenario, t=t_cross)
+        eta_peak, _ = _at(scenario, 0.0)
+        eta_edge, _ = _at(scenario, t_cross)
         assert eta_peak / eta_edge == pytest.approx((1392.2 / 600.0) ** 2, rel=2e-3)
 
     def test_distance_never_below_altitude(self):
@@ -378,10 +395,8 @@ class TestIntegratedGamma:
     def test_legacy_beam_width_flag_changes_transit_edge(self):
         # during the beam-edge transit the doubled width collects differently
         t_edge = 5.0e-3
-        _, eta_half = instantaneous_efficiencies(LEO, t=t_edge)
-        _, eta_full = instantaneous_efficiencies(
-            replace(LEO, legacy_beam_width=True), t=t_edge
-        )
+        _, eta_half = _at(LEO, t_edge)
+        _, eta_full = _at(replace(LEO, legacy_beam_width=True), t_edge)
         assert 0.0 < eta_half <= 1.0 and 0.0 < eta_full <= 1.0
         assert eta_half != pytest.approx(eta_full, rel=1e-6)
 
