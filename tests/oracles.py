@@ -3,7 +3,9 @@
 Nothing here shares code with the library paths it checks: the disk
 fraction is estimated by Monte Carlo and by an mpmath radial Bessel integral
 instead of the noncentral chi-square CDF, maxima by dense grid enumeration
-instead of golden section, roots by a plain bisection loop, the pass window
+instead of golden section, roots by a plain bisection loop, the Helstrom
+error and the distinguishability angle by their direct formulas at raised
+precision instead of the cancellation-free forms, the pass window
 and the total-collection exclusion radius by 50-digit bisection of the
 equations the library inverts in closed form, and orbital periods by
 step-wise propagation instead of rate differences.
@@ -112,6 +114,24 @@ def mc_disk_fraction_adaptive(
         if n >= max_samples:
             return estimate, stderr
         n = min(n * 4, max_samples)
+
+
+def mp_helstrom_error(mean_photons: float, q: float) -> float:
+    """Helstrom error ``(1 - sqrt(1 - x)) / 2``, ``x = 4 q (1-q) e^-n``, with
+    50 digits more than the subtraction cancels."""
+    def value():
+        x = 4 * mpmath.mpf(q) * (1 - mpmath.mpf(q)) * mpmath.exp(-mpmath.mpf(mean_photons))
+        return x, (1 - mpmath.sqrt(1 - x)) / 2
+
+    x, _ = value()
+    with mpmath.workdps(50 + (int(-mpmath.log10(x)) if 0 < x < 1 else 0)):
+        return float(value()[1])
+
+
+def mp_distinguishability_angle(mean_photons: float) -> float:
+    """``acos(exp(-n/2))`` at 200 digits."""
+    with mpmath.workdps(200):
+        return float(mpmath.acos(mpmath.exp(-mpmath.mpf(mean_photons) / 2)))
 
 
 def grid_argmax(f, lo: float, hi: float, n: int = 10_000_001) -> float:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
+from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from wiretap_space.linkbudget import radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
@@ -49,6 +51,13 @@ class TestCapacityCommand:
         assert rows[0]["private_capacity"] == pytest.approx(0.680, abs=0.01)
         assert rows[0]["epsilon_star"] == pytest.approx(0.213, abs=0.005)
         assert rows[0]["phi_deg"] == pytest.approx(35.0, abs=0.5)
+
+    def test_strong_interceptor_epsilon_star_is_not_zero(self, capsys):
+        # 1 - sqrt(1 - x) printed 0 here; the value is ~4.2e-20
+        code, out, _ = run_cli(capsys, "capacity", "--photons", "100", "--gamma", "0.4")
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["epsilon_star"] == format_cell(mp_helstrom_error(40.0, float(row["q"])))
 
     def test_optimize_photons(self, capsys):
         code, out, _ = run_cli(
@@ -191,6 +200,20 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
+
+    def test_faint_interceptor_phi_is_not_zero(self, capsys):
+        # arccos(exp(-n/2)) printed phi_deg 0 on 49 rows of this grid
+        code, out, _ = run_cli(
+            capsys, "sweep", "--format", "json",
+            "--axis", "received_mean_photons:0.001:100:24:log",
+            "--axis", "exclusion_radius_m:11:30:12",
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        assert len(rows) == 288
+        for row in rows:
+            expected = math.degrees(mp_distinguishability_angle(row["gamma"] * row["received_mean_photons"]))
+            assert format_cell(row["phi_deg"]) == format_cell(expected)
 
     @pytest.mark.parametrize(
         "spec, message",

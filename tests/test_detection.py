@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import entropy_bits, grid_argmax
+from oracles import entropy_bits, grid_argmax, mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.detection import (
     BinaryCoherentEnsemble,
     distinguishability_angle,
@@ -59,6 +59,14 @@ class TestDistinguishabilityAngle:
         assert all(b > a for a, b in zip(angles, angles[1:]))
         assert distinguishability_angle(500.0) == pytest.approx(math.pi / 2, abs=1e-10)
 
+    def test_mpmath_oracle(self):
+        # arccos of an overlap near 1 returned 0 below ~1e-16 photons
+        rng = np.random.default_rng(8)
+        photons = np.concatenate([10.0 ** rng.uniform(-18, math.log10(160.0), 400), [1e-18, 1e-12, 160.0]])
+        for n in photons:
+            expected = mp_distinguishability_angle(float(n))
+            assert distinguishability_angle(float(n)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
 class TestHelstromError:
     def test_guessing_between_identical(self):
@@ -86,6 +94,21 @@ class TestHelstromError:
         photons = np.linspace(0.0, 20.0, 50)
         errors = [helstrom_error(BinaryCoherentEnsemble(float(n), 0.5)) for n in photons]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
+
+    def test_mpmath_oracle(self):
+        # 1 - sqrt(1 - x) cancelled at high photon numbers: 1.3e-3 relative at 30, 0 at 100
+        rng = np.random.default_rng(8)
+        photons = 10.0 ** rng.uniform(-18, math.log10(160.0), 400)
+        priors = np.concatenate([
+            rng.uniform(0.0, 1.0, 200),
+            0.5 + rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-16, -1, 100),
+            10.0 ** rng.uniform(-200, -1, 100),
+        ])
+        cases = list(zip(photons, priors)) + [(20.0, 0.5), (30.0, 0.5), (100.0, 0.01), (160.0, 0.5)]
+        for n, q in cases:
+            expected = mp_helstrom_error(float(n), float(q))
+            value = helstrom_error(BinaryCoherentEnsemble(float(n), float(q)))
+            assert value == pytest.approx(expected, rel=1e-15, abs=0.0), (n, q)
 
 
 class TestHelstromProjector:
