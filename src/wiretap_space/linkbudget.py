@@ -1,14 +1,12 @@
 """Static downlink geometry and eavesdropper exclusion radii.
 
 The transmitted beam is Gaussian with a full divergence angle ``theta_div``
-quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``
-(:func:`_beam_radius`).  The receiver's collected fraction has two forms,
-both in :func:`_station_fraction`: the footprint-area approximation
-(aperture area over beam footprint area), used by the static budget, and
-the encircled power of the Gaussian beam, the orbital pass model's default.
-The interceptor's fraction adds the Gaussian tail factor imposed by the
-exclusion angle (:func:`_exclusion_tail`).  The pass model in ``orbitsim``
-imports these helpers, so each formula is written once.
+quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``.
+The static budget collects the footprint-area fraction (aperture area over
+beam footprint area); the encircled-power form is the pass model's default
+(both in :func:`_station_fraction`, which ``orbitsim`` imports).  The
+interceptor's fraction adds the Gaussian tail factor imposed by the
+exclusion angle.
 
 Two exclusion-radius models are provided.  The "partial" model gives the
 interceptor a fixed telescope at the same range as the receiver and inverts

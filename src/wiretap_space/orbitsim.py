@@ -8,10 +8,8 @@ one pass, integrates them into an effective channel-degradation factor,
 solves for the orbital exclusion radius achieving a target degradation, and
 reports revisit/alignment periods.  The pass grid is derived from the
 geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples;
-the step-halving check reads every other one.  Beam radius and station
-fraction come from ``linkbudget`` (:func:`~.linkbudget._beam_radius`,
-:func:`~.linkbudget._station_fraction`), both orbits' radii and rates from
-:func:`_orbits`.
+the step-halving check reads every other one.  The beam radius and the
+station's fraction are ``linkbudget``'s.
 """
 from __future__ import annotations
 
