@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
-``orbit``, ``table1``.  Every run echoes the fully resolved configuration to
-stderr so results are reproducible from the log alone.  Exit codes: 0 on
-success, 2 for configuration errors (an invalid config or flag value, or an
-unwritable ``--out`` path), 3 for numerical failures: the orbital-offset
-bracket with no sign change, or a result or intermediate that a float cannot
-hold on extreme inputs.
+``orbit``, ``table1``.  Value flags such as ``--q`` override config fields,
+and every run echoes the resolved configuration to stderr, so results are
+reproducible from the log alone.  Exit codes: 0 on success, 2 for a
+``ConfigError`` (an invalid config, flag or axis, or an unwritable ``--out``
+path), 3 for a numerical failure (an offset bracket with no sign change, a
+value no float can hold) or an internal error (any other ``ValueError``).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from typing import Sequence
 
 from .linkbudget import (
@@ -25,7 +25,7 @@ from .linkbudget import (
     gamma_partial,
     radius_vs_gamma_curve,
 )
-from .numerics import BracketError
+from .numerics import BracketError, ConfigError
 from .orbitsim import (
     PASS_PROFILE_COLUMNS,
     alignment_periods,
@@ -36,12 +36,9 @@ from .scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
     EXCLUSION_OUTPUTS,
     TABLE1_HEADER,
-    ConfigError,
     ScenarioConfig,
     SweepAxis,
-    capacity_point,
     capacity_row,
-    config_from_dict,
     config_to_dict,
     emit_table1,
     exclusion_sweep,
@@ -52,13 +49,18 @@ from .scenario_io import (
     resolved_gamma,
     rows_to_json,
     sweep,
+    with_values,
     write_csv,
 )
-from .secrecy import optimal_signal_strength
+from .secrecy import optimal_signal_strength, secrecy_points
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# The config key each value flag overrides.
+_FLAG_KEYS = {"photons": "received_mean_photons", "gamma": "gamma", "q": "q",
+              "offset": "eve_orbit_offset_m"}
 
 
 def _finite_float(text: str) -> float:
@@ -146,11 +148,10 @@ def _parse_axis(text: str) -> SweepAxis:
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
-    if args.config is None:
-        return config_from_dict({})
-    if args.config in PRESET_NAMES:
-        return preset_config(args.config)
-    return load_config(args.config)
+    name = PRESET_NAMES[0] if args.config is None else args.config
+    config = preset_config(name) if name in PRESET_NAMES else load_config(name)
+    flags = [(key, getattr(args, dest, None)) for dest, key in _FLAG_KEYS.items()]
+    return with_values(config, [(key, value) for key, value in flags if value is not None])
 
 
 def _echo_config(config: ScenarioConfig) -> None:
@@ -180,13 +181,13 @@ def _emit(args: argparse.Namespace, header: Sequence[str], rows) -> None:
 
 
 def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    gamma = args.gamma if args.gamma is not None else resolved_gamma(config)
+    gamma = resolved_gamma(config)
+    detector = config.detector
     if args.optimize_photons:
-        _, point = optimal_signal_strength(config.detector, gamma)
+        _, point = optimal_signal_strength(detector, gamma)
     else:
-        photons = args.photons if args.photons is not None else config.operating.received_mean_photons
-        q = args.q if args.q is not None else config.operating.q
-        point = capacity_point(config.detector, photons, gamma, q)
+        (point,) = secrecy_points(config.operating.received_mean_photons, gamma, config.operating.q,
+                                  detector.p_dark, detector.eta_optical, detector.stray_mean)
     _emit(args, list(CAPACITY_SWEEP_OUTPUTS), [capacity_row(point, config.link.clock_rate)])
 
 
@@ -232,11 +233,8 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
 
 
 def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    scenario = config.orbit
-    if args.offset is not None:
-        scenario = replace(scenario, eve_orbit_offset=args.offset)
-    profile = integrated_gamma(scenario, config.constants)
-    revisit, intercept_period = alignment_periods(scenario, config.constants)
+    profile = integrated_gamma(config.orbit, config.constants)
+    revisit, intercept_period = alignment_periods(config.orbit, config.constants)
     visible = profile.times[profile.eta_eve > 1e-3]
     window = float(visible[-1] - visible[0]) if visible.size else 0.0
     summary = {
@@ -252,7 +250,7 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
     }
     if args.solve_gamma is not None:
         summary["required_offset_m"] = required_orbital_exclusion(
-            scenario, config.constants, gamma_target=args.solve_gamma
+            config.orbit, config.constants, gamma_target=args.solve_gamma
         )
     print("pass-summary: " + json.dumps(summary), file=sys.stderr)
     with _output(args) as stream:
@@ -293,8 +291,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import ConfigError
+
 __all__ = [
     "LinkBudgetWarning",
     "LinkGeometry",
@@ -167,20 +169,20 @@ def exclusion_radius_partial(
     ``r = (theta d / 2) sqrt( ln((1/gamma)(1/eta_b)(D_E/D_B)^2) / 2 )``
     with the natural logarithm.
 
-    Raises ``ValueError`` when the logarithm argument is below 1, i.e. when
+    Raises ``ConfigError`` when the logarithm argument is below 1, i.e. when
     the target degradation is met with no exclusion zone at all; an argument
     of exactly 1 returns 0.
     """
     if not 0.0 < gamma_target < 1.0:
-        raise ValueError(f"gamma_target must be in (0, 1), got {gamma_target}")
+        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
     if not dist > 0 or not divergence > 0 or not diam_ratio_eve_over_bob > 0:
         raise ValueError("dist, divergence and diameter ratio must be > 0")
     if not 0.0 < eta_b <= 1.0:
         raise ValueError(f"eta_b must be in (0, 1], got {eta_b}")
     log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * diam_ratio_eve_over_bob**2
     if log_arg < 1.0:
-        raise ValueError(
-            f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"
+        raise ConfigError(
+            [f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"]
         )
     return _beam_radius(divergence, dist) * math.sqrt(0.5 * math.log(log_arg))
 
@@ -200,7 +202,7 @@ def exclusion_radius_total(
     right side underflows to 0 or the radius overflows.
     """
     if not 0.0 < gamma_target < 1.0:
-        raise ValueError(f"gamma_target must be in (0, 1), got {gamma_target}")
+        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
     if not dist > 0 or not diam_bob > 0 or not divergence > 0:
         raise ValueError("dist, diam_bob and divergence must be > 0")
     scale = divergence * dist

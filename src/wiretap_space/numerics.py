@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Interval",
     "BracketError",
+    "ConfigError",
     "binary_entropy",
     "binary_channel_information",
     "maximize_1d",
@@ -44,6 +45,14 @@ _REACH_RADII = 8.0
 
 class BracketError(ValueError):
     """The supplied bracket does not straddle a sign change."""
+
+
+class ConfigError(ValueError):
+    """Invalid user input; ``violations`` lists every problem found."""
+
+    def __init__(self, violations: Sequence[str]):
+        super().__init__("invalid configuration: " + "; ".join(violations))
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linkbudget import _beam_radius, _station_fraction
-from .numerics import Interval, _REACH_RADII, _disk_fraction, find_root
+from .numerics import ConfigError, Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
     "PhysicalConstants",
@@ -151,8 +151,8 @@ class PassProfile:
 def angular_velocity(orbit_radius: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Circular-orbit angular rate ``sqrt(GM / a^3)``."""
     if not orbit_radius > constants.earth_radius:
-        raise ValueError(
-            f"orbit_radius must exceed the Earth radius {constants.earth_radius}, got {orbit_radius}"
+        raise ConfigError(
+            [f"orbit_radius must exceed the Earth radius {constants.earth_radius}, got {orbit_radius}"]
         )
     return math.sqrt(constants.earth_mu / orbit_radius**3)
 
@@ -182,7 +182,7 @@ def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_
     orbit_radius, _, w_alice, _ = _orbits(scenario, constants)
     rel_rate = w_alice - constants.earth_angular_velocity
     if rel_rate <= 0:
-        raise ValueError("transmitter must move faster than the ground station rotates")
+        raise ConfigError(["transmitter must move faster than the ground station rotates"])
     if scenario.min_elevation >= 0.5 * math.pi - 1e-12:
         return 0.0
     psi_horizon = math.acos(earth_radius / orbit_radius)
@@ -274,7 +274,7 @@ def integrated_gamma(
     """
     half = pass_window(scenario, constants)
     if half <= 0.0:
-        raise ValueError("pass window is empty; lower min_elevation")
+        raise ConfigError(["pass window is empty; lower min_elevation"])
     crossing = min(1.25 * _crossing_half_time(scenario, constants), half)
     # Mirrored about 0: 2 * CROSSING_PANELS panels cover [0, crossing], panels
     # of at most half / (2 * PASS_PANELS) the rest of the half window.
@@ -323,7 +323,7 @@ def required_orbital_exclusion(
     coarse 25 m.
     """
     if not 0.0 < gamma_target < 1.0:
-        raise ValueError(f"gamma_target must be in (0, 1), got {gamma_target}")
+        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
 
     def excess(offset: float) -> float:
         probe = replace(scenario, eve_orbit_offset=offset)
@@ -347,7 +347,7 @@ def alignment_periods(
     d_ground = w_alice - constants.earth_angular_velocity
     d_eve = w_eve - w_alice
     if d_ground == 0.0 or d_eve == 0.0:
-        raise ValueError("degenerate configuration: equal angular rates")
+        raise ConfigError(["degenerate configuration: equal angular rates"])
     return 2.0 * math.pi / d_ground, 2.0 * math.pi / d_eve
 
 

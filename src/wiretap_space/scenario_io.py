@@ -3,8 +3,8 @@
 Configs are single JSON documents.  One schema table, ``_SCHEMA``, maps each
 JSON field to its section's dataclass attribute; defaults and type rules
 come from the dataclass field defaults (the LEO reference preset), and the
-same table drives validation, the resolved-config echo and the lookup of
-sweep parameters.  All tabular output is deterministic: row-major grid
+same table drives validation, the resolved-config echo and :func:`with_values`
+(sweep cells, CLI flags).  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
 configs produce byte-identical files.  Each 12-column capacity row is
 built by :func:`capacity_row`, for sweeps and single points alike, and each
@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import IO, Any, NamedTuple, Sequence
+from typing import IO, Any, Iterable, NamedTuple, Sequence
 
 from .detection import BinaryCoherentEnsemble, helstrom_error, distinguishability_angle
 from .linkbudget import (
@@ -27,6 +27,7 @@ from .linkbudget import (
     gamma_partial,
     radius_vs_gamma_curve,
 )
+from .numerics import ConfigError
 from .orbitsim import OrbitScenario, PhysicalConstants
 from .receiver import DetectorModel
 from .secrecy import (
@@ -34,8 +35,6 @@ from .secrecy import (
     SecrecyPoint,
     optimal_signal_strength,
     plob_bound,
-    private_capacity,
-    private_capacity_fixed,
     secrecy_points,
 )
 
@@ -51,9 +50,9 @@ __all__ = [
     "preset_config",
     "config_to_dict",
     "resolved_gamma",
+    "with_values",
     "emit_table1",
     "parse_axis",
-    "capacity_point",
     "capacity_row",
     "sweep",
     "exclusion_sweep",
@@ -73,14 +72,6 @@ CAPACITY_SWEEP_PARAMS = (
 )
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
 MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``violations`` lists every problem found."""
-
-    def __init__(self, violations: Sequence[str]):
-        super().__init__("invalid configuration: " + "; ".join(violations))
-        self.violations = list(violations)
 
 
 @dataclass(frozen=True)
@@ -206,6 +197,8 @@ _SCHEMA: dict[str, tuple[type, tuple[_Field, ...]]] = {
         _Field("earth_angular_velocity_rad_s", "earth_angular_velocity"),
     )),
 }
+# JSON key -> (section, field); a key two sections share maps to the first.
+_FIELD_BY_KEY = {f.key: (section, f) for section, (_, fs) in reversed(_SCHEMA.items()) for f in fs}
 
 # The LEO reference preset is the dataclass defaults; the others move the
 # receiver and interceptor to medium and geostationary range.
@@ -380,6 +373,20 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
     return out
 
 
+def with_values(config: ScenarioConfig, pairs: Iterable[tuple[str, Any]]) -> ScenarioConfig:
+    """``config`` with fields set by JSON key, in JSON units.  Each changed
+    section is rebuilt, so its checks run; :class:`ConfigError` carries the
+    message of a section that rejects its new values."""
+    changes: dict[str, dict[str, Any]] = {}
+    for key, value in pairs:
+        section, f = _FIELD_BY_KEY[key]
+        changes.setdefault(section, {})[f.attr] = math.radians(value) if f.degrees else value
+    try:
+        return replace(config, **{s: replace(getattr(config, s), **attrs) for s, attrs in changes.items()})
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
 def resolved_gamma(config: ScenarioConfig) -> float:
     """Operating degradation: explicit override or derived from geometry."""
     if config.operating.gamma is not None:
@@ -411,13 +418,6 @@ CAPACITY_SWEEP_OUTPUTS = (
 )
 
 
-def capacity_point(detector: DetectorModel, mu: float, gamma: float, q: float | None) -> SecrecyPoint:
-    """The point at a fixed input probability ``q``, or at the optimal one if ``q`` is None."""
-    if q is None:
-        return private_capacity(detector, mu, gamma)
-    return private_capacity_fixed(detector, mu, gamma, q)
-
-
 def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
     """The :data:`CAPACITY_SWEEP_OUTPUTS` columns for one evaluated point."""
     eve = BinaryCoherentEnsemble(
@@ -437,16 +437,6 @@ def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
         point.private_capacity * clock_rate,
         point.dw_rate * clock_rate,
     ]
-
-
-def _field_of(param: str) -> tuple[str, str]:
-    """(section, attribute) of the first schema field keyed ``param``."""
-    return next(
-        (section, f.attr)
-        for section, (_, section_fields) in _SCHEMA.items()
-        for f in section_fields
-        if f.key == param
-    )
 
 
 def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
@@ -477,14 +467,12 @@ def sweep(
                 [f"unknown sweep parameter {axis.param!r}; "
                  f"choose from {', '.join(CAPACITY_SWEEP_PARAMS)}"]
             )
-    targets = [_field_of(axis.param) for axis in axes]
-    header = [axis.param for axis in axes] + list(CAPACITY_SWEEP_OUTPUTS)
+    params = [axis.param for axis in axes]
+    header = params + list(CAPACITY_SWEEP_OUTPUTS)
     grid = list(itertools.product(*_axis_grids(axes)))
     cells = []
     for values in grid:
-        cell = config
-        for (section, attr), value in zip(targets, values):
-            cell = replace(cell, **{section: replace(getattr(cell, section), **{attr: value})})
+        cell = with_values(config, zip(params, values))
         detector = cell.detector
         cells.append((cell.operating.received_mean_photons, resolved_gamma(cell), cell.operating.q,
                       detector.p_dark, detector.eta_optical, detector.stray_mean))
@@ -515,7 +503,7 @@ def exclusion_sweep(
         curve = radius_vs_gamma_curve(config.geometry, grid)
     else:
         curve = [
-            radius_vs_gamma_curve(replace(config.geometry, dist_bob=dist), [gamma_target])[0]
+            radius_vs_gamma_curve(with_values(config, [("dist_bob_m", dist)]).geometry, [gamma_target])[0]
             for dist in grid
         ]
     rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]

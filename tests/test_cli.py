@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
+from wiretap_space import secrecy
 from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from wiretap_space.linkbudget import radius_vs_gamma_curve
@@ -188,6 +189,67 @@ class TestConfigHandling:
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a finite number, got {value!r}" in err
+
+
+def _echoed(err):
+    return json.loads(err.split("resolved-config: ", 1)[1].splitlines()[0])
+
+
+class TestErrorTaxonomy:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (["capacity"], ["--photons", "7", "--q", "0.3", "--gamma", "0.2"]),
+            (["orbit", "--format", "json"], ["--offset", "20000"]),
+        ],
+    )
+    def test_echo_replays_value_flags(self, capsys, tmp_path, command, flags):
+        code, out, err = run_cli(capsys, *command, *flags)
+        assert code == EXIT_OK
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(_echoed(err)))
+        assert run_cli(capsys, *command, "--config", str(path))[:2] == (EXIT_OK, out)
+
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_q_flag_is_checked_like_the_config(self, capsys, q):
+        # operating.q and a q axis reject 0 and 1; the flag used to print a row
+        code, out, err = run_cli(capsys, "capacity", "--q", q)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"config error: q must be in (0, 1), got {float(q)}" in err
+
+    def test_failed_invariant_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("dw_rate exceeds private_capacity")
+
+        monkeypatch.setattr(secrecy, "_secrecy_terms", broken)
+        code, out, err = run_cli(capsys, "capacity")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert "internal error: dw_rate exceeds private_capacity" in err
+        assert "config error" not in err
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["orbit"], {"orbit": {"min_elevation_deg": 90}}, "pass window is empty; lower min_elevation"),
+            (["orbit"], {"constants": {"earth_angular_velocity_rad_s": 1.0}},
+             "transmitter must move faster than the ground station rotates"),
+            (["orbit"], {"constants": {"earth_radius_m": 1e300}},
+             "orbit_radius must exceed the Earth radius 1e+300, got 1e+300"),
+            (["orbit"], {"constants": {"earth_radius_m": 1e20, "earth_angular_velocity_rad_s": 0},
+                         "orbit": {"eve_orbit_offset_m": 0.001}},
+             "degenerate configuration: equal angular rates"),
+            (["orbit", "--solve-gamma", "1.5"], {}, "gamma_target must be in (0, 1), got 1.5"),
+            (["exclusion", "--gamma-target", "0.9"], {"geometry": {"eta_b": 1.0, "diam_eve_m": 0.1}},
+             "no exclusion radius needed"),
+            (["exclusion", "--gamma-target", "1.5"], {}, "gamma_target must be in (0, 1), got 1.5"),
+        ],
+    )
+    def test_user_input_failing_deep_in_a_computation_exits_2(self, capsys, tmp_path, argv, data, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"config error: {message}" in err
 
 
 class TestSweepCommand:
@@ -514,6 +576,17 @@ _AXIS_SPECS = st.one_of(
 )
 
 
+def _run_quietly(argv):
+    """``main``'s exit code and stderr, argparse rejections included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -535,9 +608,27 @@ def test_arbitrary_configs_end_in_a_defined_exit_code(tmp_path_factory, command,
         argv.append(f"--axis={specs[0]}")
     elif command == "orbit":
         argv += ["--format", "json"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+    code, err = _run_quietly(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    assert "internal error" not in err
+
+
+# The value flags take the same strings as axis bounds.
+_VALUE_FLAGS = {
+    "capacity": ("--photons", "--gamma", "--q"),
+    "orbit": ("--offset", "--solve-gamma"),
+    "exclusion": ("--gamma-target",),
+}
+_FLAG_ARGVS = st.sampled_from(sorted(_VALUE_FLAGS)).flatmap(
+    lambda command: st.dictionaries(st.sampled_from(_VALUE_FLAGS[command]), _SPEC_PART, min_size=1).map(
+        lambda flags: [command, "--format", "json", *(f"{flag}={value}" for flag, value in flags.items())]
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_FLAG_ARGVS)
+def test_arbitrary_value_flags_end_in_a_defined_exit_code(argv):
+    code, err = _run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    assert "internal error" not in err

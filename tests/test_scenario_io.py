@@ -11,7 +11,6 @@ from wiretap_space.scenario_io import (
     MAX_SWEEP_CELLS,
     ConfigError,
     SweepAxis,
-    capacity_point,
     capacity_row,
     config_from_dict,
     config_to_dict,
@@ -22,9 +21,10 @@ from wiretap_space.scenario_io import (
     resolved_gamma,
     rows_to_json,
     sweep,
+    with_values,
     write_csv,
 )
-from wiretap_space.secrecy import private_capacity, private_capacity_fixed
+from wiretap_space.secrecy import private_capacity_fixed
 
 
 class TestConfigLoading:
@@ -173,6 +173,22 @@ class TestConfigLoading:
             resolved_gamma(config)
 
 
+class TestWithValues:
+    def test_sets_fields_by_json_key_in_json_units(self):
+        pairs = [("eve_orbit_offset_m", 2e4), ("min_elevation_deg", 30.0), ("q", 0.3)]
+        expected = {"orbit": {"eve_orbit_offset_m": 2e4, "min_elevation_deg": 30.0}, "operating": {"q": 0.3}}
+        assert with_values(config_from_dict({}), pairs) == config_from_dict(expected)
+
+    def test_shared_key_sets_the_first_section(self):
+        config = with_values(config_from_dict({}), [("eta_b", 0.5)])
+        assert (config.geometry.eta_b, config.orbit.eta_b) == (0.5, 0.01)
+
+    def test_rejection_carries_the_section_message(self):
+        with pytest.raises(ConfigError) as info:
+            with_values(config_from_dict({}), [("dist_bob_m", -1.0)])
+        assert info.value.violations == ["dist_bob must be > 0, got -1.0"]
+
+
 class TestTable1:
     def test_rows_match_published_scales(self):
         rows = emit_table1()
@@ -274,15 +290,6 @@ class TestSweep:
             write_csv(buffer, header, rows)
             outputs.append(buffer.getvalue().encode())
         assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("q", [None, 0.0, 0.3, 1.0])
-def test_capacity_point_picks_the_q_path(day_detector, q):
-    point = capacity_point(day_detector, 4.0, 0.1, q)
-    if q is None:
-        assert point == private_capacity(day_detector, 4.0, 0.1)
-    else:
-        assert point == private_capacity_fixed(day_detector, 4.0, 0.1, q)
 
 
 class TestExclusionSweep:
