@@ -52,7 +52,7 @@ def fraction_to_db(fraction: float) -> float:
     """Convert a transmission fraction to a positive loss in dB."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    return -10.0 * math.log10(fraction)
+    return 0.0 - 10.0 * math.log10(fraction)  # 0.0 at 1, not -0.0
 
 
 def _beam_radius(divergence, distance):
@@ -119,8 +119,14 @@ def bob_free_space(geom: LinkGeometry) -> float:
 
     The footprint-area approximation ``D^2 / (theta^2 d^2)``, clamped to 1
     (with a warning) when the footprint is smaller than the aperture.
+    Raises ``FloatingPointError`` when the ratio underflows to 0.
     """
     ratio = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
+    if ratio == 0.0:
+        raise FloatingPointError(
+            f"receiver fraction underflows to 0: diam_bob={geom.diam_bob}, "
+            f"dist_bob={geom.dist_bob}, divergence={geom.divergence_full_angle}"
+        )
     if ratio > 1.0:
         warnings.warn(
             f"beam footprint smaller than receiver aperture (ratio {ratio:.3g}); clamped to 1",
@@ -134,25 +140,32 @@ def bob_free_space(geom: LinkGeometry) -> float:
 def eve_free_space(geom: LinkGeometry) -> float:
     """Interceptor's collection fraction outside the exclusion angle.
 
-    Footprint ratio at the interceptor's range times the Gaussian tail factor
-    ``exp(-2 (2 theta_E / theta_div)^2)``.
+    Footprint ratio at the interceptor's range, clamped to 1, times the
+    Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)``.
     """
     ratio = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
-    return ratio * _exclusion_tail(geom)
+    return min(ratio, 1.0) * _exclusion_tail(geom)
 
 
 def gamma_partial(geom: LinkGeometry) -> float:
     """Channel-degradation ratio for the fixed-telescope interceptor model.
 
-    ``(1/eta_b) (d_B/d_E)^2 (D_E/D_B)^2 exp(-2 (2 theta_E/theta_div)^2)``.
+    ``eve_free_space / (eta_b bob_free_space)``, both footprint ratios
+    clamped at 1.  Where neither clamps it is
+    ``(1/eta_b) (d_B/d_E)^2 (D_E/D_B)^2 exp(-2 (2 theta_E/theta_div)^2)``;
+    a clamped ratio rescales that by ``max(1, bob) / max(1, eve)``.
     Values >= 1 are legal outputs (they mean no secrecy is possible) and are
     rejected only when fed into secrecy computations.
     """
+    bob = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
+    eve = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
     return (
         (1.0 / geom.eta_b)
         * (geom.dist_bob / geom.dist_eve) ** 2
         * (geom.diam_eve / geom.diam_bob) ** 2
         * _exclusion_tail(geom)
+        * max(1.0, bob)
+        / max(1.0, eve)
     )
 
 
@@ -165,7 +178,8 @@ def exclusion_radius_partial(
 ) -> float:
     """Exclusion radius achieving ``gamma_target`` against a fixed telescope.
 
-    Inverts :func:`gamma_partial` at equal ranges:
+    Inverts :func:`gamma_partial` at equal ranges in its unclamped regime,
+    where both footprints are wider than the apertures:
     ``r = (theta d / 2) sqrt( ln((1/gamma)(1/eta_b)(D_E/D_B)^2) / 2 )``
     with the natural logarithm.
 
@@ -175,8 +189,8 @@ def exclusion_radius_partial(
     """
     if not 0.0 < gamma_target < 1.0:
         raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
-    if not dist > 0 or not divergence > 0 or not diam_ratio_eve_over_bob > 0:
-        raise ValueError("dist, divergence and diameter ratio must be > 0")
+    if not dist > 0 or not divergence > 0 or not diam_ratio_eve_over_bob >= 0:
+        raise ValueError("dist and divergence must be > 0 and the diameter ratio >= 0")
     if not 0.0 < eta_b <= 1.0:
         raise ValueError(f"eta_b must be in (0, 1], got {eta_b}")
     log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * diam_ratio_eve_over_bob**2

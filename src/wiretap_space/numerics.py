@@ -232,17 +232,23 @@ def _disk_fraction(beam_radius_w, offset, disk_radius):
     In units of ``w / 2`` the collected fraction is the CDF of a noncentral
     chi-square variable with 2 degrees of freedom, evaluated at the squared
     disk radius with the squared offset as non-centrality (one minus the
-    Marcum Q1 function), saturated at ``_REACH_RADII`` beam radii.
+    Marcum Q1 function), saturated at ``_REACH_RADII`` beam radii.  The CDF
+    is evaluated on the band between the two saturated regions only.
     """
-    from scipy.special import chndtr  # on first use: only the pass integral needs scipy
+    w, offset, disk_radius = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (beam_radius_w, offset, disk_radius))
+    )
+    inside = offset + _REACH_RADII * w <= disk_radius
+    band = ~(inside | (offset - _REACH_RADII * w >= disk_radius))
+    fraction = np.array(inside, dtype=float)
+    if band.any():
+        from scipy.special import chndtr  # on first use: only the pass integral needs scipy
 
-    w = np.asarray(beam_radius_w, dtype=float)
-    scale = 2.0 / w
-    fraction = chndtr((scale * disk_radius) ** 2, 2.0, (scale * offset) ** 2)
-    fraction = np.where(offset - _REACH_RADII * w >= disk_radius, 0.0, fraction)
-    fraction = np.where(offset + _REACH_RADII * w <= disk_radius, 1.0, fraction)
-    if not np.isfinite(fraction).all():
-        raise FloatingPointError("Gaussian disk fraction is not finite: beam too narrow for the disk")
+        scale = 2.0 / w[band]
+        edge = chndtr((scale * disk_radius[band]) ** 2, 2.0, (scale * offset[band]) ** 2)
+        if not np.isfinite(edge).all():
+            raise FloatingPointError("Gaussian disk fraction is not finite: beam too narrow for the disk")
+        fraction[band] = edge
     return fraction
 
 

@@ -16,7 +16,7 @@ import wiretap_space
 from wiretap_space import secrecy
 from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from wiretap_space.linkbudget import radius_vs_gamma_curve
+from wiretap_space.linkbudget import LinkBudgetWarning, radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
     CAPACITY_SWEEP_PARAMS,
     MAX_SWEEP_CELLS,
@@ -339,6 +339,27 @@ class TestSweepCommand:
     def test_missing_axes_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")
         assert code == EXIT_CONFIG
+
+
+class TestLinkbudgetCommand:
+    def test_short_range_row_is_self_consistent(self, capsys, tmp_path):
+        # Both footprints are smaller than the apertures: every fraction clamps at 1.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"geometry": {"dist_bob_m": 50000, "dist_eve_m": 50000, "exclusion_radius_m": 0}}))
+        with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+            code, out, _ = run_cli(capsys, "linkbudget", "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert [row[k] for k in ("bob_free_space", "channel_loss_db", "eve_free_space", "gamma_partial")] == [
+            "1", "0", "1", "100",
+        ]
+
+    def test_receiver_underflow_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"geometry": {"diam_bob_m": 1e-200}}))
+        code, out, err = run_cli(capsys, "linkbudget", "--config", str(path))
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert "numerical failure: receiver fraction underflows to 0" in err
 
 
 class TestExclusionCommand:

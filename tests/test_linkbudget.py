@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,10 @@ class TestBobFreeSpace:
         with pytest.warns(LinkBudgetWarning):
             assert bob_free_space(geometry) == 1.0
 
+    def test_underflow_raises(self):
+        with pytest.raises(FloatingPointError, match="receiver fraction underflows to 0"):
+            bob_free_space(LinkGeometry(diam_bob=1e-200))
+
     def test_exact_gaussian_variant(self):
         geometry = micius_at(1.2e6)
         w = 0.5 * geometry.divergence_full_angle * geometry.dist_bob
@@ -56,6 +61,9 @@ class TestEveFreeSpace:
         geometry = micius_at(1.2e6, exclusion_radius=0.0)
         expected = 4.0 / (1e-5 * 1.2e6) ** 2
         assert eve_free_space(geometry) == pytest.approx(expected, rel=1e-12)
+
+    def test_clamped_when_the_footprint_is_smaller_than_the_aperture(self):
+        assert eve_free_space(micius_at(5e4, exclusion_radius=0.0)) == 1.0
 
     def test_micius_case(self):
         value = eve_free_space(MICIUS)
@@ -101,6 +109,22 @@ class TestGammaPartial:
             dist_bob=1.2e6, dist_eve=6e5, eta_b=0.01, exclusion_radius=0.0
         )
         assert gamma_partial(geometry) > 1.0
+
+
+    @pytest.mark.parametrize("exclusion_radius", [0.0, 0.3, 12.5])
+    @pytest.mark.parametrize("dist_bob, dist_eve", [(5e4, 5e4), (5e4, 1.2e6), (1.2e6, 5e4)])
+    def test_is_the_ratio_of_the_clamped_fractions(self, dist_bob, dist_eve, exclusion_radius):
+        geometry = LinkGeometry(dist_bob=dist_bob, dist_eve=dist_eve, exclusion_radius=exclusion_radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinkBudgetWarning)
+            expected = eve_free_space(geometry) / (geometry.eta_b * bob_free_space(geometry))
+        assert gamma_partial(geometry) == pytest.approx(expected, rel=1e-15)
+
+    def test_unclamped_is_the_closed_form_bit_for_bit(self):
+        g = LinkGeometry(dist_bob=1.1e6, dist_eve=1.3e6, diam_eve=1.7, exclusion_radius=9.0)
+        tail = math.exp(-2.0 * (2.0 * g.exclusion_angle / g.divergence_full_angle) ** 2)
+        closed = (1.0 / g.eta_b) * (g.dist_bob / g.dist_eve) ** 2 * (g.diam_eve / g.diam_bob) ** 2 * tail
+        assert gamma_partial(g) == closed
 
 
 class TestExclusionRadiusPartial:
@@ -219,6 +243,9 @@ class TestRadiusVsGammaCurve:
 
 
 class TestUnitsHelpers:
+    def test_no_loss_is_positive_zero(self):
+        assert math.copysign(1.0, fraction_to_db(1.0)) == 1.0
+
     def test_db_round_trip(self):
         for db in (0.0, 3.0, 20.0, 52.0):
             assert fraction_to_db(db_to_fraction(db)) == pytest.approx(db, abs=1e-12)

@@ -143,6 +143,21 @@ class TestGaussianDiskFraction:
         assert gaussian_disk_fraction(1e-11, 0.095, 0.62) == 1.0
         assert gaussian_disk_fraction(1e-10, 0.7, 0.62) == 0.0
 
+    def test_cdf_runs_on_the_edge_band_only(self, monkeypatch):
+        import scipy.special
+
+        chndtr, sizes = scipy.special.chndtr, []
+
+        def counting(x, df, nc):
+            sizes.append(np.size(x))
+            return chndtr(x, df, nc)
+
+        monkeypatch.setattr(scipy.special, "chndtr", counting)
+        w, offset, radius = 0.01, np.array([0.0, 0.3, 0.5, 0.7, 2.0]), 0.5
+        fraction = _disk_fraction(np.full(5, w), offset, radius)
+        assert sizes == [1]  # 0.5 only: the others are 8 beam radii inside or outside
+        assert fraction.tolist() == [1.0, 1.0, chndtr((2 * radius / w) ** 2, 2.0, (2 * 0.5 / w) ** 2), 0.0, 0.0]
+
     def test_non_finite_edge_band_raises(self):
         # The rim on the beam axis of a disk a million beam radii wide.
         with pytest.raises(FloatingPointError, match="not finite"):
