@@ -242,6 +242,8 @@ class TestErrorTaxonomy:
             (["exclusion", "--gamma-target", "0.9"], {"geometry": {"eta_b": 1.0, "diam_eve_m": 0.1}},
              "no exclusion radius needed"),
             (["exclusion", "--gamma-target", "1.5"], {}, "gamma_target must be in (0, 1), got 1.5"),
+            # D_E / D_B underflows to 0: any interceptor that small meets the target
+            (["exclusion"], {"geometry": {"diam_bob_m": 1e300, "diam_eve_m": 1e-300}}, "no exclusion radius needed"),
         ],
     )
     def test_user_input_failing_deep_in_a_computation_exits_2(self, capsys, tmp_path, argv, data, message):
