@@ -2,11 +2,11 @@
 
 The transmitted beam is Gaussian with a full divergence angle ``theta_div``
 quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``.
-The static budget collects the footprint-area fraction (aperture area over
-beam footprint area); the encircled-power form is the pass model's default
-(both in :func:`_station_fraction`, which ``orbitsim`` imports).  The
-interceptor's fraction adds the Gaussian tail factor imposed by the
-exclusion angle.
+The static budget collects the footprint-area fraction ``(a / (theta d))^2``,
+``a = min(D, theta d)`` the filled aperture; the encircled-power form is the
+pass model's default (both in :func:`_station_fraction`, which ``orbitsim``
+imports).  The interceptor's fraction adds the Gaussian tail factor imposed
+by the exclusion angle.
 
 Two exclusion-radius models are provided.  The "partial" model gives the
 interceptor a fixed telescope at the same range as the receiver and inverts
@@ -60,15 +60,22 @@ def _beam_radius(divergence, distance):
     return 0.5 * divergence * distance
 
 
-def _station_fraction(diam, divergence, distance, model: str):
-    """Unclamped fraction of the beam collected by a centred aperture.
+def _filled_aperture(diam, divergence, distance):
+    """Filled aperture ``min(D, theta d)``: a narrower footprint is collected
+    whole.  Python floats stay floats (so overflows raise); arrays broadcast."""
+    footprint = divergence * distance
+    return np.minimum(diam, footprint) if isinstance(footprint, np.ndarray) else min(diam, footprint)
 
-    ``"footprint"``: ``D^2 / (theta d)^2``, aperture over footprint area.
-    ``"gaussian"``: encircled power ``1 - exp(-2 a^2 / w^2)`` with ``a = D/2``
-    and ``w`` the beam radius.  Broadcasts over arrays.
+
+def _station_fraction(diam, divergence, distance, model: str):
+    """Fraction of the beam collected by a centred aperture, at most 1.
+
+    ``"footprint"``: ``(a / (theta d))^2``, filled aperture over footprint
+    area.  ``"gaussian"``: encircled power ``1 - exp(-D^2 / (2 w^2))`` with
+    ``w`` the beam radius.  Broadcasts over arrays.
     """
     if model == "footprint":
-        return diam**2 / (divergence * distance) ** 2
+        return (_filled_aperture(diam, divergence, distance) / (divergence * distance)) ** 2
     a = 0.5 * diam
     w = _beam_radius(divergence, distance)
     return 1.0 - np.exp(-2.0 * a * a / (w * w))
@@ -114,12 +121,17 @@ def _exclusion_tail(geom: LinkGeometry) -> float:
     return math.exp(-2.0 * (2.0 * geom.exclusion_angle / geom.divergence_full_angle) ** 2)
 
 
+def _filled_ratio(geom: LinkGeometry, dist_eve: float) -> float:
+    """Filled-aperture ratio ``a_E / a_B``, the interceptor at range ``dist_eve``."""
+    eve = _filled_aperture(geom.diam_eve, geom.divergence_full_angle, dist_eve)
+    return eve / _filled_aperture(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob)
+
+
 def bob_free_space(geom: LinkGeometry) -> float:
     """Fraction of transmitted light collected by the receiver aperture.
 
-    The footprint-area approximation ``D^2 / (theta^2 d^2)``, clamped to 1
-    (with a warning) when the footprint is smaller than the aperture.
-    Raises ``FloatingPointError`` when the ratio underflows to 0.
+    The footprint-area fraction ``(a / (theta d))^2``: 1, with a warning, when
+    the footprint is narrower; ``FloatingPointError`` when it underflows to 0.
     """
     ratio = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
     if ratio == 0.0:
@@ -127,46 +139,40 @@ def bob_free_space(geom: LinkGeometry) -> float:
             f"receiver fraction underflows to 0: diam_bob={geom.diam_bob}, "
             f"dist_bob={geom.dist_bob}, divergence={geom.divergence_full_angle}"
         )
-    if ratio > 1.0:
+    excess = geom.diam_bob / _filled_aperture(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob)
+    if excess > 1.0:
         warnings.warn(
-            f"beam footprint smaller than receiver aperture (ratio {ratio:.3g}); clamped to 1",
+            f"beam footprint smaller than receiver aperture (ratio {excess * excess:.3g}); clamped to 1",
             LinkBudgetWarning,
             stacklevel=2,
         )
-        return 1.0
     return ratio
 
 
 def eve_free_space(geom: LinkGeometry) -> float:
     """Interceptor's collection fraction outside the exclusion angle.
 
-    Footprint ratio at the interceptor's range, clamped to 1, times the
+    Footprint-area fraction at the interceptor's range times the
     Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)``.
     """
     ratio = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
-    return min(ratio, 1.0) * _exclusion_tail(geom)
+    return ratio * _exclusion_tail(geom)
 
 
 def gamma_partial(geom: LinkGeometry) -> float:
     """Channel-degradation ratio for the fixed-telescope interceptor model.
 
-    ``eve_free_space / (eta_b bob_free_space)``, both footprint ratios
-    clamped at 1.  Where neither clamps it is
-    ``(1/eta_b) (d_B/d_E)^2 (D_E/D_B)^2 exp(-2 (2 theta_E/theta_div)^2)``;
-    a clamped ratio rescales that by ``max(1, bob) / max(1, eve)``.
+    ``eve_free_space / (eta_b bob_free_space)``, in closed form
+    ``(1/eta_b) (d_B/d_E)^2 (a_E/a_B)^2 exp(-2 (2 theta_E/theta_div)^2)``.
     Values >= 1 are legal outputs (they mean no secrecy is possible) and are
-    rejected only when fed into secrecy computations.
+    rejected only when fed into secrecy computations.  Raises
+    ``FloatingPointError`` when one factor underflows to 0 and another overflows.
     """
-    bob = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
-    eve = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
-    return (
-        (1.0 / geom.eta_b)
-        * (geom.dist_bob / geom.dist_eve) ** 2
-        * (geom.diam_eve / geom.diam_bob) ** 2
-        * _exclusion_tail(geom)
-        * max(1.0, bob)
-        / max(1.0, eve)
-    )
+    ratio = _filled_ratio(geom, geom.dist_eve)
+    gamma = (1.0 / geom.eta_b) * (geom.dist_bob / geom.dist_eve) ** 2 * ratio**2 * _exclusion_tail(geom)
+    if math.isnan(gamma):
+        raise FloatingPointError(f"degradation ratio is 0 * inf: {geom}")
+    return gamma
 
 
 def exclusion_radius_partial(
@@ -178,10 +184,9 @@ def exclusion_radius_partial(
 ) -> float:
     """Exclusion radius achieving ``gamma_target`` against a fixed telescope.
 
-    Inverts :func:`gamma_partial` at equal ranges in its unclamped regime,
-    where both footprints are wider than the apertures:
-    ``r = (theta d / 2) sqrt( ln((1/gamma)(1/eta_b)(D_E/D_B)^2) / 2 )``
-    with the natural logarithm.
+    Inverts :func:`gamma_partial` at equal ranges ``d``:
+    ``r = (theta d / 2) sqrt( ln((1/gamma)(1/eta_b)(a_E/a_B)^2) / 2 )``
+    with the natural logarithm and ``a_E/a_B`` the filled-aperture ratio.
 
     Raises ``ConfigError`` when the logarithm argument is below 1, i.e. when
     the target degradation is met with no exclusion zone at all; an argument
@@ -240,18 +245,13 @@ class ExclusionCurveRow:
 
 def radius_vs_gamma_curve(geom: LinkGeometry, gamma_grid: list[float]) -> list[ExclusionCurveRow]:
     """Exclusion radii for both interceptor models over a degradation grid."""
-    rows = []
-    ratio = geom.diam_eve / geom.diam_bob
-    for gamma in gamma_grid:
-        rows.append(
-            ExclusionCurveRow(
-                gamma=gamma,
-                radius_partial=exclusion_radius_partial(
-                    gamma, geom.dist_bob, geom.eta_b, ratio, geom.divergence_full_angle
-                ),
-                radius_total=exclusion_radius_total(
-                    gamma, geom.dist_bob, geom.diam_bob, geom.divergence_full_angle
-                ),
-            )
+    dist, theta = geom.dist_bob, geom.divergence_full_angle
+    ratio = _filled_ratio(geom, dist)
+    return [
+        ExclusionCurveRow(
+            gamma=gamma,
+            radius_partial=exclusion_radius_partial(gamma, dist, geom.eta_b, ratio, theta),
+            radius_total=exclusion_radius_total(gamma, dist, geom.diam_bob, theta),
         )
-    return rows
+        for gamma in gamma_grid
+    ]

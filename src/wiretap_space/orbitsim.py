@@ -95,8 +95,8 @@ class OrbitScenario:
     approximation overstates the loss roughly twofold near culmination,
     where the beam footprint is comparable to the telescope, so the
     encircled-power form is the default for pass integrals.
-    ``legacy_beam_width`` widens the beam to ``theta * d`` instead of
-    ``theta * d / 2`` for comparison runs.
+    ``legacy_beam_width`` widens only the interceptor's beam radius, to
+    ``theta * d`` instead of ``theta * d / 2``, for comparison runs.
     """
 
     alice_altitude: float = 600e3
@@ -240,7 +240,7 @@ def _efficiencies(scenario: OrbitScenario, constants: PhysicalConstants, times: 
     # within reach of the beam axis (beyond it her fraction is at most 6.4e-58).
     near = (along > 0.0) & (along < d_bob) & (beam_offset <= reach)
     eta_eve[near] = _disk_fraction(widths[near], beam_offset[near], 0.5 * scenario.eve_telescope_diameter)
-    return d_bob, d_eve, beam_offset, scenario.eta_b * np.minimum(frac, 1.0), eta_eve
+    return d_bob, d_eve, beam_offset, scenario.eta_b * frac, eta_eve
 
 
 def _crossing_half_time(scenario: OrbitScenario, constants: PhysicalConstants) -> float:

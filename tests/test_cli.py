@@ -133,17 +133,22 @@ class TestConfigHandling:
         assert f"config error: {message}" in err
 
     @pytest.mark.parametrize(
-        "command, data",
+        "command, data, warning",
         [
-            ("linkbudget", {"geometry": {"dist_bob_m": 1e300}}),
-            ("linkbudget", {"geometry": {"divergence_rad": 1e-300}}),
-            ("capacity", {"geometry": {"dist_eve_m": 1e-300}}),
+            pytest.param("linkbudget", {"geometry": {"dist_bob_m": 1e300}}, None, id="linkbudget-data0"),
+            # The footprint is narrower than the receiver's aperture: it is
+            # collected whole, with a warning, before the tail overflows.
+            pytest.param(
+                "linkbudget", {"geometry": {"divergence_rad": 1e-300}}, LinkBudgetWarning, id="linkbudget-data1"
+            ),
+            pytest.param("capacity", {"geometry": {"dist_eve_m": 1e-300}}, None, id="capacity-data2"),
         ],
     )
-    def test_float_overflow_exits_3(self, capsys, tmp_path, command, data):
+    def test_float_overflow_exits_3(self, capsys, tmp_path, command, data, warning):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(data))
-        code, _, err = run_cli(capsys, command, "--config", str(path))
+        with pytest.warns(warning, match="clamped to 1") if warning else contextlib.nullcontext():
+            code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == EXIT_NUMERIC
         assert "numerical failure: " in err
 
@@ -356,6 +361,19 @@ class TestLinkbudgetCommand:
             "1", "0", "1", "100",
         ]
 
+    @pytest.mark.parametrize("command", ["capacity", "linkbudget"])
+    def test_huge_apertures_collect_the_whole_footprint(self, capsys, tmp_path, command):
+        # Both apertures dwarf the 12 m footprint: gamma is tail / eta_b, and
+        # no squared diameter overflows on the way.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"geometry": {"diam_bob_m": 1e300, "diam_eve_m": 1e300}}))
+        expected = contextlib.nullcontext() if command == "capacity" else pytest.warns(LinkBudgetWarning)
+        with expected:
+            code, out, _ = run_cli(capsys, command, "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["gamma" if command == "capacity" else "gamma_partial"] == "0.0169856677"
+
     def test_receiver_underflow_exits_3(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"geometry": {"diam_bob_m": 1e-200}}))
@@ -371,6 +389,23 @@ class TestExclusionCommand:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["radius_partial_m"]) == pytest.approx(12.2, abs=0.1)
         assert float(row["radius_total_m"]) > float(row["radius_partial_m"])
+
+    def test_filled_apertures_radius_meets_the_target(self, capsys, tmp_path):
+        # Both 0.5 m footprints are narrower than the receiver's 1 m aperture;
+        # the radius inverts the filled-aperture law, so the link budget at
+        # that radius gives the target back.
+        geometry = {"dist_bob_m": 50000, "dist_eve_m": 50000, "diam_eve_m": 0.5}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"geometry": geometry}))
+        code, out, _ = run_cli(capsys, "exclusion", "--gamma-target", "0.1", "--config", str(path))
+        assert code == EXIT_OK
+        radius = next(csv.DictReader(io.StringIO(out)))["radius_partial_m"]
+        assert radius == "0.464615274"
+        path.write_text(json.dumps({"geometry": {**geometry, "exclusion_radius_m": float(radius)}}))
+        with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+            code, out, _ = run_cli(capsys, "linkbudget", "--config", str(path))
+        assert code == EXIT_OK
+        assert float(next(csv.DictReader(io.StringIO(out)))["gamma_partial"]) == pytest.approx(0.1, rel=1e-6)
 
     def test_distance_axis(self, capsys):
         code, out, _ = run_cli(

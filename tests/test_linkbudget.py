@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import mp_total_exclusion_radius
+from wiretap_space.numerics import ConfigError
 from wiretap_space.linkbudget import (
     LinkBudgetWarning,
     LinkGeometry,
@@ -120,6 +122,12 @@ class TestGammaPartial:
             expected = eve_free_space(geometry) / (geometry.eta_b * bob_free_space(geometry))
         assert gamma_partial(geometry) == pytest.approx(expected, rel=1e-15)
 
+    def test_zero_times_infinity_raises(self):
+        # (d_B/d_E)^2 underflows to 0 while (a_E/a_B)^2 overflows: no value to print.
+        geometry = LinkGeometry(dist_bob=1e-300, dist_eve=1e300, diam_eve=1e300, exclusion_radius=1e-300)
+        with pytest.raises(FloatingPointError, match=r"degradation ratio is 0 \* inf"):
+            gamma_partial(geometry)
+
     def test_unclamped_is_the_closed_form_bit_for_bit(self):
         g = LinkGeometry(dist_bob=1.1e6, dist_eve=1.3e6, diam_eve=1.7, exclusion_radius=9.0)
         tail = math.exp(-2.0 * (2.0 * g.exclusion_angle / g.divergence_full_angle) ** 2)
@@ -153,6 +161,32 @@ class TestExclusionRadiusPartial:
             eta_b=0.01, exclusion_radius=radius,
         )
         assert gamma_partial(geometry) == pytest.approx(gamma, rel=1e-9)
+
+    def test_round_trip_with_filled_apertures(self):
+        # Footprints from a tenth to ten times each aperture, either telescope
+        # the larger, at equal ranges: the curve's radius inverts gamma_partial
+        # whether or not a footprint is narrower than its aperture.
+        rng = np.random.default_rng(20261018)
+        inverted = rejected = 0
+        for _ in range(400):
+            dist, theta = 10.0 ** rng.uniform(4.0, 7.5), 10.0 ** rng.uniform(-6.0, -4.0)
+            footprint = theta * dist
+            diam_bob, diam_eve = footprint * 10.0 ** rng.uniform(-1.0, 1.0, 2)
+            geometry = LinkGeometry(
+                dist_bob=dist, dist_eve=dist, diam_bob=diam_bob, diam_eve=diam_eve,
+                divergence_full_angle=theta, eta_b=10.0 ** rng.uniform(-2.0, 0.0), exclusion_radius=0.0,
+            )
+            target = 10.0 ** rng.uniform(-2.0, -0.01)
+            if gamma_partial(geometry) <= target:
+                with pytest.raises(ConfigError, match="no exclusion radius needed"):
+                    radius_vs_gamma_curve(geometry, [target])
+                rejected += 1
+                continue
+            (row,) = radius_vs_gamma_curve(geometry, [target])
+            achieved = gamma_partial(replace(geometry, exclusion_radius=row.radius_partial))
+            assert achieved == pytest.approx(target, rel=1e-12)
+            inverted += 1
+        assert inverted > 200 and rejected > 10
 
     def test_linear_in_distance(self):
         r1 = exclusion_radius_partial(0.1, 1e6, 0.01, 2.0, 1e-5)

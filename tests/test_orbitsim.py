@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bisect_reference, mp_pass_half_width, propagated_lap_period
 from wiretap_space import orbitsim
 from wiretap_space.cli import EXIT_OK, main
-from wiretap_space.linkbudget import LinkGeometry, bob_free_space
+from wiretap_space.linkbudget import LinkBudgetWarning, LinkGeometry, bob_free_space
 from wiretap_space.numerics import gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     CROSSING_PANELS,
@@ -196,15 +196,23 @@ class TestInstantaneousEfficiencies:
         assert 0 < np.count_nonzero(eta) < eta.size
 
     def test_culmination_footprint_matches_static_budget(self):
+        def static_budget(scenario):
+            return LinkGeometry(
+                dist_bob=scenario.alice_altitude,
+                diam_bob=scenario.diam_bob,
+                divergence_full_angle=scenario.divergence_full_angle,
+                eta_b=scenario.eta_b,
+            )
+
         scenario = replace(LEO, bob_aperture_model="footprint")
         eta_bob, _ = _at(scenario, 0.0)
-        geometry = LinkGeometry(
-            dist_bob=scenario.alice_altitude,
-            diam_bob=scenario.diam_bob,
-            divergence_full_angle=scenario.divergence_full_angle,
-            eta_b=scenario.eta_b,
-        )
-        assert eta_bob == geometry.eta_b * bob_free_space(geometry)
+        assert eta_bob == scenario.eta_b * bob_free_space(static_budget(scenario))
+        # A 0.6 m footprint, narrower than the 1 m aperture: both models
+        # collect it whole through the same filled-aperture law.
+        narrow = replace(scenario, divergence_full_angle=1e-6)
+        eta_bob, _ = _at(narrow, 0.0)
+        with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+            assert eta_bob == narrow.eta_b * bob_free_space(static_budget(narrow)) == narrow.eta_b
 
     def test_interceptor_dark_away_from_alignment(self):
         _, eta_eve = _at(LEO, 30.0)
@@ -399,6 +407,19 @@ class TestIntegratedGamma:
         _, eta_full = _at(replace(LEO, legacy_beam_width=True), t_edge)
         assert 0.0 < eta_half <= 1.0 and 0.0 < eta_full <= 1.0
         assert eta_half != pytest.approx(eta_full, rel=1e-6)
+
+    @pytest.mark.parametrize("model", ["gaussian", "footprint"])
+    def test_legacy_beam_width_leaves_the_station_alone(self, model):
+        # Only the interceptor's beam widens; the station keeps theta d / 2.
+        scenario = replace(LEO, bob_aperture_model=model)
+        # the whole pass, and the interceptor's transit of the beam
+        times = np.concatenate([np.linspace(-0.5, 0.5, 201) * pass_window(scenario), np.linspace(-0.01, 0.01, 41)])
+        *_, eta_bob, eta_eve = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
+        *_, eta_bob_legacy, eta_eve_legacy = _efficiencies(
+            replace(scenario, legacy_beam_width=True), DEFAULT_CONSTANTS, times
+        )
+        assert eta_bob_legacy.tobytes() == eta_bob.tobytes()
+        assert not np.array_equal(eta_eve_legacy, eta_eve)
 
 
 class TestRequiredOrbitalExclusion:
