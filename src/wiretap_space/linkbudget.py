@@ -225,7 +225,8 @@ def exclusion_radius_total(
     if not dist > 0 or not diam_bob > 0 or not divergence > 0:
         raise ValueError("dist, diam_bob and divergence must be > 0")
     scale = divergence * dist
-    rhs = -gamma_target * math.expm1(-2.0 * (diam_bob / scale) ** 2)
+    ratio = diam_bob / scale
+    rhs = -gamma_target * math.expm1(-2.0 * ratio * ratio)  # not ** 2, which raises on overflow
     if rhs > 0.0:
         radius = scale * math.sqrt(-0.5 * math.log(rhs))
         if math.isfinite(radius):

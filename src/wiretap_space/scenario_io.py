@@ -117,8 +117,8 @@ class OperatingPoint:
             raise ValueError(
                 f"received_mean_photons must be >= 0, got {self.received_mean_photons}"
             )
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.q is not None and not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q}")
 
@@ -392,10 +392,10 @@ def resolved_gamma(config: ScenarioConfig) -> float:
     if config.operating.gamma is not None:
         return config.operating.gamma
     gamma = gamma_partial(config.geometry)
-    if not 0.0 < gamma < 1.0:
+    if not 0.0 <= gamma < 1.0:
         raise ConfigError(
             [
-                f"geometry yields degradation {gamma:.4g}, outside (0, 1); "
+                f"geometry yields degradation {gamma:.4g}, outside [0, 1); "
                 "no secrecy is possible at this operating point"
             ]
         )
@@ -524,12 +524,16 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
     if configs is None:
         configs = [preset_config(name) for name in PRESET_NAMES]
     rows = []
+    searched: dict[tuple[DetectorModel, float], SecrecyPoint] = {}  # one photon search per pair
     for config in configs:
         geometry = config.geometry
         loss = bob_free_space(geometry)
         gamma_target = 0.1
         (exclusion,) = radius_vs_gamma_curve(geometry, [gamma_target])
-        _, best = optimal_signal_strength(config.detector, gamma_target)
+        key = (config.detector, gamma_target)
+        if key not in searched:
+            searched[key] = optimal_signal_strength(*key)[1]
+        best = searched[key]
         rows.append(
             ReportRow(
                 configuration=config.label,

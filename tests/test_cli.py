@@ -70,6 +70,35 @@ class TestCapacityCommand:
         assert rows[0]["private_rate_bps"] == pytest.approx(680e6, abs=20e6)
 
 
+class TestZeroDegradation:
+    """A degradation of 0 means the interceptor collects nothing: the best case."""
+
+    def test_far_exclusion_zone_prints_its_row(self, capsys, tmp_path):
+        # The exclusion tail underflows to 0 at 1 km; this exited 2.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"geometry": {"exclusion_radius_m": 1000}}))
+        code, out, _ = run_cli(capsys, "capacity", "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["gamma"], row["info_eve_helstrom"], row["holevo_eve"]) == ("0", "0", "0")
+        assert row["private_capacity"] == row["dw_rate"] == row["info_bob"] == "0.933648768"
+
+    @pytest.mark.parametrize(
+        "argv", [["capacity", "--gamma", "0"], ["sweep", "--axis", "gamma:0:0.5:3"]]
+    )
+    def test_flag_and_axis_follow_the_same_rule(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["gamma"], row["private_capacity"]) == ("0", row["info_bob"])
+
+    @pytest.mark.parametrize("gamma", ["1", "-0.1"])
+    def test_outside_zero_one_exits_2(self, capsys, gamma):
+        code, out, err = run_cli(capsys, "capacity", f"--gamma={gamma}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"config error: gamma must be in [0, 1), got {float(gamma)}" in err
+
+
 class TestConfigHandling:
     def test_config_file(self, capsys, tmp_path):
         path = tmp_path / "geo.json"
@@ -324,10 +353,10 @@ class TestSweepCommand:
         "specs, message",
         [
             (["received_mean_photons:0.001:100:4:log", "exclusion_radius_m:1:30:12"],
-             "geometry yields degradation 378.4, outside (0, 1); no secrecy is possible at this operating point"),
+             "geometry yields degradation 378.4, outside [0, 1); no secrecy is possible at this operating point"),
             # Row-major: the first bad cell is (11 m, 2e6 m), not the last (30 m, 4e6 m).
             (["exclusion_radius_m:11:30:4", "dist_bob_m:1e6:4e6:4"],
-             "geometry yields degradation 98.8, outside (0, 1); no secrecy is possible at this operating point"),
+             "geometry yields degradation 98.8, outside [0, 1); no secrecy is possible at this operating point"),
             (["dist_bob_m:-1000:2e6:5"], "dist_bob must be > 0, got -1000.0"),
             (["received_mean_photons:0.1:20:3:log", "dist_bob_m:-2e6:2e6:4"], "dist_bob must be > 0, got -2000000.0"),
         ],
@@ -439,6 +468,18 @@ class TestExclusionCommand:
         assert code == EXIT_OK
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["radius_total_m"] == "223.705738"
+
+    def test_huge_receiver_aperture_prints_its_row(self, capsys, tmp_path):
+        # (D_B / (theta d))^2 overflows a float; the total model's right side
+        # is then the target itself.  This exited 3 with an overflow error.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"geometry": {"diam_bob_m": 1e300}}))
+        code, out, _ = run_cli(capsys, "exclusion", "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["radius_partial_m"] == "7.73538972"
+        # theta d sqrt(-ln(gamma) / 2), with theta d = 12 m
+        assert row["radius_total_m"] == format_cell(12.0 * math.sqrt(0.5 * math.log(10.0))) == "12.8757962"
 
     def test_unrepresentable_radius_exits_3(self, capsys, tmp_path):
         # gamma (1 - exp(-2 (D_B/(theta d))^2)) underflows to 0 at this range

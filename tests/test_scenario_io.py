@@ -165,6 +165,11 @@ class TestConfigLoading:
         config = config_from_dict({"operating": {"gamma": 0.1}})
         assert resolved_gamma(config) == 0.1
 
+    def test_resolved_gamma_accepts_zero(self):
+        # The exclusion tail underflows: the interceptor collects nothing.
+        assert resolved_gamma(config_from_dict({"geometry": {"exclusion_radius_m": 1000.0}})) == 0.0
+        assert resolved_gamma(config_from_dict({"operating": {"gamma": 0.0}})) == 0.0
+
     def test_resolved_gamma_rejects_no_secrecy(self):
         config = config_from_dict(
             {"geometry": {"exclusion_radius_m": 0.0, "dist_eve_m": 6e5}}

@@ -11,6 +11,8 @@ from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS
 from wiretap_space.receiver import DetectorModel
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
+    LOG_TOL,
+    PHOTON_SEARCH_BOUNDS,
     Q_SEARCH_BOUNDS,
     Q_SEARCH_TOL,
     ClockedLink,
@@ -44,9 +46,19 @@ class TestPrivateCapacityFixed:
         assert point.private_capacity < 0.02
 
     def test_invalid_gamma(self, day_detector):
-        for gamma in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
+        for gamma in (1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\)"):
                 private_capacity_fixed(day_detector, 4.0, gamma, 0.5)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, None])
+    def test_zero_degradation_is_the_best_case(self, day_detector, q):
+        # The interceptor receives no photons, so it learns nothing.
+        if q is None:
+            point = private_capacity(day_detector, 4.0, 0.0)
+        else:
+            point = private_capacity_fixed(day_detector, 4.0, 0.0, q)
+        assert (point.gamma, point.info_eve_helstrom, point.holevo_eve) == (0.0, 0.0, 0.0)
+        assert point.private_capacity == point.dw_rate == point.info_bob > 0.6
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     def test_point_fields_consistent(self, day_detector, q):
@@ -286,4 +298,34 @@ class TestKernelCalls:
         optimal_signal_strength(day_detector, 0.1)
         # The 64 photon numbers of the scan form one 64-cell q-search.
         assert calls[0] == GRID_POINTS * GRID_POINTS
-        assert len(calls) < 250  # a per-probe search of the scan alone would take 64 * 15
+        # Three scans of 14 calls each (one scan call, one for the golden
+        # section's first two points, 12 golden steps), then the optimum.
+        assert len(calls) <= 3 * 14 + 1
+
+
+class TestPhotonSearch:
+    def test_matches_a_dense_local_scan(self):
+        # Seeded draws over the detectors and degradations of the design search.
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            detector = DetectorModel(
+                p_dark=10 ** rng.uniform(-9, -5), eta_optical=rng.uniform(0.5, 1.0),
+                stray_mean=10 ** rng.uniform(-7, -2),
+            )
+            gamma = rng.uniform(0.02, 0.4)
+            mu, best = optimal_signal_strength(detector, gamma)
+            # A 1e-4-decade lattice aligned to tenths of a decade, not to mu.
+            log_mu = round(math.log10(mu), 1) + np.linspace(-0.15, 0.15, 3001)
+            points = secrecy_points(
+                10.0**log_mu, gamma, None, detector.p_dark, detector.eta_optical, detector.stray_mean
+            )
+            capacity = [p.private_capacity for p in points]
+            dense = log_mu[int(np.argmax(capacity))]
+            assert abs(math.log10(mu) - dense) <= LOG_TOL / 2, (detector, gamma)
+            # The capacity moves at second order in the distance to the optimum.
+            assert best.private_capacity >= max(capacity) - 1e-8
+
+    def test_zero_capacity_returns_the_lower_bound(self, day_detector):
+        # Near-unit degradation: the capacity is 0 at every photon number.
+        mu, best = optimal_signal_strength(day_detector, 0.999)
+        assert (mu, best.private_capacity) == (PHOTON_SEARCH_BOUNDS[0], 0.0)
