@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also solve for the offset achieving this integrated degradation",
     )
 
-    sub.add_parser("table1", parents=[common], help="orbit-class comparison table")
+    sub.add_parser("table1", parents=[common], help="orbit-class comparison table, or the --config's row")
     return parser
 
 
@@ -263,7 +263,9 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
 
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    _emit(args, list(TABLE1_HEADER), [astuple(row) for row in emit_table1()])
+    """The three presets' table, or with ``--config`` the loaded config's row."""
+    rows = emit_table1(None if args.config is None else [config])
+    _emit(args, list(TABLE1_HEADER), [astuple(row) for row in rows])
 
 
 _RUNNERS = {

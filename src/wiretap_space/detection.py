@@ -6,8 +6,9 @@ attenuation the receiver sees two pure states whose overlap is
 discrimination quantities below depend on the states only through ``c``.
 Angles are kept in radians; degree rendering belongs to the reporting layer.
 The array forms (:func:`helstrom_errors`, :func:`holevo_bound`) take ``c``
-and the prior as broadcast arrays; they are the interceptor's part of the
-batched secrecy kernel, and the scalar functions wrap them.
+and the prior as broadcast arrays, and the scalar functions wrap them; the
+batched secrecy kernel takes the Helstrom angle once per overlap and its
+split between the projectors once per prior.
 """
 from __future__ import annotations
 
@@ -99,6 +100,19 @@ def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     return 0.5 * x / (1.0 + root)
 
 
+def _helstrom_angle(c):
+    """``(b, sin 2b, cos 2b)`` for ``b = arcsin c``, ``pi/2 - phi`` exact at small overlaps."""
+    beta = np.arcsin(c)
+    return beta, np.sin(2.0 * beta), np.cos(2.0 * beta)
+
+
+def _helstrom_split(beta, sin_2beta, cos_2beta, q):
+    """:func:`helstrom_errors` from the :func:`_helstrom_angle` of the overlaps."""
+    phi0 = 0.5 * np.arctan2((1.0 - q) * sin_2beta, q + (1.0 - q) * cos_2beta)
+    phi1 = beta - phi0
+    return np.sin(phi0) ** 2, np.sin(phi1) ** 2, phi0, phi1
+
+
 def helstrom_errors(c, q):
     """Array form of :func:`helstrom_projector` for overlaps ``c`` and priors ``q``.
 
@@ -106,11 +120,7 @@ def helstrom_errors(c, q):
     projector_angle_1)``.  At ``c = 0`` the angle formula gives zero angles
     and errors: both states are identified perfectly.
     """
-    beta = np.arcsin(c)  # pi/2 - phi without cancellation for small overlaps
-    two_beta = 2.0 * beta
-    phi0 = 0.5 * np.arctan2((1.0 - q) * np.sin(two_beta), q + (1.0 - q) * np.cos(two_beta))
-    phi1 = beta - phi0
-    return np.sin(phi0) ** 2, np.sin(phi1) ** 2, phi0, phi1
+    return _helstrom_split(*_helstrom_angle(c), q)
 
 
 def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:

@@ -105,7 +105,11 @@ def binary_channel_information(q, p, given_0, given_1) -> np.ndarray:
     which output does not matter.  Returns
     ``h(p) - q h(given_0) - (1-q) h(given_1)``, clipped at 0 against rounding.
     """
-    h_out, h_0, h_1 = _entropy(np.stack(np.broadcast_arrays(p, given_0, given_1)))
+    return _channel_information(q, *_entropy(np.stack(np.broadcast_arrays(p, given_0, given_1))))
+
+
+def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
+    """:func:`binary_channel_information` from the entropies of its probabilities."""
     return np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)
 
 

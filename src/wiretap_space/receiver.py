@@ -4,9 +4,9 @@ A gated single-photon detector either clicks or stays silent.  Dark counts
 and Poissonian stray light combine multiplicatively as independent no-click
 events; the signal is attenuated by the full channel efficiency while stray
 light only sees the receiver's internal optical efficiency.  The array
-forms (:func:`no_click_probabilities`, :func:`bob_information`) are the
-receiver's part of the batched secrecy kernel; the scalar functions wrap
-them.
+forms (:func:`no_click_probabilities`, :func:`bob_information`) sit under
+the scalar functions; the click model and the prior check are also the
+receiver's part of the batched secrecy kernel.
 """
 from __future__ import annotations
 
@@ -80,15 +80,21 @@ def no_click_probabilities(received_mean_photons, p_dark, eta_optical, stray_mea
     return eps0, eps1
 
 
+def _checked_prior(q) -> np.ndarray:
+    """``q`` as a float array; raises for the first value outside [0, 1]."""
+    q = np.asarray(q, dtype=float)
+    inside = (0.0 <= q) & (q <= 1.0)
+    if not inside.all():
+        raise ValueError(f"q must be in [0, 1], got {float(q[~inside][0])}")
+    return q
+
+
 def bob_information(q, eps0, eps1):
     """Array form of :func:`mutual_info_bob` over the no-click probabilities.
 
     Raises for the first ``q`` outside [0, 1].
     """
-    q = np.asarray(q, dtype=float)
-    inside = (0.0 <= q) & (q <= 1.0)
-    if not inside.all():
-        raise ValueError(f"q must be in [0, 1], got {float(q[~inside][0])}")
+    q = _checked_prior(q)
     return binary_channel_information(q, q * eps0 + (1.0 - q) * eps1, eps0, eps1)
 
 

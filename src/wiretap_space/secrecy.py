@@ -10,14 +10,13 @@ no further loss or noise.
 
 All general-prior values come from one numpy kernel, :func:`_secrecy_terms`,
 over broadcast arrays of ``(mu, gamma, q, p_dark, eta_optical,
-stray_mean)``: the click model, the closed-form Helstrom angle, the Holevo
-bound, and both channels' mutual information through one helper,
-:func:`~wiretap_space.numerics.binary_channel_information`.
-:func:`secrecy_points` evaluates many points in one call and optimises
-every cell's prior in lockstep (:func:`~wiretap_space.numerics.maximize_lockstep`);
-``private_capacity_fixed``, ``private_capacity`` and ``devetak_winter_rate``
-are that call on one cell.  A cell's result does not depend on the batch it
-is evaluated in.
+stray_mean)``, in two steps: :func:`_cell_terms` (the click model, the
+closed-form Helstrom angle) and :func:`_prior_terms` (both channels' mutual
+information, the Holevo bound).  :func:`secrecy_points` evaluates many points
+in one call and optimises every cell's prior in lockstep, the first step once
+per search and the second per q; ``private_capacity_fixed``,
+``private_capacity`` and ``devetak_winter_rate`` are that call on one cell.
+A cell's result does not depend on the batch it is evaluated in.
 
 The uniform-prior closed forms are a second code path on purpose; they
 must agree with the kernel to float precision at ``q = 1/2`` and are
@@ -30,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import BinaryCoherentEnsemble, helstrom_error, helstrom_errors, holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _first_strict_maximum, maximize_lockstep
-from .numerics import binary_channel_information, binary_entropy
-from .receiver import DetectorModel, bob_click_model, bob_information, no_click_probabilities
+from .detection import BinaryCoherentEnsemble, _helstrom_angle, _helstrom_split, helstrom_error
+from .detection import holevo_bound, overlap
+from .numerics import GRID_POINTS, Interval, _channel_information, _entropy, _first_strict_maximum
+from .numerics import binary_entropy, maximize_lockstep
+from .receiver import DetectorModel, _checked_prior, bob_click_model, no_click_probabilities
 
 __all__ = [
     "SecrecyPoint",
@@ -97,21 +97,35 @@ class ClockedLink:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
 
 
-def _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean, holevo: bool = True):
-    """The secrecy kernel: ``(info_bob, info_eve_helstrom, holevo_eve)`` arrays.
+def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
+    """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), c, b, sin 2b, cos 2b)``
+    that do not depend on the prior, stacked over the broadcast cells."""
+    eps0, eps1, c = np.broadcast_arrays(
+        *no_click_probabilities(mu, p_dark, eta_optical, stray_mean), np.exp(-0.5 * (gamma * mu))
+    )
+    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), c, *_helstrom_angle(c)))
 
-    Broadcasts its inputs.  The interceptor's ensemble has mean photon
-    number ``gamma * mu`` and prior ``q``.  ``holevo=False`` skips the
-    Holevo bound (``holevo_eve`` is None), which the q-search does not use.
-    Raises for the first cell whose no-click probabilities are out of order
-    or whose ``q`` is outside [0, 1].
-    """
-    eps0, eps1 = no_click_probabilities(mu, p_dark, eta_optical, stray_mean)
-    info_bob = bob_information(q, eps0, eps1)
-    c = np.exp(-0.5 * (gamma * mu))
-    e0, e1, _, _ = helstrom_errors(c, q)
-    info_eve = binary_channel_information(q, q * (1.0 - e0) + (1.0 - q) * e1, e0, e1)
+
+def _prior_terms(terms, q, holevo: bool = True):
+    """``(info_bob, info_eve_helstrom, holevo_eve)`` from :func:`_cell_terms`
+    rows and priors ``q`` in [0, 1]; ``holevo=False`` skips the Holevo bound."""
+    eps0, eps1, h_eps0, h_eps1, c, *angle = terms
+    e0, e1, _, _ = _helstrom_split(*angle, q)
+    p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
+    h_bob, h_eve, h_e0, h_e1 = _entropy(np.stack((p_bob, p_eve, e0, e1)))
+    info_bob = _channel_information(q, h_bob, h_eps0, h_eps1)
+    info_eve = _channel_information(q, h_eve, h_e0, h_e1)
     return info_bob, info_eve, holevo_bound(c, q) if holevo else None
+
+
+def _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean):
+    """The secrecy kernel, :func:`_prior_terms` of :func:`_cell_terms`.
+
+    Broadcasts its inputs; the interceptor's ensemble has mean photon number
+    ``gamma * mu`` and prior ``q``.  Raises for the first cell whose no-click
+    probabilities are out of order, then for the first ``q`` outside [0, 1].
+    """
+    return _prior_terms(_cell_terms(mu, gamma, p_dark, eta_optical, stray_mean), _checked_prior(q))
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
@@ -127,10 +141,10 @@ def _optimal_q(mu, gamma, p_dark, eta_optical, stray_mean) -> tuple[np.ndarray, 
     The unclipped difference is maximised (it is continuous where the
     clipped value has flat zero plateaus), every cell in lockstep.
     """
+    terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
+
     def unclipped(q, cell):
-        info_bob, info_eve, _ = _secrecy_terms(
-            mu[cell], gamma[cell], q, p_dark[cell], eta_optical[cell], stray_mean[cell], holevo=False
-        )
+        info_bob, info_eve, _ = _prior_terms(terms[:, cell], q, holevo=False)
         return info_bob - info_eve
 
     return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, mu.size)
@@ -159,16 +173,8 @@ def secrecy_points(
     else:
         q = np.broadcast_to(np.asarray(q, dtype=float), mu.shape)
     info_bob, info_eve, holevo_eve = _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean)
-    columns = (
-        gamma,
-        mu,
-        q,
-        info_bob,
-        info_eve,
-        holevo_eve,
-        np.maximum(info_bob - info_eve, 0.0),
-        np.maximum(info_bob - holevo_eve, 0.0),
-    )
+    clipped = (np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0))
+    columns = (gamma, mu, q, info_bob, info_eve, holevo_eve, *clipped)
     return [SecrecyPoint(*values) for values in zip(*(column.tolist() for column in columns))]
 
 
@@ -181,7 +187,6 @@ def private_capacity_fixed(
     ``[I(X;Y) - I(X;Z)]+``; the Devetak-Winter entry replaces I(X;Z) by the
     Holevo bound.
     """
-    _check_point_args(received_mean_photons, gamma)
     (point,) = secrecy_points(
         received_mean_photons, gamma, q, detector.p_dark, detector.eta_optical, detector.stray_mean
     )
@@ -199,7 +204,6 @@ def private_capacity(
     where the clipped value has flat zero plateaus); the returned point is
     evaluated at the optimiser ``q*``.
     """
-    _check_point_args(received_mean_photons, gamma)
     (point,) = secrecy_points(
         received_mean_photons, gamma, None, detector.p_dark, detector.eta_optical, detector.stray_mean
     )

@@ -589,6 +589,23 @@ class TestTable1Command:
         geo = rows[-1]
         assert float(geo["exclusion_radius_m"]) == pytest.approx(366.6, abs=1.0)
 
+    def test_config_file_gives_its_own_row(self, capsys, tmp_path):
+        path = tmp_path / "day.json"
+        path.write_text(json.dumps({"detector": {"stray_mean": 0.01}, "link": {"clock_rate_hz": 1e6}}))
+        code, out, err = run_cli(capsys, "table1", "--config", str(path))
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(out))
+        # The stock table prints 680964196 at the presets' detector and clock.
+        assert float(row["private_rate_bps"]) < 1e6
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(_echoed(err)))
+        assert run_cli(capsys, "table1", "--config", str(echo))[:2] == (EXIT_OK, out)
+
+    def test_preset_config_gives_its_row_alone(self, capsys):
+        stock = run_cli(capsys, "table1")[1].splitlines()
+        code, out, _ = run_cli(capsys, "table1", "--config", "micius-geo")
+        assert (code, out.splitlines()) == (EXIT_OK, [stock[0], stock[-1]])
+
 
 def test_import_does_not_load_scipy_integrate():
     # Importing scipy costs about half of a CLI start; only the pass integral

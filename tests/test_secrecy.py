@@ -262,18 +262,32 @@ class TestBatchInvariance:
 
 class TestKernelCalls:
     """The batched paths evaluate whole arrays; a fall-back to one kernel
-    call per cell and q would show as hundreds or thousands of calls."""
+    call per cell and q would show as hundreds or thousands of calls.
+    ``calls`` counts the kernel's prior-dependent step, ``cell_calls`` its
+    prior-free step, which a q-search takes once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         sizes = []
-        kernel = secrecy._secrecy_terms
+        kernel = secrecy._prior_terms
 
-        def counted(*args, **kwargs):
-            sizes.append(np.broadcast(*args[:6]).size)
-            return kernel(*args, **kwargs)
+        def counted(terms, q, *args, **kwargs):
+            sizes.append(np.broadcast(terms[0], q).size)
+            return kernel(terms, q, *args, **kwargs)
 
-        monkeypatch.setattr(secrecy, "_secrecy_terms", counted)
+        monkeypatch.setattr(secrecy, "_prior_terms", counted)
+        return sizes
+
+    @pytest.fixture
+    def cell_calls(self, monkeypatch):
+        sizes = []
+        step = secrecy._cell_terms
+
+        def counted(*args):
+            sizes.append(np.broadcast(*args).size)
+            return step(*args)
+
+        monkeypatch.setattr(secrecy, "_cell_terms", counted)
         return sizes
 
     def test_sweep_grid_budget(self, calls):
@@ -301,6 +315,33 @@ class TestKernelCalls:
         # Three scans of 14 calls each (one scan call, one for the golden
         # section's first two points, 12 golden steps), then the optimum.
         assert len(calls) <= 3 * 14 + 1
+
+    def test_prior_free_terms_once_per_search(self, cell_calls, day_detector):
+        rng = np.random.default_rng(7)
+        secrecy._optimal_q(*(rng.uniform(0.1, 0.5, 64) for _ in range(5)))
+        assert cell_calls == [64]
+        cell_calls.clear()
+        axes = [
+            SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
+            SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"),
+        ]
+        sweep(config_from_dict({}), axes)
+        # One q-search over the grid, then one evaluation at the optima.
+        assert cell_calls == [512, 512]
+        cell_calls.clear()
+        optimal_signal_strength(day_detector, 0.1)
+        # Three scans, one q-search each, then the optimum.
+        assert cell_calls == [GRID_POINTS, GRID_POINTS + 1, GRID_POINTS + 1, 1]
+
+    def test_search_maximises_the_kernel_bitwise(self):
+        # Seeded cells over the design search's detectors and photon range.
+        rng = np.random.default_rng(12)
+        mu = 10.0 ** rng.uniform(*np.log10(PHOTON_SEARCH_BOUNDS), 64)
+        gamma = rng.uniform(0.0, 0.9, 64)
+        fields = (10.0 ** rng.uniform(-9, -5, 64), rng.uniform(0.5, 1.0, 64), 10.0 ** rng.uniform(-7, -2, 64))
+        q, best = secrecy._optimal_q(mu, gamma, *fields)
+        info_bob, info_eve, _ = secrecy._secrecy_terms(mu, gamma, q, *fields)
+        assert (best == info_bob - info_eve).all()
 
 
 class TestPhotonSearch:
