@@ -5,10 +5,10 @@ attenuation the receiver sees two pure states whose overlap is
 ``c = exp(-nbar/2)`` with ``nbar`` the received mean photon number; all
 discrimination quantities below depend on the states only through ``c``.
 Angles are kept in radians; degree rendering belongs to the reporting layer.
-The array forms (:func:`helstrom_errors`, :func:`holevo_bound`) take ``c``
-and the prior as broadcast arrays, and the scalar functions wrap them; the
-batched secrecy kernel takes the Helstrom angle once per overlap and its
-split between the projectors once per prior.
+The Helstrom angle is taken once per overlap (:func:`_helstrom_angle`) and
+split between the projectors once per prior (:func:`_helstrom_split`); the
+batched secrecy kernel and :func:`helstrom_projector` share both steps, as
+the kernel and :func:`holevo_binary` share :func:`holevo_bound`.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ __all__ = [
     "helstrom_error",
     "helstrom_projector",
     "holevo_binary",
-    "helstrom_errors",
     "holevo_bound",
 ]
 
@@ -107,20 +106,12 @@ def _helstrom_angle(c):
 
 
 def _helstrom_split(beta, sin_2beta, cos_2beta, q):
-    """:func:`helstrom_errors` from the :func:`_helstrom_angle` of the overlaps."""
+    """``(error_given_0, error_given_1, projector_angle_0, projector_angle_1)``
+    at priors ``q`` from the :func:`_helstrom_angle` of the overlaps; all zero
+    at ``c = 0``, where both states are identified perfectly."""
     phi0 = 0.5 * np.arctan2((1.0 - q) * sin_2beta, q + (1.0 - q) * cos_2beta)
     phi1 = beta - phi0
     return np.sin(phi0) ** 2, np.sin(phi1) ** 2, phi0, phi1
-
-
-def helstrom_errors(c, q):
-    """Array form of :func:`helstrom_projector` for overlaps ``c`` and priors ``q``.
-
-    Returns ``(error_given_0, error_given_1, projector_angle_0,
-    projector_angle_1)``.  At ``c = 0`` the angle formula gives zero angles
-    and errors: both states are identified perfectly.
-    """
-    return _helstrom_split(*_helstrom_angle(c), q)
 
 
 def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
@@ -136,7 +127,7 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     """
     q = ensemble.prior_q
     c = np.exp(-0.5 * ensemble.mean_photons)
-    e0, e1, phi0, phi1 = (float(v) for v in helstrom_errors(c, q))
+    e0, e1, phi0, phi1 = (float(v) for v in _helstrom_split(*_helstrom_angle(c), q))
     avg = q * e0 + (1.0 - q) * e1
     return HelstromSolution(avg, e0, e1, distinguishability_angle(ensemble.mean_photons), phi0, phi1)
 

@@ -1,10 +1,11 @@
 """Shared numerical primitives.
 
-Binary Shannon entropy and binary-channel mutual information (array forms
-under the scalar ones), bounded 1-D maximisation (grid scan plus
-golden-section refinement) for one function or for many in lockstep,
-bracketed bisection, and the power fraction of a Gaussian beam falling on an
-offset circular disk, in closed form as a noncentral chi-square CDF.
+Binary Shannon entropy and the mutual information of binary channels from
+their entropies (shared by the secrecy kernel and the one-point functions),
+bounded 1-D maximisation (grid scan plus golden-section refinement) for one
+function or for many in lockstep, bracketed bisection, and the power fraction
+of a Gaussian beam falling on an offset circular disk, in closed form as a
+noncentral chi-square CDF.
 Everything here is a pure function of its inputs and safe to call
 concurrently.  scipy is imported on the first disk-fraction call only.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "BracketError",
     "ConfigError",
     "binary_entropy",
-    "binary_channel_information",
     "maximize_1d",
     "maximize_lockstep",
     "find_root",
@@ -96,20 +96,10 @@ def binary_entropy(p: float) -> float:
     return float(_entropy(p))
 
 
-def binary_channel_information(q, p, given_0, given_1) -> np.ndarray:
-    """Mutual information in bits of binary channels, as arrays.
-
-    ``q`` is the prior of input 0, ``p`` the probability of one output
-    symbol, and ``given_0`` (``given_1``) the probability of either output
-    symbol conditioned on input 0 (1); the binary entropy is symmetric, so
-    which output does not matter.  Returns
-    ``h(p) - q h(given_0) - (1-q) h(given_1)``, clipped at 0 against rounding.
-    """
-    return _channel_information(q, *_entropy(np.stack(np.broadcast_arrays(p, given_0, given_1))))
-
-
 def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
-    """:func:`binary_channel_information` from the entropies of its probabilities."""
+    """Mutual information ``h_out - q h_0 - (1-q) h_1`` in bits of binary channels
+    with prior ``q`` of input 0, output entropy ``h_out`` and output entropy
+    ``h_0`` (``h_1``) given input 0 (1); clipped at 0 against rounding."""
     return np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)
 
 

@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 
-# Orbital-offset search range of :func:`required_orbital_exclusion`, metres.
+# Orbital-offset search range of :func:`required_orbital_exclusion`, metres,
+# and its bisection tolerance, coarse as each probe integrates a whole pass.
 OFFSET_BOUNDS = (1e3, 2e5)
+OFFSET_TOL = 25.0
 # Smallest interceptor orbit offset, metres.  Closer orbits differ from the
 # transmitter's only by rounding in the pass geometry: at 1e-9 m the pass
 # integral reads 4783 against 4464 at 1e-6 m, and at 1e-13 m the two
@@ -314,13 +316,11 @@ def required_orbital_exclusion(
     scenario: OrbitScenario,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     gamma_target: float = 0.1,
-    tol: float = 25.0,
 ) -> float:
     """Orbital separation below the transmitter achieving ``gamma_target``.
 
-    Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`;
-    each probe is a full pass integration, so the default tolerance is a
-    coarse 25 m.
+    Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`
+    down to a bracket of :data:`OFFSET_TOL`.
     """
     if not 0.0 < gamma_target < 1.0:
         raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
@@ -331,7 +331,7 @@ def required_orbital_exclusion(
             warnings.simplefilter("ignore", StepSizeWarning)
             return integrated_gamma(probe, constants).integrated_gamma - gamma_target
 
-    return find_root(excess, Interval(*OFFSET_BOUNDS), tol=tol)
+    return find_root(excess, Interval(*OFFSET_BOUNDS), tol=OFFSET_TOL)
 
 
 def alignment_periods(

@@ -3,10 +3,11 @@
 A gated single-photon detector either clicks or stays silent.  Dark counts
 and Poissonian stray light combine multiplicatively as independent no-click
 events; the signal is attenuated by the full channel efficiency while stray
-light only sees the receiver's internal optical efficiency.  The array
-forms (:func:`no_click_probabilities`, :func:`bob_information`) sit under
-the scalar functions; the click model and the prior check are also the
-receiver's part of the batched secrecy kernel.
+light only sees the receiver's internal optical efficiency.
+:func:`no_click_probabilities` is the click model over broadcast arrays and
+:func:`_checked_prior` the prior check; both are the receiver's part of the
+batched secrecy kernel, and :func:`bob_click_model` and
+:func:`mutual_info_bob` are the same formulas on one detector.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binary_channel_information
+from .numerics import _channel_information, _entropy
 
 __all__ = [
     "DetectorModel",
@@ -22,7 +23,6 @@ __all__ = [
     "bob_click_model",
     "mutual_info_bob",
     "no_click_probabilities",
-    "bob_information",
 ]
 
 
@@ -89,15 +89,6 @@ def _checked_prior(q) -> np.ndarray:
     return q
 
 
-def bob_information(q, eps0, eps1):
-    """Array form of :func:`mutual_info_bob` over the no-click probabilities.
-
-    Raises for the first ``q`` outside [0, 1].
-    """
-    q = _checked_prior(q)
-    return binary_channel_information(q, q * eps0 + (1.0 - q) * eps1, eps0, eps1)
-
-
 def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> BobChannel:
     """No-click probabilities for a threshold detector.
 
@@ -119,4 +110,7 @@ def mutual_info_bob(q: float, channel: BobChannel) -> float:
     ``q`` is the prior probability of the vacuum symbol.  Equals
     ``h(q eps0 + (1-q) eps1) - q h(eps0) - (1-q) h(eps1)``.
     """
-    return float(bob_information(q, channel.eps0, channel.eps1))
+    q = _checked_prior(q)
+    eps0, eps1 = channel.eps0, channel.eps1
+    entropies = _entropy(np.stack((q * eps0 + (1.0 - q) * eps1, eps0, eps1)))
+    return float(_channel_information(q, *entropies))

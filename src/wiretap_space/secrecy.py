@@ -8,15 +8,15 @@ more pessimistic Devetak-Winter rate.  The interceptor sees exactly
 ``gamma`` times the legitimate receiver's mean photon number and suffers
 no further loss or noise.
 
-All general-prior values come from one numpy kernel, :func:`_secrecy_terms`,
-over broadcast arrays of ``(mu, gamma, q, p_dark, eta_optical,
-stray_mean)``, in two steps: :func:`_cell_terms` (the click model, the
-closed-form Helstrom angle) and :func:`_prior_terms` (both channels' mutual
-information, the Holevo bound).  :func:`secrecy_points` evaluates many points
-in one call and optimises every cell's prior in lockstep, the first step once
-per search and the second per q; ``private_capacity_fixed``,
-``private_capacity`` and ``devetak_winter_rate`` are that call on one cell.
-A cell's result does not depend on the batch it is evaluated in.
+All general-prior values come from one numpy kernel in two steps:
+:func:`_cell_terms` (the click model, the closed-form Helstrom angle) over
+broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
+:func:`_prior_terms` (both channels' mutual information) at priors ``q``.
+:func:`secrecy_points` alone composes them: the first step once per batch,
+shared by the lockstep q-search and the final evaluation, which adds the
+Holevo bound.  ``private_capacity_fixed``, ``private_capacity`` and
+``devetak_winter_rate`` are that call on one cell.  A cell's result does not
+depend on the batch it is evaluated in.
 
 The uniform-prior closed forms are a second code path on purpose; they
 must agree with the kernel to float precision at ``q = 1/2`` and are
@@ -106,26 +106,16 @@ def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
     return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), c, *_helstrom_angle(c)))
 
 
-def _prior_terms(terms, q, holevo: bool = True):
-    """``(info_bob, info_eve_helstrom, holevo_eve)`` from :func:`_cell_terms`
-    rows and priors ``q`` in [0, 1]; ``holevo=False`` skips the Holevo bound."""
-    eps0, eps1, h_eps0, h_eps1, c, *angle = terms
+def _prior_terms(terms, q):
+    """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
+    priors ``q`` in [0, 1]."""
+    eps0, eps1, h_eps0, h_eps1, _, *angle = terms
     e0, e1, _, _ = _helstrom_split(*angle, q)
     p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
     h_bob, h_eve, h_e0, h_e1 = _entropy(np.stack((p_bob, p_eve, e0, e1)))
     info_bob = _channel_information(q, h_bob, h_eps0, h_eps1)
     info_eve = _channel_information(q, h_eve, h_e0, h_e1)
-    return info_bob, info_eve, holevo_bound(c, q) if holevo else None
-
-
-def _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean):
-    """The secrecy kernel, :func:`_prior_terms` of :func:`_cell_terms`.
-
-    Broadcasts its inputs; the interceptor's ensemble has mean photon number
-    ``gamma * mu`` and prior ``q``.  Raises for the first cell whose no-click
-    probabilities are out of order, then for the first ``q`` outside [0, 1].
-    """
-    return _prior_terms(_cell_terms(mu, gamma, p_dark, eta_optical, stray_mean), _checked_prior(q))
+    return info_bob, info_eve
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
@@ -135,19 +125,17 @@ def _check_point_args(received_mean_photons: float, gamma: float) -> None:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 
 
-def _optimal_q(mu, gamma, p_dark, eta_optical, stray_mean) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell of the 1-D input arrays, ``(q*, I(X;Y) - I(X;Z) at q*)``.
+def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (column) of the :func:`_cell_terms` rows, ``(q*, I(X;Y) - I(X;Z) at q*)``.
 
     The unclipped difference is maximised (it is continuous where the
     clipped value has flat zero plateaus), every cell in lockstep.
     """
-    terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
-
     def unclipped(q, cell):
-        info_bob, info_eve, _ = _prior_terms(terms[:, cell], q, holevo=False)
+        info_bob, info_eve = _prior_terms(terms[:, cell], q)
         return info_bob - info_eve
 
-    return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, mu.size)
+    return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, terms.shape[1])
 
 
 def secrecy_points(
@@ -158,7 +146,8 @@ def secrecy_points(
     ``q=None`` maximises each cell's secrecy value over the input
     probability, as :func:`private_capacity` does; otherwise ``q`` gives each
     cell's input probability.  Point arguments are checked cell by cell in
-    order, with the messages of the one-point functions.
+    order, with the messages of the one-point functions, then each cell's
+    no-click probabilities, then each ``q``.
     """
     mu, gamma, p_dark, eta_optical, stray_mean = (
         np.ravel(a).astype(float)
@@ -168,11 +157,13 @@ def secrecy_points(
     if bad.any():
         first = np.flatnonzero(bad)[0]
         _check_point_args(float(mu[first]), float(gamma[first]))
+    terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
     if q is None:
-        q, _ = _optimal_q(mu, gamma, p_dark, eta_optical, stray_mean)
+        q, _ = _optimal_q(terms)
     else:
-        q = np.broadcast_to(np.asarray(q, dtype=float), mu.shape)
-    info_bob, info_eve, holevo_eve = _secrecy_terms(mu, gamma, q, p_dark, eta_optical, stray_mean)
+        q = _checked_prior(np.broadcast_to(np.asarray(q, dtype=float), mu.shape))
+    info_bob, info_eve = _prior_terms(terms, q)
+    holevo_eve = holevo_bound(terms[4], q)  # row 4: the interceptor overlap c
     clipped = (np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0))
     columns = (gamma, mu, q, info_bob, info_eve, holevo_eve, *clipped)
     return [SecrecyPoint(*values) for values in zip(*(column.tolist() for column in columns))]
@@ -270,11 +261,12 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     evaluated at the q* the last scan found.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
-    fixed = (gamma, detector.p_dark, detector.eta_optical, detector.stray_mean)
     log_mu = np.linspace(*map(math.log10, PHOTON_SEARCH_BOUNDS), GRID_POINTS)
     while True:
         mu = 10.0**log_mu
-        q, unclipped = _optimal_q(mu, *(np.full(mu.shape, v) for v in fixed))
+        q, unclipped = _optimal_q(
+            _cell_terms(mu, gamma, detector.p_dark, detector.eta_optical, detector.stray_mean)
+        )
         i = int(_first_strict_maximum(np.maximum(unclipped, 0.0)[np.newaxis])[0])
         if log_mu[1] - log_mu[0] <= LOG_TOL:
             return float(mu[i]), private_capacity_fixed(detector, float(mu[i]), gamma, float(q[i]))

@@ -255,7 +255,7 @@ class TestErrorTaxonomy:
         def broken(*args, **kwargs):
             raise ValueError("dw_rate exceeds private_capacity")
 
-        monkeypatch.setattr(secrecy, "_secrecy_terms", broken)
+        monkeypatch.setattr(secrecy, "_prior_terms", broken)
         code, out, err = run_cli(capsys, "capacity")
         assert (code, out) == (EXIT_NUMERIC, "")
         assert "internal error: dw_rate exceeds private_capacity" in err

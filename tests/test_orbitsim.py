@@ -428,9 +428,9 @@ class TestRequiredOrbitalExclusion:
         assert abs(offset - 16e3) / 16e3 < 0.25
 
     def test_monotone_in_target(self):
-        loose = required_orbital_exclusion(LEO, gamma_target=0.5, tol=100.0)
-        tight = required_orbital_exclusion(LEO, gamma_target=0.02, tol=100.0)
-        reference = required_orbital_exclusion(LEO, gamma_target=0.1, tol=100.0)
+        loose = required_orbital_exclusion(LEO, gamma_target=0.5)
+        tight = required_orbital_exclusion(LEO, gamma_target=0.02)
+        reference = required_orbital_exclusion(LEO, gamma_target=0.1)
         assert loose < reference < tight
 
     def test_invalid_target(self):

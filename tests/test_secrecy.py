@@ -7,8 +7,9 @@ import pytest
 
 from oracles import grid_argmax
 from wiretap_space import secrecy
-from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS
-from wiretap_space.receiver import DetectorModel
+from wiretap_space.detection import BinaryCoherentEnsemble, helstrom_projector, holevo_binary
+from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS, binary_entropy
+from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
     LOG_TOL,
@@ -250,10 +251,10 @@ class TestBatchInvariance:
             detector = cells["detectors"][i]
             mu, gamma = cells["mu"][i], cells["gamma"][i]
 
+            terms = secrecy._cell_terms(mu, gamma, detector.p_dark, detector.eta_optical, detector.stray_mean)
+
             def unclipped(qs):
-                info_bob, info_eve, _ = secrecy._secrecy_terms(
-                    mu, gamma, qs, detector.p_dark, detector.eta_optical, detector.stray_mean
-                )
+                info_bob, info_eve = secrecy._prior_terms(terms, qs)
                 return info_bob - info_eve
 
             reference = grid_argmax(unclipped, *Q_SEARCH_BOUNDS, n=98_001)
@@ -271,9 +272,9 @@ class TestKernelCalls:
         sizes = []
         kernel = secrecy._prior_terms
 
-        def counted(terms, q, *args, **kwargs):
+        def counted(terms, q):
             sizes.append(np.broadcast(terms[0], q).size)
-            return kernel(terms, q, *args, **kwargs)
+            return kernel(terms, q)
 
         monkeypatch.setattr(secrecy, "_prior_terms", counted)
         return sizes
@@ -318,7 +319,7 @@ class TestKernelCalls:
 
     def test_prior_free_terms_once_per_search(self, cell_calls, day_detector):
         rng = np.random.default_rng(7)
-        secrecy._optimal_q(*(rng.uniform(0.1, 0.5, 64) for _ in range(5)))
+        secrecy._optimal_q(secrecy._cell_terms(*(rng.uniform(0.1, 0.5, 64) for _ in range(5))))
         assert cell_calls == [64]
         cell_calls.clear()
         axes = [
@@ -326,8 +327,9 @@ class TestKernelCalls:
             SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"),
         ]
         sweep(config_from_dict({}), axes)
-        # One q-search over the grid, then one evaluation at the optima.
-        assert cell_calls == [512, 512]
+        # One set of prior-free terms, shared by the q-search over the grid and
+        # the evaluation at the optima.
+        assert cell_calls == [512]
         cell_calls.clear()
         optimal_signal_strength(day_detector, 0.1)
         # Three scans, one q-search each, then the optimum.
@@ -339,9 +341,41 @@ class TestKernelCalls:
         mu = 10.0 ** rng.uniform(*np.log10(PHOTON_SEARCH_BOUNDS), 64)
         gamma = rng.uniform(0.0, 0.9, 64)
         fields = (10.0 ** rng.uniform(-9, -5, 64), rng.uniform(0.5, 1.0, 64), 10.0 ** rng.uniform(-7, -2, 64))
-        q, best = secrecy._optimal_q(mu, gamma, *fields)
-        info_bob, info_eve, _ = secrecy._secrecy_terms(mu, gamma, q, *fields)
+        terms = secrecy._cell_terms(mu, gamma, *fields)
+        q, best = secrecy._optimal_q(terms)
+        info_bob, info_eve = secrecy._prior_terms(terms, q)
         assert (best == info_bob - info_eve).all()
+
+
+class TestOnePointFunctions:
+    def test_share_the_kernel_bitwise(self):
+        # Seeded cells over the design search's photon range and detectors.
+        rng = np.random.default_rng(13)
+        cells = 200
+        mu = 10.0 ** rng.uniform(-3.0, 2.0, cells)
+        gamma = rng.uniform(0.0, 0.9, cells)
+        q = rng.uniform(0.01, 0.99, cells)
+        detectors = [
+            DetectorModel(
+                p_dark=float(10.0 ** rng.uniform(-9, -5)),
+                eta_optical=float(rng.uniform(0.5, 1.0)),
+                stray_mean=float(10.0 ** rng.uniform(-7, -2)),
+            )
+            for _ in range(cells)
+        ]
+        fields = [np.array([getattr(d, name) for d in detectors])
+                  for name in ("p_dark", "eta_optical", "stray_mean")]
+        points = secrecy_points(mu, gamma, q, *fields)
+        for i, (detector, point) in enumerate(zip(detectors, points)):
+            m, g, p = float(mu[i]), float(gamma[i]), float(q[i])
+            assert mutual_info_bob(p, bob_click_model(detector, m)) == point.info_bob, i
+            ensemble = BinaryCoherentEnsemble(g * m, p)
+            assert holevo_binary(ensemble) == point.holevo_eve, i
+            solution = helstrom_projector(ensemble)
+            e0, e1 = solution.error_given_0, solution.error_given_1
+            out = p * (1.0 - e0) + (1.0 - p) * e1
+            info_eve = binary_entropy(out) - p * binary_entropy(e0) - (1.0 - p) * binary_entropy(e1)
+            assert max(info_eve, 0.0) == point.info_eve_helstrom, i
 
 
 class TestPhotonSearch:
