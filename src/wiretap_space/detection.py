@@ -5,10 +5,10 @@ attenuation the receiver sees two pure states whose overlap is
 ``c = exp(-nbar/2)`` with ``nbar`` the received mean photon number; all
 discrimination quantities below depend on the states only through ``c``.
 Angles are kept in radians; degree rendering belongs to the reporting layer.
-The Helstrom angle is taken once per overlap (:func:`_helstrom_angle`) and
-split between the projectors once per prior (:func:`_helstrom_split`); the
-batched secrecy kernel and :func:`helstrom_projector` share both steps, as
-the kernel and :func:`holevo_binary` share :func:`holevo_bound`.
+The Helstrom angle is taken once per photon number (:func:`_helstrom_angle`)
+and split between the projectors once per prior (:func:`_helstrom_split`);
+the batched secrecy kernel and :func:`helstrom_projector` share both steps,
+as the kernel and :func:`holevo_binary` share :func:`holevo_bound`.
 """
 from __future__ import annotations
 
@@ -99,19 +99,23 @@ def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     return 0.5 * x / (1.0 + root)
 
 
-def _helstrom_angle(c):
-    """``(b, sin 2b, cos 2b)`` for ``b = arcsin c``, ``pi/2 - phi`` exact at small overlaps."""
+def _helstrom_angle(n):
+    """``(c, b, sin 2b, cos 2b)`` at photon numbers ``n``: the overlap
+    ``c = exp(-n/2)`` and ``b = arcsin c``, ``pi/2 - phi`` exact at small
+    overlaps.  ``sin 2b = 2c sqrt(1 - c^2)`` with ``1 - c^2 = -expm1(-n)``
+    keeps every digit at large overlaps and is exactly 0 at ``n = 0``."""
+    c = np.exp(-0.5 * n)
     beta = np.arcsin(c)
-    return beta, np.sin(2.0 * beta), np.cos(2.0 * beta)
+    return c, beta, 2.0 * c * np.sqrt(-np.expm1(-n)), np.cos(2.0 * beta)
 
 
 def _helstrom_split(beta, sin_2beta, cos_2beta, q):
     """``(error_given_0, error_given_1, projector_angle_0, projector_angle_1)``
-    at priors ``q`` from the :func:`_helstrom_angle` of the overlaps; all zero
-    at ``c = 0``, where both states are identified perfectly."""
+    at priors ``q`` from the :func:`_helstrom_angle` of the photon numbers;
+    all zero at ``c = 0``, where both states are identified perfectly."""
     phi0 = 0.5 * np.arctan2((1.0 - q) * sin_2beta, q + (1.0 - q) * cos_2beta)
     phi1 = beta - phi0
-    return np.sin(phi0) ** 2, np.sin(phi1) ** 2, phi0, phi1
+    return np.square(np.sin(phi0)), np.square(np.sin(phi1)), phi0, phi1
 
 
 def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
@@ -122,12 +126,14 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     ``q sin^2(phi0) + (1-q) sin^2(phi1)``.  The minimiser has the closed
     form ``phi0 = atan2((1-q) sin 2b, q + (1-q) cos 2b) / 2`` with
     ``b = pi/2 - phi`` (Helstrom 1976), which reduces to the symmetric split
-    ``b/2`` for the uniform prior.  The resulting average error always equals
-    :func:`helstrom_error`.
+    ``b/2`` for the uniform prior at ``nbar > 0``.  At ``nbar = 0`` the states
+    are identical and every split is optimal; the closed form then answers
+    the likelier symbol, and ``phi0 = 0`` for the uniform prior.  The
+    resulting average error always equals :func:`helstrom_error`.
     """
     q = ensemble.prior_q
-    c = np.exp(-0.5 * ensemble.mean_photons)
-    e0, e1, phi0, phi1 = (float(v) for v in _helstrom_split(*_helstrom_angle(c), q))
+    _, *angle = _helstrom_angle(ensemble.mean_photons)
+    e0, e1, phi0, phi1 = (float(v) for v in _helstrom_split(*angle, q))
     avg = q * e0 + (1.0 - q) * e1
     return HelstromSolution(avg, e0, e1, distinguishability_angle(ensemble.mean_photons), phi0, phi1)
 

@@ -8,8 +8,10 @@ one pass, integrates them into an effective channel-degradation factor,
 solves for the orbital exclusion radius achieving a target degradation, and
 reports revisit/alignment periods.  The pass grid is derived from the
 geometry, with at most ``4 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples;
-the step-halving check reads every other one.  The beam radius and the
-station's fraction are ``linkbudget``'s.
+the step-halving check reads every other one.  Alignment at ``t = 0`` makes
+every pass series even in time, so a pass is evaluated on its ``t >= 0``
+half, at most ``2 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples, and
+mirrored.  The beam radius and the station's fraction are ``linkbudget``'s.
 """
 from __future__ import annotations
 
@@ -151,12 +153,17 @@ class PassProfile:
 
 
 def angular_velocity(orbit_radius: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Circular-orbit angular rate ``sqrt(GM / a^3)``."""
+    """Circular-orbit angular rate ``sqrt(GM / a^3)``, taken as
+    ``sqrt(GM / a) / a`` where ``a^3`` overflows a float."""
     if not orbit_radius > constants.earth_radius:
         raise ConfigError(
             [f"orbit_radius must exceed the Earth radius {constants.earth_radius}, got {orbit_radius}"]
         )
-    return math.sqrt(constants.earth_mu / orbit_radius**3)
+    try:
+        cube = orbit_radius**3
+    except OverflowError:
+        return math.sqrt(constants.earth_mu / orbit_radius) / orbit_radius
+    return math.sqrt(constants.earth_mu / cube)
 
 
 def _orbits(scenario: OrbitScenario, constants: PhysicalConstants):
@@ -268,7 +275,13 @@ def integrated_gamma(
     The factor is the interceptor's time-integrated collection efficiency
     over the station's, both on the symmetric window from
     :func:`pass_window`, on a grid fit to 1.25 times the interceptor's beam
-    crossing (:func:`_crossing_half_time`) and evaluated once.
+    crossing (:func:`_crossing_half_time`).  The grid is mirrored about 0
+    and the series are evaluated once, on its ``t >= 0`` half, then
+    mirrored.  This is exact: at ``-t`` each body's ``y`` coordinate
+    changes sign and its ``x`` keeps its value, bit for bit as numpy's sine
+    is odd and its cosine even, so every distance, the projection on the
+    beam axis and the offset from it, and so both efficiencies, repeat
+    their values at ``t``.
     ``convergence_delta`` is the relative change from the integral over
     every other sample, and a :class:`StepSizeWarning` is emitted when it
     exceeds 1%.  Raises :class:`FloatingPointError` where the interceptor's
@@ -284,7 +297,9 @@ def integrated_gamma(
     coarse_panels = 2 * math.ceil(PASS_PANELS * (half - crossing) / half)
     positive = np.concatenate([fine, np.linspace(crossing, half, coarse_panels + 1)[1:]])
     times = np.concatenate([-positive[:0:-1], positive])
-    d_bob, d_eve, beam_offset, eta_bob, eta_eve = _efficiencies(scenario, constants, times)
+    d_bob, d_eve, beam_offset, eta_bob, eta_eve = (
+        np.concatenate([series[:0:-1], series]) for series in _efficiencies(scenario, constants, positive)
+    )
     int_bob = float(np.trapezoid(eta_bob, times))
     int_eve = float(np.trapezoid(eta_eve, times))
     gamma = int_eve / int_bob

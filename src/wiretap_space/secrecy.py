@@ -100,10 +100,10 @@ class ClockedLink:
 def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
     """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), c, b, sin 2b, cos 2b)``
     that do not depend on the prior, stacked over the broadcast cells."""
-    eps0, eps1, c = np.broadcast_arrays(
-        *no_click_probabilities(mu, p_dark, eta_optical, stray_mean), np.exp(-0.5 * (gamma * mu))
+    eps0, eps1, n_eve = np.broadcast_arrays(
+        *no_click_probabilities(mu, p_dark, eta_optical, stray_mean), gamma * mu
     )
-    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), c, *_helstrom_angle(c)))
+    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_helstrom_angle(n_eve)))
 
 
 def _prior_terms(terms, q):

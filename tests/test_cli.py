@@ -83,6 +83,16 @@ class TestZeroDegradation:
         assert (row["gamma"], row["info_eve_helstrom"], row["holevo_eve"]) == ("0", "0", "0")
         assert row["private_capacity"] == row["dw_rate"] == row["info_bob"] == "0.933648768"
 
+    def test_photon_search_credits_the_interceptor_nothing(self, capsys, tmp_path):
+        # The Helstrom angle's rounding residue printed 3.17662181e-27 here.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"geometry": {"exclusion_radius_m": 1000}}))
+        code, out, _ = run_cli(capsys, "capacity", "--optimize-photons", "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["gamma"], row["info_eve_helstrom"], row["holevo_eve"]) == ("0", "0", "0")
+        assert row["private_capacity"] == row["info_bob"]
+
     @pytest.mark.parametrize(
         "argv", [["capacity", "--gamma", "0"], ["sweep", "--axis", "gamma:0:0.5:3"]]
     )
@@ -523,6 +533,16 @@ class TestOrbitCommand:
         code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
         assert code == EXIT_OK, err
         assert json.loads(out)["pass_half_duration_s"] > 0.0
+
+    @pytest.mark.parametrize("solve", [[], ["--solve-gamma", "0.1"]])
+    @pytest.mark.parametrize("altitude", [1e200, 1e300])
+    def test_orbit_too_wide_to_cube_exits_2(self, capsys, tmp_path, altitude, solve):
+        # The cube of the orbit radius overflowed: exit 3, "numerical failure".
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"orbit": {"alice_altitude_m": altitude, "eve_orbit_offset_m": 1e5}}))
+        code, out, err = run_cli(capsys, "orbit", "--config", str(path), *solve)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "config error: transmitter must move faster than the ground station rotates" in err
 
     @pytest.mark.parametrize("offset", ["1e-9", "1e-13"])
     def test_offset_below_floor_exits_2(self, capsys, tmp_path, offset):

@@ -119,10 +119,14 @@ class TestHelstromProjector:
         assert sol.avg_error == pytest.approx(0.2134, abs=5e-4)
 
     def test_identical_states_even_split(self):
-        sol = helstrom_projector(BinaryCoherentEnsemble(0.0, 0.5))
+        # The even split is the limit of vanishing photon numbers.  At 0
+        # photons every split is optimal, and atan2(0, 0) picks phi0 = 0.
+        sol = helstrom_projector(BinaryCoherentEnsemble(1e-300, 0.5))
         assert math.degrees(sol.projector_angle_0) == pytest.approx(45.0, abs=1e-9)
         assert sol.error_given_0 == pytest.approx(0.5, abs=1e-12)
         assert sol.error_given_1 == pytest.approx(0.5, abs=1e-12)
+        tie = helstrom_projector(BinaryCoherentEnsemble(0.0, 0.5))
+        assert (tie.avg_error, tie.error_given_0, tie.error_given_1) == (0.5, 0.0, 1.0)
 
     def test_skewed_prior_matches_closed_form(self):
         ens = BinaryCoherentEnsemble(0.4, 0.3)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -117,6 +118,11 @@ class TestAngularVelocity:
     def test_inside_earth_rejected(self):
         with pytest.raises(ValueError):
             angular_velocity(6e6)
+
+    @pytest.mark.parametrize("radius", [1e103, 1e200])
+    def test_radius_cube_past_float_range(self, radius):
+        expected = math.sqrt(DEFAULT_CONSTANTS.earth_mu) * radius**-1.5
+        assert angular_velocity(radius) == pytest.approx(expected, rel=1e-15)
 
 
 class TestPassWindow:
@@ -338,7 +344,56 @@ class TestIntegratedGamma:
 
         monkeypatch.setattr(orbitsim, "_pass_geometry", counted)
         profile = integrated_gamma(LEO)
-        assert calls == [profile.times.size]
+        assert calls == [(profile.times.size + 1) // 2]
+
+    @pytest.mark.parametrize("offset", [MIN_EVE_ORBIT_OFFSET, 1.0, LEO.eve_orbit_offset])
+    def test_disk_fraction_on_the_mirrored_half(self, monkeypatch, offset):
+        # Close orbits keep the interceptor near the beam for most of the
+        # pass, so a full-grid evaluation would pass her more samples.
+        sizes = []
+        disk_fraction = orbitsim._disk_fraction
+
+        def counted(widths, beam_offset, radius):
+            sizes.append(widths.size)
+            return disk_fraction(widths, beam_offset, radius)
+
+        monkeypatch.setattr(orbitsim, "_disk_fraction", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            profile = integrated_gamma(replace(LEO, eve_orbit_offset=offset))
+        assert len(sizes) == 1
+        assert 0 < sizes[0] <= (profile.times.size + 1) // 2
+
+    def test_series_even_in_time(self):
+        # integrated_gamma evaluates t >= 0 only and mirrors each series: the
+        # full grid must give that mirror image bit for bit.
+        rng = np.random.default_rng(2718)
+        for model, legacy, whole_km in itertools.product(("gaussian", "footprint"), (False, True), (True, False)):
+            for _ in range(4):
+                if whole_km:
+                    altitude = 1e3 * float(rng.integers(400, 801))
+                else:  # from an orbital period of 92.6-100.9 min, as an ephemeris gives it
+                    period = 60.0 * rng.uniform(92.6, 100.9)
+                    altitude = (DEFAULT_CONSTANTS.earth_mu * (period / (2.0 * math.pi)) ** 2) ** (1.0 / 3.0)
+                    altitude -= DEFAULT_CONSTANTS.earth_radius
+                scenario = OrbitScenario(
+                    alice_altitude=altitude,
+                    eve_orbit_offset=_log_uniform(rng, MIN_EVE_ORBIT_OFFSET, 2e5),
+                    eve_telescope_diameter=_log_uniform(rng, 0.1, 4.0),
+                    divergence_full_angle=_log_uniform(rng, 1e-6, 1e-4),
+                    min_elevation=math.radians(rng.uniform(10.0, 89.0)),
+                    bob_aperture_model=model,
+                    legacy_beam_width=legacy,
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", StepSizeWarning)
+                    times = integrated_gamma(scenario).times
+                positive = times[times.size // 2:]
+                assert positive[0] == 0.0
+                full = _efficiencies(scenario, DEFAULT_CONSTANTS, times)
+                half = _efficiencies(scenario, DEFAULT_CONSTANTS, positive)
+                for whole, series in zip(full, half):
+                    assert np.array_equal(whole, np.concatenate([series[:0:-1], series])), scenario
 
     @pytest.mark.parametrize("draw,seed", [(_bench_pass, 11), (_wide_pass, 12)])
     def test_convergence_delta_from_the_coarse_grid(self, draw, seed):

@@ -51,7 +51,9 @@ class TestPrivateCapacityFixed:
             with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\)"):
                 private_capacity_fixed(day_detector, 4.0, gamma, 0.5)
 
-    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, None])
+    # 0.4998: the q of the photon search at degradation 0, where the Helstrom
+    # angle's rounding residue used to credit the interceptor 2.9e-27 bits.
+    @pytest.mark.parametrize("q", [0.2, 0.4998, 0.5, 0.8, None])
     def test_zero_degradation_is_the_best_case(self, day_detector, q):
         # The interceptor receives no photons, so it learns nothing.
         if q is None:
