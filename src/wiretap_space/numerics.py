@@ -84,16 +84,21 @@ def _clamped_probability(p, name: str = "probability") -> np.ndarray:
 
 
 def _entropy(p) -> np.ndarray:
-    """Array form of :func:`binary_entropy`."""
-    p = _clamped_probability(p)
+    """Array form of :func:`binary_entropy`, without its range check: every
+    caller builds ``p`` in [0, 1] up to rounding, and values outside give 0
+    as the clamp would."""
     inside = (p > 0.0) & (p < 1.0)
     p = np.where(inside, p, 0.5)
     return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
 
 
 def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits, with the convention 0*log2(0) = 0."""
-    return float(_entropy(p))
+    """Binary Shannon entropy in bits, with the convention 0*log2(0) = 0.
+
+    ``p`` comes from outside the program, so it is range-checked: within
+    1e-12 of [0, 1] it is clamped, beyond that it raises ``ValueError``.
+    """
+    return float(_entropy(_clamped_probability(p)))
 
 
 def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
@@ -103,33 +108,24 @@ def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
     return np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)
 
 
-def _first_strict_maximum(values: np.ndarray) -> np.ndarray:
-    """Per row, the index a left-to-right scan keeps on ``>``.
-
-    That is the first maximum; NaNs never win, except a NaN at index 0,
-    which nothing beats.
-    """
-    scan = np.where(np.isnan(values), -np.inf, values)
-    scan[:, 0] = np.where(np.isnan(values[:, 0]), np.inf, values[:, 0])
-    return np.argmax(scan, axis=1)
-
-
 def maximize_lockstep(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], domain: Interval, tol: float, cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximise ``cells`` independent functions over one ``domain`` at once.
 
     ``f(x, cell)`` returns the values of the functions numbered ``cell`` at
-    the abscissae ``x`` (two arrays of one length).  Every cell takes the
-    steps of :func:`maximize_1d`: a scan of :data:`GRID_POINTS` points
-    (including both endpoints) that keeps the first strict maximum, then a
-    golden-section refinement of the ``[i-1, i+1]`` grid neighbourhood that
-    moves left on ``f(c) >= f(d)`` and stops once the cell's own bracket is
-    no wider than ``tol``; the refined point replaces the grid point only if
-    its value is strictly larger.  The scan runs :data:`SCAN_BLOCK_CELLS`
-    cells per call of ``f``, the refinement every cell still searching per
-    call, so ``f`` sees arrays and not points.  Returns ``(argmax, max)``
-    arrays of length ``cells``.
+    the abscissae ``x``, two integer and float arrays that broadcast; the
+    result has their broadcast shape.  Every cell takes the steps of
+    :func:`maximize_1d`: a scan of :data:`GRID_POINTS` points (including
+    both endpoints) that keeps the first maximum (``np.argmax``; ``f`` must
+    not return NaN), then a golden-section refinement of the ``[i-1, i+1]``
+    grid neighbourhood that moves left on ``f(c) >= f(d)`` and stops once
+    the cell's own bracket is no wider than ``tol``; the refined point
+    replaces the grid point only if its value is strictly larger.  The scan
+    calls ``f(grid, block[:, np.newaxis])`` on :data:`SCAN_BLOCK_CELLS`
+    cells at a time and gets ``(block, GRID_POINTS)`` values; the refinement
+    calls it on 1-D arrays, one point per cell still searching.  Returns
+    ``(argmax, max)`` arrays of length ``cells``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -141,9 +137,8 @@ def maximize_lockstep(
     best_f = np.empty(cells)
     for start in range(0, cells, SCAN_BLOCK_CELLS):
         block = np.arange(start, min(start + SCAN_BLOCK_CELLS, cells))
-        values = f(np.tile(grid, block.size), np.repeat(block, GRID_POINTS))
-        values = values.reshape(block.size, GRID_POINTS)
-        best_i[block] = _first_strict_maximum(values)
+        values = f(grid, block[:, np.newaxis])
+        best_i[block] = np.argmax(values, axis=1)
         best_f[block] = values[np.arange(block.size), best_i[block]]
     best_x = grid[best_i]
 
@@ -186,7 +181,8 @@ def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tu
     the same order as a serial scan and search would.
     """
     def points(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
-        return np.array([f(v) for v in x.tolist()], dtype=float)
+        x = np.broadcast_to(x, np.broadcast(x, cell).shape)
+        return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
     x, fx = maximize_lockstep(points, domain, tol, cells=1)
     return float(x[0]), float(fx[0])

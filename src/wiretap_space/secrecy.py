@@ -31,7 +31,7 @@ import numpy as np
 
 from .detection import BinaryCoherentEnsemble, _helstrom_angle, _helstrom_split, helstrom_error
 from .detection import holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _channel_information, _entropy, _first_strict_maximum
+from .numerics import GRID_POINTS, Interval, _channel_information, _entropy
 from .numerics import binary_entropy, maximize_lockstep
 from .receiver import DetectorModel, _checked_prior, bob_click_model, no_click_probabilities
 
@@ -129,7 +129,9 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (column) of the :func:`_cell_terms` rows, ``(q*, I(X;Y) - I(X;Z) at q*)``.
 
     The unclipped difference is maximised (it is continuous where the
-    clipped value has flat zero plateaus), every cell in lockstep.
+    clipped value has flat zero plateaus), every cell in lockstep.  A scan
+    call indexes its cells' rows once, as ``(8, block, 1)``, and broadcasts
+    them against the grid of priors.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)
@@ -257,7 +259,8 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     neighbours at ``GRID_POINTS + 1`` points, which keeps the best point on
     the grid (to rounding), until the step is at most :data:`LOG_TOL`: three
     scans, 43 kernel calls.  Each scan keeps the first largest clipped
-    capacity, so a zero plateau resolves to the lower bound.  The point is
+    capacity (``np.argmax``; the kernel returns no NaN), so a zero plateau
+    resolves to the lower bound.  The point is
     evaluated at the q* the last scan found.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
@@ -267,7 +270,7 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
         q, unclipped = _optimal_q(
             _cell_terms(mu, gamma, detector.p_dark, detector.eta_optical, detector.stray_mean)
         )
-        i = int(_first_strict_maximum(np.maximum(unclipped, 0.0)[np.newaxis])[0])
+        i = int(np.argmax(np.maximum(unclipped, 0.0)))
         if log_mu[1] - log_mu[0] <= LOG_TOL:
             return float(mu[i]), private_capacity_fixed(detector, float(mu[i]), gamma, float(q[i]))
         log_mu = np.linspace(log_mu[max(i - 1, 0)], log_mu[min(i + 1, mu.size - 1)], GRID_POINTS + 1)
