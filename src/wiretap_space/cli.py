@@ -34,6 +34,7 @@ from .orbitsim import (
 )
 from .scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
+    DEFAULT_GAMMA_TARGET,
     EXCLUSION_OUTPUTS,
     TABLE1_HEADER,
     ScenarioConfig,
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("linkbudget", parents=[common], help="static link budget for the geometry")
 
     exc = sub.add_parser("exclusion", parents=[common], help="exclusion radii, both models")
-    exc.add_argument("--gamma-target", type=_finite_float, default=0.1)
+    exc.add_argument("--gamma-target", type=_finite_float, help="degradation target (default 0.1)")
     exc.add_argument(
         "--axis",
         metavar="PARAM:MIN:MAX:POINTS[:SCALE]",
@@ -228,7 +229,8 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
         header, rows = exclusion_sweep(config, _parse_axis(args.axis), args.gamma_target)
         _emit(args, header, rows)
         return
-    rows = radius_vs_gamma_curve(config.geometry, [args.gamma_target])
+    target = DEFAULT_GAMMA_TARGET if args.gamma_target is None else args.gamma_target
+    rows = radius_vs_gamma_curve(config.geometry, [target])
     _emit(args, ["gamma_target", *EXCLUSION_OUTPUTS], [astuple(row) for row in rows])
 
 

@@ -28,8 +28,8 @@ __all__ = [
     "gaussian_disk_fraction",
 ]
 
-# Inputs within this distance of a closed domain boundary are clamped rather
-# than rejected, so downstream float rounding does not trip domain checks.
+# Probabilities within this distance of [0, 1] count as its nearest bound
+# rather than being rejected, so float rounding does not trip the range check.
 _CLAMP_EPS = 1e-12
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -68,25 +68,10 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def _clamped_probability(p, name: str = "probability") -> np.ndarray:
-    """``p`` as a float array clamped to [0, 1]; raises naming the first value
-    more than the clamp slack outside."""
-    p = np.asarray(p, dtype=float)
-    outside = (p < -_CLAMP_EPS) | (p > 1.0 + _CLAMP_EPS)
-    if outside.any():
-        raise ValueError(f"{name} out of [0, 1]: {float(p[outside][0])}")
-    return np.minimum(np.maximum(p, 0.0), 1.0)
-
 
 def _entropy(p) -> np.ndarray:
-    """Array form of :func:`binary_entropy`, without its range check: every
-    caller builds ``p`` in [0, 1] up to rounding, and values outside give 0
-    as the clamp would."""
+    """Array form of :func:`binary_entropy` for ``p`` built in [0, 1] up to
+    rounding: no range check, and rounding slop outside gives 0."""
     inside = (p > 0.0) & (p < 1.0)
     p = np.where(inside, p, 0.5)
     return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
@@ -94,11 +79,10 @@ def _entropy(p) -> np.ndarray:
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with the convention 0*log2(0) = 0.
-
-    ``p`` comes from outside the program, so it is range-checked: within
-    1e-12 of [0, 1] it is clamped, beyond that it raises ``ValueError``.
-    """
-    return float(_entropy(_clamped_probability(p)))
+    ``p`` comes from outside the program: beyond 1e-12 outside [0, 1] it raises."""
+    if p < -_CLAMP_EPS or p > 1.0 + _CLAMP_EPS:
+        raise ValueError(f"probability out of [0, 1]: {p}")
+    return float(_entropy(p))
 
 
 def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
@@ -114,18 +98,16 @@ def maximize_lockstep(
     """Maximise ``cells`` independent functions over one ``domain`` at once.
 
     ``f(x, cell)`` returns the values of the functions numbered ``cell`` at
-    the abscissae ``x``, two integer and float arrays that broadcast; the
-    result has their broadcast shape.  Every cell takes the steps of
-    :func:`maximize_1d`: a scan of :data:`GRID_POINTS` points (including
-    both endpoints) that keeps the first maximum (``np.argmax``; ``f`` must
-    not return NaN), then a golden-section refinement of the ``[i-1, i+1]``
-    grid neighbourhood that moves left on ``f(c) >= f(d)`` and stops once
-    the cell's own bracket is no wider than ``tol``; the refined point
-    replaces the grid point only if its value is strictly larger.  The scan
-    calls ``f(grid, block[:, np.newaxis])`` on :data:`SCAN_BLOCK_CELLS`
-    cells at a time and gets ``(block, GRID_POINTS)`` values; the refinement
-    calls it on 1-D arrays, one point per cell still searching.  Returns
-    ``(argmax, max)`` arrays of length ``cells``.
+    the abscissae ``x`` in the broadcast shape of the two arrays, and no NaN.
+    Every cell takes the steps of :func:`maximize_1d`: a scan of
+    :data:`GRID_POINTS` points (including both endpoints) that keeps the
+    first maximum (``np.argmax``), then a golden-section refinement of the
+    ``[i-1, i+1]`` grid neighbourhood that moves left on ``f(c) >= f(d)`` and
+    stops once the cell's own bracket is no wider than ``tol``; the refined
+    point replaces the grid point only if its value is strictly larger.  The
+    scan calls ``f(grid, block[:, np.newaxis])`` for :data:`SCAN_BLOCK_CELLS`
+    cells at a time, the refinement ``f`` on 1-D arrays of the cells still
+    searching.  Returns ``(argmax, max)`` arrays of length ``cells``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -71,6 +71,7 @@ CAPACITY_SWEEP_PARAMS = (
     "exclusion_radius_m",
 )
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
+DEFAULT_GAMMA_TARGET = 0.1  # degradation target of exclusion radii and table1
 MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
 
 
@@ -453,10 +454,11 @@ def sweep(
     """Row-major grid evaluation of the secrecy quantities.
 
     Returns ``(header, rows)``; the first columns repeat the axis values,
-    the rest are the evaluated outputs at that cell.  Every cell is built
-    and validated first, so the first invalid cell in row-major order
-    raises; then one :func:`~wiretap_space.secrecy.secrecy_points` call
-    evaluates the whole grid, q-optimised cells in lockstep.
+    the rest are the evaluated outputs at that cell.  Axes that cannot reach
+    the output raise; then every cell is built and validated, so the first
+    invalid cell in row-major order raises; then one
+    :func:`~wiretap_space.secrecy.secrecy_points` call evaluates the whole
+    grid, q-optimised cells in lockstep.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if not 1 <= len(axes) <= 2:
@@ -468,6 +470,12 @@ def sweep(
                  f"choose from {', '.join(CAPACITY_SWEEP_PARAMS)}"]
             )
     params = [axis.param for axis in axes]
+    if len(set(params)) < len(params):
+        raise ConfigError([f"both sweep axes set {params[0]!r}; the first would have no effect"])
+    geometry = [p for p in params if p in ("dist_bob_m", "exclusion_radius_m")]  # they only derive gamma
+    if geometry and ("gamma" in params or config.operating.gamma is not None):
+        source = "the gamma axis" if "gamma" in params else "operating.gamma"
+        raise ConfigError([f"sweep axis {geometry[0]!r} has no effect: the degradation is fixed by {source}"])
     header = params + list(CAPACITY_SWEEP_OUTPUTS)
     grid = list(itertools.product(*_axis_grids(axes)))
     cells = []
@@ -487,23 +495,27 @@ EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
 
 
 def exclusion_sweep(
-    config: ScenarioConfig, axis: SweepAxis, gamma_target: float = 0.1
+    config: ScenarioConfig, axis: SweepAxis, gamma_target: float | None = None
 ) -> tuple[list[str], list[list[float]]]:
     """Exclusion radii for both interceptor models along one axis.
 
-    The ``dist_bob_m`` axis holds the degradation target at ``gamma_target``.
+    The ``dist_bob_m`` axis holds the degradation target at ``gamma_target``
+    (``None``: :data:`DEFAULT_GAMMA_TARGET`); a ``gamma_target`` axis rejects one.
     """
     if axis.param not in EXCLUSION_SWEEP_PARAMS:
         raise ConfigError(
             [f"exclusion sweep parameter must be one of {', '.join(EXCLUSION_SWEEP_PARAMS)}, "
              f"got {axis.param!r}"]
         )
+    if axis.param == "gamma_target" and gamma_target is not None:
+        raise ConfigError([f"gamma target {gamma_target:g} has no effect on a gamma_target axis"])
     (grid,) = _axis_grids([axis])
     if axis.param == "gamma_target":
         curve = radius_vs_gamma_curve(config.geometry, grid)
     else:
+        target = DEFAULT_GAMMA_TARGET if gamma_target is None else gamma_target
         curve = [
-            radius_vs_gamma_curve(with_values(config, [("dist_bob_m", dist)]).geometry, [gamma_target])[0]
+            radius_vs_gamma_curve(with_values(config, [("dist_bob_m", dist)]).geometry, [target])[0]
             for dist in grid
         ]
     rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]
@@ -528,9 +540,8 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
     for config in configs:
         geometry = config.geometry
         loss = bob_free_space(geometry)
-        gamma_target = 0.1
-        (exclusion,) = radius_vs_gamma_curve(geometry, [gamma_target])
-        key = (config.detector, gamma_target)
+        (exclusion,) = radius_vs_gamma_curve(geometry, [DEFAULT_GAMMA_TARGET])
+        key = (config.detector, DEFAULT_GAMMA_TARGET)
         if key not in searched:
             searched[key] = optimal_signal_strength(*key)[1]
         best = searched[key]
@@ -541,7 +552,7 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
                 channel_loss_db=fraction_to_db(loss),
                 plob_rate_bps=plob_bound(loss) * config.link.clock_rate,
                 exclusion_radius_m=exclusion.radius_partial,
-                gamma=gamma_target,
+                gamma=DEFAULT_GAMMA_TARGET,
                 private_rate_bps=best.private_capacity * config.link.clock_rate,
             )
         )

@@ -129,9 +129,8 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (column) of the :func:`_cell_terms` rows, ``(q*, I(X;Y) - I(X;Z) at q*)``.
 
     The unclipped difference is maximised (it is continuous where the
-    clipped value has flat zero plateaus), every cell in lockstep.  A scan
-    call indexes its cells' rows once, as ``(8, block, 1)``, and broadcasts
-    them against the grid of priors.
+    clipped value has flat zero plateaus), every cell in lockstep; a scan
+    call's rows ``(8, block, 1)`` broadcast against its grid of priors.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)
@@ -260,8 +259,7 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     the grid (to rounding), until the step is at most :data:`LOG_TOL`: three
     scans, 43 kernel calls.  Each scan keeps the first largest clipped
     capacity (``np.argmax``; the kernel returns no NaN), so a zero plateau
-    resolves to the lower bound.  The point is
-    evaluated at the q* the last scan found.
+    resolves to the lower bound.  The point takes the last scan's q*.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
     log_mu = np.linspace(*map(math.log10, PHOTON_SEARCH_BOUNDS), GRID_POINTS)

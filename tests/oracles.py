@@ -4,8 +4,8 @@ Nothing here shares code with the library paths it checks: the disk
 fraction is estimated by Monte Carlo and by an mpmath radial Bessel integral
 instead of the noncentral chi-square CDF, maxima by dense grid enumeration
 instead of golden section, roots by a plain bisection loop, the Helstrom
-error and the distinguishability angle by their direct formulas at raised
-precision instead of the cancellation-free forms, the pass window
+error, its conditional errors and the distinguishability angle by their
+direct formulas at raised precision instead of the cancellation-free forms, the pass window
 and the total-collection exclusion radius by 50-digit bisection of the
 equations the library inverts in closed form, and orbital periods by
 step-wise propagation instead of rate differences.
@@ -126,6 +126,17 @@ def mp_helstrom_error(mean_photons: float, q: float) -> float:
     x, _ = value()
     with mpmath.workdps(50 + (int(-mpmath.log10(x)) if 0 < x < 1 else 0)):
         return float(value()[1])
+
+
+def mp_helstrom_conditional_errors(mean_photons: float, q: float) -> tuple[float, float]:
+    """``(sin^2 phi0, sin^2 phi1)`` of the Helstrom split at 60 digits, with
+    ``b = asin(exp(-n/2))``, ``phi0 = atan2((1-q) sin 2b, q + (1-q) cos 2b) / 2``
+    and ``phi1 = b - phi0`` by subtraction."""
+    with mpmath.workdps(60):
+        n, q = mpmath.mpf(mean_photons), mpmath.mpf(q)
+        b = mpmath.asin(mpmath.exp(-n / 2))
+        phi0 = mpmath.atan2((1 - q) * mpmath.sin(2 * b), q + (1 - q) * mpmath.cos(2 * b)) / 2
+        return float(mpmath.sin(phi0) ** 2), float(mpmath.sin(b - phi0) ** 2)
 
 
 def mp_distinguishability_angle(mean_photons: float) -> float:

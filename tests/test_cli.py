@@ -378,6 +378,33 @@ class TestSweepCommand:
         assert out == ""
         assert err.splitlines()[1:] == [f"config error: {message}"]
 
+    def test_two_axes_on_one_parameter_exit_2(self, capsys):
+        # The second axis overrode the first, whose values the first column printed.
+        code, out, err = run_cli(capsys, "sweep", "--axis", "gamma:-0.5:0.2:2", "--axis", "gamma:0.3:0.4:2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == ["config error: both sweep axes set 'gamma'; the first would have no effect"]
+
+    @pytest.mark.parametrize(
+        "config, specs, source",
+        [
+            ({"operating": {"gamma": 0.1}}, ["exclusion_radius_m:10:20:3"], "operating.gamma"),
+            ({"operating": {"gamma": 0.1}}, ["received_mean_photons:1:4:2", "dist_bob_m:1e6:2e6:2"], "operating.gamma"),
+            ({}, ["gamma:0.1:0.2:2", "exclusion_radius_m:10:20:3"], "the gamma axis"),
+            ({}, ["dist_bob_m:1e6:2e6:2", "gamma:0.1:0.2:2"], "the gamma axis"),
+        ],
+    )
+    def test_geometry_axis_under_fixed_degradation_exits_2(self, capsys, tmp_path, config, specs, source):
+        # The geometry reaches the output only through the degradation: these
+        # grids printed identical rows.
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), *(f"--axis={spec}" for spec in specs))
+        assert (code, out) == (EXIT_CONFIG, "")
+        param = next(spec.split(":")[0] for spec in specs if spec.startswith(("dist_bob_m", "exclusion_radius_m")))
+        assert err.splitlines()[1:] == [
+            f"config error: sweep axis {param!r} has no effect: the degradation is fixed by {source}"
+        ]
+
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nonsense")
         assert code == EXIT_CONFIG
@@ -466,6 +493,14 @@ class TestExclusionCommand:
             (expected,) = radius_vs_gamma_curve(replace(geometry, dist_bob=dist), [float(target)])
             assert row["radius_partial_m"] == format_cell(expected.radius_partial)
             assert row["radius_total_m"] == format_cell(expected.radius_total)
+
+    def test_gamma_target_with_its_own_axis_exits_2(self, capsys):
+        # The flag was ignored: the axis's radii printed with exit 0.
+        code, out, err = run_cli(
+            capsys, "exclusion", "--axis", "gamma_target:0.05:0.5:3", "--gamma-target", "0.7"
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == ["config error: gamma target 0.7 has no effect on a gamma_target axis"]
 
     def test_oversized_axis_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "exclusion", "--axis", "gamma_target:0.01:0.5:200001")

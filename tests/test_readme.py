@@ -1,10 +1,14 @@
-"""The README's "Library use" section runs and names only what exists."""
+"""The README's CLI examples and "Library use" section run, and the
+section names only what exists."""
 import importlib
+import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import wiretap_space
+from wiretap_space.cli import EXIT_OK, main
 from wiretap_space.scenario_io import CAPACITY_SWEEP_OUTPUTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,6 +19,29 @@ def _library_use() -> str:
     start = text.index("## Library use")
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
+
+
+def _cli_examples() -> list[list[str]]:
+    """The argv of each ``wiretap-space`` line of the README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## CLI")
+    (block,) = re.findall(r"```sh\n(.*?)```", text[start:text.index("\n## ", start + 1)], flags=re.S)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "wiretap-space", line
+        commands.append(argv[1:])
+    return commands
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "day.json").write_text(json.dumps({"detector": {"stray_mean": 0.01}}))
+    commands = _cli_examples()
+    assert len(commands) == 11
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
 
 
 def test_library_use_example_runs():

@@ -285,6 +285,23 @@ class TestSweep:
             )
             assert row == [value, *capacity_row(point, direct.link.clock_rate)]
 
+    def test_config_axes_on_one_parameter_rejected(self):
+        config = config_from_dict({"sweep": [
+            {"param": "q", "min": 0.1, "max": 0.2, "points": 2},
+            {"param": "q", "min": 0.3, "max": 0.4, "points": 2},
+        ]})
+        with pytest.raises(ConfigError, match="both sweep axes set 'q'; the first would have no effect"):
+            sweep(config)
+
+    @pytest.mark.parametrize("param", ["dist_bob_m", "exclusion_radius_m"])
+    def test_config_geometry_axis_under_fixed_gamma_rejected(self, param):
+        config = config_from_dict({
+            "operating": {"gamma": 0.1},
+            "sweep": [{"param": param, "min": 11.0, "max": 12.0, "points": 2}],
+        })
+        with pytest.raises(ConfigError, match=f"sweep axis '{param}' has no effect"):
+            sweep(config)
+
     def test_deterministic_output(self):
         config = config_from_dict({"operating": {"gamma": 0.1}})
         axis = SweepAxis(param="received_mean_photons", lo=0.5, hi=8.0, points=6, scale="log")
@@ -319,6 +336,11 @@ class TestExclusionSweep:
         _, tight = exclusion_sweep(config, axis, gamma_target=0.1)
         assert all(a[1] < b[1] and a[2] < b[2] for a, b in zip(loose, tight, strict=True))
         assert exclusion_sweep(config, axis)[1] == tight
+
+    def test_gamma_axis_rejects_a_target(self):
+        axis = SweepAxis(param="gamma_target", lo=0.05, hi=0.5, points=3)
+        with pytest.raises(ConfigError, match="gamma target 0.1 has no effect on a gamma_target axis"):
+            exclusion_sweep(config_from_dict({}), axis, gamma_target=0.1)
 
     def test_rejects_capacity_parameter(self):
         config = config_from_dict({})
