@@ -113,9 +113,10 @@ def _helstrom_angle(n):
 def _helstrom_split(beta, sin_2beta, cos_2beta, q):
     """``(error_given_0, error_given_1, projector_angle_0, projector_angle_1)``
     at priors ``q`` from the :func:`_helstrom_angle` of the photon numbers;
-    all zero at ``c = 0``.  ``beta - phi0`` cancels once ``phi0 > beta / 2``,
-    where ``phi1`` takes its own closed form (both are ``atan2(0, 0)`` at the
-    uniform prior's ``c = 1``)."""
+    all zero at ``c = 0``.  ``phi1`` takes its own closed form where
+    ``phi0 > beta / 2``, as ``beta - phi0`` cancels there; elsewhere
+    ``beta - phi0`` keeps the uniform prior's split ``(0, beta)`` at ``c = 1``,
+    where both closed forms are ``atan2(0, 0)``."""
     phi0 = 0.5 * np.arctan2((1.0 - q) * sin_2beta, q + (1.0 - q) * cos_2beta)
     phi1 = 0.5 * np.arctan2(q * sin_2beta, (1.0 - q) + q * cos_2beta)
     phi1 = np.where(phi0 + phi0 > beta, phi1, beta - phi0)

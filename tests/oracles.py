@@ -5,10 +5,10 @@ fraction is estimated by Monte Carlo and by an mpmath radial Bessel integral
 instead of the noncentral chi-square CDF, maxima by dense grid enumeration
 instead of golden section, roots by a plain bisection loop, the Helstrom
 error, its conditional errors and the distinguishability angle by their
-direct formulas at raised precision instead of the cancellation-free forms, the pass window
-and the total-collection exclusion radius by 50-digit bisection of the
-equations the library inverts in closed form, and orbital periods by
-step-wise propagation instead of rate differences.
+direct formulas at raised precision instead of the cancellation-free forms,
+the pass window and the total-collection exclusion radius by 50-digit
+bisection of the equations the library inverts in closed form, and orbital
+periods by step-wise propagation instead of rate differences.
 """
 from __future__ import annotations
 
