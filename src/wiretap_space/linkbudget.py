@@ -72,13 +72,13 @@ def _station_fraction(diam, divergence, distance, model: str):
 
     ``"footprint"``: ``(a / (theta d))^2``, filled aperture over footprint
     area.  ``"gaussian"``: encircled power ``1 - exp(-D^2 / (2 w^2))`` with
-    ``w`` the beam radius.  Broadcasts over arrays.
+    ``w`` the beam radius, as ``-expm1(-2 r^2)`` with ``r = D / (2 w)``, which
+    keeps every digit on wide beams.  Broadcasts over arrays.
     """
     if model == "footprint":
         return (_filled_aperture(diam, divergence, distance) / (divergence * distance)) ** 2
-    a = 0.5 * diam
-    w = _beam_radius(divergence, distance)
-    return 1.0 - np.exp(-2.0 * a * a / (w * w))
+    r = 0.5 * diam / _beam_radius(divergence, distance)
+    return -np.expm1(-2.0 * r * r)
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ class LinkGeometry:
 
 
 def _exclusion_tail(geom: LinkGeometry) -> float:
-    """Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)`` of the exclusion cone."""
-    return math.exp(-2.0 * (2.0 * geom.exclusion_angle / geom.divergence_full_angle) ** 2)
+    """Gaussian tail factor ``exp(-2 r^2)``, ``r = 2 theta_E / theta_div``, of the exclusion cone."""
+    ratio = 2.0 * geom.exclusion_angle / geom.divergence_full_angle
+    return math.exp(-2.0 * ratio * ratio)  # 0 where ratio ** 2 would raise on overflow
 
 
 def _filled_ratio(geom: LinkGeometry, dist_eve: float) -> float:
@@ -166,12 +167,13 @@ def gamma_partial(geom: LinkGeometry) -> float:
     ``(1/eta_b) (d_B/d_E)^2 (a_E/a_B)^2 exp(-2 (2 theta_E/theta_div)^2)``.
     Values >= 1 are legal outputs (they mean no secrecy is possible) and are
     rejected only when fed into secrecy computations.  Raises
-    ``FloatingPointError`` when one factor underflows to 0 and another overflows.
+    ``FloatingPointError`` when it overflows or is ``0 * inf``.
     """
     ratio = _filled_ratio(geom, geom.dist_eve)
-    gamma = (1.0 / geom.eta_b) * (geom.dist_bob / geom.dist_eve) ** 2 * ratio**2 * _exclusion_tail(geom)
-    if math.isnan(gamma):
-        raise FloatingPointError(f"degradation ratio is 0 * inf: {geom}")
+    dist_ratio = geom.dist_bob / geom.dist_eve
+    gamma = (1.0 / geom.eta_b) * (dist_ratio * dist_ratio) * (ratio * ratio) * _exclusion_tail(geom)
+    if not math.isfinite(gamma):
+        raise FloatingPointError(f"degradation ratio is {'0 * inf' if math.isnan(gamma) else 'inf'}: {geom}")
     return gamma
 
 
@@ -190,7 +192,7 @@ def exclusion_radius_partial(
 
     Raises ``ConfigError`` when the logarithm argument is below 1, i.e. when
     the target degradation is met with no exclusion zone at all; an argument
-    of exactly 1 returns 0.
+    of exactly 1 returns 0; ``FloatingPointError`` when it overflows.
     """
     if not 0.0 < gamma_target < 1.0:
         raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
@@ -198,7 +200,9 @@ def exclusion_radius_partial(
         raise ValueError("dist and divergence must be > 0 and the diameter ratio >= 0")
     if not 0.0 < eta_b <= 1.0:
         raise ValueError(f"eta_b must be in (0, 1], got {eta_b}")
-    log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * diam_ratio_eve_over_bob**2
+    log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * (diam_ratio_eve_over_bob * diam_ratio_eve_over_bob)
+    if math.isinf(log_arg):
+        raise FloatingPointError(f"log argument overflows: diameter ratio {diam_ratio_eve_over_bob}")
     if log_arg < 1.0:
         raise ConfigError(
             [f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"]

@@ -285,7 +285,7 @@ def integrated_gamma(
     ``convergence_delta`` is the relative change from the integral over
     every other sample, and a :class:`StepSizeWarning` is emitted when it
     exceeds 1%.  Raises :class:`FloatingPointError` where the interceptor's
-    collected fraction is not finite (see ``gaussian_disk_fraction``).
+    collected fraction (``gaussian_disk_fraction``) or the degradation is not finite.
     """
     half = pass_window(scenario, constants)
     if half <= 0.0:
@@ -302,7 +302,9 @@ def integrated_gamma(
     )
     int_bob = float(np.trapezoid(eta_bob, times))
     int_eve = float(np.trapezoid(eta_eve, times))
-    gamma = int_eve / int_bob
+    gamma = int_eve / int_bob if int_bob > 0.0 else math.nan
+    if not math.isfinite(gamma):
+        raise FloatingPointError(f"integrated degradation is not finite: station integral {int_bob!r}")
     coarse = float(np.trapezoid(eta_eve[::2], times[::2])) / float(np.trapezoid(eta_bob[::2], times[::2]))
     delta = abs(gamma - coarse) / gamma if gamma > 0 else abs(gamma - coarse)
     if delta > 0.01:

@@ -9,7 +9,7 @@ more pessimistic Devetak-Winter rate.  The interceptor sees exactly
 no further loss or noise.
 
 All general-prior values come from one numpy kernel in two steps:
-:func:`_cell_terms` (the click model, the closed-form Helstrom angle) over
+:func:`_cell_terms` (the click model, the interceptor's overlap terms) over
 broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
 :func:`_prior_terms` (both channels' mutual information) at priors ``q``.
 :func:`secrecy_points` alone composes them: the first step once per batch,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import BinaryCoherentEnsemble, _helstrom_angle, _helstrom_split, helstrom_error
+from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
 from .numerics import GRID_POINTS, Interval, _channel_information, _entropy
 from .numerics import binary_entropy, maximize_lockstep
@@ -98,19 +98,19 @@ class ClockedLink:
 
 
 def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
-    """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), c, b, sin 2b, cos 2b)``
-    that do not depend on the prior, stacked over the broadcast cells."""
+    """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), s, y)`` that do not depend
+    on the prior, stacked over the broadcast cells; ``(s, y)`` is :func:`_overlap_terms`."""
     eps0, eps1, n_eve = np.broadcast_arrays(
         *no_click_probabilities(mu, p_dark, eta_optical, stray_mean), gamma * mu
     )
-    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_helstrom_angle(n_eve)))
+    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_overlap_terms(n_eve)))
 
 
 def _prior_terms(terms, q):
     """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
     priors ``q`` in [0, 1]."""
-    eps0, eps1, h_eps0, h_eps1, _, *angle = terms
-    e0, e1, _, _ = _helstrom_split(*angle, q)
+    eps0, eps1, h_eps0, h_eps1, s, y = terms
+    e0, e1, _, _ = _helstrom_split(s, y, q)
     p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
     h_bob, h_eve, h_e0, h_e1 = _entropy(np.stack((p_bob, p_eve, e0, e1)))
     info_bob = _channel_information(q, h_bob, h_eps0, h_eps1)
@@ -130,7 +130,7 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
 
     The unclipped difference is maximised (it is continuous where the
     clipped value has flat zero plateaus), every cell in lockstep; a scan
-    call's rows ``(8, block, 1)`` broadcast against its grid of priors.
+    call's rows ``(6, block, 1)`` broadcast against its grid of priors.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)
@@ -164,7 +164,7 @@ def secrecy_points(
     else:
         q = _checked_prior(np.broadcast_to(np.asarray(q, dtype=float), mu.shape))
     info_bob, info_eve = _prior_terms(terms, q)
-    holevo_eve = holevo_bound(terms[4], q)  # row 4: the interceptor overlap c
+    holevo_eve = holevo_bound(terms[4], q)  # row 4: the interceptor's s = 1 - c^2
     clipped = (np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0))
     columns = (gamma, mu, q, info_bob, info_eve, holevo_eve, *clipped)
     return [SecrecyPoint(*values) for values in zip(*(column.tolist() for column in columns))]

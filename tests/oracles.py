@@ -4,8 +4,9 @@ Nothing here shares code with the library paths it checks: the disk
 fraction is estimated by Monte Carlo and by an mpmath radial Bessel integral
 instead of the noncentral chi-square CDF, maxima by dense grid enumeration
 instead of golden section, roots by a plain bisection loop, the Helstrom
-error, its conditional errors and the distinguishability angle by their
-direct formulas at raised precision instead of the cancellation-free forms,
+error, its conditional errors, the distinguishability angle and the
+encircled-power fraction by their direct formulas at raised precision
+instead of the cancellation-free forms,
 the pass window and the total-collection exclusion radius by 50-digit
 bisection of the equations the library inverts in closed form, and orbital
 periods by step-wise propagation instead of rate differences.
@@ -137,6 +138,19 @@ def mp_helstrom_conditional_errors(mean_photons: float, q: float) -> tuple[float
         b = mpmath.asin(mpmath.exp(-n / 2))
         phi0 = mpmath.atan2((1 - q) * mpmath.sin(2 * b), q + (1 - q) * mpmath.cos(2 * b)) / 2
         return float(mpmath.sin(phi0) ** 2), float(mpmath.sin(b - phi0) ** 2)
+
+
+def mp_gaussian_station_fraction(diam: float, divergence: float, distance: float) -> float:
+    """Encircled power ``1 - exp(-D^2 / (2 w^2))``, ``w = divergence * distance / 2``,
+    with 50 digits more than the subtraction cancels."""
+    def value():
+        w = mpmath.mpf(divergence) * mpmath.mpf(distance) / 2
+        x = mpmath.mpf(diam) ** 2 / (2 * w**2)
+        return x, 1 - mpmath.exp(-x)
+
+    x, _ = value()
+    with mpmath.workdps(50 + max(0, int(-mpmath.log10(x)))):
+        return float(value()[1])
 
 
 def mp_distinguishability_angle(mean_photons: float) -> float:

@@ -1,11 +1,14 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -172,24 +175,30 @@ class TestConfigHandling:
         assert f"config error: {message}" in err
 
     @pytest.mark.parametrize(
-        "command, data, warning",
+        "command, data",
         [
-            pytest.param("linkbudget", {"geometry": {"dist_bob_m": 1e300}}, None, id="linkbudget-data0"),
-            # The footprint is narrower than the receiver's aperture: it is
-            # collected whole, with a warning, before the tail overflows.
-            pytest.param(
-                "linkbudget", {"geometry": {"divergence_rad": 1e-300}}, LinkBudgetWarning, id="linkbudget-data1"
-            ),
-            pytest.param("capacity", {"geometry": {"dist_eve_m": 1e-300}}, None, id="capacity-data2"),
+            pytest.param("linkbudget", {"geometry": {"dist_bob_m": 1e300}}, id="linkbudget-data0"),
+            pytest.param("capacity", {"geometry": {"dist_eve_m": 1e-300}}, id="capacity-data2"),
         ],
     )
-    def test_float_overflow_exits_3(self, capsys, tmp_path, command, data, warning):
+    def test_float_overflow_exits_3(self, capsys, tmp_path, command, data):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(data))
-        with pytest.warns(warning, match="clamped to 1") if warning else contextlib.nullcontext():
-            code, _, err = run_cli(capsys, command, "--config", str(path))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == EXIT_NUMERIC
         assert "numerical failure: " in err
+
+    def test_underflowing_tail_prints_zero_degradation(self, capsys, tmp_path):
+        # The footprint is narrower than the receiver's aperture: it is
+        # collected whole, with a warning, and the exclusion-cone tail
+        # underflows to 0, so the interceptor collects nothing.
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({"geometry": {"divergence_rad": 1e-300}}))
+        with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+            code, out, _ = run_cli(capsys, "linkbudget", "--config", str(path))
+        assert code == EXIT_OK
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["eve_free_space"], row["gamma_partial"]) == ("0", "0")
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "row.csv"
@@ -803,3 +812,52 @@ def test_arbitrary_value_flags_end_in_a_defined_exit_code(argv):
     code, err = _run_quietly(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
     assert "internal error" not in err
+
+
+# Extreme but valid magnitudes, each field at its default, tiny or huge.
+_GEOMETRY_EXTREMES = {
+    key: (None, 1e-300, 1e300)
+    for key in ("dist_bob_m", "dist_eve_m", "diam_bob_m", "diam_eve_m", "divergence_rad", "exclusion_radius_m")
+}
+_ORBIT_EXTREMES = {
+    "alice_altitude_m": (None, 1e-300, 1e300),
+    "eve_orbit_offset_m": (None, 1e-3, 5.99e5),
+    "eve_telescope_diameter_m": (None, 1e-300, 1e300),
+    "diam_bob_m": (None, 1e-300, 1e300),
+    "divergence_rad": (None, 1e-300, 1e300),
+    "eta_b": (None, 1e-300, 1e300),
+}
+
+
+def _extreme_sections(extremes):
+    for values in itertools.product(*extremes.values()):
+        yield {key: value for key, value in zip(extremes, values) if value is not None}
+
+
+def test_extreme_link_geometries_print_no_errno_and_no_nan(capsys, tmp_path):
+    # A Python ** 2 that overflowed printed "numerical failure: (34, 'Numerical
+    # result out of range')" for 612 of these runs.
+    path = tmp_path / "geometry.json"
+    for geometry in _extreme_sections(_GEOMETRY_EXTREMES):
+        path.write_text(json.dumps({"geometry": geometry}))
+        for command in ("linkbudget", "capacity", "exclusion"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code, out, err = run_cli(capsys, command, "--config", str(path))
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (command, geometry)
+            assert "internal error" not in err and not re.search(r"\(\d+, '", err), (command, geometry, err)
+            assert not re.search(r"\b(nan|inf)\b", out, flags=re.I), (command, geometry, out)
+
+
+def test_extreme_orbits_print_no_nan_or_infinity(capsys, tmp_path):
+    # 1 - exp(-2 a^2 / w^2) was 0/0 with a tiny aperture and divergence, and
+    # 36 of these printed NaN in the JSON with exit 0.
+    path = tmp_path / "orbit.json"
+    for orbit in _extreme_sections(_ORBIT_EXTREMES):
+        path.write_text(json.dumps({"orbit": orbit}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), orbit
+        assert "internal error" not in err, orbit
+        assert "NaN" not in out and "Infinity" not in out, orbit

@@ -187,6 +187,21 @@ class TestHelstromProjector:
             expected = mp_helstrom_conditional_errors(n, q)
             assert (sol.error_given_0, sol.error_given_1) == pytest.approx(expected, rel=1e-12, abs=0.0), (n, q)
 
+    @pytest.mark.parametrize("priors", ["uniform", "near_half"])
+    def test_conditional_errors_mpmath_oracle_near_even_prior(self, priors):
+        # q + (1-q) cos 2b and (1-q) + q cos 2b cancelled as cos 2b -> -1 with
+        # q near 1/2: errors up to 5.7e-8 relative on the near_half draws.
+        rng = np.random.default_rng(41)
+        photons = 10.0 ** rng.uniform(-18, math.log10(160.0), 1500)
+        if priors == "uniform":
+            qs = rng.uniform(0.0, 1.0, 1500)
+        else:
+            qs = 0.5 + rng.choice([-1.0, 1.0], 1500) * 10.0 ** rng.uniform(-16, -1, 1500)
+        for n, q in zip(photons.tolist(), qs.tolist()):
+            sol = helstrom_projector(BinaryCoherentEnsemble(n, q))
+            expected = mp_helstrom_conditional_errors(n, q)
+            assert (sol.error_given_0, sol.error_given_1) == pytest.approx(expected, rel=1e-14, abs=0.0), (n, q)
+
     @pytest.mark.parametrize("q", [0.2, 0.8])
     def test_identical_states_guess_likelier_symbol(self, q):
         sol = helstrom_projector(BinaryCoherentEnsemble(0.0, q))

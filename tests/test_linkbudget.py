@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import mp_total_exclusion_radius
+from oracles import mp_gaussian_station_fraction, mp_total_exclusion_radius
 from wiretap_space.numerics import ConfigError
 from wiretap_space.linkbudget import (
     LinkBudgetWarning,
@@ -56,6 +56,23 @@ class TestBobFreeSpace:
         expected = 1.0 - math.exp(-2.0 * 0.25 / (w * w))
         value = _station_fraction(1.0, geometry.divergence_full_angle, geometry.dist_bob, "gaussian")
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_gaussian_mpmath_oracle_over_wide_beams(self):
+        # 1 - exp(-D^2/(2w^2)) cancelled as the beam widened: 1.2e-12 off at
+        # GEO range with the default divergence, 8.3e-8 at 1e-2 rad there.
+        rng = np.random.default_rng(16)
+        diam = 10.0 ** rng.uniform(-1, 1, 400)
+        divergence = 10.0 ** rng.uniform(-6, 0, 400)
+        distance = 10.0 ** rng.uniform(5, math.log10(4e7), 400)
+        cases = list(zip(diam, divergence, distance)) + [(1.0, 1e-5, 3.6e7), (1.0, 1e-2, 3.6e7), (1.0, 1.0, 6e5)]
+        for d, theta, dist in cases:
+            expected = mp_gaussian_station_fraction(float(d), float(theta), float(dist))
+            value = _station_fraction(float(d), float(theta), float(dist), "gaussian")
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0), (d, theta, dist)
+
+    def test_gaussian_tiny_beam_and_aperture_is_finite(self):
+        # D^2 and w^2 both underflowed to 0, and the fraction was 0/0.
+        assert _station_fraction(1e-300, 1e-300, 1e6, "gaussian") == pytest.approx(-math.expm1(-2e-12), rel=1e-15)
 
 
 class TestEveFreeSpace:
