@@ -60,23 +60,20 @@ def _beam_radius(divergence, distance):
     return 0.5 * divergence * distance
 
 
-def _filled_aperture(diam, divergence, distance):
-    """Filled aperture ``min(D, theta d)``: a narrower footprint is collected
-    whole.  Python floats stay floats (so overflows raise); arrays broadcast."""
-    footprint = divergence * distance
-    return np.minimum(diam, footprint) if isinstance(footprint, np.ndarray) else min(diam, footprint)
-
-
 def _station_fraction(diam, divergence, distance, model: str):
     """Fraction of the beam collected by a centred aperture, at most 1.
 
     ``"footprint"``: ``(a / (theta d))^2``, filled aperture over footprint
-    area.  ``"gaussian"``: encircled power ``1 - exp(-D^2 / (2 w^2))`` with
-    ``w`` the beam radius, as ``-expm1(-2 r^2)`` with ``r = D / (2 w)``, which
-    keeps every digit on wide beams.  Broadcasts over arrays.
+    area, as ``(D / max(D, theta d))^2``: exactly 1 on a footprint narrower
+    than the aperture, also on one that underflows to 0.  ``"gaussian"``:
+    encircled power ``1 - exp(-D^2 / (2 w^2))`` with ``w`` the beam radius,
+    as ``-expm1(-2 r^2)`` with ``r = D / (2 w)``, which keeps every digit on
+    wide beams.  Broadcasts over arrays.
     """
     if model == "footprint":
-        return (_filled_aperture(diam, divergence, distance) / (divergence * distance)) ** 2
+        footprint = divergence * distance
+        wider = np.maximum(diam, footprint) if isinstance(footprint, np.ndarray) else max(diam, footprint)
+        return (diam / wider) ** 2
     r = 0.5 * diam / _beam_radius(divergence, distance)
     return -np.expm1(-2.0 * r * r)
 
@@ -116,16 +113,22 @@ class LinkGeometry:
         return self.exclusion_radius / self.dist_bob
 
 
-def _exclusion_tail(geom: LinkGeometry) -> float:
-    """Gaussian tail factor ``exp(-2 r^2)``, ``r = 2 theta_E / theta_div``, of the exclusion cone."""
+def _exclusion_exponent(geom: LinkGeometry) -> float:
+    """Exponent ``-2 r^2``, ``r = 2 theta_E / theta_div``, of the exclusion cone's
+    Gaussian tail factor; ``-inf`` where ``ratio ** 2`` would raise on overflow."""
     ratio = 2.0 * geom.exclusion_angle / geom.divergence_full_angle
-    return math.exp(-2.0 * ratio * ratio)  # 0 where ratio ** 2 would raise on overflow
+    return -2.0 * ratio * ratio
 
 
 def _filled_ratio(geom: LinkGeometry, dist_eve: float) -> float:
-    """Filled-aperture ratio ``a_E / a_B``, the interceptor at range ``dist_eve``."""
-    eve = _filled_aperture(geom.diam_eve, geom.divergence_full_angle, dist_eve)
-    return eve / _filled_aperture(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob)
+    """Filled-aperture ratio ``a_E / a_B``, ``a = min(D, theta d)``, the
+    interceptor at range ``dist_eve``.  Where the receiver's footprint is the
+    narrower, ``d_B < D_B / theta``, it is ``min(D_E / theta, d_E) / d_B``, so a
+    footprint that underflows to 0 is no divisor."""
+    theta = geom.divergence_full_angle
+    if geom.dist_bob < geom.diam_bob / theta:
+        return min(geom.diam_eve / theta, dist_eve) / geom.dist_bob
+    return min(geom.diam_eve, theta * dist_eve) / geom.diam_bob
 
 
 def bob_free_space(geom: LinkGeometry) -> float:
@@ -140,8 +143,8 @@ def bob_free_space(geom: LinkGeometry) -> float:
             f"receiver fraction underflows to 0: diam_bob={geom.diam_bob}, "
             f"dist_bob={geom.dist_bob}, divergence={geom.divergence_full_angle}"
         )
-    excess = geom.diam_bob / _filled_aperture(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob)
-    if excess > 1.0:
+    if geom.dist_bob < geom.diam_bob / geom.divergence_full_angle:
+        excess = geom.diam_bob / geom.divergence_full_angle / geom.dist_bob
         warnings.warn(
             f"beam footprint smaller than receiver aperture (ratio {excess * excess:.3g}); clamped to 1",
             LinkBudgetWarning,
@@ -157,23 +160,31 @@ def eve_free_space(geom: LinkGeometry) -> float:
     Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)``.
     """
     ratio = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
-    return ratio * _exclusion_tail(geom)
+    return ratio * math.exp(_exclusion_exponent(geom))
 
 
 def gamma_partial(geom: LinkGeometry) -> float:
     """Channel-degradation ratio for the fixed-telescope interceptor model.
 
     ``eve_free_space / (eta_b bob_free_space)``, in closed form
-    ``(1/eta_b) (d_B/d_E)^2 (a_E/a_B)^2 exp(-2 (2 theta_E/theta_div)^2)``.
-    Values >= 1 are legal outputs (they mean no secrecy is possible) and are
-    rejected only when fed into secrecy computations.  Raises
-    ``FloatingPointError`` when it overflows or is ``0 * inf``.
+    ``(1/eta_b) ((d_B/d_E) (a_E/a_B))^2 exp(-2 (2 theta_E/theta_div)^2)``.
+    Where one factor underflows to 0 and another overflows, the sum of the
+    factors' logs decides the value.  Values >= 1 are legal outputs (they
+    mean no secrecy is possible) and are rejected only when fed into secrecy
+    computations.  Raises ``FloatingPointError`` only when it overflows.
     """
-    ratio = _filled_ratio(geom, geom.dist_eve)
-    dist_ratio = geom.dist_bob / geom.dist_eve
-    gamma = (1.0 / geom.eta_b) * (dist_ratio * dist_ratio) * (ratio * ratio) * _exclusion_tail(geom)
-    if not math.isfinite(gamma):
-        raise FloatingPointError(f"degradation ratio is {'0 * inf' if math.isnan(gamma) else 'inf'}: {geom}")
+    exponent = _exclusion_exponent(geom)
+    ratio = (geom.dist_bob / geom.dist_eve) * _filled_ratio(geom, geom.dist_eve)
+    gamma = (1.0 / geom.eta_b) * (ratio * ratio) * math.exp(exponent)
+    if math.isnan(gamma):  # (d_B/d_E) (a_E/a_B) = (a_E/d_E) / (a_B/d_B), a/d = min(D/d, theta)
+        eve, bob = (min(math.log(diam) - math.log(dist), math.log(geom.divergence_full_angle))
+                    for diam, dist in ((geom.diam_eve, geom.dist_eve), (geom.diam_bob, geom.dist_bob)))
+        try:
+            gamma = math.exp(2.0 * (eve - bob) - math.log(geom.eta_b) + exponent)
+        except OverflowError:
+            gamma = math.inf
+    if math.isinf(gamma):
+        raise FloatingPointError(f"degradation ratio is inf: {geom}")
     return gamma
 
 
@@ -229,7 +240,7 @@ def exclusion_radius_total(
     if not dist > 0 or not diam_bob > 0 or not divergence > 0:
         raise ValueError("dist, diam_bob and divergence must be > 0")
     scale = divergence * dist
-    ratio = diam_bob / scale
+    ratio = diam_bob / scale if scale > 0.0 else math.inf  # a footprint that underflows is the narrower
     rhs = -gamma_target * math.expm1(-2.0 * ratio * ratio)  # not ** 2, which raises on overflow
     if rhs > 0.0:
         radius = scale * math.sqrt(-0.5 * math.log(rhs))

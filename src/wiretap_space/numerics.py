@@ -2,10 +2,10 @@
 
 Binary Shannon entropy and the mutual information of binary channels from
 their entropies (shared by the secrecy kernel and the one-point functions),
-bounded 1-D maximisation (grid scan plus golden-section refinement) for one
-function or for many in lockstep, bracketed bisection, and the power fraction
-of a Gaussian beam falling on an offset circular disk, in closed form as a
-noncentral chi-square CDF.
+bounded 1-D maximisation (a grid scan, then nested rescans of the best
+point's neighbourhood) for many functions in lockstep or for one, bracketed
+bisection, and the power fraction of a Gaussian beam falling on an offset
+circular disk, in closed form as a noncentral chi-square CDF.
 Everything here is a pure function of its inputs and safe to call
 concurrently.  scipy is imported on the first disk-fraction call only.
 """
@@ -32,12 +32,13 @@ __all__ = [
 # rather than being rejected, so float rounding does not trip the range check.
 _CLAMP_EPS = 1e-12
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Points of the coarse scan that seeds :func:`maximize_1d`.
+# Points of the first scan of :func:`maximize_lockstep`, both endpoints included.
 GRID_POINTS = 64
-# Cells per call of the objective in the scan of :func:`maximize_lockstep`;
-# it bounds the scan's arrays at SCAN_BLOCK_CELLS * GRID_POINTS elements.
+# Points of each later scan of a cell's best neighbourhood: odd, so the best
+# point is the middle one.
+REFINE_POINTS = 9
+# Cells per call of the objective in the first scan of :func:`maximize_lockstep`;
+# every call holds at most SCAN_BLOCK_CELLS * GRID_POINTS points.
 SCAN_BLOCK_CELLS = 128
 # Beam radii past which :func:`gaussian_disk_fraction` saturates at 1 or 0.
 _REACH_RADII = 8.0
@@ -93,80 +94,67 @@ def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
 
 
 def maximize_lockstep(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], domain: Interval, tol: float, cells: int
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    domain: Interval,
+    tol: float,
+    cells: int,
+    points: int = REFINE_POINTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximise ``cells`` independent functions over one ``domain`` at once.
 
-    ``f(x, cell)`` returns the values of the functions numbered ``cell`` at
-    the abscissae ``x`` in the broadcast shape of the two arrays, and no NaN.
-    Every cell takes the steps of :func:`maximize_1d`: a scan of
-    :data:`GRID_POINTS` points (including both endpoints) that keeps the
-    first maximum (``np.argmax``), then a golden-section refinement of the
-    ``[i-1, i+1]`` grid neighbourhood that moves left on ``f(c) >= f(d)`` and
-    stops once the cell's own bracket is no wider than ``tol``; the refined
-    point replaces the grid point only if its value is strictly larger.  The
-    scan calls ``f(grid, block[:, np.newaxis])`` for :data:`SCAN_BLOCK_CELLS`
-    cells at a time, the refinement ``f`` on 1-D arrays of the cells still
-    searching.  Returns ``(argmax, max)`` arrays of length ``cells``.
+    ``f(x, cell)`` returns the values of the functions numbered ``cell``, a
+    column of cell numbers, at the abscissae ``x``, one row per cell, in the
+    broadcast shape of the two arrays, and no NaN.  The first scan takes
+    :data:`GRID_POINTS` points including both endpoints; each next one takes
+    ``points`` points (odd, at least 5) over a cell's two grid neighbours
+    ``[x[j-1], x[j+1]]`` of its best point ``i``, ``j = clip(i, 1, n - 2)``, so
+    the best point stays on the new grid (to rounding) and an endpoint
+    maximum stays exactly at the bound.  Each scan keeps a cell's first
+    maximum (``np.argmax``).  The nominal step shrinks by ``2 / (points - 1)``
+    per scan, alike for every cell, and the search ends with the scan whose
+    step is at most ``tol``.  Each call of ``f`` holds at most
+    ``SCAN_BLOCK_CELLS * GRID_POINTS`` points.  Returns ``(argmax, max)``
+    arrays of length ``cells``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    lo, hi = domain.lo, domain.hi
-    step = (hi - lo) / (GRID_POINTS - 1)
-    grid = lo + np.arange(GRID_POINTS) * step
-    grid[-1] = hi
-    best_i = np.empty(cells, dtype=np.intp)
-    best_f = np.empty(cells)
-    for start in range(0, cells, SCAN_BLOCK_CELLS):
-        block = np.arange(start, min(start + SCAN_BLOCK_CELLS, cells))
-        values = f(grid, block[:, np.newaxis])
-        best_i[block] = np.argmax(values, axis=1)
-        best_f[block] = values[np.arange(block.size), best_i[block]]
-    best_x = grid[best_i]
-
-    # Golden section on each cell's grid neighbourhood, every cell in lockstep.
-    low = np.maximum(lo, lo + (best_i - 1) * step)
-    high = np.minimum(hi, lo + (best_i + 1) * step)
-    refined = np.flatnonzero(high - low > tol)
-    low, high = low[refined], high[refined]
-    c = high - _INV_PHI * (high - low)
-    d = low + _INV_PHI * (high - low)
-    fcd = f(np.concatenate((c, d)), np.concatenate((refined, refined)))
-    fc, fd = fcd[: refined.size], fcd[refined.size:]
-    active = np.flatnonzero(high - low > tol)
-    while active.size:
-        left = fc[active] >= fd[active]
-        to_left, to_right = active[left], active[~left]
-        high[to_left], d[to_left], fd[to_left] = d[to_left], c[to_left], fc[to_left]
-        c[to_left] = high[to_left] - _INV_PHI * (high[to_left] - low[to_left])
-        low[to_right], c[to_right], fc[to_right] = c[to_right], d[to_right], fd[to_right]
-        d[to_right] = low[to_right] + _INV_PHI * (high[to_right] - low[to_right])
-        fx = f(np.where(left, c[active], d[active]), refined[active])
-        fc[to_left], fd[to_right] = fx[left], fx[~left]
-        active = active[high[active] - low[active] > tol]
-    take_c = fc >= fd
-    gx, gf = np.where(take_c, c, d), np.where(take_c, fc, fd)
-    better = gf > best_f[refined]
-    best_x[refined[better]] = gx[better]
-    best_f[refined[better]] = gf[better]
-    return best_x, best_f
+    if points < 5 or points % 2 == 0:
+        raise ValueError(f"points must be odd and >= 5, got {points}")
+    step = (domain.hi - domain.lo) / (GRID_POINTS - 1)
+    grid = domain.lo + np.arange(GRID_POINTS) * step
+    grid[-1] = domain.hi
+    grid = np.broadcast_to(grid, (cells, GRID_POINTS))
+    rows = np.arange(cells)
+    best, best_f = np.empty(cells, dtype=np.intp), np.empty(cells)
+    while True:
+        block = SCAN_BLOCK_CELLS * GRID_POINTS // grid.shape[1]
+        for start in range(0, cells, block):
+            part = slice(start, start + block)
+            values = f(grid[part], rows[part, np.newaxis])
+            best[part] = np.argmax(values, axis=1)
+            best_f[part] = values[np.arange(values.shape[0]), best[part]]
+        if step <= tol:
+            return grid[rows, best], best_f
+        j = np.clip(best, 1, grid.shape[1] - 2)
+        low, high = grid[rows, j - 1], grid[rows, j + 1]
+        # np.linspace(low, high, points) for each cell, bit for bit
+        grid = low[:, np.newaxis] + np.arange(points) * ((high - low) / (points - 1))[:, np.newaxis]
+        grid[:, -1] = high
+        step *= 2.0 / (points - 1)
 
 
 def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tuple[float, float]:
     """Maximise ``f`` over ``domain``; returns ``(argmax, max)``.
 
-    A coarse scan of :data:`GRID_POINTS` points (including both endpoints)
-    seeds a golden-section refinement of the best grid cell's neighbourhood.
-    The grid seed makes the search robust to mild non-unimodality, e.g. flat
-    clipped plateaus next to a single interior peak.  This is
-    :func:`maximize_lockstep` on one cell, calling ``f`` once per point in
-    the same order as a serial scan and search would.
+    :func:`maximize_lockstep` on one cell, calling ``f`` once per point, scan
+    by scan.  The first scan's :data:`GRID_POINTS` points make the search
+    robust to mild non-unimodality, e.g. flat clipped plateaus next to a
+    single interior peak.
     """
-    def points(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
-        x = np.broadcast_to(x, np.broadcast(x, cell).shape)
+    def each(x: np.ndarray, cell: np.ndarray) -> np.ndarray:
         return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
-    x, fx = maximize_lockstep(points, domain, tol, cells=1)
+    x, fx = maximize_lockstep(each, domain, tol, cells=1)
     return float(x[0]), float(fx[0])
 
 

@@ -129,8 +129,9 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (column) of the :func:`_cell_terms` rows, ``(q*, I(X;Y) - I(X;Z) at q*)``.
 
     The unclipped difference is maximised (it is continuous where the
-    clipped value has flat zero plateaus), every cell in lockstep; a scan
-    call's rows ``(6, block, 1)`` broadcast against its grid of priors.
+    clipped value has flat zero plateaus), every cell in lockstep by
+    :func:`maximize_lockstep`'s nested scans; a call's rows ``(6, block, 1)``
+    broadcast against its block's priors.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)
@@ -252,26 +253,24 @@ def dw_rate_symmetric(detector: DetectorModel, received_mean_photons: float, gam
 def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[float, SecrecyPoint]:
     """Maximise the q-optimised capacity over the received mean photon number.
 
-    Nested scans over log10 of the photon number, each scan one lockstep
-    q-search over its points.  The first spans :data:`PHOTON_SEARCH_BOUNDS`
-    at ``GRID_POINTS`` points; each next spans the best point's two grid
-    neighbours at ``GRID_POINTS + 1`` points, which keeps the best point on
-    the grid (to rounding), until the step is at most :data:`LOG_TOL`: three
-    scans, 43 kernel calls.  Each scan keeps the first largest clipped
-    capacity (``np.argmax``; the kernel returns no NaN), so a zero plateau
-    resolves to the lower bound.  The point takes the last scan's q*.
+    :func:`maximize_lockstep` on one cell over log10 of the photon number in
+    :data:`PHOTON_SEARCH_BOUNDS`, rescanning at ``GRID_POINTS + 1`` points
+    down to a step of at most :data:`LOG_TOL`: three scans, each one lockstep
+    q-search over its points for the clipped capacity, so a zero plateau
+    resolves to the lower bound.  The point is :func:`private_capacity` at
+    the winning photon number: 21 kernel calls.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
-    log_mu = np.linspace(*map(math.log10, PHOTON_SEARCH_BOUNDS), GRID_POINTS)
-    while True:
-        mu = 10.0**log_mu
-        q, unclipped = _optimal_q(
-            _cell_terms(mu, gamma, detector.p_dark, detector.eta_optical, detector.stray_mean)
-        )
-        i = int(np.argmax(np.maximum(unclipped, 0.0)))
-        if log_mu[1] - log_mu[0] <= LOG_TOL:
-            return float(mu[i]), private_capacity_fixed(detector, float(mu[i]), gamma, float(q[i]))
-        log_mu = np.linspace(log_mu[max(i - 1, 0)], log_mu[min(i + 1, mu.size - 1)], GRID_POINTS + 1)
+    fields = (detector.p_dark, detector.eta_optical, detector.stray_mean)
+
+    def capacity(log_mu, cell):
+        _, unclipped = _optimal_q(_cell_terms(10.0**log_mu.ravel(), gamma, *fields))
+        return np.maximum(unclipped, 0.0).reshape(log_mu.shape)
+
+    bounds = Interval(*map(math.log10, PHOTON_SEARCH_BOUNDS))
+    log_mu, _ = maximize_lockstep(capacity, bounds, LOG_TOL, 1, GRID_POINTS + 1)
+    (mu,) = (10.0**log_mu).tolist()  # the array power, as in the scans
+    return mu, private_capacity(detector, mu, gamma)
 
 
 def plob_bound(eta: float) -> float:

@@ -46,6 +46,15 @@ class TestBobFreeSpace:
         with pytest.warns(LinkBudgetWarning):
             assert bob_free_space(geometry) == 1.0
 
+    def test_footprint_that_underflows_is_collected_whole(self):
+        # theta d underflows to 0: narrower than any aperture, not a divisor.
+        geometry = LinkGeometry(dist_bob=1e-300, divergence_full_angle=1e-300)
+        with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+            assert bob_free_space(geometry) == 1.0
+        fractions = _station_fraction(1.0, 1e-300, np.array([1e-300, 1e302]), "footprint")
+        assert fractions.tolist() == pytest.approx([1.0, 1e-4], rel=1e-15)
+        assert gamma_partial(geometry) == 0.0
+
     def test_underflow_raises(self):
         with pytest.raises(FloatingPointError, match="receiver fraction underflows to 0"):
             bob_free_space(LinkGeometry(diam_bob=1e-200))
@@ -139,16 +148,28 @@ class TestGammaPartial:
             expected = eve_free_space(geometry) / (geometry.eta_b * bob_free_space(geometry))
         assert gamma_partial(geometry) == pytest.approx(expected, rel=1e-15)
 
-    def test_zero_times_infinity_raises(self):
-        # (d_B/d_E)^2 underflows to 0 while (a_E/a_B)^2 overflows: no value to print.
-        geometry = LinkGeometry(dist_bob=1e-300, dist_eve=1e300, diam_eve=1e300, exclusion_radius=1e-300)
-        with pytest.raises(FloatingPointError, match=r"degradation ratio is 0 \* inf"):
-            gamma_partial(geometry)
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            # d_B/d_E overflows while a_E/a_B underflows; their product is 12.
+            ({"dist_eve": 1e-300}, 144.0 / 0.01 * math.exp(-2.0 * (2.0 * 12.5 / 1.2e6 / 1e-5) ** 2)),
+            # (a_E/a_B)^2 overflows while the exclusion tail underflows to 0.
+            ({"diam_bob": 1e-300, "exclusion_radius": 1e300}, 0.0),
+            # (d_B/d_E)^2 underflows and (a_E/a_B)^2 overflows, then the tail is 0.
+            ({"dist_bob": 1e-300, "dist_eve": 1e300, "diam_eve": 1e300, "exclusion_radius": 1e-300}, 0.0),
+        ],
+    )
+    def test_underflow_beside_overflow_is_decided(self, fields, expected):
+        assert gamma_partial(LinkGeometry(**fields)) == pytest.approx(expected, rel=1e-12)
+
+    def test_true_overflow_raises(self):
+        with pytest.raises(FloatingPointError, match="degradation ratio is inf"):
+            gamma_partial(LinkGeometry(diam_bob=1e-300, exclusion_radius=0.0))
 
     def test_unclamped_is_the_closed_form_bit_for_bit(self):
         g = LinkGeometry(dist_bob=1.1e6, dist_eve=1.3e6, diam_eve=1.7, exclusion_radius=9.0)
         tail = math.exp(-2.0 * (2.0 * g.exclusion_angle / g.divergence_full_angle) ** 2)
-        closed = (1.0 / g.eta_b) * (g.dist_bob / g.dist_eve) ** 2 * (g.diam_eve / g.diam_bob) ** 2 * tail
+        closed = (1.0 / g.eta_b) * ((g.dist_bob / g.dist_eve) * (g.diam_eve / g.diam_bob)) ** 2 * tail
         assert gamma_partial(g) == closed
 
 

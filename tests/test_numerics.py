@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_reference, entropy_bits, grid_argmax, mc_disk_fraction, mp_disk_fraction
 from wiretap_space.numerics import (
+    GRID_POINTS,
     BracketError,
     Interval,
     _disk_fraction,
@@ -13,6 +14,7 @@ from wiretap_space.numerics import (
     find_root,
     gaussian_disk_fraction,
     maximize_1d,
+    maximize_lockstep,
 )
 
 
@@ -73,6 +75,66 @@ class TestMaximize1d:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             maximize_1d(lambda x: x, Interval(0.0, 1.0), tol=0.0)
+
+
+class TestMaximizeLockstep:
+    """Nested scans on random multimodal objectives: sums of three sines per
+    cell, and a line through the origin (an endpoint maximum) in some cells."""
+
+    @staticmethod
+    def _objective(amp, freq, phase, slope):
+        def f(x, cell):
+            waves = sum(amp[cell, k] * np.sin(freq[cell, k] * x + phase[cell, k]) for k in range(3))
+            return waves + slope[cell] * x
+        return f
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.integers(1, 300),
+        lo=st.floats(-10.0, 9.0),
+        width=st.floats(0.1, 10.0),
+        tol=st.floats(1e-7, 1e-2),
+        points=st.sampled_from([5, 7, 9, 11, 17, 65]),
+    )
+    def test_random_multimodal_objectives(self, seed, cells, lo, width, tol, points):
+        rng = np.random.default_rng(seed)
+        amp = rng.uniform(-1, 1, (cells, 3))
+        freq = rng.uniform(0, 40, (cells, 3))
+        phase = rng.uniform(0, 7, (cells, 3))
+        linear = rng.random(cells) < 0.2
+        amp[linear] = 0.0
+        slope = np.where(linear, rng.choice([-1.0, 1.0], cells), 0.0)
+        f = self._objective(amp, freq, phase, slope)
+        domain = Interval(lo, lo + width)
+        x, fx = maximize_lockstep(f, domain, tol, cells, points)
+
+        grid = np.linspace(domain.lo, domain.hi, GRID_POINTS)
+        first = f(grid, np.arange(cells)[:, np.newaxis]).max(axis=1)
+        # Never below the first scan's best, up to the rounding of the
+        # abscissae that the later scans put the best point on.
+        lipschitz = np.abs(amp * freq).sum(axis=1) + np.abs(slope)
+        assert (fx >= first - lipschitz * 1e-13 * max(abs(domain.lo), abs(domain.hi))).all()
+        assert ((domain.lo <= x) & (x <= domain.hi)).all()
+        # An endpoint maximum returns the bound exactly.
+        assert (x[linear & (slope > 0)] == domain.hi).all()
+        assert (x[linear & (slope < 0)] == domain.lo).all()
+        # Each cell equals that cell searched alone, bit for bit.
+        for cell in rng.choice(cells, min(cells, 5), replace=False):
+            alone = maximize_lockstep(lambda v, c: f(v, c + cell), domain, tol, 1, points)
+            assert (alone[0][0], alone[1][0]) == (x[cell], fx[cell])
+
+    @pytest.mark.parametrize("hi", [1e-20, 3e-17])
+    def test_upper_bound_near_zero_is_returned_exactly(self, hi):
+        # The rescans' low + k (high - low) / (points - 1) misses a bound this
+        # close to 0 below it.
+        x, _ = maximize_lockstep(lambda x, cell: x + 0.0 * cell, Interval(-0.1, hi), 1e-6, 1)
+        assert x[0] == hi
+
+    @pytest.mark.parametrize("points", [3, 4, 8, 1])
+    def test_rejects_points_that_cannot_narrow(self, points):
+        with pytest.raises(ValueError, match="points"):
+            maximize_lockstep(lambda x, cell: x + 0.0 * cell, Interval(0.0, 1.0), 1e-3, 1, points)
 
 
 class TestFindRoot:

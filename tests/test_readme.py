@@ -1,5 +1,5 @@
-"""The README's CLI examples and "Library use" section run, and the
-section names only what exists."""
+"""The README's CLI examples and "Library use" section run, the section
+names only what exists, and the kernel-call counts it states are counted."""
 import importlib
 import json
 import pkgutil
@@ -7,9 +7,12 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 import wiretap_space
+from wiretap_space import secrecy
 from wiretap_space.cli import EXIT_OK, main
-from wiretap_space.scenario_io import CAPACITY_SWEEP_OUTPUTS
+from wiretap_space.scenario_io import CAPACITY_SWEEP_OUTPUTS, SweepAxis, config_from_dict, sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,3 +66,24 @@ def test_library_use_names_resolve():
         if name not in CAPACITY_SWEEP_OUTPUTS and not any(hasattr(m, name) for m in modules)
     ]
     assert unresolved == []
+
+
+def test_stated_kernel_calls_are_counted(monkeypatch):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated_sweep = int(re.search(r"A 32×16 grid takes (\d+) kernel calls", text).group(1))
+    stated_photons = int(re.search(r"winning photon number: (\d+) kernel calls", text).group(1))
+    calls = []
+    kernel = secrecy._prior_terms
+
+    def counted(terms, q):
+        calls.append(np.broadcast(terms[0], q).size)
+        return kernel(terms, q)
+
+    monkeypatch.setattr(secrecy, "_prior_terms", counted)
+    config = config_from_dict({})
+    sweep(config, [SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
+                   SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log")])
+    assert len(calls) == stated_sweep
+    calls.clear()
+    secrecy.optimal_signal_strength(config.detector, 0.1)
+    assert len(calls) == stated_photons

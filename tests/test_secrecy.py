@@ -8,7 +8,7 @@ import pytest
 from oracles import grid_argmax
 from wiretap_space import secrecy
 from wiretap_space.detection import BinaryCoherentEnsemble, helstrom_projector, holevo_binary
-from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS, binary_entropy
+from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, binary_entropy
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
@@ -302,22 +302,30 @@ class TestKernelCalls:
         assert len(rows) == 512
         scan_calls = math.ceil(512 / SCAN_BLOCK_CELLS)
         assert calls[:scan_calls] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls
-        # The golden section on a bracket of two grid steps: 12 iterations to
-        # Q_SEARCH_TOL, after one call for its first two points; then one
-        # evaluation of every cell at its optimum.
+        # Each rescan cuts the step by 4, from 0.0156 to 6.1e-5 <= Q_SEARCH_TOL
+        # in four, each one call over every cell; then one evaluation of every
+        # cell at its optimum.
         step = (Q_SEARCH_BOUNDS[1] - Q_SEARCH_BOUNDS[0]) / (GRID_POINTS - 1)
-        golden = math.ceil(math.log(2 * step / Q_SEARCH_TOL) / math.log((1 + math.sqrt(5)) / 2))
-        assert golden == 12
-        assert len(calls) <= scan_calls + 1 + golden + 1
-        assert calls[-1] == 512
+        rescans = math.ceil(math.log(step / Q_SEARCH_TOL) / math.log((REFINE_POINTS - 1) / 2))
+        assert rescans == 4
+        assert calls[scan_calls:] == [512 * REFINE_POINTS] * rescans + [512]
+        assert len(calls) == 9
 
     def test_photon_scan_is_one_batch(self, calls, day_detector):
         optimal_signal_strength(day_detector, 0.1)
         # The 64 photon numbers of the scan form one 64-cell q-search.
         assert calls[0] == GRID_POINTS * GRID_POINTS
-        # Three scans of 14 calls each (one scan call, one for the golden
-        # section's first two points, 12 golden steps), then the optimum.
-        assert len(calls) <= 3 * 14 + 1
+        # Three scans of 5 calls each (one scan call, four rescans), then the
+        # q-search and evaluation of the optimum.
+        q_search = lambda cells: [cells * GRID_POINTS] + [cells * REFINE_POINTS] * 4
+        optimum = q_search(1) + [1]
+        assert calls == q_search(GRID_POINTS) + 2 * q_search(GRID_POINTS + 1) + optimum
+        assert len(calls) == 21
+
+    def test_one_cell_budget(self, calls):
+        private_capacity(DetectorModel(), 4.0, 0.1)
+        # One scan call, four rescans, one evaluation at the optimum.
+        assert calls == [GRID_POINTS] + [REFINE_POINTS] * 4 + [1]
 
     def test_prior_free_terms_once_per_search(self, cell_calls, day_detector):
         rng = np.random.default_rng(7)
