@@ -3,7 +3,9 @@
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
 ``orbit``, ``table1``.  Value flags such as ``--q`` override config fields,
 and every run echoes the resolved configuration to stderr, so results are
-reproducible from the log alone.  Exit codes: 0 on success, 2 for a
+reproducible from the log alone.  :func:`main` loads the config, echoes it,
+computes the command's table (each ``_run_*`` returns one) and writes it
+(only :func:`_write` writes).  Exit codes: 0 on success, 2 for a
 ``ConfigError`` (an invalid config, flag or axis, or an unwritable ``--out``
 path), 3 for a numerical failure (an offset bracket with no sign change, a
 value no float can hold) or an internal error (any other ``ValueError``).
@@ -18,13 +20,7 @@ import sys
 from dataclasses import astuple
 from typing import Sequence
 
-from .linkbudget import (
-    bob_free_space,
-    eve_free_space,
-    fraction_to_db,
-    gamma_partial,
-    radius_vs_gamma_curve,
-)
+from .linkbudget import bob_free_space, eve_free_space, fraction_to_db, gamma_partial
 from .numerics import BracketError, ConfigError
 from .orbitsim import (
     PASS_PROFILE_COLUMNS,
@@ -34,8 +30,6 @@ from .orbitsim import (
 )
 from .scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
-    DEFAULT_GAMMA_TARGET,
-    EXCLUSION_OUTPUTS,
     TABLE1_HEADER,
     ScenarioConfig,
     SweepAxis,
@@ -159,82 +153,69 @@ def _echo_config(config: ScenarioConfig) -> None:
     print("resolved-config: " + json.dumps(config_to_dict(config)), file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _output(args: argparse.Namespace):
-    """The ``--out`` file, or stdout."""
-    if args.out:
-        try:
-            fh = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigError([f"cannot write output {args.out!r}: {exc}"]) from exc
-        with fh:
-            yield fh
-    else:
-        yield sys.stdout
+def _write(args: argparse.Namespace, header: Sequence[str], rows, summary: dict | None = None) -> None:
+    """Write one command's table to ``--out``, opened only now, or stdout.
 
-
-def _emit(args: argparse.Namespace, header: Sequence[str], rows) -> None:
-    with _output(args) as stream:
-        if args.format == "json":
-            stream.write(json.dumps(rows_to_json(header, rows), indent=2) + "\n")
-        else:
+    The rows stream out as CSV or, with ``--format json``, as row objects.
+    ``summary`` (the orbit pass's) is echoed to stderr and is the JSON
+    document in place of the rows.
+    """
+    if summary is not None:
+        print("pass-summary: " + json.dumps(summary), file=sys.stderr)
+    try:
+        stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise ConfigError([f"cannot write output {args.out!r}: {exc}"]) from exc
+    with stream if args.out else contextlib.nullcontext():
+        if args.format == "csv":
             write_csv(stream, header, rows)
+        else:
+            document = rows_to_json(header, rows) if summary is None else summary
+            stream.write(json.dumps(document, indent=2) + "\n")
 
 
-def _run_capacity(args: argparse.Namespace, config: ScenarioConfig) -> None:
+def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
     gamma = resolved_gamma(config)
     detector = config.detector
     if args.optimize_photons:
+        ignored = [flag for flag, value in (("--photons", args.photons), ("--q", args.q)) if value is not None]
+        if args.q is None and config.operating.q is not None:
+            ignored.append("operating.q")
+        if ignored:
+            raise ConfigError([f"{name} has no effect with --optimize-photons, which searches the "
+                               "photon number and q" for name in ignored])
         _, point = optimal_signal_strength(detector, gamma)
     else:
         (point,) = secrecy_points(config.operating.received_mean_photons, gamma, config.operating.q,
                                   detector.p_dark, detector.eta_optical, detector.stray_mean)
-    _emit(args, list(CAPACITY_SWEEP_OUTPUTS), [capacity_row(point, config.link.clock_rate)])
+    return CAPACITY_SWEEP_OUTPUTS, [capacity_row(point, config.link.clock_rate)]
 
 
-def _run_sweep(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    axes = [_parse_axis(a) for a in args.axis] if args.axis else None
-    header, rows = sweep(config, axes)
-    _emit(args, header, rows)
+def _run_sweep(args: argparse.Namespace, config: ScenarioConfig):
+    return sweep(config, [_parse_axis(a) for a in args.axis] if args.axis else None)
 
 
-def _run_linkbudget(args: argparse.Namespace, config: ScenarioConfig) -> None:
+def _run_linkbudget(args: argparse.Namespace, config: ScenarioConfig):
     geometry = config.geometry
     loss = bob_free_space(geometry)
-    header = [
-        "configuration",
-        "dist_bob_m",
-        "dist_eve_m",
-        "bob_free_space",
-        "channel_loss_db",
-        "eve_free_space",
-        "gamma_partial",
-        "exclusion_radius_m",
-    ]
-    row = [
-        config.label,
-        geometry.dist_bob,
-        geometry.dist_eve,
-        loss,
-        fraction_to_db(loss),
-        eve_free_space(geometry),
-        gamma_partial(geometry),
-        geometry.exclusion_radius,
-    ]
-    _emit(args, header, [row])
+    row = {
+        "configuration": config.label,
+        "dist_bob_m": geometry.dist_bob,
+        "dist_eve_m": geometry.dist_eve,
+        "bob_free_space": loss,
+        "channel_loss_db": fraction_to_db(loss),
+        "eve_free_space": eve_free_space(geometry),
+        "gamma_partial": gamma_partial(geometry),
+        "exclusion_radius_m": geometry.exclusion_radius,
+    }
+    return list(row), [list(row.values())]
 
 
-def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig) -> None:
-    if args.axis:
-        header, rows = exclusion_sweep(config, _parse_axis(args.axis), args.gamma_target)
-        _emit(args, header, rows)
-        return
-    target = DEFAULT_GAMMA_TARGET if args.gamma_target is None else args.gamma_target
-    rows = radius_vs_gamma_curve(config.geometry, [target])
-    _emit(args, ["gamma_target", *EXCLUSION_OUTPUTS], [astuple(row) for row in rows])
+def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig):
+    return exclusion_sweep(config, _parse_axis(args.axis) if args.axis else None, args.gamma_target)
 
 
-def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
+def _run_orbit(args: argparse.Namespace, config: ScenarioConfig):
     profile = integrated_gamma(config.orbit, config.constants)
     revisit, intercept_period = alignment_periods(config.orbit, config.constants)
     visible = profile.times[profile.eta_eve > 1e-3]
@@ -254,22 +235,18 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig) -> None:
         summary["required_offset_m"] = required_orbital_exclusion(
             config.orbit, config.constants, gamma_target=args.solve_gamma
         )
-    print("pass-summary: " + json.dumps(summary), file=sys.stderr)
-    with _output(args) as stream:
-        if args.format == "json":
-            stream.write(json.dumps(summary, indent=2) + "\n")
-        else:
-            series = (profile.times, profile.eta_bob, profile.eta_eve,
-                      profile.d_bob, profile.d_eve, profile.beam_offset)
-            write_csv(stream, PASS_PROFILE_COLUMNS, zip(*series))
+    series = zip(profile.times, profile.eta_bob, profile.eta_eve, profile.d_bob, profile.d_eve, profile.beam_offset)
+    return PASS_PROFILE_COLUMNS, series, summary
 
 
-def _run_table1(args: argparse.Namespace, config: ScenarioConfig) -> None:
+def _run_table1(args: argparse.Namespace, config: ScenarioConfig):
     """The three presets' table, or with ``--config`` the loaded config's row."""
     rows = emit_table1(None if args.config is None else [config])
-    _emit(args, list(TABLE1_HEADER), [astuple(row) for row in rows])
+    return TABLE1_HEADER, [astuple(row) for row in rows]
 
 
+# Each runner computes its command's table, ``(header, rows)``, plus the pass
+# summary for ``orbit``; only :func:`_write` writes.
 _RUNNERS = {
     "capacity": _run_capacity,
     "sweep": _run_sweep,
@@ -286,7 +263,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load(args)
         _echo_config(config)
-        _RUNNERS[args.command](args, config)
+        table = _RUNNERS[args.command](args, config)
+        _write(args, *table)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

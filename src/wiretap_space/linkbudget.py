@@ -144,9 +144,13 @@ def bob_free_space(geom: LinkGeometry) -> float:
             f"dist_bob={geom.dist_bob}, divergence={geom.divergence_full_angle}"
         )
     if geom.dist_bob < geom.diam_bob / geom.divergence_full_angle:
-        excess = geom.diam_bob / geom.divergence_full_angle / geom.dist_bob
+        # log10 of the ratio (D / (theta d))^2, which may overflow a float
+        excess = 2.0 * (
+            math.log10(geom.diam_bob) - math.log10(geom.divergence_full_angle) - math.log10(geom.dist_bob)
+        )
         warnings.warn(
-            f"beam footprint smaller than receiver aperture (ratio {excess * excess:.3g}); clamped to 1",
+            "beam footprint smaller than receiver aperture "
+            f"(ratio {10.0 ** (excess % 1.0):.3g}e{math.floor(excess):+03d}); clamped to 1",
             LinkBudgetWarning,
             stacklevel=2,
         )

@@ -128,7 +128,8 @@ class OrbitScenario:
         if not 0.0 < self.eta_b <= 1.0:
             problems.append(f"eta_b must be in (0, 1], got {self.eta_b}")
         if not 0.0 < self.min_elevation <= 0.5 * math.pi:
-            problems.append(f"min_elevation must be in (0, pi/2], got {self.min_elevation}")
+            problems.append(f"min_elevation must be in (0, pi/2], got {self.min_elevation} rad "
+                            f"({math.degrees(self.min_elevation):g} deg)")
         if self.bob_aperture_model not in ("gaussian", "footprint"):
             problems.append(f"unknown bob_aperture_model: {self.bob_aperture_model!r}")
         if problems:
@@ -185,7 +186,7 @@ def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_
     slant range ``s = (r^2 - R^2) / (R sin el + sqrt(r^2 - R^2 cos^2 el))``
     places the satellite at ``atan2(s cos el, R + s sin el)`` from the
     station.  This equals ``acos(R cos(el) / r) - el`` but avoids its
-    cancellation near zenith.
+    cancellation near zenith.  ``FloatingPointError`` where ``r^2`` overflows.
     """
     earth_radius = constants.earth_radius
     orbit_radius, _, w_alice, _ = _orbits(scenario, constants)
@@ -196,9 +197,11 @@ def pass_window(scenario: OrbitScenario, constants: PhysicalConstants = DEFAULT_
         return 0.0
     psi_horizon = math.acos(earth_radius / orbit_radius)
     cos_el, sin_el = math.cos(scenario.min_elevation), math.sin(scenario.min_elevation)
-    slant = (orbit_radius - earth_radius) * (orbit_radius + earth_radius) / (
-        earth_radius * sin_el + math.sqrt(orbit_radius**2 - (earth_radius * cos_el) ** 2)
-    )
+    try:
+        chord = math.sqrt(orbit_radius**2 - (earth_radius * cos_el) ** 2)
+    except OverflowError:
+        raise FloatingPointError(f"pass window: orbit radius {orbit_radius:g} m squared overflows") from None
+    slant = (orbit_radius - earth_radius) * (orbit_radius + earth_radius) / (earth_radius * sin_el + chord)
     psi_cross = math.atan2(slant * cos_el, earth_radius + slant * sin_el)
     return min(2.0 * psi_cross / rel_rate, psi_horizon / rel_rate)
 

@@ -35,12 +35,15 @@ class DetectorModel:
     stray_mean: float = 1e-4
 
     def __post_init__(self):
+        problems = []
         if not 0.0 <= self.p_dark <= 1.0:
-            raise ValueError(f"p_dark must be in [0, 1], got {self.p_dark}")
+            problems.append(f"p_dark must be in [0, 1], got {self.p_dark}")
         if not 0.0 < self.eta_optical <= 1.0:
-            raise ValueError(f"eta_optical must be in (0, 1], got {self.eta_optical}")
+            problems.append(f"eta_optical must be in (0, 1], got {self.eta_optical}")
         if self.stray_mean < 0:
-            raise ValueError(f"stray_mean must be >= 0, got {self.stray_mean}")
+            problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

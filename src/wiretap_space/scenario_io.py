@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
@@ -39,7 +40,6 @@ from .secrecy import (
 )
 
 __all__ = [
-    "ConfigError",
     "SweepAxis",
     "OperatingPoint",
     "ScenarioConfig",
@@ -114,14 +114,15 @@ class OperatingPoint:
     q: float | None = None
 
     def __post_init__(self):
+        problems = []
         if self.received_mean_photons < 0:
-            raise ValueError(
-                f"received_mean_photons must be >= 0, got {self.received_mean_photons}"
-            )
+            problems.append(f"received_mean_photons must be >= 0, got {self.received_mean_photons}")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+            problems.append(f"gamma must be in [0, 1), got {self.gamma}")
         if self.q is not None and not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
+            problems.append(f"q must be in (0, 1), got {self.q}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear")
     return SweepAxis(param=param, lo=bounds[0], hi=bounds[1], points=int(points), scale=scale)
 
 
-def config_from_dict(data: dict[str, Any], label: str | None = None) -> ScenarioConfig:
+def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Build a fully validated config; unset fields take the dataclass defaults."""
     if not isinstance(data, dict):
         raise ConfigError([f"top-level document must be an object, got {type(data).__name__}"])
@@ -283,8 +284,6 @@ def config_from_dict(data: dict[str, Any], label: str | None = None) -> Scenario
             raw[key] = value
         else:
             violations.append(f"unknown key {key!r}")
-    if label is not None:
-        raw["label"] = label
     if not isinstance(raw["label"], str) or not raw["label"]:
         violations.append("label must be a non-empty string")
 
@@ -403,20 +402,10 @@ def resolved_gamma(config: ScenarioConfig) -> float:
     return gamma
 
 
-CAPACITY_SWEEP_OUTPUTS = (
-    "gamma",
-    "received_mean_photons",
-    "q",
-    "info_bob",
-    "info_eve_helstrom",
-    "holevo_eve",
-    "private_capacity",
-    "dw_rate",
-    "epsilon_star",
-    "phi_deg",
-    "private_rate_bps",
-    "dw_rate_bps",
-)
+_POINT_FIELDS = tuple(f.name for f in fields(SecrecyPoint))
+_point_values = operator.attrgetter(*_POINT_FIELDS)
+# A point's fields, then the interceptor's error and angle and the two rates.
+CAPACITY_SWEEP_OUTPUTS = (*_POINT_FIELDS, "epsilon_star", "phi_deg", "private_rate_bps", "dw_rate_bps")
 
 
 def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
@@ -425,14 +414,7 @@ def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
         mean_photons=point.gamma * point.received_mean_photons, prior_q=point.q
     )
     return [
-        point.gamma,
-        point.received_mean_photons,
-        point.q,
-        point.info_bob,
-        point.info_eve_helstrom,
-        point.holevo_eve,
-        point.private_capacity,
-        point.dw_rate,
+        *_point_values(point),
         helstrom_error(eve),
         math.degrees(distinguishability_angle(eve.mean_photons)),
         point.private_capacity * clock_rate,
@@ -495,31 +477,35 @@ EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
 
 
 def exclusion_sweep(
-    config: ScenarioConfig, axis: SweepAxis, gamma_target: float | None = None
+    config: ScenarioConfig, axis: SweepAxis | None = None, gamma_target: float | None = None
 ) -> tuple[list[str], list[list[float]]]:
-    """Exclusion radii for both interceptor models along one axis.
+    """Exclusion radii for both interceptor models along one axis, or with
+    ``axis=None`` the single row at ``gamma_target``.
 
-    The ``dist_bob_m`` axis holds the degradation target at ``gamma_target``
-    (``None``: :data:`DEFAULT_GAMMA_TARGET`); a ``gamma_target`` axis rejects one.
+    ``gamma_target=None`` is :data:`DEFAULT_GAMMA_TARGET`; a ``dist_bob_m`` axis
+    holds the target there, and a ``gamma_target`` axis rejects one.
     """
-    if axis.param not in EXCLUSION_SWEEP_PARAMS:
+    target = DEFAULT_GAMMA_TARGET if gamma_target is None else gamma_target
+    if axis is None:
+        param, grid = "gamma_target", [target]
+    elif axis.param not in EXCLUSION_SWEEP_PARAMS:
         raise ConfigError(
             [f"exclusion sweep parameter must be one of {', '.join(EXCLUSION_SWEEP_PARAMS)}, "
              f"got {axis.param!r}"]
         )
-    if axis.param == "gamma_target" and gamma_target is not None:
+    elif axis.param == "gamma_target" and gamma_target is not None:
         raise ConfigError([f"gamma target {gamma_target:g} has no effect on a gamma_target axis"])
-    (grid,) = _axis_grids([axis])
-    if axis.param == "gamma_target":
+    else:
+        param, (grid,) = axis.param, _axis_grids([axis])
+    if param == "gamma_target":
         curve = radius_vs_gamma_curve(config.geometry, grid)
     else:
-        target = DEFAULT_GAMMA_TARGET if gamma_target is None else gamma_target
         curve = [
             radius_vs_gamma_curve(with_values(config, [("dist_bob_m", dist)]).geometry, [target])[0]
             for dist in grid
         ]
     rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]
-    return [axis.param, *EXCLUSION_OUTPUTS], rows
+    return [param, *EXCLUSION_OUTPUTS], rows
 
 
 TABLE1_HEADER = tuple(f.name for f in fields(ReportRow))

@@ -91,10 +91,10 @@ class ClockedLink:
     wavelength: float = 850e-9
 
     def __post_init__(self):
-        if not self.clock_rate > 0:
-            raise ValueError(f"clock_rate must be > 0, got {self.clock_rate}")
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
+        problems = [f"{name} must be > 0, got {getattr(self, name)}"
+                    for name in ("clock_rate", "wavelength") if not getattr(self, name) > 0]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:

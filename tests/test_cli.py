@@ -35,6 +35,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A cheap run of each command.
+_COMMANDS = {
+    "capacity": ["capacity"],
+    "sweep": ["sweep", "--axis", "q:0.1:0.9:3"],
+    "linkbudget": ["linkbudget"],
+    "exclusion": ["exclusion", "--gamma-target", "0.2"],
+    "orbit": ["orbit", "--offset", "20000"],
+    "table1": ["table1", "--config", "micius-geo"],
+}
+
+
 class TestCapacityCommand:
     def test_default_config(self, capsys):
         code, out, err = run_cli(capsys, "capacity")
@@ -217,12 +228,34 @@ class TestConfigHandling:
         assert out == ""
         assert f"config error: unknown key orbit.{key!r}" in err
 
-    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command):
         out_path = tmp_path / "missing" / "row.csv"
-        code, out, err = run_cli(capsys, "linkbudget", "--out", str(out_path))
+        code, out, err = run_cli(capsys, *_COMMANDS[command], "--out", str(out_path))
         assert code == EXIT_CONFIG
         assert out == ""
         assert f"config error: cannot write output {str(out_path)!r}" in err
+
+    @pytest.mark.parametrize(
+        "extra, data, ignored",
+        [
+            (["--q", "0.3"], {}, ["--q"]),
+            (["--photons", "2"], {}, ["--photons"]),
+            ([], {"operating": {"q": 0.3}}, ["operating.q"]),
+            (["--photons", "2", "--q", "0.3"], {"operating": {"q": 0.4}}, ["--photons", "--q"]),
+        ],
+    )
+    def test_inputs_the_photon_search_ignores_exit_2(self, capsys, tmp_path, extra, data, ignored):
+        # --q 0.3 printed the searched q 0.513 with exit 0.
+        path = tmp_path / "operating.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "capacity", "--optimize-photons", "--config", str(path), *extra)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("config error")] == [
+            f"config error: {name} has no effect with --optimize-photons, which searches the photon number and q"
+            for name in ignored
+        ]
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -243,6 +276,24 @@ class TestConfigHandling:
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a finite number, got {value!r}" in err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_out_file_holds_the_bytes_of_stdout(self, capsys, tmp_path, command, output_format):
+        argv = [*_COMMANDS[command], "--format", output_format]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        path = tmp_path / "table.out"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", err)
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_out_is_not_opened_when_the_computation_fails(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        code, _, _ = run_cli(capsys, "exclusion", "--gamma-target", "1.5", "--out", str(path))
+        assert code == EXIT_CONFIG
+        assert not path.exists()
 
 
 def _echoed(err):
@@ -829,6 +880,13 @@ _ORBIT_EXTREMES = {
     "eta_b": (None, 1e-300, 1e300),
 }
 
+_CONSTANTS_EXTREMES = {
+    "earth_mu": (None, 1e-300, 1e300),
+    "earth_radius_m": (None, 1e-300, 1e300),
+    "earth_angular_velocity_rad_s": (None, 0.0, 1e300),
+}
+_CONSTANTS_PROBE_ORBITS = {"alice_altitude_m": (None, 1e-300, 1e200, 1e300), "eve_orbit_offset_m": (None, 1e-3)}
+
 
 def _extreme_sections(extremes):
     for values in itertools.product(*extremes.values()):
@@ -855,13 +913,20 @@ def test_extreme_link_geometries_print_no_errno_and_no_nan(capsys, tmp_path):
 
 def test_extreme_orbits_print_no_nan_or_infinity(capsys, tmp_path):
     # 1 - exp(-2 a^2 / w^2) was 0/0 with a tiny aperture and divergence, and
-    # 36 of these printed NaN in the JSON with exit 0.
+    # 36 of these printed NaN in the JSON with exit 0.  Of the constants
+    # probe, 14 runs squared an orbit radius beyond a float in the pass
+    # window and printed the errno text "(34, 'Numerical result out of range')".
+    constants_probe = (
+        {"constants": constants, "orbit": orbit}
+        for constants in _extreme_sections(_CONSTANTS_EXTREMES)
+        for orbit in _extreme_sections(_CONSTANTS_PROBE_ORBITS)
+    )
     path = tmp_path / "orbit.json"
-    for orbit in _extreme_sections(_ORBIT_EXTREMES):
-        path.write_text(json.dumps({"orbit": orbit}))
+    for data in itertools.chain(({"orbit": orbit} for orbit in _extreme_sections(_ORBIT_EXTREMES)), constants_probe):
+        path.write_text(json.dumps(data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), orbit
-        assert "internal error" not in err, orbit
-        assert "NaN" not in out and "Infinity" not in out, orbit
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), data
+        assert "internal error" not in err and not re.search(r"\(\d+, '", err), (data, err)
+        assert "NaN" not in out and "Infinity" not in out, data

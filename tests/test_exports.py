@@ -30,3 +30,7 @@ def test_package_exports_resolve_and_are_listed():
     assert [name for name in names if not hasattr(wiretap_space, name)] == []
     # the package re-exports only names some module lists as public
     assert sorted(set(names) - LISTED) == []
+
+
+def test_every_module_export_is_a_package_attribute():
+    assert sorted(name for name in LISTED if not hasattr(wiretap_space, name)) == []

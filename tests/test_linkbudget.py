@@ -55,6 +55,22 @@ class TestBobFreeSpace:
         assert fractions.tolist() == pytest.approx([1.0, 1e-4], rel=1e-15)
         assert gamma_partial(geometry) == 0.0
 
+    @pytest.mark.parametrize(
+        "geometry, ratio",
+        [
+            # (D / (theta d))^2 overflows a float: the warning printed "ratio inf".
+            (dict(divergence_full_angle=1e-300), "6.94e+587"),
+            (dict(dist_bob=1e-300, divergence_full_angle=1e-300), "1e+1200"),
+            (dict(dist_bob=5e4), "4e+00"),
+        ],
+    )
+    def test_clamp_warning_states_its_ratio(self, geometry, ratio):
+        with pytest.warns(LinkBudgetWarning) as record:
+            bob_free_space(LinkGeometry(**geometry))
+        assert [str(w.message) for w in record] == [
+            f"beam footprint smaller than receiver aperture (ratio {ratio}); clamped to 1"
+        ]
+
     def test_underflow_raises(self):
         with pytest.raises(FloatingPointError, match="receiver fraction underflows to 0"):
             bob_free_space(LinkGeometry(diam_bob=1e-200))

@@ -173,6 +173,14 @@ class TestPassWindow:
             )
             assert pass_window(scenario) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
+    def test_orbit_radius_whose_square_overflows_is_named(self):
+        # A non-rotating Earth lets so wide an orbit reach the window; its
+        # ** 2 raised the bare OverflowError "(34, 'Numerical result out of range')".
+        scenario = replace(LEO, alice_altitude=1e200)
+        constants = replace(DEFAULT_CONSTANTS, earth_angular_velocity=0.0)
+        with pytest.raises(FloatingPointError, match=r"pass window: orbit radius 1e\+200 m squared overflows"):
+            pass_window(scenario, constants)
+
 
 class TestInstantaneousEfficiencies:
     def test_culmination_interceptor_swallows_beam(self):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from wiretap_space.linkbudget import radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
     _SCHEMA,
+    CAPACITY_SWEEP_OUTPUTS,
     MAX_SWEEP_CELLS,
     ConfigError,
     SweepAxis,
@@ -64,6 +66,26 @@ class TestConfigLoading:
             )
         text = " ".join(info.value.violations)
         assert "p_dark" in text and "eta_b" in text
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"detector": {"p_dark": 2, "stray_mean": -1}},
+             "detector: p_dark must be in [0, 1], got 2.0; stray_mean must be >= 0, got -1.0"),
+            ({"link": {"clock_rate_hz": 0, "wavelength_m": -1}},
+             "link: clock_rate must be > 0, got 0.0; wavelength must be > 0, got -1.0"),
+            ({"operating": {"received_mean_photons": -1, "gamma": 1, "q": 1}},
+             "operating: received_mean_photons must be >= 0, got -1.0; gamma must be in [0, 1), got 1.0; "
+             "q must be in (0, 1), got 1.0"),
+            ({"orbit": {"min_elevation_deg": 100}},
+             "orbit: min_elevation must be in (0, pi/2], got 1.7453292519943295 rad (100 deg)"),
+        ],
+    )
+    def test_a_section_reports_every_violation(self, data, message):
+        # Each of these sections stopped at its first problem.
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.violations == [message]
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
     def test_non_finite_number_rejected(self, value):
@@ -285,6 +307,12 @@ class TestSweep:
             )
             assert row == [value, *capacity_row(point, direct.link.clock_rate)]
 
+    def test_capacity_columns_are_the_point_fields_then_the_derived_ones(self):
+        assert CAPACITY_SWEEP_OUTPUTS == (
+            "gamma", "received_mean_photons", "q", "info_bob", "info_eve_helstrom", "holevo_eve",
+            "private_capacity", "dw_rate", "epsilon_star", "phi_deg", "private_rate_bps", "dw_rate_bps",
+        )
+
     def test_config_axes_on_one_parameter_rejected(self):
         config = config_from_dict({"sweep": [
             {"param": "q", "min": 0.1, "max": 0.2, "points": 2},
@@ -336,6 +364,15 @@ class TestExclusionSweep:
         _, tight = exclusion_sweep(config, axis, gamma_target=0.1)
         assert all(a[1] < b[1] and a[2] < b[2] for a, b in zip(loose, tight, strict=True))
         assert exclusion_sweep(config, axis)[1] == tight
+
+    @pytest.mark.parametrize("target", [None, 0.3])
+    def test_no_axis_is_the_row_at_the_target(self, target):
+        config = config_from_dict({})
+        (row,) = radius_vs_gamma_curve(config.geometry, [0.1 if target is None else target])
+        assert exclusion_sweep(config, gamma_target=target) == (
+            ["gamma_target", "radius_partial_m", "radius_total_m"],
+            [[row.gamma, row.radius_partial, row.radius_total]],
+        )
 
     def test_gamma_axis_rejects_a_target(self):
         axis = SweepAxis(param="gamma_target", lo=0.05, hi=0.5, points=3)
