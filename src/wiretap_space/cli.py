@@ -9,6 +9,7 @@ computes the command's table (each ``_run_*`` returns one) and writes it
 ``ConfigError`` (an invalid config, flag or axis, or an unwritable ``--out``
 path), 3 for a numerical failure (an offset bracket with no sign change, a
 value no float can hold) or an internal error (any other ``ValueError``).
+A reader that closes stdout early (``| head``) ends the run with exit 0.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import astuple
 from typing import Sequence
@@ -279,7 +281,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``) and wants no more; the
+        # rest goes to the null device, so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

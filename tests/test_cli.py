@@ -12,11 +12,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
-from wiretap_space import secrecy
+from wiretap_space import numerics, secrecy
 from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from wiretap_space.linkbudget import LinkBudgetWarning, radius_vs_gamma_curve
@@ -674,8 +675,9 @@ class TestOrbitCommand:
         summary = json.loads(out, parse_constant=reject)
         assert summary["integrated_gamma"] > 0.0
 
-    def test_non_finite_disk_fraction_exits_3(self, capsys, tmp_path):
-        # The disk rim crosses a beam 2e5 times narrower than the disk.
+    def test_wide_disk_on_a_narrow_beam(self, capsys, tmp_path):
+        # The disk rim crosses a beam 2e5 times narrower than the disk.  The
+        # noncentral chi-square CDF was NaN here and the run exited 3.
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({"orbit": {
             "alice_altitude_m": 854952.7561328075, "eve_orbit_offset_m": 0.9689265089512085,
@@ -683,6 +685,19 @@ class TestOrbitCommand:
             "min_elevation_deg": 38.577238641982206,
         }}))
         code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+        assert code == EXIT_OK, err
+
+        def reject(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+
+        summary = json.loads(out, parse_constant=reject)
+        assert summary["integrated_gamma"] > 0.0
+        # The interceptor sits on the beam axis and collects at most all of it.
+        assert 0.0 < summary["integrated_eta_eve_s"] <= 2.0 * summary["pass_half_duration_s"]
+
+    def test_non_finite_disk_fraction_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(numerics, "_rim_fraction", lambda a, b, d: np.full(np.shape(a), math.nan))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json")
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "numerical failure: Gaussian disk fraction is not finite" in err
@@ -723,15 +738,38 @@ class TestTable1Command:
         assert (code, out.splitlines()) == (EXIT_OK, [stock[0], stock[-1]])
 
 
-def test_import_does_not_load_scipy_integrate():
-    # Importing scipy costs about half of a CLI start; only the pass integral
-    # needs it, and imports it on first use.  No scipy module at all, so
-    # scipy.integrate neither.
+def _package_env() -> dict:
     src = str(Path(wiretap_space.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, wiretap_space.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_does_not_load_scipy_integrate():
+    # The package needs numpy only: importing it, a pass integral and an
+    # offset solve load no scipy module, so scipy.integrate neither.
+    probe = (
+        "import sys, wiretap_space.cli\n"
+        "from wiretap_space.orbitsim import OrbitScenario, integrated_gamma, required_orbital_exclusion\n"
+        "integrated_gamma(OrbitScenario())\n"
+        "required_orbital_exclusion(OrbitScenario(), gamma_target=0.1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["sweep", "--axis", "received_mean_photons:0.01:10:1500"]])
+def test_closed_stdout_exits_quietly(argv):
+    # A reader that stops after the first line (``| head -1``) closes the
+    # pipe while the command is still writing (both tables hold over 200 kB,
+    # more than a pipe buffers): exit 0, no traceback.
+    with subprocess.Popen([sys.executable, "-m", "wiretap_space.cli", *argv], env=_package_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        header = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        assert process.wait() == EXIT_OK, err
+    assert header.startswith(b"t_s," if argv[0] == "orbit" else b"received_mean_photons,")
+    assert "Traceback" not in err and "Error" not in err
 
 
 # Fuzzing: arbitrary JSON values in every config field and arbitrary --axis

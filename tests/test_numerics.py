@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_reference, entropy_bits, grid_argmax, mc_disk_fraction, mp_disk_fraction
+from wiretap_space import numerics
 from wiretap_space.numerics import (
     GRID_POINTS,
     BracketError,
@@ -197,33 +198,52 @@ class TestGaussianDiskFraction:
     def test_zero_radius(self):
         assert gaussian_disk_fraction(1.0, 0.5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-200, 1.0])
+    def test_speck_of_a_disk_collects_nothing(self, offset):
+        # The exact share is below 1e-279; the rim integral would be 0 / 0.
+        assert gaussian_disk_fraction(1.0, offset, 1e-200) == 0.0
+
     def test_far_offset_is_zero(self):
         assert gaussian_disk_fraction(0.01, 100.0, 1.0) == 0.0
 
     def test_saturates_beyond_eight_beam_radii(self):
-        # Picometre beams on a decimetre disk: the chi-square CDF is NaN here.
+        # Picometre beams on a decimetre disk, 1e10 beam radii: saturated.
         assert gaussian_disk_fraction(1e-11, 0.095, 0.62) == 1.0
         assert gaussian_disk_fraction(1e-10, 0.7, 0.62) == 0.0
 
-    def test_cdf_runs_on_the_edge_band_only(self, monkeypatch):
-        import scipy.special
+    def test_rim_integral_runs_on_the_edge_band_only(self, monkeypatch):
+        rim_fraction, sizes = numerics._rim_fraction, []
 
-        chndtr, sizes = scipy.special.chndtr, []
+        def counting(a, b, d):
+            sizes.append(np.size(a))
+            return rim_fraction(a, b, d)
 
-        def counting(x, df, nc):
-            sizes.append(np.size(x))
-            return chndtr(x, df, nc)
-
-        monkeypatch.setattr(scipy.special, "chndtr", counting)
+        monkeypatch.setattr(numerics, "_rim_fraction", counting)
         w, offset, radius = 0.01, np.array([0.0, 0.3, 0.5, 0.7, 2.0]), 0.5
         fraction = _disk_fraction(np.full(5, w), offset, radius)
         assert sizes == [1]  # 0.5 only: the others are 8 beam radii inside or outside
-        assert fraction.tolist() == [1.0, 1.0, chndtr((2 * radius / w) ** 2, 2.0, (2 * 0.5 / w) ** 2), 0.0, 0.0]
+        a, b = np.array([2 * 0.5 / w]), np.array([2 * radius / w])
+        assert fraction.tolist() == [1.0, 1.0, float(rim_fraction(a, b, a - b)[0]), 0.0, 0.0]
+
+    def test_rim_of_a_wide_disk_on_the_axis(self):
+        # The rim on the beam axis of a disk a million beam radii wide: half
+        # the beam, less the sliver beyond the curved rim (the CDF this
+        # replaced was NaN here).
+        assert gaussian_disk_fraction(1e-6, 1.0, 1.0) == pytest.approx(mp_disk_fraction(1e-6, 1.0, 1.0), rel=2e-13, abs=0.0)
 
     def test_non_finite_edge_band_raises(self):
-        # The rim on the beam axis of a disk a million beam radii wide.
+        # 2 / w overflows for a subnormal beam radius.  (Elsewhere the band
+        # spans at most ~1e17 beam radii, where a float can still tell the
+        # rim from 8 beam radii off it, and nothing overflows.)
         with pytest.raises(FloatingPointError, match="not finite"):
-            gaussian_disk_fraction(1e-6, 1.0, 1.0)
+            gaussian_disk_fraction(1e-310, 0.0, 5e-310)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            gaussian_disk_fraction(1e-310, 1e-310, 5e-310)
+
+    def test_non_finite_rim_integral_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_rim_fraction", lambda a, b, d: np.full(np.shape(a), math.nan))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            gaussian_disk_fraction(1.0, 1.0, 1.0)
 
     def test_against_bessel_integral_oracle(self):
         # The accuracy stated in the gaussian_disk_fraction docstring, over its
@@ -245,6 +265,37 @@ class TestGaussianDiskFraction:
         assert worst_abs <= 5e-14
         assert worst_rel_bulk <= 2e-13
         assert worst_rel_tail <= 5e-12
+
+    def test_large_disks_against_bessel_integral_oracle(self):
+        # The same bounds on disks of 1e2 to 1e7 beam radii, offsets within
+        # 8 beam radii of the rim either way (the CDF this replaced was off by
+        # 5e-13 here, and NaN on most disks beyond 1e4 beam radii).
+        rng = np.random.default_rng(20261019)
+        worst_abs = worst_rel_bulk = worst_rel_tail = 0.0
+        for _ in range(24):
+            w = float(10.0 ** rng.uniform(-2.0, 1.0))
+            radius = float(w * 10.0 ** rng.uniform(2.0, 7.0))
+            offset = float(radius + w * rng.uniform(-8.0, 8.0))
+            reference = mp_disk_fraction(w, offset, radius)
+            error = abs(gaussian_disk_fraction(w, offset, radius) - reference)
+            worst_abs = max(worst_abs, error)
+            if reference >= 1e-10:
+                worst_rel_bulk = max(worst_rel_bulk, error / reference)
+            elif reference >= 1e-45:
+                worst_rel_tail = max(worst_rel_tail, error / reference)
+        assert worst_abs <= 5e-14
+        assert worst_rel_bulk <= 2e-13
+        assert worst_rel_tail <= 5e-12
+
+    def test_rim_rule_is_leggauss(self):
+        # The committed literals are the positive half of the 32-point rule, to 1 ulp.
+        nodes, weights = np.polynomial.legendre.leggauss(numerics.RIM_POINTS)
+        half = numerics.RIM_POINTS // 2
+        for exact, literal in ((nodes[half:], numerics._RIM_HALF_NODES), (weights[half:], numerics._RIM_HALF_WEIGHTS)):
+            assert len(literal) == half
+            assert np.all(np.abs(exact - np.array(literal)) <= np.spacing(exact))
+        assert np.array_equal(numerics._RIM_WEIGHTS, weights)
+        assert np.allclose(numerics._RIM_NODES, 0.5 + 0.5 * nodes, rtol=0.0, atol=1e-16)
 
     def test_oracle_on_axis_closed_form(self):
         for w, a in [(1.0, 1.0), (2.0, 0.2), (0.3, 0.9)]:
