@@ -190,7 +190,7 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
     else:
         (point,) = secrecy_points(config.operating.received_mean_photons, gamma, config.operating.q,
                                   detector.p_dark, detector.eta_optical, detector.stray_mean)
-    return CAPACITY_SWEEP_OUTPUTS, [capacity_row(point, config.link.clock_rate)]
+    return CAPACITY_SWEEP_OUTPUTS, [capacity_row(astuple(point), config.link.clock_rate)]
 
 
 def _run_sweep(args: argparse.Namespace, config: ScenarioConfig):

@@ -7,8 +7,11 @@ same table drives validation, the resolved-config echo and :func:`with_values`
 (sweep cells, CLI flags).  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
 configs produce byte-identical files.  Each 12-column capacity row is
-built by :func:`capacity_row`, for sweeps and single points alike, and each
-pair of exclusion radii by :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
+built by :func:`capacity_row` from a point's values, for sweeps and single
+points alike, and each pair of exclusion radii by
+:func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.  A sweep validates
+each axis value once, not each cell (no section rule joins two fields);
+the first invalid cell in row-major order still raises its own message.
 """
 from __future__ import annotations
 
@@ -16,11 +19,10 @@ import csv
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
-from .detection import BinaryCoherentEnsemble, helstrom_error, distinguishability_angle
+from .detection import _helstrom_error, distinguishability_angle
 from .linkbudget import (
     LinkGeometry,
     bob_free_space,
@@ -34,9 +36,9 @@ from .receiver import DetectorModel
 from .secrecy import (
     ClockedLink,
     SecrecyPoint,
+    _point_columns,
     optimal_signal_strength,
     plob_bound,
-    secrecy_points,
 )
 
 __all__ = [
@@ -94,11 +96,11 @@ class SweepAxis:
             raise ValueError(f"axis needs min < max, got [{self.lo}, {self.hi}]")
 
     def grid(self) -> list[float]:
-        n = self.points
-        if self.scale == "log":
-            llo, lhi = math.log10(self.lo), math.log10(self.hi)
-            return [10.0 ** (llo + (lhi - llo) * i / (n - 1)) for i in range(n)]
-        return [self.lo + (self.hi - self.lo) * i / (n - 1) for i in range(n)]
+        """``points`` values from ``lo`` to ``hi``, both exactly."""
+        n, log = self.points, self.scale == "log"
+        lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
+        inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
+        return [self.lo, *(10.0 ** t if log else t for t in inner), self.hi]
 
 
 @dataclass(frozen=True)
@@ -403,23 +405,17 @@ def resolved_gamma(config: ScenarioConfig) -> float:
 
 
 _POINT_FIELDS = tuple(f.name for f in fields(SecrecyPoint))
-_point_values = operator.attrgetter(*_POINT_FIELDS)
 # A point's fields, then the interceptor's error and angle and the two rates.
 CAPACITY_SWEEP_OUTPUTS = (*_POINT_FIELDS, "epsilon_star", "phi_deg", "private_rate_bps", "dw_rate_bps")
 
 
-def capacity_row(point: SecrecyPoint, clock_rate: float) -> list[float]:
-    """The :data:`CAPACITY_SWEEP_OUTPUTS` columns for one evaluated point."""
-    eve = BinaryCoherentEnsemble(
-        mean_photons=point.gamma * point.received_mean_photons, prior_q=point.q
-    )
-    return [
-        *_point_values(point),
-        helstrom_error(eve),
-        math.degrees(distinguishability_angle(eve.mean_photons)),
-        point.private_capacity * clock_rate,
-        point.dw_rate * clock_rate,
-    ]
+def capacity_row(values: Sequence[float], clock_rate: float) -> list[float]:
+    """The :data:`CAPACITY_SWEEP_OUTPUTS` columns from an evaluated point's
+    values, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order."""
+    gamma, mu, q, *_, private_capacity, dw_rate = values
+    n_eve = gamma * mu
+    return [*values, _helstrom_error(n_eve, q), math.degrees(distinguishability_angle(n_eve)),
+            private_capacity * clock_rate, dw_rate * clock_rate]
 
 
 def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
@@ -430,6 +426,13 @@ def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
     return [axis.grid() for axis in axes]
 
 
+def _accepts(config: ScenarioConfig, param: str, value: float) -> bool:
+    try:
+        return with_values(config, [(param, value)]) is not None
+    except ConfigError:
+        return False
+
+
 def sweep(
     config: ScenarioConfig, axes: Sequence[SweepAxis] | None = None
 ) -> tuple[list[str], list[list[float]]]:
@@ -437,10 +440,11 @@ def sweep(
 
     Returns ``(header, rows)``; the first columns repeat the axis values,
     the rest are the evaluated outputs at that cell.  Axes that cannot reach
-    the output raise; then every cell is built and validated, so the first
-    invalid cell in row-major order raises; then one
-    :func:`~wiretap_space.secrecy.secrecy_points` call evaluates the whole
-    grid, q-optimised cells in lockstep.
+    the output raise.  No section rule joins two fields, so each axis value
+    is validated once, and the first invalid cell in row-major order, or the
+    first whose degradation (taken once per geometry) is outside [0, 1),
+    raises its own message; then one evaluation of the kernel's columns
+    covers the whole grid, q-optimised cells in lockstep.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if not 1 <= len(axes) <= 2:
@@ -458,19 +462,29 @@ def sweep(
     if geometry and ("gamma" in params or config.operating.gamma is not None):
         source = "the gamma axis" if "gamma" in params else "operating.gamma"
         raise ConfigError([f"sweep axis {geometry[0]!r} has no effect: the degradation is fixed by {source}"])
-    header = params + list(CAPACITY_SWEEP_OUTPUTS)
-    grid = list(itertools.product(*_axis_grids(axes)))
-    cells = []
-    for values in grid:
-        cell = with_values(config, zip(params, values))
-        detector = cell.detector
-        cells.append((cell.operating.received_mean_photons, resolved_gamma(cell), cell.operating.q,
-                      detector.p_dark, detector.eta_optical, detector.stray_mean))
-    mu, gamma, q, p_dark, eta_optical, stray_mean = zip(*cells)
-    q = None if q[0] is None else q  # None in every cell unless q is set or swept
-    points = secrecy_points(mu, gamma, q, p_dark, eta_optical, stray_mean)
+    grids = _axis_grids(axes)
+    valid = [[_accepts(config, param, v) for v in grid] for param, grid in zip(params, grids)]
+    grid = list(itertools.product(*grids))
+    invalid = (k for k, ok in enumerate(itertools.product(*valid)) if not all(ok))
+    cells = len(grid) if all(map(all, valid)) else next(invalid)  # those before the first invalid one
+    columns = dict(zip(params, zip(*grid)))
+    fixing = [p for p in params if p in ("gamma", *geometry)]  # the axes the degradation depends on
+    keys = list(zip(*(columns[p] for p in fixing))) if fixing else [()] * len(grid)
+    gamma_of = {key: resolved_gamma(with_values(config, zip(fixing, key)))
+                for key in dict.fromkeys(keys[:cells])}  # each distinct key once, in row-major order
+    if cells < len(grid):
+        with_values(config, zip(params, grid[cells]))  # raises the first invalid cell's message
+    gamma = [gamma_of[key] for key in keys]
+    operating, detector = config.operating, config.detector
+    q = columns.get("q", operating.q)  # None unless q is set or swept
+    points = _point_columns(
+        columns.get("received_mean_photons", operating.received_mean_photons), gamma, q,
+        columns.get("p_dark", detector.p_dark), detector.eta_optical,
+        columns.get("stray_mean", detector.stray_mean),
+    )
     clock = config.link.clock_rate
-    return header, [[*values, *capacity_row(point, clock)] for values, point in zip(grid, points)]
+    rows = [[*values, *capacity_row(point, clock)] for values, point in zip(grid, zip(*points))]
+    return [*params, *CAPACITY_SWEEP_OUTPUTS], rows
 
 
 EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")

@@ -151,6 +151,13 @@ def secrecy_points(
     order, with the messages of the one-point functions, then each cell's
     no-click probabilities, then each ``q``.
     """
+    columns = _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean)
+    return [SecrecyPoint(*values) for values in zip(*columns)]
+
+
+def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean) -> list[list[float]]:
+    """:func:`secrecy_points` as its 8 columns in :class:`SecrecyPoint` field order; the first
+    cell with ``dw_rate > private_capacity`` raises :class:`SecrecyPoint`'s ``ValueError``."""
     mu, gamma, p_dark, eta_optical, stray_mean = (
         np.ravel(a).astype(float)
         for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
@@ -166,9 +173,12 @@ def secrecy_points(
         q = _checked_prior(np.broadcast_to(np.asarray(q, dtype=float), mu.shape))
     info_bob, info_eve = _prior_terms(terms, q)
     holevo_eve = holevo_bound(terms[4], q)  # row 4: the interceptor's s = 1 - c^2
-    clipped = (np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0))
-    columns = (gamma, mu, q, info_bob, info_eve, holevo_eve, *clipped)
-    return [SecrecyPoint(*values) for values in zip(*(column.tolist() for column in columns))]
+    capacity, dw_rate = np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0)
+    columns = [c.tolist() for c in (gamma, mu, q, info_bob, info_eve, holevo_eve, capacity, dw_rate)]
+    broken = np.flatnonzero(dw_rate > capacity + 1e-9)
+    if broken.size:
+        SecrecyPoint(*(column[broken[0]] for column in columns))  # raises the invariant's message
+    return columns
 
 
 def private_capacity_fixed(

@@ -440,6 +440,31 @@ class TestSweepCommand:
         assert out == ""
         assert err.splitlines()[1:] == [f"config error: {message}"]
 
+    def test_broken_invariant_in_a_cell_exits_3(self, capsys, monkeypatch):
+        # A Holevo term far below the measured one puts dw_rate above the
+        # private capacity in the third cell; the sweep checks it on arrays.
+        holevo = secrecy.holevo_bound
+
+        def broken(s, q):
+            chi = holevo(s, q).copy()
+            chi[2] = -1.0
+            return chi
+
+        monkeypatch.setattr(secrecy, "holevo_bound", broken)
+        code, out, err = run_cli(capsys, "sweep", "--axis", "received_mean_photons:1:4:4")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert re.fullmatch(r"internal error: dw_rate \S+ exceeds private_capacity \S+", err.splitlines()[-1])
+
+    def test_log_axis_ends_on_its_bounds(self, capsys):
+        # 10 ** log10(max) is 1.0 here, which q rejects, and 20.000000000000004 for 20.
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "q:0.03271920953925088:0.9999999999999999:2:log")
+        assert code == EXIT_OK
+        assert [row["q"] for row in csv.DictReader(io.StringIO(out))] == ["0.0327192095", "1"]
+        code, out, _ = run_cli(capsys, "sweep", "--format", "json", "--axis", "received_mean_photons:0.1:20:3:log")
+        assert code == EXIT_OK
+        photons = [row["received_mean_photons"] for row in json.loads(out)]
+        assert (photons[0], photons[-1]) == (0.1, 20.0)
+
     def test_two_axes_on_one_parameter_exit_2(self, capsys):
         # The second axis overrode the first, whose values the first column printed.
         code, out, err = run_cli(capsys, "sweep", "--axis", "gamma:-0.5:0.2:2", "--axis", "gamma:0.3:0.4:2")

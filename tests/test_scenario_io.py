@@ -1,7 +1,10 @@
 import io
+import itertools
 import json
+import math
+import random
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from wiretap_space.linkbudget import radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
     _SCHEMA,
     CAPACITY_SWEEP_OUTPUTS,
+    CAPACITY_SWEEP_PARAMS,
     MAX_SWEEP_CELLS,
     ConfigError,
     SweepAxis,
@@ -26,7 +30,8 @@ from wiretap_space.scenario_io import (
     with_values,
     write_csv,
 )
-from wiretap_space.secrecy import private_capacity_fixed
+from wiretap_space import secrecy
+from wiretap_space.secrecy import private_capacity_fixed, secrecy_points
 
 
 class TestConfigLoading:
@@ -305,7 +310,7 @@ class TestSweep:
                 resolved_gamma(direct),
                 direct.operating.q,
             )
-            assert row == [value, *capacity_row(point, direct.link.clock_rate)]
+            assert row == [value, *capacity_row(astuple(point), direct.link.clock_rate)]
 
     def test_capacity_columns_are_the_point_fields_then_the_derived_ones(self):
         assert CAPACITY_SWEEP_OUTPUTS == (
@@ -340,6 +345,158 @@ class TestSweep:
             write_csv(buffer, header, rows)
             outputs.append(buffer.getvalue().encode())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_grid_pins_its_endpoints(self, scale):
+        # Computed ends round: lo + (hi - lo) and 10 ** log10(hi) miss the
+        # bounds on many of these axes, and a q axis ending at 1 - 2^-53 hit 1.
+        rng = random.Random(f"endpoints:{scale}")
+        for _ in range(500):
+            lo = 10.0 ** rng.uniform(-9.0, 6.0)
+            hi = lo * 10.0 ** rng.uniform(1e-6, 6.0)
+            grid = SweepAxis(param="q", lo=lo, hi=hi, points=rng.randint(2, 40), scale=scale).grid()
+            assert (grid[0], grid[-1]) == (lo, hi)
+            assert grid == sorted(grid)
+
+
+def _per_cell(config, axes):
+    """The grid cell by cell: ``with_values``, ``resolved_gamma``, a one-cell
+    ``secrecy_points`` and ``capacity_row``; the first cell that fails raises."""
+    params = [axis.param for axis in axes]
+    rows = []
+    for values in itertools.product(*(axis.grid() for axis in axes)):
+        cell = with_values(config, zip(params, values))
+        detector = cell.detector
+        (point,) = secrecy_points(cell.operating.received_mean_photons, resolved_gamma(cell),
+                                  cell.operating.q, detector.p_dark, detector.eta_optical, detector.stray_mean)
+        rows.append([*values, *capacity_row(astuple(point), cell.link.clock_rate)])
+    return rows
+
+
+# Valid ranges of each swept parameter: (lo, hi, scale).
+_VALID_RANGES = {
+    "received_mean_photons": (1e-3, 50.0, "log"),
+    "gamma": (0.01, 0.6, "linear"),
+    "q": (0.05, 0.95, "linear"),
+    "stray_mean": (1e-7, 1e-2, "log"),
+    "p_dark": (1e-9, 1e-5, "log"),
+    "dist_bob_m": (0.9e6, 1.4e6, "linear"),  # derived gamma inside (0, 1)
+    "exclusion_radius_m": (11.0, 30.0, "linear"),
+}
+
+
+def _seeded_axis(rng, param, points):
+    lo, hi, scale = _VALID_RANGES[param]
+    if scale == "log":
+        a, b = sorted(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)) for _ in range(2))
+    else:
+        a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+    return SweepAxis(param=param, lo=a, hi=b, points=points, scale=scale)
+
+
+def _fails_alike(config, axes):
+    """``sweep`` raises exactly what the cell-by-cell evaluation raises."""
+    with pytest.raises(ConfigError) as expected:
+        _per_cell(config, axes)
+    with pytest.raises(ConfigError) as got:
+        sweep(config, axes)
+    assert got.value.violations == expected.value.violations
+    (message,) = got.value.violations
+    return message
+
+
+_GEOMETRY = ("dist_bob_m", "exclusion_radius_m")
+_AXIS_SETS = [(p,) for p in CAPACITY_SWEEP_PARAMS] + [
+    pair for pair in itertools.permutations(CAPACITY_SWEEP_PARAMS, 2)
+    if not ("gamma" in pair and set(pair) & set(_GEOMETRY))
+]
+
+
+class TestColumnSweep:
+    """The sweep validates each axis value once and evaluates columns; its rows
+    and its errors are those of the cell-by-cell evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("params", _AXIS_SETS, ids="-".join)
+    def test_rows_equal_the_cell_by_cell_path(self, params):
+        rng = random.Random(f"columns:{params}")
+        for gamma, q in itertools.product((None, 0.2), (None, 0.3)):
+            if gamma is not None and set(params) & set(_GEOMETRY):
+                continue  # a geometry axis under a fixed degradation is rejected
+            config = config_from_dict({"operating": {"gamma": gamma, "q": q}})
+            axes = [_seeded_axis(rng, param, points) for param, points in zip(params, (3, 2))]
+            header, rows = sweep(config, axes)
+            assert header == [*params, *CAPACITY_SWEEP_OUTPUTS]
+            assert repr(rows) == repr(_per_cell(config, axes))
+
+    # An invalid range of each parameter: its first invalid value is the
+    # grid's first (lower bounds) or a later one (upper bounds).
+    _INVALID = {
+        "received_mean_photons": SweepAxis("received_mean_photons", -2.0, 4.0, 4),
+        "gamma": SweepAxis("gamma", 0.5, 1.5, 3),
+        "q": SweepAxis("q", 0.5, 1.5, 3),
+        "stray_mean": SweepAxis("stray_mean", -1e-3, 1e-3, 3),
+        "p_dark": SweepAxis("p_dark", 0.5, 2.0, 3),
+        "dist_bob_m": SweepAxis("dist_bob_m", -1e6, 2e6, 4),
+        "exclusion_radius_m": SweepAxis("exclusion_radius_m", -10.0, 20.0, 4),
+    }
+
+    @pytest.mark.parametrize("param", CAPACITY_SWEEP_PARAMS)
+    def test_invalid_value_on_either_axis(self, param):
+        config = config_from_dict({})
+        bad = self._INVALID[param]
+        _fails_alike(config, [bad])
+        for other in CAPACITY_SWEEP_PARAMS:
+            if other == param or "gamma" in (param, other) and {param, other} & set(_GEOMETRY):
+                continue
+            good = _seeded_axis(random.Random(f"invalid:{param}:{other}"), other, 3)
+            _fails_alike(config, [bad, good])
+            _fails_alike(config, [good, bad])
+
+    def test_derived_degradation_leaves_its_range_mid_grid(self):
+        config = config_from_dict({})
+        axis = SweepAxis("dist_bob_m", 1e6, 4e6, 4)  # 0.00104 at 1e6 m, 48.8 at 2e6 m
+        message = _fails_alike(config, [axis])
+        assert message.startswith("geometry yields degradation 48.82, outside [0, 1)")
+
+    @pytest.mark.parametrize("outer, inner", [
+        # The degradation fails at the first cell, before the first invalid value.
+        (SweepAxis("exclusion_radius_m", 1.0, 30.0, 4), SweepAxis("q", 0.5, 1.5, 3)),
+        (SweepAxis("q", 0.5, 1.5, 3), SweepAxis("exclusion_radius_m", 1.0, 30.0, 4)),
+        # An invalid value at the first cell comes before its degradation.
+        (SweepAxis("received_mean_photons", -1.0, 3.0, 3), SweepAxis("exclusion_radius_m", 1.0, 30.0, 4)),
+        (SweepAxis("dist_bob_m", 1e6, 4e6, 4), SweepAxis("q", 0.5, 1.5, 3)),
+    ])
+    def test_degradation_and_invalid_values_in_row_major_order(self, outer, inner):
+        _fails_alike(config_from_dict({}), [outer, inner])
+
+    def test_two_invalid_values_in_one_section_are_joined(self):
+        axes = [SweepAxis("gamma", 1.2, 1.5, 2), SweepAxis("q", 1.1, 1.3, 2)]
+        message = _fails_alike(config_from_dict({}), axes)
+        assert message == "gamma must be in [0, 1), got 1.2; q must be in (0, 1), got 1.1"
+
+    @pytest.mark.parametrize("first, second", [("received_mean_photons", "stray_mean"),
+                                               ("stray_mean", "received_mean_photons")])
+    def test_two_invalid_values_in_two_sections(self, first, second):
+        axes = [SweepAxis(first, -2.0, -1.0, 2), SweepAxis(second, -2.0, -1.0, 2)]
+        message = _fails_alike(config_from_dict({}), axes)
+        owner = "received_mean_photons" if first == "received_mean_photons" else "stray_mean"
+        assert message == f"{owner} must be >= 0, got -2.0"
+
+    def test_broken_invariant_is_not_a_config_error(self, monkeypatch):
+        # A Holevo term far below the measured one puts dw_rate above the
+        # private capacity in one cell.
+        holevo = secrecy.holevo_bound
+
+        def broken(s, q):
+            chi = holevo(s, q).copy()
+            chi[2] = -1.0
+            return chi
+
+        monkeypatch.setattr(secrecy, "holevo_bound", broken)
+        axis = SweepAxis("received_mean_photons", 1.0, 4.0, 4)
+        with pytest.raises(ValueError, match=r"^dw_rate .* exceeds private_capacity ") as caught:
+            sweep(config_from_dict({}), [axis])
+        assert not isinstance(caught.value, ConfigError)
 
 
 class TestExclusionSweep:
