@@ -31,11 +31,10 @@ from .orbitsim import (
     required_orbital_exclusion,
 )
 from .scenario_io import (
-    CAPACITY_SWEEP_OUTPUTS,
     TABLE1_HEADER,
     ScenarioConfig,
     SweepAxis,
-    capacity_row,
+    _capacity_table,
     config_to_dict,
     emit_table1,
     exclusion_sweep,
@@ -49,7 +48,7 @@ from .scenario_io import (
     with_values,
     write_csv,
 )
-from .secrecy import optimal_signal_strength, secrecy_points
+from .secrecy import optimal_signal_strength
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,20 +176,17 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows, summary: dict 
 
 
 def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
-    gamma = resolved_gamma(config)
-    detector = config.detector
     if args.optimize_photons:
+        gamma = resolved_gamma(config)  # a bad degradation is reported before an ignored flag
         ignored = [flag for flag, value in (("--photons", args.photons), ("--q", args.q)) if value is not None]
         if args.q is None and config.operating.q is not None:
             ignored.append("operating.q")
         if ignored:
             raise ConfigError([f"{name} has no effect with --optimize-photons, which searches the "
                                "photon number and q" for name in ignored])
-        _, point = optimal_signal_strength(detector, gamma)
-    else:
-        (point,) = secrecy_points(config.operating.received_mean_photons, gamma, config.operating.q,
-                                  detector.p_dark, detector.eta_optical, detector.stray_mean)
-    return CAPACITY_SWEEP_OUTPUTS, [capacity_row(astuple(point), config.link.clock_rate)]
+        mu, _ = optimal_signal_strength(config.detector, gamma)
+        config = with_values(config, [("received_mean_photons", mu)])
+    return _capacity_table(config, [])
 
 
 def _run_sweep(args: argparse.Namespace, config: ScenarioConfig):

@@ -44,7 +44,7 @@ class BinaryCoherentEnsemble:
     prior_q: float = 0.5
 
     def __post_init__(self):
-        if self.mean_photons < 0:
+        if not self.mean_photons >= 0:
             raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
         if not 0.0 <= self.prior_q <= 1.0:
             raise ValueError(f"prior_q must be in [0, 1], got {self.prior_q}")
@@ -71,7 +71,7 @@ class HelstromSolution:
 
 def overlap(mean_photons: float) -> float:
     """State overlap ``exp(-mean_photons/2)`` of vacuum vs coherent pulse."""
-    if mean_photons < 0:
+    if not mean_photons >= 0:
         raise ValueError(f"mean_photons must be >= 0, got {mean_photons}")
     return math.exp(-0.5 * mean_photons)
 

@@ -102,7 +102,7 @@ class LinkGeometry:
                 problems.append(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 < self.eta_b <= 1.0:
             problems.append(f"eta_b must be in (0, 1], got {self.eta_b}")
-        if self.exclusion_radius < 0:
+        if not self.exclusion_radius >= 0:
             problems.append(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
         if problems:
             raise ValueError("; ".join(problems))

@@ -105,7 +105,7 @@ def _entropy(p) -> np.ndarray:
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with the convention 0*log2(0) = 0.
     ``p`` comes from outside the program: beyond 1e-12 outside [0, 1] it raises."""
-    if p < -_CLAMP_EPS or p > 1.0 + _CLAMP_EPS:
+    if not -_CLAMP_EPS <= p <= 1.0 + _CLAMP_EPS:
         raise ValueError(f"probability out of [0, 1]: {p}")
     return float(_entropy(p))
 
@@ -326,9 +326,9 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
     """
     if not beam_radius_w > 0:
         raise ValueError(f"beam_radius_w must be > 0, got {beam_radius_w}")
-    if offset < 0:
+    if not offset >= 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    if disk_radius < 0:
+    if not disk_radius >= 0:
         raise ValueError(f"disk_radius must be >= 0, got {disk_radius}")
     if disk_radius == 0.0:
         return 0.0

@@ -40,7 +40,7 @@ class DetectorModel:
             problems.append(f"p_dark must be in [0, 1], got {self.p_dark}")
         if not 0.0 < self.eta_optical <= 1.0:
             problems.append(f"eta_optical must be in (0, 1], got {self.eta_optical}")
-        if self.stray_mean < 0:
+        if not self.stray_mean >= 0:
             problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -99,7 +99,7 @@ def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> Bo
     detector with every channel loss already applied (detector efficiency is
     folded into the channel efficiency upstream).
     """
-    if received_mean_photons < 0:
+    if not received_mean_photons >= 0:
         raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
     eps0, eps1 = no_click_probabilities(
         received_mean_photons, detector.p_dark, detector.eta_optical, detector.stray_mean

@@ -7,11 +7,12 @@ same table drives validation, the resolved-config echo and :func:`with_values`
 (sweep cells, CLI flags).  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
 configs produce byte-identical files.  Each 12-column capacity row is
-built by :func:`capacity_row` from a point's values, for sweeps and single
-points alike, and each pair of exclusion radii by
-:func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.  A sweep validates
-each axis value once, not each cell (no section rule joins two fields);
-the first invalid cell in row-major order still raises its own message.
+built by :func:`capacity_row` from a point's values, and each pair of
+exclusion radii by :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
+The ``capacity`` table is a sweep with no axis, and only the kernel's
+columns check ``dw_rate <= private_capacity``.  A sweep validates each axis
+value once (no section rule joins two fields); the first invalid cell in
+row-major order still raises its own message.
 """
 from __future__ import annotations
 
@@ -72,6 +73,7 @@ CAPACITY_SWEEP_PARAMS = (
     "dist_bob_m",
     "exclusion_radius_m",
 )
+_GEOMETRY_PARAMS = ("dist_bob_m", "exclusion_radius_m")  # sweep axes that only derive gamma
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
 DEFAULT_GAMMA_TARGET = 0.1  # degradation target of exclusion radii and table1
 MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
@@ -117,7 +119,7 @@ class OperatingPoint:
 
     def __post_init__(self):
         problems = []
-        if self.received_mean_photons < 0:
+        if not self.received_mean_photons >= 0:
             problems.append(f"received_mean_photons must be >= 0, got {self.received_mean_photons}")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             problems.append(f"gamma must be in [0, 1), got {self.gamma}")
@@ -436,15 +438,13 @@ def _accepts(config: ScenarioConfig, param: str, value: float) -> bool:
 def sweep(
     config: ScenarioConfig, axes: Sequence[SweepAxis] | None = None
 ) -> tuple[list[str], list[list[float]]]:
-    """Row-major grid evaluation of the secrecy quantities.
+    """Row-major grid evaluation of the secrecy quantities over 1 or 2 axes.
 
     Returns ``(header, rows)``; the first columns repeat the axis values,
     the rest are the evaluated outputs at that cell.  Axes that cannot reach
-    the output raise.  No section rule joins two fields, so each axis value
-    is validated once, and the first invalid cell in row-major order, or the
-    first whose degradation (taken once per geometry) is outside [0, 1),
-    raises its own message; then one evaluation of the kernel's columns
-    covers the whole grid, q-optimised cells in lockstep.
+    the output raise; the rest is :func:`_capacity_table`, which with no axis
+    is the ``capacity`` command's row, and whose kernel columns
+    (:func:`~wiretap_space.secrecy._point_columns`) alone check the rate invariant.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if not 1 <= len(axes) <= 2:
@@ -458,17 +458,29 @@ def sweep(
     params = [axis.param for axis in axes]
     if len(set(params)) < len(params):
         raise ConfigError([f"both sweep axes set {params[0]!r}; the first would have no effect"])
-    geometry = [p for p in params if p in ("dist_bob_m", "exclusion_radius_m")]  # they only derive gamma
+    geometry = [p for p in params if p in _GEOMETRY_PARAMS]
     if geometry and ("gamma" in params or config.operating.gamma is not None):
         source = "the gamma axis" if "gamma" in params else "operating.gamma"
         raise ConfigError([f"sweep axis {geometry[0]!r} has no effect: the degradation is fixed by {source}"])
+    return _capacity_table(config, axes)
+
+
+def _capacity_table(config: ScenarioConfig, axes: Sequence[SweepAxis]) -> tuple[list[str], list[list[float]]]:
+    """The capacity rows of the grid of ``axes``; no axis gives the config's one point.
+
+    Each axis value is validated once (no section rule joins two fields), and
+    the first invalid cell in row-major order, or the first whose degradation
+    (taken once per geometry) is outside [0, 1), raises its own message; then
+    one evaluation of the kernel's columns covers the whole grid.
+    """
+    params = [axis.param for axis in axes]
     grids = _axis_grids(axes)
     valid = [[_accepts(config, param, v) for v in grid] for param, grid in zip(params, grids)]
     grid = list(itertools.product(*grids))
     invalid = (k for k, ok in enumerate(itertools.product(*valid)) if not all(ok))
     cells = len(grid) if all(map(all, valid)) else next(invalid)  # those before the first invalid one
     columns = dict(zip(params, zip(*grid)))
-    fixing = [p for p in params if p in ("gamma", *geometry)]  # the axes the degradation depends on
+    fixing = [p for p in params if p in ("gamma", *_GEOMETRY_PARAMS)]  # the axes the degradation depends on
     keys = list(zip(*(columns[p] for p in fixing))) if fixing else [()] * len(grid)
     gamma_of = {key: resolved_gamma(with_values(config, zip(fixing, key)))
                 for key in dict.fromkeys(keys[:cells])}  # each distinct key once, in row-major order
@@ -561,8 +573,6 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
 
 def format_cell(value: Any) -> str:
     """Deterministic text form: floats at 9 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)

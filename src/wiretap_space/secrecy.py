@@ -72,16 +72,6 @@ class SecrecyPoint:
     private_capacity: float
     dw_rate: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.private_capacity < 0 or self.dw_rate < 0:
-            raise ValueError("rates must be non-negative")
-        if self.dw_rate > self.private_capacity + 1e-9:
-            raise ValueError(
-                f"dw_rate {self.dw_rate} exceeds private_capacity {self.private_capacity}"
-            )
-
 
 @dataclass(frozen=True)
 class ClockedLink:
@@ -119,7 +109,7 @@ def _prior_terms(terms, q):
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
-    if received_mean_photons < 0:
+    if not received_mean_photons >= 0:
         raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
@@ -149,20 +139,22 @@ def secrecy_points(
     probability, as :func:`private_capacity` does; otherwise ``q`` gives each
     cell's input probability.  Point arguments are checked cell by cell in
     order, with the messages of the one-point functions, then each cell's
-    no-click probabilities, then each ``q``.
+    no-click probabilities, then each ``q``.  The ``capacity`` table (a sweep with no
+    axis) reads the same :func:`_point_columns`, the one check of the rate invariant.
     """
     columns = _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean)
     return [SecrecyPoint(*values) for values in zip(*columns)]
 
 
 def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean) -> list[list[float]]:
-    """:func:`secrecy_points` as its 8 columns in :class:`SecrecyPoint` field order; the first
-    cell with ``dw_rate > private_capacity`` raises :class:`SecrecyPoint`'s ``ValueError``."""
+    """:func:`secrecy_points` as its 8 columns in :class:`SecrecyPoint` field order, as the
+    ``capacity`` and ``sweep`` tables read them.  The one check of ``dw_rate <= private_capacity``:
+    the first cell that breaks it raises ``ValueError``."""
     mu, gamma, p_dark, eta_optical, stray_mean = (
         np.ravel(a).astype(float)
         for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
     )
-    bad = (mu < 0.0) | ~((0.0 <= gamma) & (gamma < 1.0))
+    bad = ~(mu >= 0.0) | ~((0.0 <= gamma) & (gamma < 1.0))
     if bad.any():
         first = np.flatnonzero(bad)[0]
         _check_point_args(float(mu[first]), float(gamma[first]))
@@ -177,7 +169,7 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
     columns = [c.tolist() for c in (gamma, mu, q, info_bob, info_eve, holevo_eve, capacity, dw_rate)]
     broken = np.flatnonzero(dw_rate > capacity + 1e-9)
     if broken.size:
-        SecrecyPoint(*(column[broken[0]] for column in columns))  # raises the invariant's message
+        raise ValueError(f"dw_rate {columns[7][broken[0]]} exceeds private_capacity {columns[6][broken[0]]}")
     return columns
 
 
@@ -292,7 +284,7 @@ def plob_bound(eta: float) -> float:
 
 def private_rate(capacity: float, link: ClockedLink) -> float:
     """Convert bits per use to bits per second at the link's clock rate."""
-    if capacity < 0:
+    if not capacity >= 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     return capacity * link.clock_rate
 
@@ -306,7 +298,7 @@ def required_laser_power(
     end-to-end efficiency; multiplying by the clock rate and the photon
     energy gives watts.
     """
-    if target_received_mean_photons < 0:
+    if not target_received_mean_photons >= 0:
         raise ValueError(
             f"target_received_mean_photons must be >= 0, got {target_received_mean_photons}"
         )

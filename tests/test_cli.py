@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,18 @@ from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from wiretap_space.linkbudget import LinkBudgetWarning, radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
+    CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
     MAX_SWEEP_CELLS,
+    PRESET_NAMES,
+    capacity_row,
     config_from_dict,
     config_to_dict,
     format_cell,
+    preset_config,
+    resolved_gamma,
 )
+from wiretap_space.secrecy import optimal_signal_strength, private_capacity, private_capacity_fixed
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +89,34 @@ class TestCapacityCommand:
         rows = json.loads(out)
         assert rows[0]["received_mean_photons"] == pytest.approx(4.0, abs=1.5)
         assert rows[0]["private_rate_bps"] == pytest.approx(680e6, abs=20e6)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("gamma", [None, 0.05])
+    @pytest.mark.parametrize("mode", ["fixed q", "optimised q", "optimised photons"])
+    def test_row_is_the_library_point_float_for_float(self, capsys, preset, gamma, mode):
+        flags = {"fixed q": ["--photons", "2.5", "--q", "0.3"], "optimised q": ["--photons", "2.5"],
+                 "optimised photons": ["--optimize-photons"]}[mode]
+        gamma_flag = [] if gamma is None else ["--gamma", str(gamma)]
+        code, out, _ = run_cli(capsys, "capacity", "--config", preset, "--format", "json", *flags, *gamma_flag)
+        assert code == EXIT_OK
+        config = preset_config(preset)
+        detector, g = config.detector, resolved_gamma(config) if gamma is None else gamma
+        point = {"fixed q": lambda: private_capacity_fixed(detector, 2.5, g, 0.3),
+                 "optimised q": lambda: private_capacity(detector, 2.5, g),
+                 "optimised photons": lambda: optimal_signal_strength(detector, g)[1]}[mode]()
+        (row,) = json.loads(out)
+        assert list(row) == list(CAPACITY_SWEEP_OUTPUTS)
+        assert list(row.values()) == capacity_row(astuple(point), config.link.clock_rate)
+
+    def test_bad_degradation_is_reported_before_an_ignored_flag(self, capsys, tmp_path):
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps({"geometry": {"exclusion_radius_m": 0, "eta_b": 0.001}}))
+        code, out, err = run_cli(capsys, "capacity", "--optimize-photons", "--q", "0.3", "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == [
+            "config error: geometry yields degradation 4000, outside [0, 1); "
+            "no secrecy is possible at this operating point"
+        ]
 
 
 class TestZeroDegradation:
@@ -147,6 +181,20 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "capacity", "--config", str(path))
         assert code == EXIT_CONFIG
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([{"label": "a"}], "top-level document must be an object, got list"),
+            ({"sweep": [{"param": "q", "min": 0.1, "max": 0.9, "points": 3}] * 3},
+             "at most 2 sweep axes supported, got 3"),
+        ],
+    )
+    def test_malformed_document_exits_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
 
     def test_unparseable_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,0 +1,119 @@
+"""Argument checks of the library: each raises its own message, NaN included."""
+import math
+
+import pytest
+
+from wiretap_space.detection import BinaryCoherentEnsemble, holevo_binary, overlap
+from wiretap_space.linkbudget import (
+    LinkGeometry,
+    exclusion_radius_partial,
+    exclusion_radius_total,
+    fraction_to_db,
+)
+from wiretap_space.numerics import Interval, binary_entropy, find_root, gaussian_disk_fraction
+from wiretap_space.orbitsim import OrbitScenario
+from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_model
+from wiretap_space.scenario_io import OperatingPoint, SweepAxis
+from wiretap_space.secrecy import (
+    ClockedLink,
+    private_capacity,
+    private_capacity_symmetric,
+    private_rate,
+    required_laser_power,
+    secrecy_points,
+)
+
+NAN = math.nan
+
+
+def _raises(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# A NaN fails every comparison, so a check written ``x < 0`` let it through.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: binary_entropy(NAN), "probability out of [0, 1]: nan"),
+        (lambda: gaussian_disk_fraction(1.0, NAN, 1.0), "offset must be >= 0, got nan"),
+        (lambda: gaussian_disk_fraction(1.0, 0.0, NAN), "disk_radius must be >= 0, got nan"),
+        (lambda: BinaryCoherentEnsemble(mean_photons=NAN), "mean_photons must be >= 0, got nan"),
+        (lambda: holevo_binary(BinaryCoherentEnsemble(NAN)), "mean_photons must be >= 0, got nan"),
+        (lambda: overlap(NAN), "mean_photons must be >= 0, got nan"),
+        (lambda: DetectorModel(stray_mean=NAN), "stray_mean must be >= 0, got nan"),
+        (lambda: bob_click_model(DetectorModel(), NAN), "received_mean_photons must be >= 0, got nan"),
+        (lambda: private_capacity(DetectorModel(), NAN, 0.1), "received_mean_photons must be >= 0, got nan"),
+        (lambda: private_capacity_symmetric(DetectorModel(), NAN, 0.1),
+         "received_mean_photons must be >= 0, got nan"),
+        (lambda: secrecy_points([1.0, NAN], 0.1, 0.5, 1e-7, 1.0, 1e-4),
+         "received_mean_photons must be >= 0, got nan"),
+        (lambda: private_rate(NAN, ClockedLink()), "capacity must be >= 0, got nan"),
+        (lambda: required_laser_power(NAN, 0.5, ClockedLink()), "target_received_mean_photons must be >= 0, got nan"),
+        (lambda: OperatingPoint(received_mean_photons=NAN), "received_mean_photons must be >= 0, got nan"),
+        (lambda: LinkGeometry(exclusion_radius=NAN), "exclusion_radius must be >= 0, got nan"),
+    ],
+)
+def test_nan_raises_its_own_message(call, message):
+    _raises(call, message)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fraction_to_db(0.0), "fraction must be in (0, 1], got 0.0"),
+        (lambda: fraction_to_db(1.5), "fraction must be in (0, 1], got 1.5"),
+        (lambda: exclusion_radius_partial(0.1, 0.0, 0.01, 2.0, 1e-5),
+         "dist and divergence must be > 0 and the diameter ratio >= 0"),
+        (lambda: exclusion_radius_partial(0.1, 1e6, 0.01, -1.0, 1e-5),
+         "dist and divergence must be > 0 and the diameter ratio >= 0"),
+        (lambda: exclusion_radius_partial(0.1, 1e6, 0.0, 2.0, 1e-5), "eta_b must be in (0, 1], got 0.0"),
+        (lambda: exclusion_radius_total(0.1, 1e6, 0.0, 1e-5), "dist, diam_bob and divergence must be > 0"),
+        (lambda: exclusion_radius_total(0.1, 1e6, 1.0, 0.0), "dist, diam_bob and divergence must be > 0"),
+        (lambda: OrbitScenario(alice_altitude=0.0),
+         "alice_altitude must be > 0, got 0.0; eve_orbit_offset must be in [0.001 m, alice_altitude), "
+         "got 16000.0; the pass geometry does not resolve closer orbits"),
+        (lambda: OrbitScenario(eve_telescope_diameter=0.0), "eve_telescope_diameter must be > 0, got 0.0"),
+        (lambda: OrbitScenario(diam_bob=-1.0), "diam_bob must be > 0, got -1.0"),
+        (lambda: OrbitScenario(divergence_full_angle=0.0), "divergence_full_angle must be > 0, got 0.0"),
+        (lambda: secrecy_points(1.0, 0.1, 0.5, 1.5, 1.0, 1e-4),
+         "require 0 <= eps1 <= eps0 <= 1, got eps0=-0.49995000249991667, eps1=-0.18392132753333054"),
+        (lambda: _checked_prior(1.5), "q must be in [0, 1], got 1.5"),
+        (lambda: secrecy_points([1.0, 2.0], 0.1, [0.5, 1.5], 1e-7, 1.0, 1e-4), "q must be in [0, 1], got 1.5"),
+        (lambda: SweepAxis("q", 0.1, 0.9, 3, "cubic"), "scale must be linear or log, got 'cubic'"),
+        (lambda: private_capacity(DetectorModel(), -1.0, 0.1), "received_mean_photons must be >= 0, got -1.0"),
+        (lambda: private_capacity_symmetric(DetectorModel(), -1.0, 0.1),
+         "received_mean_photons must be >= 0, got -1.0"),
+        (lambda: private_rate(-0.1, ClockedLink()), "capacity must be >= 0, got -0.1"),
+        (lambda: required_laser_power(-1.0, 0.5, ClockedLink()), "target_received_mean_photons must be >= 0, got -1.0"),
+        (lambda: find_root(lambda x: x, Interval(-1.0, 1.0), 0.0), "tol must be > 0, got 0.0"),
+    ],
+)
+def test_out_of_range_argument_raises_its_message(call, message):
+    _raises(call, message)
+
+
+class TestFindRootEnds:
+    @pytest.mark.parametrize("root", [-1.0, 2.0])
+    def test_root_on_a_bracket_end_is_returned_unevaluated_between(self, root):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root
+
+        assert find_root(f, Interval(-1.0, 2.0), 1e-9) == root
+        assert calls == [-1.0, 2.0]
+
+    def test_bracket_of_adjacent_floats_stops_at_the_midpoint(self):
+        # No float lies between the ends, so the tolerance is never reached.
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -1.0 if x == lo else 1.0
+
+        assert find_root(f, Interval(lo, hi), 1e-300) in (lo, hi)
+        assert calls == [lo, hi]
