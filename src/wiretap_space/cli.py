@@ -184,8 +184,8 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
         if ignored:
             raise ConfigError([f"{name} has no effect with --optimize-photons, which searches the "
                                "photon number and q" for name in ignored])
-        mu, _ = optimal_signal_strength(config.detector, gamma)
-        config = with_values(config, [("received_mean_photons", mu)])
+        mu, point = optimal_signal_strength(config.detector, gamma)
+        config = with_values(config, [("received_mean_photons", mu), ("q", point.q)])
     return _capacity_table(config, [])
 
 

@@ -96,10 +96,19 @@ class Interval:
 
 def _entropy(p) -> np.ndarray:
     """Array form of :func:`binary_entropy` for ``p`` built in [0, 1] up to
-    rounding: no range check, and rounding slop outside gives 0."""
-    inside = (p > 0.0) & (p < 1.0)
-    p = np.where(inside, p, 0.5)
-    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
+    rounding: no range check, and rounding slop outside gives 0.
+
+    Inside (0, 1) both terms are finite and their sum is positive.  At 0 or 1,
+    or outside [0, 1] (rounding slop, infinities, NaN), one term is NaN
+    (``0 * -inf`` or the log of a negative number), and ``fmax`` turns the NaN
+    into the 0 of the convention 0*log2(0) = 0.  No ``out=``: a 0-d ``p``
+    (:func:`binary_entropy`'s) gives numpy scalars, which cannot be written in place.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = 1.0 - p
+        h = -p * np.log2(p)
+        h -= q * np.log2(q)
+    return np.fmax(h, 0.0)
 
 
 def binary_entropy(p: float) -> float:

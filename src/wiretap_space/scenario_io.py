@@ -16,7 +16,6 @@ row-major order still raises its own message.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -571,19 +570,29 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
     return rows
 
 
+_QUOTE_TRIGGERS = frozenset(',"\r\n')
+
+
 def format_cell(value: Any) -> str:
-    """Deterministic text form: floats at 9 significant digits."""
+    """Deterministic CSV field: floats at 9 significant digits (never quoted), any
+    other value as its ``str``, in double quotes, with each quote doubled, when it
+    holds a comma, a quote, CR or LF (RFC 4180)."""
     if isinstance(value, float):
         return f"{value:.9g}"
-    return str(value)
+    text = str(value)
+    if _QUOTE_TRIGGERS.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
-def write_csv(stream: IO[str], header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    """RFC-4180-style CSV with a mandatory header row."""
-    writer = csv.writer(stream, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """RFC-4180-style CSV with a mandatory header row and CRLF line ends: the
+    lines of ``csv.writer`` over :func:`format_cell` fields.  A row of one empty
+    field is written ``""``, as ``csv.writer`` does, so it does not read back
+    as a blank line."""
+    for row in itertools.chain([header], rows):
+        line = ",".join(map(format_cell, row))
+        stream.write((line if line or len(row) != 1 else '""') + "\r\n")
 
 
 def rows_to_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[dict[str, Any]]:

@@ -102,7 +102,9 @@ def _prior_terms(terms, q):
     eps0, eps1, h_eps0, h_eps1, s, y = terms
     e0, e1, _, _ = _helstrom_split(s, y, q)
     p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
-    h_bob, h_eve, h_e0, h_e1 = _entropy(np.stack((p_bob, p_eve, e0, e1)))
+    # One row at a time: a stack of the four would be a fresh block per call
+    # that the allocator maps and unmaps (256 KiB at 8,192 points).
+    h_bob, h_eve, h_e0, h_e1 = map(_entropy, (p_bob, p_eve, e0, e1))
     info_bob = _channel_information(q, h_bob, h_eps0, h_eps1)
     info_eve = _channel_information(q, h_eve, h_e0, h_e1)
     return info_bob, info_eve
@@ -111,6 +113,8 @@ def _prior_terms(terms, q):
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
     if not received_mean_photons >= 0:
         raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
+    if not math.isfinite(received_mean_photons):
+        raise ValueError(f"received_mean_photons must be finite, got {received_mean_photons}")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 
@@ -154,7 +158,7 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
         np.ravel(a).astype(float)
         for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
     )
-    bad = ~(mu >= 0.0) | ~((0.0 <= gamma) & (gamma < 1.0))
+    bad = ~((0.0 <= mu) & (mu < math.inf)) | ~((0.0 <= gamma) & (gamma < 1.0))
     if bad.any():
         first = np.flatnonzero(bad)[0]
         _check_point_args(float(mu[first]), float(gamma[first]))

@@ -11,6 +11,7 @@ from wiretap_space.numerics import (
     BracketError,
     Interval,
     _disk_fraction,
+    _entropy,
     binary_entropy,
     find_root,
     gaussian_disk_fraction,
@@ -50,6 +51,40 @@ class TestBinaryEntropy:
     def test_rounding_slop_clamped(self):
         assert binary_entropy(1.0 + 1e-15) == 0.0
         assert binary_entropy(-1e-15) == 0.0
+
+
+def _where_entropy(p):
+    """The kernel's entropy as a masked expression: the oracle of its NaN-to-0 form."""
+    inside = (p > 0.0) & (p < 1.0)
+    p = np.where(inside, p, 0.5)
+    return np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p), 0.0)
+
+
+# The bounds, rounding slop past them, signed zeros, subnormals, the floats next
+# to 1, and values no probability takes.
+ENTROPY_EDGES = [
+    0.0, -0.0, 1.0, 1e-13, -1e-13, 1.0 + 1e-13, 1.0 - 1e-13, 5e-324, -5e-324, 1e-320,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 + 2.0**-52,
+    0.5, 2.0, -1.0, math.inf, -math.inf, math.nan,
+]
+
+
+class TestEntropyKernel:
+    def test_bit_identical_to_the_masked_form(self):
+        rng = np.random.default_rng(20261019)
+        low = 10.0 ** rng.uniform(-320.0, 0.0, 50_000)  # log-uniform from 1e-320
+        high = 1.0 - 10.0 ** rng.uniform(-17.0, 0.0, 50_000)  # up to 1 - 1e-17
+        p = np.concatenate((ENTROPY_EDGES, low, high))
+        assert np.array_equal(_entropy(p).view(np.int64), _where_entropy(p).view(np.int64))
+        # The batched kernel's 2-D rows.
+        rows = p[: p.size // 2 * 2].reshape(2, -1)
+        assert np.array_equal(_entropy(rows).view(np.int64), _where_entropy(rows).view(np.int64))
+
+    @pytest.mark.parametrize("p", ENTROPY_EDGES)
+    def test_scalar_inputs_match_the_masked_form(self, p):
+        expected = _where_entropy(np.float64(p))
+        for value in (p, np.float64(p), np.array(p)):
+            assert np.float64(_entropy(value)).view(np.int64) == expected.view(np.int64)
 
 
 class TestMaximize1d:

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wiretap_space.linkbudget import radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
@@ -21,6 +23,7 @@ from wiretap_space.scenario_io import (
     config_from_dict,
     config_to_dict,
     emit_table1,
+    format_cell,
     exclusion_sweep,
     load_config,
     preset_config,
@@ -566,3 +569,48 @@ class TestWriters:
     def test_json_rows(self):
         rows = rows_to_json(["a", "b"], [[1, 2]])
         assert rows == [{"a": 1, "b": 2}]
+
+
+def _csv_module_lines(header, rows):
+    """``csv.writer`` over the unquoted cell texts: the oracle of :func:`write_csv`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    for row in [header, *rows]:
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
+    return buffer.getvalue()
+
+
+_CELL_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t;\'') + ["\u00b5"]), max_size=6)
+_CELL_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+_CELL = st.one_of(_CELL_TEXT, _CELL_FLOAT, st.integers())
+
+
+class TestCsvAgainstTheCsvModule:
+    @given(
+        header=st.lists(_CELL_TEXT, min_size=1, max_size=5),
+        rows=st.lists(st.lists(_CELL, min_size=0, max_size=5), max_size=6),
+    )
+    def test_same_text_as_csv_writer(self, header, rows):
+        buffer = io.StringIO()
+        write_csv(buffer, header, rows)
+        assert buffer.getvalue() == _csv_module_lines(header, rows)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[""], ["", ""], ["", "", ""], ["a,b", ""], ['say "hi"', 1.5], ["line\nbreak", "cr\r"], ['"'], [","],
+         [math.nan, -0.0], [math.inf, -math.inf, 5e-324, 1e300], []],
+    )
+    def test_edge_rows(self, row):
+        buffer = io.StringIO()
+        write_csv(buffer, ["label", "x,y"], [row])
+        assert buffer.getvalue() == _csv_module_lines(["label", "x,y"], [row])
+
+    def test_quoted_cells_read_back(self):
+        cells = ["a,b", 'q"q', "x\ny", "x\r\ny", "", "plain"]
+        buffer = io.StringIO()
+        write_csv(buffer, cells, [cells])
+        assert list(csv.reader(io.StringIO(buffer.getvalue(), newline=""))) == [cells, cells]
+        assert [format_cell(c) for c in cells] == ['"a,b"', '"q""q"', '"x\ny"', '"x\r\ny"', "", "plain"]

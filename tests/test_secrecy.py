@@ -7,6 +7,7 @@ import pytest
 
 from oracles import grid_argmax
 from wiretap_space import secrecy
+from wiretap_space.cli import main
 from wiretap_space.detection import BinaryCoherentEnsemble, helstrom_projector, holevo_binary
 from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, binary_entropy
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
@@ -321,6 +322,13 @@ class TestKernelCalls:
         optimum = q_search(1) + [1]
         assert calls == q_search(GRID_POINTS) + 2 * q_search(GRID_POINTS + 1) + optimum
         assert len(calls) == 21
+
+    def test_photon_optimised_capacity_table_reuses_the_searched_prior(self, calls, capsys):
+        assert main(["capacity", "--optimize-photons"]) == 0
+        # The photon search's 21 calls, then the table evaluates its one cell at
+        # the q the search found: no second q-search.
+        assert len(calls) == 22 and calls[-1] == 1
+        capsys.readouterr()
 
     def test_one_cell_budget(self, calls):
         private_capacity(DetectorModel(), 4.0, 0.1)

@@ -16,7 +16,10 @@ from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_mode
 from wiretap_space.scenario_io import OperatingPoint, SweepAxis
 from wiretap_space.secrecy import (
     ClockedLink,
+    devetak_winter_rate,
+    dw_rate_symmetric,
     private_capacity,
+    private_capacity_fixed,
     private_capacity_symmetric,
     private_rate,
     required_laser_power,
@@ -92,6 +95,26 @@ def test_nan_raises_its_own_message(call, message):
 )
 def test_out_of_range_argument_raises_its_message(call, message):
     _raises(call, message)
+
+
+INF = math.inf
+
+
+# ``x >= 0`` holds for +inf, and ``gamma * inf`` is NaN at gamma = 0.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: secrecy_points(INF, 0.0, 0.5, 1e-7, 1.0, 1e-4),
+        lambda: secrecy_points([1.0, INF], 0.1, None, 1e-7, 1.0, 1e-4),
+        lambda: private_capacity(DetectorModel(), INF, 0.1),
+        lambda: private_capacity_fixed(DetectorModel(), INF, 0.0, 0.5),
+        lambda: devetak_winter_rate(DetectorModel(), INF, 0.1, 0.5),
+        lambda: private_capacity_symmetric(DetectorModel(), INF, 0.1),
+        lambda: dw_rate_symmetric(DetectorModel(), INF, 0.0),
+    ],
+)
+def test_infinite_photon_number_raises_its_own_message(call):
+    _raises(call, "received_mean_photons must be finite, got inf")
 
 
 class TestFindRootEnds:
