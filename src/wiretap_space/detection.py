@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _entropy
+from .numerics import _check_photons, _entropy
 
 __all__ = [
     "BinaryCoherentEnsemble",
@@ -44,8 +44,7 @@ class BinaryCoherentEnsemble:
     prior_q: float = 0.5
 
     def __post_init__(self):
-        if not self.mean_photons >= 0:
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
+        _check_photons("mean_photons", self.mean_photons)
         if not 0.0 <= self.prior_q <= 1.0:
             raise ValueError(f"prior_q must be in [0, 1], got {self.prior_q}")
 
@@ -71,8 +70,7 @@ class HelstromSolution:
 
 def overlap(mean_photons: float) -> float:
     """State overlap ``exp(-mean_photons/2)`` of vacuum vs coherent pulse."""
-    if not mean_photons >= 0:
-        raise ValueError(f"mean_photons must be >= 0, got {mean_photons}")
+    _check_photons("mean_photons", mean_photons)
     return math.exp(-0.5 * mean_photons)
 
 

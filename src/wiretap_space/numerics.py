@@ -119,6 +119,15 @@ def binary_entropy(p: float) -> float:
     return float(_entropy(p))
 
 
+def _check_photons(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the mean photon number ``value`` is finite and
+    ``>= 0``; NaN gets the ``>= 0`` message."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
     """Mutual information ``h_out - q h_0 - (1-q) h_1`` in bits of binary channels
     with prior ``q`` of input 0, output entropy ``h_out`` and output entropy

@@ -11,11 +11,12 @@ batched secrecy kernel, and :func:`bob_click_model` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _channel_information, _entropy
+from .numerics import _channel_information, _check_photons, _entropy
 
 __all__ = [
     "DetectorModel",
@@ -42,6 +43,8 @@ class DetectorModel:
             problems.append(f"eta_optical must be in (0, 1], got {self.eta_optical}")
         if not self.stray_mean >= 0:
             problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
+        elif not self.stray_mean < math.inf:
+            problems.append(f"stray_mean must be finite, got {self.stray_mean}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -99,8 +102,7 @@ def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> Bo
     detector with every channel loss already applied (detector efficiency is
     folded into the channel efficiency upstream).
     """
-    if not received_mean_photons >= 0:
-        raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
+    _check_photons("received_mean_photons", received_mean_photons)
     eps0, eps1 = no_click_probabilities(
         received_mean_photons, detector.p_dark, detector.eta_optical, detector.stray_mean
     )

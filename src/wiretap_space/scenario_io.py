@@ -542,20 +542,18 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
     Per row: free-space loss in dB, the repeaterless key-rate bound at that
     loss alone (receiver-side losses excluded), the partial-model exclusion
     radius for a 0.1 degradation target, and the photon-number-optimised
-    private rate at the daytime stray-light default.
+    private rate at the daytime stray-light default.  Rows whose detectors
+    are equal to the bit (the presets share one) share one photon search
+    through :func:`~wiretap_space.secrecy.optimal_signal_strength`'s memo.
     """
     if configs is None:
         configs = [preset_config(name) for name in PRESET_NAMES]
     rows = []
-    searched: dict[tuple[DetectorModel, float], SecrecyPoint] = {}  # one photon search per pair
     for config in configs:
         geometry = config.geometry
         loss = bob_free_space(geometry)
         (exclusion,) = radius_vs_gamma_curve(geometry, [DEFAULT_GAMMA_TARGET])
-        key = (config.detector, DEFAULT_GAMMA_TARGET)
-        if key not in searched:
-            searched[key] = optimal_signal_strength(*key)[1]
-        best = searched[key]
+        _, best = optimal_signal_strength(config.detector, DEFAULT_GAMMA_TARGET)
         rows.append(
             ReportRow(
                 configuration=config.label,

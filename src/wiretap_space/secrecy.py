@@ -16,7 +16,9 @@ broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
 shared by the lockstep q-search and the final evaluation, which adds the
 Holevo bound.  ``private_capacity_fixed``, ``private_capacity`` and
 ``devetak_winter_rate`` are that call on one cell.  A cell's result does not
-depend on the batch it is evaluated in.
+depend on the batch it is evaluated in, so the photon search
+:func:`optimal_signal_strength` takes its point from the winning cell's own
+q-search, and keeps its results per process in a bounded memo.
 
 The uniform-prior closed forms are a second code path on purpose; they
 must agree with the kernel to float precision at ``q = 1/2`` and are
@@ -24,14 +26,16 @@ cross-checked in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _channel_information, _entropy
+from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy
 from .numerics import binary_entropy, maximize_lockstep
 from .receiver import DetectorModel, _checked_prior, bob_click_model, no_click_probabilities
 
@@ -54,6 +58,7 @@ Q_SEARCH_BOUNDS = (0.01, 0.99)
 Q_SEARCH_TOL = 1e-4
 PHOTON_SEARCH_BOUNDS = (1e-3, 1e2)
 LOG_TOL = 1e-3  # photon search tolerance in log10 of the photon number
+PHOTON_SEARCH_MEMO_SIZE = 128  # photon searches a process keeps, least recently used dropped
 # Exact by definition in the 2019 SI.
 _SPEED_OF_LIGHT = 299792458.0  # m/s
 _PLANCK = 6.62607015e-34  # J s
@@ -111,10 +116,7 @@ def _prior_terms(terms, q):
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
-    if not received_mean_photons >= 0:
-        raise ValueError(f"received_mean_photons must be >= 0, got {received_mean_photons}")
-    if not math.isfinite(received_mean_photons):
-        raise ValueError(f"received_mean_photons must be finite, got {received_mean_photons}")
+    _check_photons("received_mean_photons", received_mean_photons)
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 
@@ -263,20 +265,34 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     :data:`PHOTON_SEARCH_BOUNDS`, rescanning at ``GRID_POINTS + 1`` points
     down to a step of at most :data:`LOG_TOL`: three scans, each one lockstep
     q-search over its points for the clipped capacity, so a zero plateau
-    resolves to the lower bound.  The point is :func:`private_capacity` at
-    the winning photon number: 21 kernel calls.
+    resolves to the lower bound.  The point is the winning cell evaluated at
+    the ``q*`` its own q-search in the last scan found, which is
+    :func:`private_capacity` at the winning photon number bit for bit: 16
+    kernel calls.  The process keeps the last :data:`PHOTON_SEARCH_MEMO_SIZE`
+    searches, keyed on the bits of ``(p_dark, eta_optical, stray_mean, gamma)``
+    (checked first), and returns a kept one without a kernel call.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
-    fields = (detector.p_dark, detector.eta_optical, detector.stray_mean)
+    return _photon_search(struct.pack("<4d", detector.p_dark, detector.eta_optical, detector.stray_mean, gamma))
+
+
+@functools.lru_cache(maxsize=PHOTON_SEARCH_MEMO_SIZE)
+def _photon_search(key: bytes) -> tuple[float, SecrecyPoint]:
+    """:func:`optimal_signal_strength` of the packed ``(p_dark, eta_optical, stray_mean, gamma)``."""
+    *fields, gamma = struct.unpack("<4d", key)
+    last_scan = {}
 
     def capacity(log_mu, cell):
-        _, unclipped = _optimal_q(_cell_terms(10.0**log_mu.ravel(), gamma, *fields))
-        return np.maximum(unclipped, 0.0).reshape(log_mu.shape)
+        q, unclipped = _optimal_q(_cell_terms(10.0**log_mu.ravel(), gamma, *fields))
+        last_scan.update(q=q, capacity=np.maximum(unclipped, 0.0))
+        return last_scan["capacity"].reshape(log_mu.shape)
 
     bounds = Interval(*map(math.log10, PHOTON_SEARCH_BOUNDS))
     log_mu, _ = maximize_lockstep(capacity, bounds, LOG_TOL, 1, GRID_POINTS + 1)
     (mu,) = (10.0**log_mu).tolist()  # the array power, as in the scans
-    return mu, private_capacity(detector, mu, gamma)
+    q = last_scan["q"][np.argmax(last_scan["capacity"])]  # the cell maximize_lockstep kept
+    (point,) = secrecy_points(mu, gamma, q, *fields)
+    return mu, point
 
 
 def plob_bound(eta: float) -> float:
@@ -302,10 +318,7 @@ def required_laser_power(
     end-to-end efficiency; multiplying by the clock rate and the photon
     energy gives watts.
     """
-    if not target_received_mean_photons >= 0:
-        raise ValueError(
-            f"target_received_mean_photons must be >= 0, got {target_received_mean_photons}"
-        )
+    _check_photons("target_received_mean_photons", target_received_mean_photons)
     if not 0.0 < total_efficiency <= 1.0:
         raise ValueError(f"total_efficiency must be in (0, 1], got {total_efficiency}")
     transmitted = target_received_mean_photons / total_efficiency

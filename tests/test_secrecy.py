@@ -264,23 +264,26 @@ class TestBatchInvariance:
             assert abs(points[i].q - reference) <= Q_SEARCH_TOL, i
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Sizes of the kernel's prior-dependent calls, one entry per call."""
+    sizes = []
+    kernel = secrecy._prior_terms
+
+    def counted(terms, q):
+        sizes.append(np.broadcast(terms[0], q).size)
+        return kernel(terms, q)
+
+    monkeypatch.setattr(secrecy, "_prior_terms", counted)
+    return sizes
+
+
 class TestKernelCalls:
     """The batched paths evaluate whole arrays; a fall-back to one kernel
     call per cell and q would show as hundreds or thousands of calls.
     ``calls`` counts the kernel's prior-dependent step, ``cell_calls`` its
-    prior-free step, which a q-search takes once."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        sizes = []
-        kernel = secrecy._prior_terms
-
-        def counted(terms, q):
-            sizes.append(np.broadcast(terms[0], q).size)
-            return kernel(terms, q)
-
-        monkeypatch.setattr(secrecy, "_prior_terms", counted)
-        return sizes
+    prior-free step, which a q-search takes once.  Each test starts with an
+    empty photon-search memo (``fresh_photon_memo``)."""
 
     @pytest.fixture
     def cell_calls(self, monkeypatch):
@@ -317,17 +320,23 @@ class TestKernelCalls:
         # The 64 photon numbers of the scan form one 64-cell q-search.
         assert calls[0] == GRID_POINTS * GRID_POINTS
         # Three scans of 5 calls each (one scan call, four rescans), then the
-        # q-search and evaluation of the optimum.
+        # evaluation of the optimum at the q its cell's q-search found.
         q_search = lambda cells: [cells * GRID_POINTS] + [cells * REFINE_POINTS] * 4
-        optimum = q_search(1) + [1]
-        assert calls == q_search(GRID_POINTS) + 2 * q_search(GRID_POINTS + 1) + optimum
-        assert len(calls) == 21
+        assert calls == q_search(GRID_POINTS) + 2 * q_search(GRID_POINTS + 1) + [1]
+        assert len(calls) == 16
 
     def test_photon_optimised_capacity_table_reuses_the_searched_prior(self, calls, capsys):
         assert main(["capacity", "--optimize-photons"]) == 0
-        # The photon search's 21 calls, then the table evaluates its one cell at
+        # The photon search's 16 calls, then the table evaluates its one cell at
         # the q the search found: no second q-search.
-        assert len(calls) == 22 and calls[-1] == 1
+        assert len(calls) == 17 and calls[-1] == 1
+        capsys.readouterr()
+
+    def test_table1_runs_one_photon_search(self, calls, capsys):
+        assert len({preset_config(name).detector for name in PRESET_NAMES}) == 1
+        assert main(["table1"]) == 0
+        # The three presets share one detector and gamma, so one search of 16 calls.
+        assert len(calls) == 16
         capsys.readouterr()
 
     def test_one_cell_budget(self, calls):
@@ -422,3 +431,94 @@ class TestPhotonSearch:
         # Near-unit degradation: the capacity is 0 at every photon number.
         mu, best = optimal_signal_strength(day_detector, 0.999)
         assert (mu, best.private_capacity) == (PHOTON_SEARCH_BOUNDS[0], 0.0)
+
+    def test_point_is_private_capacity_at_the_searched_photon_number(self):
+        # The point comes from the winning cell's own q-search in the last scan;
+        # it must be the one-cell q-search and evaluation there, bit for bit.
+        rng = np.random.default_rng(25)
+        inputs = [
+            (DetectorModel(p_dark=10 ** rng.uniform(-9, -5), eta_optical=rng.uniform(0.5, 1.0),
+                           stray_mean=10 ** rng.uniform(-7, -2)), rng.uniform(0.02, 0.4))
+            for _ in range(44)
+        ]
+        inputs += [
+            (DetectorModel(p_dark=10 ** rng.uniform(-9, -1), eta_optical=rng.uniform(0.05, 1.0),
+                           stray_mean=10 ** rng.uniform(-7, 1)), rng.uniform(0.0, 0.999))
+            for _ in range(6)
+        ]
+        # Capacity 0 everywhere: the search ends on its lower bound.
+        inputs += [(DetectorModel(), 0.999), (DetectorModel(0.5, 1.0, 5.0), 0.9),
+                   (DetectorModel(1.0, 1.0, 1e-4), 0.1), (DetectorModel(1e-7, 1.0, 3.0), 0.5)]
+        zero = 0
+        for detector, gamma in inputs:
+            mu, point = optimal_signal_strength(detector, float(gamma))
+            assert point.received_mean_photons == mu
+            assert _bits(point) == _bits(private_capacity(detector, mu, float(gamma))), (detector, gamma)
+            zero += point.private_capacity == 0.0 and mu == PHOTON_SEARCH_BOUNDS[0]
+        assert zero >= 4
+
+
+def _result_bits(result):
+    mu, point = result
+    return [mu.hex()] + _bits(point)
+
+
+class TestPhotonSearchMemo:
+    """``optimal_signal_strength`` keeps its searches per process, keyed on the
+    bits of the detector's fields and gamma; ``fresh_photon_memo`` empties it
+    before each test."""
+
+    def test_repeat_is_identical_and_makes_no_kernel_call(self, calls, day_detector):
+        first = optimal_signal_strength(day_detector, 0.1)
+        assert len(calls) == 16
+        calls.clear()
+        equal = DetectorModel(p_dark=1e-7, eta_optical=1.0, stray_mean=1e-4)
+        for detector in (day_detector, equal):
+            assert repr(optimal_signal_strength(detector, 0.1)) == repr(first)
+        assert calls == []
+
+    def test_recomputation_after_clearing_is_bitwise_equal(self, calls, day_detector):
+        first = optimal_signal_strength(day_detector, 0.25)
+        secrecy._photon_search.cache_clear()
+        calls.clear()
+        again = optimal_signal_strength(day_detector, 0.25)
+        assert len(calls) == 16
+        assert _result_bits(again) == _result_bits(first)
+
+    def test_neighbouring_keys_get_their_own_search(self):
+        base = DetectorModel(p_dark=1e-7, eta_optical=0.9, stray_mean=1e-4)
+        up = lambda x: math.nextafter(x, math.inf)
+        inputs = [
+            (DetectorModel(0.0, 1.0, 0.0), 0.0),
+            (DetectorModel(0.0, 1.0, 0.0), -0.0),  # the point's gamma keeps the sign
+            (base, 0.1),
+            (DetectorModel(up(base.p_dark), base.eta_optical, base.stray_mean), 0.1),
+            (DetectorModel(base.p_dark, up(base.eta_optical), base.stray_mean), 0.1),
+            (DetectorModel(base.p_dark, base.eta_optical, up(base.stray_mean)), 0.1),
+            (base, up(0.1)),
+        ]
+        kept = [optimal_signal_strength(*args) for args in inputs]
+        assert secrecy._photon_search.cache_info().currsize == len(inputs)
+        for args, result in zip(inputs, kept):
+            secrecy._photon_search.cache_clear()
+            assert _result_bits(optimal_signal_strength(*args)) == _result_bits(result), args
+        assert repr(kept[0]) != repr(kept[1])
+
+    @pytest.mark.parametrize("gamma", [1.0, -0.1, math.nan, math.inf])
+    def test_invalid_input_raises_on_every_call(self, day_detector, gamma):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^gamma must be in"):
+                optimal_signal_strength(day_detector, gamma)
+        assert secrecy._photon_search.cache_info().currsize == 0
+
+    def test_size_is_bounded(self, calls, day_detector):
+        size = secrecy.PHOTON_SEARCH_MEMO_SIZE
+        gammas = np.linspace(0.01, 0.5, size + 1).tolist()
+        for gamma in gammas:
+            optimal_signal_strength(day_detector, gamma)
+        assert secrecy._photon_search.cache_info().currsize == size
+        calls.clear()
+        optimal_signal_strength(day_detector, gammas[-1])  # the newest is kept
+        assert calls == []
+        optimal_signal_strength(day_detector, gammas[0])  # the oldest was dropped
+        assert len(calls) == 16

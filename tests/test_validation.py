@@ -3,7 +3,16 @@ import math
 
 import pytest
 
-from wiretap_space.detection import BinaryCoherentEnsemble, holevo_binary, overlap
+import warnings
+
+from wiretap_space.detection import (
+    BinaryCoherentEnsemble,
+    distinguishability_angle,
+    helstrom_error,
+    helstrom_projector,
+    holevo_binary,
+    overlap,
+)
 from wiretap_space.linkbudget import (
     LinkGeometry,
     exclusion_radius_partial,
@@ -18,6 +27,7 @@ from wiretap_space.secrecy import (
     ClockedLink,
     devetak_winter_rate,
     dw_rate_symmetric,
+    optimal_signal_strength,
     private_capacity,
     private_capacity_fixed,
     private_capacity_symmetric,
@@ -140,3 +150,28 @@ class TestFindRootEnds:
 
         assert find_root(f, Interval(lo, hi), 1e-300) in (lo, hi)
         assert calls == [lo, hi]
+
+
+# The library's other photon-number arguments and the stray light: a check
+# ``x >= 0`` let +inf through, and each returned a value (a zero-capacity
+# photon search for infinite stray light).
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bob_click_model(DetectorModel(), INF), "received_mean_photons must be finite, got inf"),
+        (lambda: overlap(INF), "mean_photons must be finite, got inf"),
+        (lambda: distinguishability_angle(INF), "mean_photons must be finite, got inf"),
+        (lambda: BinaryCoherentEnsemble(INF), "mean_photons must be finite, got inf"),
+        (lambda: helstrom_error(BinaryCoherentEnsemble(INF)), "mean_photons must be finite, got inf"),
+        (lambda: helstrom_projector(BinaryCoherentEnsemble(INF, 0.3)), "mean_photons must be finite, got inf"),
+        (lambda: holevo_binary(BinaryCoherentEnsemble(INF)), "mean_photons must be finite, got inf"),
+        (lambda: required_laser_power(INF, 0.5, ClockedLink()),
+         "target_received_mean_photons must be finite, got inf"),
+        (lambda: DetectorModel(stray_mean=INF), "stray_mean must be finite, got inf"),
+        (lambda: optimal_signal_strength(DetectorModel(stray_mean=INF), 0.1), "stray_mean must be finite, got inf"),
+    ],
+)
+def test_infinite_argument_raises_its_own_message(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _raises(call, message)
