@@ -348,6 +348,4 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
         raise ValueError(f"offset must be >= 0, got {offset}")
     if not disk_radius >= 0:
         raise ValueError(f"disk_radius must be >= 0, got {disk_radius}")
-    if disk_radius == 0.0:
-        return 0.0
     return float(_disk_fraction(beam_radius_w, offset, disk_radius))

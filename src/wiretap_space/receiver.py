@@ -4,10 +4,11 @@ A gated single-photon detector either clicks or stays silent.  Dark counts
 and Poissonian stray light combine multiplicatively as independent no-click
 events; the signal is attenuated by the full channel efficiency while stray
 light only sees the receiver's internal optical efficiency.
-:func:`no_click_probabilities` is the click model over broadcast arrays and
-:func:`_checked_prior` the prior check; both are the receiver's part of the
-batched secrecy kernel, and :func:`bob_click_model` and
-:func:`mutual_info_bob` are the same formulas on one detector.
+:func:`_no_click_probabilities` (unchecked) is the click model over broadcast
+arrays and :func:`_checked_prior` the prior check, the receiver's part of the
+batched secrecy kernel; its entry checks photon number and gamma, then the
+detector fields by :class:`DetectorModel`'s rule, then ``q``.
+:func:`bob_click_model` and :func:`mutual_info_bob` are the same formulas on one detector.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ __all__ = [
     "BobChannel",
     "bob_click_model",
     "mutual_info_bob",
-    "no_click_probabilities",
 ]
 
 
@@ -68,22 +68,12 @@ class BobChannel:
             )
 
 
-def no_click_probabilities(received_mean_photons, p_dark, eta_optical, stray_mean):
-    """Array form of :func:`bob_click_model`: ``(eps0, eps1)`` broadcast over the inputs.
-
-    Raises the :class:`BobChannel` error of the first cell whose
-    probabilities are out of order.
-    """
+def _no_click_probabilities(received_mean_photons, p_dark, eta_optical, stray_mean):
+    """Array form of :func:`bob_click_model`: ``(eps0, eps1)`` broadcast over the
+    inputs, which the caller has checked."""
     stray = eta_optical * stray_mean
     no_dark = 1.0 - p_dark
-    eps0 = no_dark * np.exp(-stray)
-    eps1 = no_dark * np.exp(-(received_mean_photons + stray))
-    ordered = (0.0 <= eps1) & (eps1 <= eps0) & (eps0 <= 1.0)
-    if not ordered.all():
-        first = np.flatnonzero(~ordered)[0]
-        eps0, eps1 = np.broadcast_arrays(eps0, eps1)
-        BobChannel(eps0=float(eps0.flat[first]), eps1=float(eps1.flat[first]))
-    return eps0, eps1
+    return no_dark * np.exp(-stray), no_dark * np.exp(-(received_mean_photons + stray))
 
 
 def _checked_prior(q) -> np.ndarray:
@@ -103,7 +93,7 @@ def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> Bo
     folded into the channel efficiency upstream).
     """
     _check_photons("received_mean_photons", received_mean_photons)
-    eps0, eps1 = no_click_probabilities(
+    eps0, eps1 = _no_click_probabilities(
         received_mean_photons, detector.p_dark, detector.eta_optical, detector.stray_mean
     )
     return BobChannel(eps0=float(eps0), eps1=float(eps1))

@@ -30,7 +30,7 @@ from .linkbudget import (
     gamma_partial,
     radius_vs_gamma_curve,
 )
-from .numerics import ConfigError
+from .numerics import ConfigError, _check_photons
 from .orbitsim import OrbitScenario, PhysicalConstants
 from .receiver import DetectorModel
 from .secrecy import (
@@ -118,8 +118,10 @@ class OperatingPoint:
 
     def __post_init__(self):
         problems = []
-        if not self.received_mean_photons >= 0:
-            problems.append(f"received_mean_photons must be >= 0, got {self.received_mean_photons}")
+        try:
+            _check_photons("received_mean_photons", self.received_mean_photons)
+        except ValueError as exc:
+            problems.append(str(exc))
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             problems.append(f"gamma must be in [0, 1), got {self.gamma}")
         if self.q is not None and not 0.0 < self.q < 1.0:
@@ -368,7 +370,7 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
         out[section] = {}
         for f in section_fields:
             value = getattr(obj, f.attr)
-            out[section][f.key] = math.degrees(value) if f.degrees else value
+            out[section][f.key] = value / (math.pi / 180) if f.degrees else value  # math.radians undone exactly
     out["sweep"] = [
         {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale}
         for a in config.sweep_axes
@@ -554,6 +556,8 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportR
         loss = bob_free_space(geometry)
         (exclusion,) = radius_vs_gamma_curve(geometry, [DEFAULT_GAMMA_TARGET])
         _, best = optimal_signal_strength(config.detector, DEFAULT_GAMMA_TARGET)
+        if loss == 1.0:  # the footprint is narrower than the aperture
+            raise FloatingPointError(f"{config.label}: the repeaterless bound is infinite at bob_free_space = 1")
         rows.append(
             ReportRow(
                 configuration=config.label,

@@ -37,7 +37,7 @@ from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, 
 from .detection import holevo_bound, overlap
 from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy
 from .numerics import binary_entropy, maximize_lockstep
-from .receiver import DetectorModel, _checked_prior, bob_click_model, no_click_probabilities
+from .receiver import DetectorModel, _checked_prior, _no_click_probabilities, bob_click_model
 
 __all__ = [
     "SecrecyPoint",
@@ -96,7 +96,7 @@ def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
     """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), s, y)`` that do not depend
     on the prior, stacked over the broadcast cells; ``(s, y)`` is :func:`_overlap_terms`."""
     eps0, eps1, n_eve = np.broadcast_arrays(
-        *no_click_probabilities(mu, p_dark, eta_optical, stray_mean), gamma * mu
+        *_no_click_probabilities(mu, p_dark, eta_optical, stray_mean), gamma * mu
     )
     return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_overlap_terms(n_eve)))
 
@@ -143,10 +143,10 @@ def secrecy_points(
 
     ``q=None`` maximises each cell's secrecy value over the input
     probability, as :func:`private_capacity` does; otherwise ``q`` gives each
-    cell's input probability.  Point arguments are checked cell by cell in
-    order, with the messages of the one-point functions, then each cell's
-    no-click probabilities, then each ``q``.  The ``capacity`` table (a sweep with no
-    axis) reads the same :func:`_point_columns`, the one check of the rate invariant.
+    cell's input probability.  Each check raises the first bad cell's message, in this order:
+    photon number and gamma as the one-point functions check them, then the detector fields
+    as :class:`~wiretap_space.receiver.DetectorModel` does, then ``q``.  The ``capacity`` table
+    (a sweep with no axis) reads the same :func:`_point_columns`, the one check of the rate invariant.
     """
     columns = _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean)
     return [SecrecyPoint(*values) for values in zip(*columns)]
@@ -154,7 +154,8 @@ def secrecy_points(
 
 def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean) -> list[list[float]]:
     """:func:`secrecy_points` as its 8 columns in :class:`SecrecyPoint` field order, as the
-    ``capacity`` and ``sweep`` tables read them.  The one check of ``dw_rate <= private_capacity``:
+    ``capacity`` and ``sweep`` tables read them.  The kernel's only input checks: photon number
+    and gamma, then the detector fields, then ``q``.  The one check of ``dw_rate <= private_capacity``:
     the first cell that breaks it raises ``ValueError``."""
     mu, gamma, p_dark, eta_optical, stray_mean = (
         np.ravel(a).astype(float)
@@ -164,6 +165,11 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
     if bad.any():
         first = np.flatnonzero(bad)[0]
         _check_point_args(float(mu[first]), float(gamma[first]))
+    bad = ~((0.0 <= p_dark) & (p_dark <= 1.0)) | ~((0.0 < eta_optical) & (eta_optical <= 1.0))
+    bad |= ~((0.0 <= stray_mean) & (stray_mean < math.inf))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        DetectorModel(float(p_dark[first]), float(eta_optical[first]), float(stray_mean[first]))  # raises
     terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
     if q is None:
         q, _ = _optimal_q(terms)

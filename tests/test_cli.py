@@ -364,6 +364,19 @@ class TestErrorTaxonomy:
         path.write_text(json.dumps(_echoed(err)))
         assert run_cli(capsys, *command, "--config", str(path))[:2] == (EXIT_OK, out)
 
+    def test_echo_replays_seeded_elevations(self, capsys, tmp_path):
+        # An echo of math.degrees(angle) read back as another angle for 5% of
+        # elevations: 49.175 came back as 49.175000000000004, and the replay
+        # printed a different pass.
+        seeded = np.random.default_rng(49175).uniform(10.0, 80.0, 24).tolist()
+        path, echo = tmp_path / "elevation.json", tmp_path / "echo.json"
+        for elevation in [49.175, *seeded]:
+            path.write_text(json.dumps({"orbit": {"min_elevation_deg": elevation}}))
+            code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path))
+            assert code == EXIT_OK, elevation
+            echo.write_text(json.dumps(_echoed(err)))
+            assert run_cli(capsys, "orbit", "--format", "json", "--config", str(echo))[:2] == (EXIT_OK, out), elevation
+
     @pytest.mark.parametrize("q", ["0", "1"])
     def test_q_flag_is_checked_like_the_config(self, capsys, q):
         # operating.q and a q axis reject 0 and 1; the flag used to print a row
@@ -937,7 +950,7 @@ def _run_quietly(argv):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    command=st.sampled_from(["capacity", "linkbudget", "exclusion", "sweep", "orbit"]),
+    command=st.sampled_from(["capacity", "linkbudget", "exclusion", "sweep", "orbit", "table1"]),
     data=_CONFIGS,
     specs=st.lists(_AXIS_SPECS, max_size=2),
 )
@@ -1010,14 +1023,16 @@ def test_extreme_link_geometries_print_no_errno_and_no_nan(capsys, tmp_path):
     path = tmp_path / "geometry.json"
     for geometry in _extreme_sections(_GEOMETRY_EXTREMES):
         path.write_text(json.dumps({"geometry": geometry}))
-        for command in ("linkbudget", "capacity", "exclusion"):
+        for command in ("linkbudget", "capacity", "exclusion", "table1"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 code, out, err = run_cli(capsys, command, "--config", str(path))
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), (command, geometry)
             assert "internal error" not in err and not re.search(r"\(\d+, '", err), (command, geometry, err)
             # A footprint that underflowed to 0 was a divisor in 288 of these
-            # runs, and a degradation of 0 * inf ended 417 of them.
+            # runs, and a degradation of 0 * inf ended 417 of them.  A footprint
+            # narrower than the aperture (no free-space loss) gave table1 an
+            # "internal error" from the repeaterless bound in 297.
             assert "division by zero" not in err and "0 * inf" not in err, (command, geometry, err)
             assert not re.search(r"\b(nan|inf)\b", out, flags=re.I), (command, geometry, out)
 

@@ -187,6 +187,16 @@ class TestConfigLoading:
         rebuilt = config_from_dict(config_to_dict(config))
         assert rebuilt == config
 
+    def test_elevation_echo_converts_back_to_the_stored_angle(self):
+        # math.degrees echoed an angle that math.radians took to another one
+        # for 518 of 10,007 seeded elevations (49.175 as 49.175000000000004).
+        config, rng = config_from_dict({}), random.Random(20261019)
+        for _ in range(100_000):
+            stored = math.radians(90.0 * (1.0 - rng.random()))  # (0, 90] degrees, as a config holds it
+            echoed = config_to_dict(replace(config, orbit=replace(config.orbit, min_elevation=stored)))
+            assert math.radians(echoed["orbit"]["min_elevation_deg"]) == stored
+        assert config_to_dict(config)["orbit"]["min_elevation_deg"] == 20.0
+
     def test_resolved_gamma_from_geometry(self):
         config = config_from_dict({})
         assert resolved_gamma(config) == pytest.approx(0.0679, abs=0.001)

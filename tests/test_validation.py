@@ -1,6 +1,7 @@
 """Argument checks of the library: each raises its own message, NaN included."""
 import math
 
+import numpy as np
 import pytest
 
 import warnings
@@ -22,7 +23,7 @@ from wiretap_space.linkbudget import (
 from wiretap_space.numerics import Interval, binary_entropy, find_root, gaussian_disk_fraction
 from wiretap_space.orbitsim import OrbitScenario
 from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_model
-from wiretap_space.scenario_io import OperatingPoint, SweepAxis
+from wiretap_space.scenario_io import OperatingPoint, SweepAxis, preset_config, with_values
 from wiretap_space.secrecy import (
     ClockedLink,
     devetak_winter_rate,
@@ -90,8 +91,7 @@ def test_nan_raises_its_own_message(call, message):
         (lambda: OrbitScenario(eve_telescope_diameter=0.0), "eve_telescope_diameter must be > 0, got 0.0"),
         (lambda: OrbitScenario(diam_bob=-1.0), "diam_bob must be > 0, got -1.0"),
         (lambda: OrbitScenario(divergence_full_angle=0.0), "divergence_full_angle must be > 0, got 0.0"),
-        (lambda: secrecy_points(1.0, 0.1, 0.5, 1.5, 1.0, 1e-4),
-         "require 0 <= eps1 <= eps0 <= 1, got eps0=-0.49995000249991667, eps1=-0.18392132753333054"),
+        (lambda: secrecy_points(1.0, 0.1, 0.5, 1.5, 1.0, 1e-4), "p_dark must be in [0, 1], got 1.5"),
         (lambda: _checked_prior(1.5), "q must be in [0, 1], got 1.5"),
         (lambda: secrecy_points([1.0, 2.0], 0.1, [0.5, 1.5], 1e-7, 1.0, 1e-4), "q must be in [0, 1], got 1.5"),
         (lambda: SweepAxis("q", 0.1, 0.9, 3, "cubic"), "scale must be linear or log, got 'cubic'"),
@@ -121,6 +121,7 @@ INF = math.inf
         lambda: devetak_winter_rate(DetectorModel(), INF, 0.1, 0.5),
         lambda: private_capacity_symmetric(DetectorModel(), INF, 0.1),
         lambda: dw_rate_symmetric(DetectorModel(), INF, 0.0),
+        lambda: OperatingPoint(received_mean_photons=INF),
     ],
 )
 def test_infinite_photon_number_raises_its_own_message(call):
@@ -169,9 +170,75 @@ class TestFindRootEnds:
          "target_received_mean_photons must be finite, got inf"),
         (lambda: DetectorModel(stray_mean=INF), "stray_mean must be finite, got inf"),
         (lambda: optimal_signal_strength(DetectorModel(stray_mean=INF), 0.1), "stray_mean must be finite, got inf"),
+        (lambda: with_values(preset_config("micius-leo"), [("received_mean_photons", INF)]),
+         "invalid configuration: received_mean_photons must be finite, got inf"),
     ],
 )
 def test_infinite_argument_raises_its_own_message(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _raises(call, message)
+
+
+_VALID_DETECTOR = {"p_dark": 1e-7, "eta_optical": 1.0, "stray_mean": 1e-4}
+
+
+def _detector_message(fields):
+    """:class:`DetectorModel`'s message for ``fields``, or ``None`` if it accepts them."""
+    try:
+        DetectorModel(**fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _detector_values():
+    """The edges of the three fields' ranges and their neighbours, then seeded values."""
+    tiny = 5e-324
+    edges = [0.0, -0.0, 1.0, tiny, -tiny, 2.2250738585072014e-308, math.nextafter(1.0, 0.0),
+             math.nextafter(1.0, 2.0), -1.0, 0.5, 5.0, 1.7976931348623157e308, NAN, INF, -INF]
+    rng = np.random.default_rng(20261019)
+    magnitudes = 10.0 ** rng.uniform(-323.0, 308.0, 150)
+    return edges + rng.uniform(-0.5, 1.5, 150).tolist() + (magnitudes * rng.choice([-1.0, 1.0], 150)).tolist()
+
+
+# secrecy_points used to check only 0 <= eps1 <= eps0 <= 1 after the click
+# model, which let eta_optical 0 or 5 and infinite stray light through.
+@pytest.mark.parametrize("field", sorted(_VALID_DETECTOR))
+def test_kernel_rejects_exactly_the_detectors_detector_model_rejects(field):
+    for value in _detector_values():
+        fields = {**_VALID_DETECTOR, field: value}
+        message = _detector_message(fields)
+        if message is None:
+            assert len(secrecy_points(1.0, 0.1, 0.5, **fields)) == 1, value
+        else:
+            _raises(lambda: secrecy_points(1.0, 0.1, 0.5, **fields), message)
+
+
+def test_kernel_raises_the_first_rejected_detectors_message():
+    values, rng = _detector_values(), np.random.default_rng(26)
+    for _ in range(300):
+        cells = [{name: values[rng.integers(len(values))] if rng.random() < 0.15 else valid
+                  for name, valid in _VALID_DETECTOR.items()} for _ in range(6)]
+        messages = [m for m in map(_detector_message, cells) if m is not None]
+        columns = {name: [cell[name] for cell in cells] for name in _VALID_DETECTOR}
+        if messages:
+            _raises(lambda: secrecy_points(1.0, 0.1, 0.5, **columns), messages[0])
+        else:
+            assert len(secrecy_points(1.0, 0.1, 0.5, **columns)) == 6
+
+
+@pytest.mark.parametrize(
+    "field, value, later",
+    [("eta_optical", 0.0, 7.0), ("eta_optical", 5.0, 0.0), ("eta_optical", NAN, 7.0),
+     ("stray_mean", -1.0, INF), ("stray_mean", NAN, -3.0), ("stray_mean", INF, -3.0),
+     ("p_dark", 1.5, -2.0), ("p_dark", NAN, 2.0)],
+)
+def test_detector_check_comes_after_photons_and_gamma_and_before_q(field, value, later):
+    fields = {**_VALID_DETECTOR, field: [_VALID_DETECTOR[field], value, later]}
+    message = _detector_message({**_VALID_DETECTOR, field: value})
+    _raises(lambda: secrecy_points([1.0, 2.0, 3.0], 0.1, None, **fields), message)
+    _raises(lambda: secrecy_points([1.0, 2.0, -1.0], 0.1, None, **fields),
+            "received_mean_photons must be >= 0, got -1.0")
+    _raises(lambda: secrecy_points(1.0, [0.1, 0.1, 1.0], None, **fields), "gamma must be in [0, 1), got 1.0")
+    _raises(lambda: secrecy_points(1.0, 0.1, [1.5, 0.5, 0.5], **fields), message)
