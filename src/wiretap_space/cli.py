@@ -10,6 +10,7 @@ computes the command's table (each ``_run_*`` returns one) and writes it
 path), 3 for a numerical failure (an offset bracket with no sign change, a
 value no float can hold) or an internal error (any other ``ValueError``).
 A reader that closes stdout early (``| head``) ends the run with exit 0.
+The process prints each warning as one line, ``warning: <Category>: <message>``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+import warnings
 from typing import Sequence
 
 from .linkbudget import bob_free_space, eve_free_space, fraction_to_db, gamma_partial
@@ -31,7 +32,6 @@ from .orbitsim import (
     required_orbital_exclusion,
 )
 from .scenario_io import (
-    TABLE1_HEADER,
     ScenarioConfig,
     SweepAxis,
     _capacity_table,
@@ -239,8 +239,7 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig):
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig):
     """The three presets' table, or with ``--config`` the loaded config's row."""
-    rows = emit_table1(None if args.config is None else [config])
-    return TABLE1_HEADER, [astuple(row) for row in rows]
+    return emit_table1(None if args.config is None else [config])
 
 
 # Each runner computes its command's table, ``(header, rows)``, plus the pass
@@ -277,6 +276,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    # One line per warning, without the caller's path and line; in-process main() callers keep theirs.
+    warnings.formatwarning = lambda message, category, *_: f"warning: {category.__name__}: {message}\n"
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()

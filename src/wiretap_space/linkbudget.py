@@ -27,7 +27,6 @@ from .numerics import ConfigError
 __all__ = [
     "LinkBudgetWarning",
     "LinkGeometry",
-    "ExclusionCurveRow",
     "bob_free_space",
     "eve_free_space",
     "gamma_partial",
@@ -256,22 +255,13 @@ def exclusion_radius_total(
     )
 
 
-@dataclass(frozen=True)
-class ExclusionCurveRow:
-    gamma: float
-    radius_partial: float
-    radius_total: float
-
-
-def radius_vs_gamma_curve(geom: LinkGeometry, gamma_grid: list[float]) -> list[ExclusionCurveRow]:
-    """Exclusion radii for both interceptor models over a degradation grid."""
+def radius_vs_gamma_curve(geom: LinkGeometry, gamma_grid: list[float]) -> list[list[float]]:
+    """The exclusion table's rows: ``[gamma, radius_partial, radius_total]`` per
+    degradation target, the radii of both interceptor models."""
     dist, theta = geom.dist_bob, geom.divergence_full_angle
     ratio = _filled_ratio(geom, dist)
     return [
-        ExclusionCurveRow(
-            gamma=gamma,
-            radius_partial=exclusion_radius_partial(gamma, dist, geom.eta_b, ratio, theta),
-            radius_total=exclusion_radius_total(gamma, dist, geom.diam_bob, theta),
-        )
+        [gamma, exclusion_radius_partial(gamma, dist, geom.eta_b, ratio, theta),
+         exclusion_radius_total(gamma, dist, geom.diam_bob, theta)]
         for gamma in gamma_grid
     ]

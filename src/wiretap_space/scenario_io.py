@@ -6,9 +6,10 @@ come from the dataclass field defaults (the LEO reference preset), and the
 same table drives validation, the resolved-config echo and :func:`with_values`
 (sweep cells, CLI flags).  All tabular output is deterministic: row-major grid
 order, fixed column sets, and 9-significant-digit formatting, so identical
-configs produce byte-identical files.  Each 12-column capacity row is
-built by :func:`capacity_row` from a point's values, and each pair of
-exclusion radii by :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
+configs produce byte-identical files.  Each table is ``(header, rows)`` of
+plain lists; each 12-column capacity row is built by :func:`capacity_row`
+from a point's values, and each exclusion row by
+:func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
 The ``capacity`` table is a sweep with no axis, and only the kernel's
 columns check ``dw_rate <= private_capacity``.  A sweep validates each axis
 value once (no section rule joins two fields); the first invalid cell in
@@ -45,7 +46,6 @@ __all__ = [
     "SweepAxis",
     "OperatingPoint",
     "ScenarioConfig",
-    "ReportRow",
     "PRESET_NAMES",
     "load_config",
     "config_from_dict",
@@ -140,19 +140,6 @@ class ScenarioConfig:
     orbit: OrbitScenario
     constants: PhysicalConstants
     sweep_axes: tuple[SweepAxis, ...] = ()
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One orbit-class row of the summary table."""
-
-    configuration: str
-    distance_km: float
-    channel_loss_db: float
-    plob_rate_bps: float
-    exclusion_radius_m: float
-    gamma: float
-    private_rate_bps: float
 
 
 class _Field(NamedTuple):
@@ -363,7 +350,12 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
-    """Fully resolved config as a JSON-serialisable dict (for run echoing)."""
+    """Fully resolved config as a JSON-serialisable dict (for run echoing).
+
+    Degree fields echo as ``radians / (pi / 180)``: exact for every angle that
+    entered in degrees (every config and :func:`with_values` path), at most 1 ulp
+    off for one set in radians, as some ``r`` have no float ``d`` with ``math.radians(d) == r``.
+    """
     out: dict[str, Any] = {"label": config.label}
     for section, (_, section_fields) in _SCHEMA.items():
         obj = getattr(config, section)
@@ -507,7 +499,8 @@ def exclusion_sweep(
     config: ScenarioConfig, axis: SweepAxis | None = None, gamma_target: float | None = None
 ) -> tuple[list[str], list[list[float]]]:
     """Exclusion radii for both interceptor models along one axis, or with
-    ``axis=None`` the single row at ``gamma_target``.
+    ``axis=None`` the single row at ``gamma_target``: the axis value, then the
+    radii of :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`'s row.
 
     ``gamma_target=None`` is :data:`DEFAULT_GAMMA_TARGET`; a ``dist_bob_m`` axis
     holds the target there, and a ``gamma_target`` axis rejects one.
@@ -527,49 +520,40 @@ def exclusion_sweep(
     if param == "gamma_target":
         curve = radius_vs_gamma_curve(config.geometry, grid)
     else:
-        curve = [
-            radius_vs_gamma_curve(with_values(config, [("dist_bob_m", dist)]).geometry, [target])[0]
-            for dist in grid
-        ]
-    rows = [[value, row.radius_partial, row.radius_total] for value, row in zip(grid, curve)]
+        geometries = (with_values(config, [("dist_bob_m", dist)]).geometry for dist in grid)
+        curve = [radius_vs_gamma_curve(geometry, [target])[0] for geometry in geometries]
+    rows = [[value, *radii] for value, (_, *radii) in zip(grid, curve)]
     return [param, *EXCLUSION_OUTPUTS], rows
 
 
-TABLE1_HEADER = tuple(f.name for f in fields(ReportRow))
+TABLE1_HEADER = ("configuration", "distance_km", "channel_loss_db", "plob_rate_bps",
+                 "exclusion_radius_m", "gamma", "private_rate_bps")
 
 
-def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> list[ReportRow]:
-    """Summary rows per orbit class.
+def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> tuple[list[str], list[list[Any]]]:
+    """The summary table, ``(header, rows)``, one row per orbit class.
 
-    Per row: free-space loss in dB, the repeaterless key-rate bound at that
+    Per row, the :data:`TABLE1_HEADER` columns: the label, the receiver's
+    range in km, free-space loss in dB, the repeaterless key-rate bound at that
     loss alone (receiver-side losses excluded), the partial-model exclusion
-    radius for a 0.1 degradation target, and the photon-number-optimised
-    private rate at the daytime stray-light default.  Rows whose detectors
-    are equal to the bit (the presets share one) share one photon search
-    through :func:`~wiretap_space.secrecy.optimal_signal_strength`'s memo.
+    radius for the degradation target ``gamma`` (0.1), that target, and the
+    photon-number-optimised private rate at the daytime stray-light default.
+    Rows whose detectors are equal to the bit (the presets share one) share one
+    photon search through :func:`~wiretap_space.secrecy.optimal_signal_strength`'s memo.
     """
     if configs is None:
         configs = [preset_config(name) for name in PRESET_NAMES]
     rows = []
     for config in configs:
-        geometry = config.geometry
+        geometry, clock = config.geometry, config.link.clock_rate
         loss = bob_free_space(geometry)
-        (exclusion,) = radius_vs_gamma_curve(geometry, [DEFAULT_GAMMA_TARGET])
+        ((_, radius, _),) = radius_vs_gamma_curve(geometry, [DEFAULT_GAMMA_TARGET])
         _, best = optimal_signal_strength(config.detector, DEFAULT_GAMMA_TARGET)
         if loss == 1.0:  # the footprint is narrower than the aperture
             raise FloatingPointError(f"{config.label}: the repeaterless bound is infinite at bob_free_space = 1")
-        rows.append(
-            ReportRow(
-                configuration=config.label,
-                distance_km=geometry.dist_bob / 1e3,
-                channel_loss_db=fraction_to_db(loss),
-                plob_rate_bps=plob_bound(loss) * config.link.clock_rate,
-                exclusion_radius_m=exclusion.radius_partial,
-                gamma=DEFAULT_GAMMA_TARGET,
-                private_rate_bps=best.private_capacity * config.link.clock_rate,
-            )
-        )
-    return rows
+        rows.append([config.label, geometry.dist_bob / 1e3, fraction_to_db(loss), plob_bound(loss) * clock,
+                     radius, DEFAULT_GAMMA_TARGET, best.private_capacity * clock])
+    return list(TABLE1_HEADER), rows
 
 
 _QUOTE_TRIGGERS = frozenset(',"\r\n')

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -638,9 +639,9 @@ class TestExclusionCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         geometry = config_from_dict({}).geometry
         for row, dist in zip(rows, (1e6, 2e6), strict=True):
-            (expected,) = radius_vs_gamma_curve(replace(geometry, dist_bob=dist), [float(target)])
-            assert row["radius_partial_m"] == format_cell(expected.radius_partial)
-            assert row["radius_total_m"] == format_cell(expected.radius_total)
+            ((_, partial, total),) = radius_vs_gamma_curve(replace(geometry, dist_bob=dist), [float(target)])
+            assert row["radius_partial_m"] == format_cell(partial)
+            assert row["radius_total_m"] == format_cell(total)
 
     def test_gamma_target_with_its_own_axis_exits_2(self, capsys):
         # The flag was ignored: the axis's radii printed with exit 0.
@@ -856,6 +857,31 @@ def test_closed_stdout_exits_quietly(argv):
         assert process.wait() == EXIT_OK, err
     assert header.startswith(b"t_s," if argv[0] == "orbit" else b"received_mean_photons,")
     assert "Traceback" not in err and "Error" not in err
+
+
+def test_warnings_print_one_line_free_of_the_install_path(tmp_path, capsys):
+    # The default format printed the caller's absolute path and line, then
+    # its source line, so stderr changed with the install directory.
+    config = tmp_path / "near.json"
+    config.write_text(json.dumps({"geometry": {"dist_bob_m": 1000.0}}))
+    package = Path(wiretap_space.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "copy" / "wiretap_space", ignore=shutil.ignore_patterns("__pycache__"))
+    line = "warning: LinkBudgetWarning: beam footprint smaller than receiver aperture (ratio 1e+04); clamped to 1"
+    for argv, code in ((["linkbudget"], EXIT_OK), (["table1"], EXIT_NUMERIC)):
+        errs = []
+        for root in (package.parent, tmp_path / "copy"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")])))
+            result = subprocess.run([sys.executable, "-m", "wiretap_space.cli", *argv, "--config", str(config)],
+                                    cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert result.returncode == code, result.stderr
+            errs.append(result.stderr)
+        assert errs[0] == errs[1]
+        assert line in errs[0].splitlines()
+    # main() in process leaves the warning format as it found it
+    before = warnings.formatwarning
+    with pytest.warns(LinkBudgetWarning, match="clamped to 1"):
+        assert run_cli(capsys, "linkbudget", "--config", str(config))[0] == EXIT_OK
+    assert warnings.formatwarning is before
 
 
 # Fuzzing: arbitrary JSON values in every config field and arbitrary --axis

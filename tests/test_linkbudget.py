@@ -236,8 +236,8 @@ class TestExclusionRadiusPartial:
                     radius_vs_gamma_curve(geometry, [target])
                 rejected += 1
                 continue
-            (row,) = radius_vs_gamma_curve(geometry, [target])
-            achieved = gamma_partial(replace(geometry, exclusion_radius=row.radius_partial))
+            ((_, radius, _),) = radius_vs_gamma_curve(geometry, [target])
+            achieved = gamma_partial(replace(geometry, exclusion_radius=radius))
             assert achieved == pytest.approx(target, rel=1e-12)
             inverted += 1
         assert inverted > 200 and rejected > 10
@@ -318,14 +318,14 @@ class TestRadiusVsGammaCurve:
     def test_monotone_decreasing(self):
         grid = list(np.linspace(0.05, 0.95, 10))
         rows = radius_vs_gamma_curve(MICIUS, grid)
-        partials = [row.radius_partial for row in rows]
-        totals = [row.radius_total for row in rows]
+        partials = [partial for _, partial, _ in rows]
+        totals = [total for _, _, total in rows]
         assert all(b < a for a, b in zip(partials, partials[1:]))
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_flat_above_one_tenth(self):
-        rows = radius_vs_gamma_curve(MICIUS, [0.1, 0.9])
-        ratio = rows[0].radius_partial / rows[1].radius_partial
+        (_, tight, _), (_, loose, _) = radius_vs_gamma_curve(MICIUS, [0.1, 0.9])
+        ratio = tight / loose
         assert ratio < 1.6
         assert ratio == pytest.approx(math.sqrt(math.log(4000.0) / math.log(4000.0 * 0.1 / 0.9)), rel=1e-9)
 

@@ -236,20 +236,20 @@ class TestWithValues:
 
 class TestTable1:
     def test_rows_match_published_scales(self):
-        rows = emit_table1()
-        by_label = {row.configuration: row for row in rows}
+        header, rows = emit_table1()
+        by_label = {row[0]: dict(zip(header, row)) for row in rows}
         leo = by_label["micius-leo"]
-        assert leo.channel_loss_db == pytest.approx(22.0, abs=0.5)
-        assert leo.plob_rate_bps == pytest.approx(10e6, rel=0.5)
-        assert leo.exclusion_radius_m == pytest.approx(12.2, abs=0.6)
-        assert leo.private_rate_bps == pytest.approx(680e6, abs=20e6)
+        assert leo["channel_loss_db"] == pytest.approx(22.0, abs=0.5)
+        assert leo["plob_rate_bps"] == pytest.approx(10e6, rel=0.5)
+        assert leo["exclusion_radius_m"] == pytest.approx(12.2, abs=0.6)
+        assert leo["private_rate_bps"] == pytest.approx(680e6, abs=20e6)
         meo = by_label["micius-meo"]
-        assert meo.channel_loss_db == pytest.approx(40.0, abs=0.1)
-        assert meo.exclusion_radius_m == pytest.approx(102.0, abs=5.0)
-        assert meo.private_rate_bps == pytest.approx(680e6, abs=20e6)
+        assert meo["channel_loss_db"] == pytest.approx(40.0, abs=0.1)
+        assert meo["exclusion_radius_m"] == pytest.approx(102.0, abs=5.0)
+        assert meo["private_rate_bps"] == pytest.approx(680e6, abs=20e6)
         geo = by_label["micius-geo"]
-        assert abs(geo.exclusion_radius_m - 340.0) / 340.0 < 0.10
-        assert geo.private_rate_bps == pytest.approx(680e6, abs=20e6)
+        assert abs(geo["exclusion_radius_m"] - 340.0) / 340.0 < 0.10
+        assert geo["private_rate_bps"] == pytest.approx(680e6, abs=20e6)
 
 
 class TestSweep:
@@ -541,7 +541,7 @@ class TestExclusionSweep:
         (row,) = radius_vs_gamma_curve(config.geometry, [0.1 if target is None else target])
         assert exclusion_sweep(config, gamma_target=target) == (
             ["gamma_target", "radius_partial_m", "radius_total_m"],
-            [[row.gamma, row.radius_partial, row.radius_total]],
+            [row],
         )
 
     def test_gamma_axis_rejects_a_target(self):
