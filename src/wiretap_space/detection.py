@@ -79,8 +79,13 @@ def distinguishability_angle(mean_photons: float) -> float:
     ``atan2(sqrt(-expm1(-nbar)), overlap)`` so small angles keep every digit:
     within 3e-16 relative of an mpmath reference over 1e-18 to 160 photons.
     """
-    c = overlap(mean_photons)
-    return math.atan2(math.sqrt(-math.expm1(-mean_photons)), c)
+    _check_photons("mean_photons", mean_photons)
+    return _distinguishability_angle(mean_photons)
+
+
+def _distinguishability_angle(n: float) -> float:
+    """:func:`distinguishability_angle` at ``n`` photons, unchecked, in scalar ``math``."""
+    return math.atan2(math.sqrt(-math.expm1(-n)), math.exp(-0.5 * n))
 
 
 def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
@@ -137,7 +142,7 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     """
     n, q = ensemble.mean_photons, ensemble.prior_q
     e0, e1, phi0, phi1 = (float(v) for v in _helstrom_split(*_overlap_terms(n), q))
-    return HelstromSolution(_helstrom_error(n, q), e0, e1, distinguishability_angle(n), phi0, phi1)
+    return HelstromSolution(_helstrom_error(n, q), e0, e1, _distinguishability_angle(n), phi0, phi1)
 
 
 def holevo_bound(s, q):

@@ -101,14 +101,25 @@ def _entropy(p) -> np.ndarray:
     Inside (0, 1) both terms are finite and their sum is positive.  At 0 or 1,
     or outside [0, 1] (rounding slop, infinities, NaN), one term is NaN
     (``0 * -inf`` or the log of a negative number), and ``fmax`` turns the NaN
-    into the 0 of the convention 0*log2(0) = 0.  No ``out=``: a 0-d ``p``
-    (:func:`binary_entropy`'s) gives numpy scalars, which cannot be written in place.
+    into the 0 of the convention 0*log2(0) = 0.  A float ``p`` gives a 0-d array.
     """
+    h = np.array(p, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = 1.0 - p
-        h = -p * np.log2(p)
-        h -= q * np.log2(q)
-    return np.fmax(h, 0.0)
+        return _entropy_in_place(h, np.empty_like(h), np.empty_like(h))
+
+
+def _entropy_in_place(p: np.ndarray, q: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """:func:`_entropy` written over the array ``p`` and returned, with ``q`` and ``log``
+    (arrays of its shape) as scratch: ``-p log2(p) - (1-p) log2(1-p)``, the same
+    operations in the same order.  The caller holds
+    ``np.errstate(invalid="ignore", divide="ignore")``."""
+    np.subtract(1.0, p, out=q)
+    np.log2(p, out=log)
+    np.negative(p, out=p)
+    p *= log
+    q *= np.log2(q, out=log)
+    p -= q
+    return np.fmax(p, 0.0, out=p)
 
 
 def binary_entropy(p: float) -> float:
@@ -128,11 +139,15 @@ def _check_photons(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _channel_information(q, h_out, h_0, h_1) -> np.ndarray:
+def _channel_information(q, h_out, h_0, h_1, out=None, work=None) -> np.ndarray:
     """Mutual information ``h_out - q h_0 - (1-q) h_1`` in bits of binary channels
     with prior ``q`` of input 0, output entropy ``h_out`` and output entropy
-    ``h_0`` (``h_1``) given input 0 (1); clipped at 0 against rounding."""
-    return np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)
+    ``h_0`` (``h_1``) given input 0 (1); clipped at 0 against rounding.  As in a
+    ufunc, ``out`` (which may be ``h_out``) takes the result and ``work`` the
+    products, both arrays of the broadcast shape; ``None`` allocates."""
+    info = np.subtract(h_out, np.multiply(q, h_0, out=work), out=out)
+    info -= np.multiply(1.0 - q, h_1, out=work)
+    return np.maximum(info, 0.0, out=out)
 
 
 def maximize_lockstep(
@@ -147,7 +162,8 @@ def maximize_lockstep(
     ``f(x, cell)`` returns the values of the functions numbered ``cell``, a
     column of cell numbers, at the abscissae ``x``, one row per cell, in the
     broadcast shape of the two arrays, and no NaN.  The first scan takes
-    :data:`GRID_POINTS` points including both endpoints; each next one takes
+    :data:`GRID_POINTS` points including both endpoints, passed as one
+    ``(1, GRID_POINTS)`` row that every cell shares; each next one takes
     ``points`` points (odd, at least 5) over a cell's two grid neighbours
     ``[x[j-1], x[j+1]]`` of its best point ``i``, ``j = clip(i, 1, n - 2)``, so
     the best point stays on the new grid (to rounding) and an endpoint
@@ -165,16 +181,17 @@ def maximize_lockstep(
     step = (domain.hi - domain.lo) / (GRID_POINTS - 1)
     grid = domain.lo + np.arange(GRID_POINTS) * step
     grid[-1] = domain.hi
-    grid = np.broadcast_to(grid, (cells, GRID_POINTS))
+    grid = grid[np.newaxis]  # one row for every cell: f's terms in x alone are taken once per call
     rows = np.arange(cells)
     best, best_f = np.empty(cells, dtype=np.intp), np.empty(cells)
     while True:
         block = SCAN_BLOCK_CELLS * GRID_POINTS // grid.shape[1]
         for start in range(0, cells, block):
             part = slice(start, start + block)
-            values = f(grid[part], rows[part, np.newaxis])
+            values = f(grid if len(grid) == 1 else grid[part], rows[part, np.newaxis])
             best[part] = np.argmax(values, axis=1)
             best_f[part] = values[np.arange(values.shape[0]), best[part]]
+        grid = np.broadcast_to(grid, (cells, grid.shape[1]))
         if step <= tol:
             return grid[rows, best], best_f
         j = np.clip(best, 1, grid.shape[1] - 2)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
-from .detection import _helstrom_error, distinguishability_angle
+from .detection import _distinguishability_angle, _helstrom_error
 from .linkbudget import (
     LinkGeometry,
     bob_free_space,
@@ -97,11 +97,11 @@ class SweepAxis:
             raise ValueError(f"axis needs min < max, got [{self.lo}, {self.hi}]")
 
     def grid(self) -> list[float]:
-        """``points`` values from ``lo`` to ``hi``, both exactly."""
+        """``points`` floats from ``lo`` to ``hi``, both exactly."""
         n, log = self.points, self.scale == "log"
         lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
         inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
-        return [self.lo, *(10.0 ** t if log else t for t in inner), self.hi]
+        return [float(self.lo), *(10.0 ** t if log else t for t in inner), float(self.hi)]
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,7 @@ def capacity_row(values: Sequence[float], clock_rate: float) -> list[float]:
     values, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order."""
     gamma, mu, q, *_, private_capacity, dw_rate = values
     n_eve = gamma * mu
-    return [*values, _helstrom_error(n_eve, q), math.degrees(distinguishability_angle(n_eve)),
+    return [*values, _helstrom_error(n_eve, q), math.degrees(_distinguishability_angle(n_eve)),
             private_capacity * clock_rate, dw_rate * clock_rate]
 
 
@@ -573,12 +573,20 @@ def format_cell(value: Any) -> str:
 
 def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     """RFC-4180-style CSV with a mandatory header row and CRLF line ends: the
-    lines of ``csv.writer`` over :func:`format_cell` fields.  A row of one empty
-    field is written ``""``, as ``csv.writer`` does, so it does not read back
-    as a blank line."""
+    lines of ``csv.writer`` over :func:`format_cell` fields, one row at a time.
+    A row of floats only is one ``%``-format of its length's template, which
+    renders each float as :func:`format_cell` does.  A row of one empty field
+    is written ``""``, as ``csv.writer`` does, so it does not read back as a
+    blank line."""
+    templates: dict[int, str] = {}
     for row in itertools.chain([header], rows):
-        line = ",".join(map(format_cell, row))
-        stream.write((line if line or len(row) != 1 else '""') + "\r\n")
+        if all(map(float.__instancecheck__, row)):  # isinstance(v, float) for each cell v
+            if len(row) not in templates:
+                templates[len(row)] = ",".join(["%.9g"] * len(row)) + "\r\n"
+            stream.write(templates[len(row)] % tuple(row))
+        else:
+            line = ",".join(map(format_cell, row))
+            stream.write((line if line or len(row) != 1 else '""') + "\r\n")
 
 
 def rows_to_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[dict[str, Any]]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy
+from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy, _entropy_in_place
 from .numerics import binary_entropy, maximize_lockstep
 from .receiver import DetectorModel, _checked_prior, _no_click_probabilities, bob_click_model
 
@@ -103,15 +103,26 @@ def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
 
 def _prior_terms(terms, q):
     """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
-    priors ``q`` in [0, 1]."""
+    priors ``q`` in [0, 1].  Past the interceptor's errors ``e0, e1``, every step
+    is written in place into those two rows and four more of the broadcast
+    shape: the output probabilities ``q eps0 + (1-q) eps1`` and
+    ``q (1-e0) + (1-q) e1``, the entropies, then both informations."""
     eps0, eps1, h_eps0, h_eps1, s, y = terms
     e0, e1, _, _ = _helstrom_split(s, y, q)
-    p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
-    # One row at a time: a stack of the four would be a fresh block per call
-    # that the allocator maps and unmaps (256 KiB at 8,192 points).
-    h_bob, h_eve, h_e0, h_e1 = map(_entropy, (p_bob, p_eve, e0, e1))
-    info_bob = _channel_information(q, h_bob, h_eps0, h_eps1)
-    info_eve = _channel_information(q, h_eve, h_e0, h_e1)
+    p = 1.0 - q
+    # Four rows apart: one stack of them would be a block per call that the
+    # allocator maps and unmaps (256 KiB at 8,192 points).
+    h_bob, h_eve, work, log = (np.empty_like(e0) for _ in range(4))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.multiply(q, eps0, out=h_bob)
+        h_bob += np.multiply(p, eps1, out=work)
+        np.subtract(1.0, e0, out=h_eve)
+        h_eve *= q
+        h_eve += np.multiply(p, e1, out=work)
+        for row in (h_bob, h_eve, e0, e1):
+            _entropy_in_place(row, work, log)
+    info_bob = _channel_information(q, h_bob, h_eps0, h_eps1, out=h_bob, work=work)
+    info_eve = _channel_information(q, h_eve, e0, e1, out=h_eve, work=work)
     return info_bob, info_eve
 
 
@@ -127,7 +138,7 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     The unclipped difference is maximised (it is continuous where the
     clipped value has flat zero plateaus), every cell in lockstep by
     :func:`maximize_lockstep`'s nested scans; a call's rows ``(6, block, 1)``
-    broadcast against its block's priors.
+    broadcast against its priors, the first scan's one shared row of them included.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)

@@ -13,10 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wiretap_space"
 
 
-def _declared() -> set[str]:
+def _requirements() -> list[str]:
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
-    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower() for requirement in requirements}
+        return tomllib.load(fh)["project"]["dependencies"]
+
+
+def _declared() -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower() for requirement in _requirements()}
 
 
 def _imported() -> set[str]:
@@ -40,3 +43,10 @@ def test_declared_dependencies_are_the_imported_ones():
 def test_readme_names_the_declared_dependencies():
     (line,) = re.findall(r"^Runtime dependencies: (.*?)\.", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.M)
     assert set(re.findall(r"`([^`]+)`", line)) == _declared()
+
+
+def test_numpy_floor_has_every_function_the_source_calls():
+    """``orbitsim.integrated_gamma`` calls ``np.trapezoid``, which numpy has from 2.0 on."""
+    (requirement,) = [r for r in _requirements() if r.startswith("numpy")]
+    major, minor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", requirement).groups()
+    assert (int(major), int(minor)) >= (2, 0)

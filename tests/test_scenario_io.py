@@ -8,6 +8,7 @@ import re
 from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -372,6 +373,18 @@ class TestSweep:
             assert grid == sorted(grid)
 
 
+def test_grid_end_points_are_floats():
+    # Library-built axes may take int bounds; the end cells print as the inner ones do.
+    for axis in (SweepAxis("received_mean_photons", 1, 10**3, 3, "log"), SweepAxis("q", 0, 1, 5)):
+        grid = axis.grid()
+        assert all(type(v) is float for v in grid)
+        assert (grid[0], grid[-1]) == (axis.lo, axis.hi)
+    header, rows = sweep(config_from_dict({}), [SweepAxis("received_mean_photons", 1, 10**9, 3, "log")])
+    buffer = io.StringIO()
+    write_csv(buffer, header, rows)
+    assert [line.split(",")[0] for line in buffer.getvalue().splitlines()[1:]] == ["1", "31622.7766", "1e+09"]
+
+
 def _per_cell(config, axes):
     """The grid cell by cell: ``with_values``, ``resolved_gamma``, a one-cell
     ``secrecy_points`` and ``capacity_row``; the first cell that fails raises."""
@@ -617,6 +630,27 @@ class TestCsvAgainstTheCsvModule:
         buffer = io.StringIO()
         write_csv(buffer, ["label", "x,y"], [row])
         assert buffer.getvalue() == _csv_module_lines(["label", "x,y"], [row])
+
+    @pytest.mark.parametrize("kind", ["float", "float64"])
+    def test_float_rows_format_each_cell_as_format_cell(self, kind):
+        # Seeded bit patterns cover every exponent: subnormals, infinities and NaNs
+        # among them; the corners are spelled out.
+        bits = np.random.default_rng(20261019).integers(0, 2**64, 200_000 - 6, dtype=np.uint64, endpoint=False)
+        values = np.concatenate((bits.view(np.float64), [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]))
+        rows = values.reshape(-1, 16)  # a 2-axis sweep row's width
+        rows = rows.tolist() if kind == "float" else [list(row) for row in rows]
+        assert all(type(v) is (float if kind == "float" else np.float64) for v in rows[0])
+        buffer = io.StringIO()
+        write_csv(buffer, ["h"], rows)
+        assert buffer.getvalue() == "".join(",".join(map(format_cell, row)) + "\r\n" for row in [["h"], *rows])
+
+    def test_float_rows_beside_other_rows(self):
+        rows = [[1.5, 2.0], [1.5, 2_000_000_000], [True, 0.25], ['say "hi"', 1e9], [0.5], [0.5, 0.25, 0.125],
+                [np.float64(1e-9), 3.0], [""], [], [1e300, np.float64(-0.0)], [1.0, ""]]
+        buffer = io.StringIO()
+        write_csv(buffer, [""], rows)
+        assert buffer.getvalue() == _csv_module_lines([""], rows)
+        assert buffer.getvalue().split("\r\n")[:4] == ['""', "1.5,2", "1.5,2000000000", "True,0.25"]
 
     def test_quoted_cells_read_back(self):
         cells = ["a,b", 'q"q', "x\ny", "x\r\ny", "", "plain"]

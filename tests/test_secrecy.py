@@ -8,8 +8,8 @@ import pytest
 from oracles import grid_argmax
 from wiretap_space import secrecy
 from wiretap_space.cli import main
-from wiretap_space.detection import BinaryCoherentEnsemble, helstrom_projector, holevo_binary
-from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, binary_entropy
+from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, helstrom_projector, holevo_binary
+from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, Interval, binary_entropy, maximize_lockstep
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
@@ -372,6 +372,72 @@ class TestKernelCalls:
         q, best = secrecy._optimal_q(terms)
         info_bob, info_eve = secrecy._prior_terms(terms, q)
         assert (best == info_bob - info_eve).all()
+
+
+def _entropy_expression(p):
+    """Binary entropy as one expression of fresh arrays: the oracle of the in-place kernel."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = 1.0 - p
+        h = -p * np.log2(p)
+        h -= q * np.log2(q)
+    return np.fmax(h, 0.0)
+
+
+def _prior_terms_expression(terms, q):
+    """:func:`secrecy._prior_terms` as expressions of fresh arrays, the same
+    operations in the same order: the oracle of its in-place evaluation."""
+    eps0, eps1, h_eps0, h_eps1, s, y = terms
+    e0, e1, _, _ = _helstrom_split(s, y, q)
+    p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
+    h_bob, h_eve, h_e0, h_e1 = map(_entropy_expression, (p_bob, p_eve, e0, e1))
+    info_bob = np.maximum(h_bob - q * h_eps0 - (1.0 - q) * h_eps1, 0.0)
+    info_eve = np.maximum(h_eve - q * h_e0 - (1.0 - q) * h_e1, 0.0)
+    return info_bob, info_eve
+
+
+class TestInPlaceKernel:
+    """The in-place prior step and the first scan's shared row of priors give
+    the fresh-array expressions' results bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        rng = np.random.default_rng(20261019)
+        cells = 2000
+        mu = 10.0 ** rng.uniform(-4.0, 2.3, cells)
+        gamma = rng.uniform(0.0, 0.999, cells)
+        fields = [10.0 ** rng.uniform(-10, -2, cells), rng.uniform(0.05, 1.0, cells), 10.0 ** rng.uniform(-9, -1, cells)]
+        # Corners: no photons, subnormal photon numbers, eps1 = 0 (a detector that always
+        # clicks, or a pulse too bright to miss), no stray light and no dark counts.
+        mu[:4], mu[4:8], mu[8] = 0.0, [5e-324, 1e-310, 2.2e-308, 1e-300], 800.0
+        fields[0][9], fields[0][10:12] = 1.0, 0.0
+        fields[2][10:12] = 0.0
+        return secrecy._cell_terms(mu, gamma, *fields)
+
+    @pytest.mark.parametrize("q", ["seeded", 0.0, 0.5, 1.0])
+    def test_prior_terms_match_the_expressions(self, terms, q):
+        q = np.random.default_rng(3).uniform(0.0, 1.0, terms.shape[1]) if q == "seeded" else np.full(terms.shape[1], q)
+        for got, want in zip(secrecy._prior_terms(terms, q), _prior_terms_expression(terms, q)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_shared_row_of_priors_matches_the_expressions(self, terms):
+        # The first scan's shape: rows (6, cells, 1) against one (1, GRID_POINTS) row.
+        q = np.linspace(0.0, 1.0, GRID_POINTS)[np.newaxis]
+        got = secrecy._prior_terms(terms[:, :, np.newaxis], q)
+        want = _prior_terms_expression(terms[:, :, np.newaxis], np.broadcast_to(q, (terms.shape[1], GRID_POINTS)))
+        for got, want in zip(got, want):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_q_search_on_a_shared_row_matches_one_row_per_cell(self, terms):
+        def unclipped(q, cell):
+            q = np.broadcast_to(q, np.broadcast_shapes(q.shape, cell.shape))  # one row of priors per cell
+            info_bob, info_eve = _prior_terms_expression(terms[:, cell], q)
+            return info_bob - info_eve
+
+        got = secrecy._optimal_q(terms)
+        want = maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, terms.shape[1])
+        for got, want in zip(got, want):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestOnePointFunctions:
