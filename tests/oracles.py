@@ -8,8 +8,10 @@ error, its conditional errors, the distinguishability angle and the
 encircled-power fraction by their direct formulas at raised precision
 instead of the cancellation-free forms,
 the pass window and the total-collection exclusion radius by 50-digit
-bisection of the equations the library inverts in closed form, and orbital
-periods by step-wise propagation instead of rate differences.
+bisection of the equations the library inverts in closed form, the pass
+geometry from 50-digit positions in the Earth-centred frame instead of
+half-angle tangents in the transmitter's, and orbital periods by step-wise
+propagation instead of rate differences.
 """
 from __future__ import annotations
 
@@ -199,6 +201,33 @@ def mp_pass_half_width(
     cross = bisect_reference(above, mpmath.mpf(0), horizon, iterations=120)
     rate = mpmath.sqrt(mpmath.mpf(earth_mu) / orbit**3) - mpmath.mpf(earth_rate)
     return float(min(2 * cross, horizon) / rate)
+
+
+def mp_pass_geometry(
+    earth_radius: float, altitude: float, offset: float, rates: tuple[float, float, float], times
+) -> np.ndarray:
+    """Pass geometry from 50-digit positions, rows (d_bob, d_eve, along, beam_offset).
+
+    Transmitter, interceptor and station circle the Earth's centre at radii
+    ``R + altitude``, ``R + altitude - offset`` and ``R``, exact here, and at
+    the angular ``rates`` (transmitter, interceptor, station) from angle 0 at
+    ``t = 0``.  Both distances are taken from the transmitter; ``along`` is
+    the interceptor's projection on the unit vector to the station and
+    ``beam_offset`` her distance from that axis.
+    """
+    radius = mpmath.mpf(earth_radius)
+    a_alice = radius + mpmath.mpf(altitude)
+    a_eve = a_alice - mpmath.mpf(offset)
+    w_alice, w_eve, w_ground = (mpmath.mpf(rate) for rate in rates)
+    rows = []
+    for t in times:
+        t = mpmath.mpf(float(t))
+        ax, ay = a_alice * mpmath.cos(w_alice * t), a_alice * mpmath.sin(w_alice * t)
+        bx, by = radius * mpmath.cos(w_ground * t) - ax, radius * mpmath.sin(w_ground * t) - ay
+        ex, ey = a_eve * mpmath.cos(w_eve * t) - ax, a_eve * mpmath.sin(w_eve * t) - ay
+        d_bob, d_eve = mpmath.hypot(bx, by), mpmath.hypot(ex, ey)
+        rows.append([d_bob, d_eve, (ex * bx + ey * by) / d_bob, abs(ex * by - ey * bx) / d_bob])
+    return np.array([[float(v) for v in row] for row in rows]).T
 
 
 def mp_total_exclusion_radius(gamma: float, dist: float, diam_bob: float, divergence: float) -> float:

@@ -322,6 +322,28 @@ class TestGaussianDiskFraction:
         assert worst_rel_bulk <= 2e-13
         assert worst_rel_tail <= 5e-12
 
+    def test_small_disks_against_bessel_integral_oracle(self):
+        # Disks of 1e-8 to 0.01 beam radii take the small-disk series.  The rim
+        # integral erred here by up to 1.3e-11 relative above 1e-10 and 7.5e-9
+        # below, its two halves cancelling to a share ~ (disk / beam)^2.  What
+        # remains is the fraction's own condition, 4 (offset / w)^2 ulp.
+        rng = np.random.default_rng(20261020)
+        worst_abs = worst_rel_bulk = worst_rel_tail = 0.0
+        for _ in range(200):
+            w = float(10.0 ** rng.uniform(-2.0, 1.0))
+            radius = float(w * 10.0 ** rng.uniform(-8.0, -2.0))
+            offset = float(rng.uniform(0.0, radius + 7.0 * w))
+            reference = mp_disk_fraction(w, offset, radius)
+            error = abs(gaussian_disk_fraction(w, offset, radius) - reference)
+            worst_abs = max(worst_abs, error)
+            if reference >= 1e-10:
+                worst_rel_bulk = max(worst_rel_bulk, error / reference)
+            elif reference >= 1e-100:
+                worst_rel_tail = max(worst_rel_tail, error / reference)
+        assert worst_abs <= 1e-18
+        assert worst_rel_bulk <= 1e-14
+        assert worst_rel_tail <= 1e-13
+
     def test_rim_rule_is_leggauss(self):
         # The committed literals are the positive half of the 32-point rule, to 1 ulp.
         nodes, weights = np.polynomial.legendre.leggauss(numerics.RIM_POINTS)
@@ -348,6 +370,64 @@ class TestGaussianDiskFraction:
     def test_domain_errors(self, w, offset, a):
         with pytest.raises(ValueError):
             gaussian_disk_fraction(w, offset, a)
+
+
+def _rim_expression(a, b, d):
+    """The rim integral of ``numerics._rim_fraction`` in fresh arrays, one per
+    step, with the small-disk series on disks below 0.01 beam radii."""
+    ab = a * b
+    cut = 20.0 / np.maximum(ab, 20.0)
+    near = d < 2.0
+    swept = np.where(near, np.arctan2(2.0 * b * np.sqrt(cut * (1.0 - cut)), d + 2.0 * b * cut), 0.0)
+    half = np.arcsin(np.sqrt(cut))
+    sigma = np.square(np.tan(numerics._RIM_NODES[:, np.newaxis] * half))
+    sigma = sigma / (1.0 + sigma)
+    exponent = sigma * (-2.0 * ab) - 0.5 * d * d
+    flow = (sigma * -ab + 0.5 * b * d) / exponent
+    flow = flow * np.where(near, np.expm1(exponent), np.exp(exponent)) * numerics._RIM_WEIGHTS[:, np.newaxis]
+    while flow.shape[0] > 1:
+        flow = flow[: flow.shape[0] // 2] + flow[flow.shape[0] // 2 :]
+    rim = np.clip((swept - half * flow[0]) / math.pi, 0.0, 1.0)
+    return np.where(b < 0.02, numerics._small_disk_fraction(a, b), rim)
+
+
+class TestInPlaceRim:
+    """The in-place rim integral gives the fresh-array expression's result bit for bit."""
+
+    @staticmethod
+    def _band(rng, n):
+        # Lengths in units of w / 2: disks of 0.005 to 1e4 beam radii, the
+        # offset within 8 beam radii of the rim, on both sides of d = 2 and
+        # of ab = 20.
+        b = 10.0 ** rng.uniform(-2.0, 4.3, n)
+        d = rng.uniform(-16.0, 16.0, n)
+        a = np.maximum(b + d, 0.0)
+        return a, b, a - b
+
+    @staticmethod
+    def _check(a, b, d):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = numerics._rim_fraction(a, b, d), _rim_expression(a, b, d)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_seeded_band(self):
+        a, b, d = self._band(np.random.default_rng(20261019), 4000)
+        assert (d < 2.0).any() and (d >= 2.0).any() and (a * b < 20.0).any() and (a * b >= 20.0).any()
+        assert (b < 0.02).any()
+        self._check(a, b, d)
+
+    @pytest.mark.parametrize("a,b", [(3.0, 1.0), (0.5, 0.01), (40.0, 30.0), (5e3, 5e3 + 1.0)])
+    def test_single_sample(self, a, b):
+        self._check(np.array([a]), np.array([b]), np.array([a - b]))
+
+    def test_batches_mixing_near_and_far_columns(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 17, 64, 257):
+            a, b, d = self._band(rng, n)
+            d[::2] = rng.uniform(-16.0, 2.0, d[::2].size)  # near: inside the rim or within 1 beam radius
+            d[1::2] = rng.uniform(2.0, 16.0, d[1::2].size)  # far
+            a = np.maximum(b + d, 0.0)
+            self._check(a, b, a - b)
 
 
 class TestDomainTypes:

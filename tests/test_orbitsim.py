@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bisect_reference, mp_pass_half_width, propagated_lap_period
+from oracles import bisect_reference, mp_pass_geometry, mp_pass_half_width, propagated_lap_period
 from wiretap_space import orbitsim
 from wiretap_space.cli import EXIT_OK, main
 from wiretap_space.linkbudget import LinkBudgetWarning, LinkGeometry, bob_free_space
@@ -21,6 +21,7 @@ from wiretap_space.orbitsim import (
     OrbitScenario,
     PASS_PANELS,
     PASS_PROFILE_COLUMNS,
+    PhysicalConstants,
     StepSizeWarning,
     alignment_periods,
     angular_velocity,
@@ -251,6 +252,84 @@ class TestInstantaneousEfficiencies:
         np.testing.assert_allclose(
             profile.eta_bob, profile.eta_bob[::-1], rtol=1e-9, atol=1e-18
         )
+
+
+def _mp_geometry(scenario: OrbitScenario, constants: PhysicalConstants, times) -> np.ndarray:
+    """The 50-digit pass geometry of ``scenario`` at ``times``, at the angular
+    rates of ``_orbits`` and the radii of the scenario."""
+    _, _, w_alice, w_eve = orbitsim._orbits(scenario, constants)
+    rates = (w_alice, w_eve, constants.earth_angular_velocity)
+    return mp_pass_geometry(constants.earth_radius, scenario.alice_altitude, scenario.eve_orbit_offset, rates, times)
+
+
+class TestPassGeometry:
+    def test_against_mpmath_oracle(self):
+        # Positions as differences of ~7e6 m coordinates erred by up to 8.5e-7
+        # relative on d_eve and beam_offset here.
+        rng = np.random.default_rng(1729)
+        worst = np.zeros(4)
+        for _ in range(24):
+            scenario = OrbitScenario(
+                alice_altitude=rng.uniform(300e3, 1500e3),
+                eve_orbit_offset=_log_uniform(rng, MIN_EVE_ORBIT_OFFSET, 2e5),
+                min_elevation=math.radians(rng.uniform(5.0, 60.0)),
+            )
+            half = pass_window(scenario)
+            crossing = min(_crossing_half_time(scenario, DEFAULT_CONSTANTS), half)
+            times = np.concatenate([rng.uniform(-half, half, 12), rng.uniform(-1.5, 1.5, 12) * crossing])
+            got = np.array(_pass_geometry(scenario, DEFAULT_CONSTANTS, times))
+            want = _mp_geometry(scenario, DEFAULT_CONSTANTS, times)
+            error = np.abs(got - want)
+            # along is a difference near the axis's foot; its bound is in units of d_eve.
+            scale = np.stack([want[0], want[1], want[1], want[3]])
+            worst = np.maximum(worst, (error / scale).max(axis=1))
+        assert np.all(worst <= 1e-14), worst
+
+    def test_multi_revolution_pass(self):
+        # Just below the geostationary orbit, with the interceptor 400 km up:
+        # the window reaches 2.4 years either side of alignment, by when she
+        # has gained 8.1e4 rad on the transmitter, passing tan's poles at
+        # every odd multiple of pi of that angle.  The angle
+        # itself carries a rounding of 8.1e4 * 2**-53 = 9e-12 rad, so the bound
+        # is in units of d_eve: 1e-11 (1.05e-12 seen).
+        scenario = OrbitScenario(alice_altitude=35786e3, eve_orbit_offset=35386e3)
+        _, _, w_alice, w_eve = orbitsim._orbits(scenario, DEFAULT_CONSTANTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepSizeWarning)
+            profile = integrated_gamma(scenario)
+        assert (w_eve - w_alice) * profile.pass_half_duration > 8e4
+        for series in (profile.d_bob, profile.d_eve, profile.beam_offset, profile.eta_bob, profile.eta_eve):
+            assert np.isfinite(series).all()
+        assert math.isfinite(profile.integrated_gamma)
+        times = profile.times[::16]
+        got = np.array(_pass_geometry(scenario, DEFAULT_CONSTANTS, times))
+        want = _mp_geometry(scenario, DEFAULT_CONSTANTS, times)
+        assert np.all(np.abs(got - want) <= 1e-11 * want[1])
+
+    def test_no_overflow_on_the_widest_orbit(self):
+        # pass_window squares a_alice and rejects orbits where that overflows,
+        # above 1.34e154 m.  Just inside, with the station turning nearly as fast
+        # as the transmitter, an interceptor 0.1% lower laps the transmitter
+        # 375 times in the window's half: on the far side
+        # d_eve = a_alice + a_eve = 2.6e154 m, whose square no float holds.
+        # No coordinate is squared; the distance's root is taken of
+        # (d_eve / 2)**2 <= a_alice**2.  The bound is the multi-revolution
+        # pass's (9.3e-13 seen).
+        altitude = 1.3e154
+        rate = angular_velocity(DEFAULT_CONSTANTS.earth_radius + altitude)
+        constants = PhysicalConstants(earth_angular_velocity=rate * (1.0 - 1e-6))
+        scenario = OrbitScenario(alice_altitude=altitude, eve_orbit_offset=1e-3 * altitude)
+        half = pass_window(scenario, constants)
+        _, _, w_alice, w_eve = orbitsim._orbits(scenario, constants)
+        lap = 2.0 * math.pi / (w_eve - w_alice)
+        far_sides = (np.arange(8) + 0.5) * lap
+        times = np.concatenate([far_sides, -far_sides, np.random.default_rng(5).uniform(-half, half, 8)])
+        assert far_sides[-1] < half
+        got = np.array(_pass_geometry(scenario, constants, times))
+        want = _mp_geometry(scenario, constants, times)
+        assert want[1].max() > 2.5e154
+        assert np.isfinite(got).all()
+        assert np.all(np.abs(got - want) <= 1e-11 * want[1])
 
 
 class TestIntegratedGamma:
