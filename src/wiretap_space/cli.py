@@ -23,7 +23,7 @@ import sys
 import warnings
 from typing import Sequence
 
-from .linkbudget import bob_free_space, eve_free_space, fraction_to_db, gamma_partial
+from .linkbudget import DEFAULT_GAMMA_TARGET, bob_free_space, eve_free_space, fraction_to_db, gamma_partial
 from .numerics import BracketError, ConfigError
 from .orbitsim import (
     PASS_PROFILE_COLUMNS,
@@ -111,7 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("linkbudget", parents=[common], help="static link budget for the geometry")
 
     exc = sub.add_parser("exclusion", parents=[common], help="exclusion radii, both models")
-    exc.add_argument("--gamma-target", type=_finite_float, help="degradation target (default 0.1)")
+    exc.add_argument(
+        "--gamma-target", type=_finite_float, help=f"degradation target (default {DEFAULT_GAMMA_TARGET})"
+    )
     exc.add_argument(
         "--axis",
         metavar="PARAM:MIN:MAX:POINTS[:SCALE]",

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+DEFAULT_GAMMA_TARGET = 0.1  # degradation target of exclusion radii, table1 and the orbital-offset solve
+
+
 class LinkBudgetWarning(UserWarning):
     """Signals a clamped or otherwise suspicious link-budget value."""
 
@@ -52,6 +55,12 @@ def fraction_to_db(fraction: float) -> float:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     return 0.0 - 10.0 * math.log10(fraction)  # 0.0 at 1, not -0.0
+
+
+def _check_gamma_target(gamma_target: float) -> None:
+    """Raise ``ConfigError`` unless the degradation target is in (0, 1)."""
+    if not 0.0 < gamma_target < 1.0:
+        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
 
 
 def _beam_radius(divergence, distance):
@@ -208,8 +217,7 @@ def exclusion_radius_partial(
     the target degradation is met with no exclusion zone at all; an argument
     of exactly 1 returns 0; ``FloatingPointError`` when it overflows.
     """
-    if not 0.0 < gamma_target < 1.0:
-        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
+    _check_gamma_target(gamma_target)
     if not dist > 0 or not divergence > 0 or not diam_ratio_eve_over_bob >= 0:
         raise ValueError("dist and divergence must be > 0 and the diameter ratio >= 0")
     if not 0.0 < eta_b <= 1.0:
@@ -238,8 +246,7 @@ def exclusion_radius_total(
     Raises ``FloatingPointError`` when the radius cannot be represented: the
     right side underflows to 0 or the radius overflows.
     """
-    if not 0.0 < gamma_target < 1.0:
-        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
+    _check_gamma_target(gamma_target)
     if not dist > 0 or not diam_bob > 0 or not divergence > 0:
         raise ValueError("dist, diam_bob and divergence must be > 0")
     scale = divergence * dist

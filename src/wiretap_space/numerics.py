@@ -43,9 +43,6 @@ REFINE_POINTS = 9
 SCAN_BLOCK_CELLS = 128
 # Beam radii past which :func:`gaussian_disk_fraction` saturates at 1 or 0.
 _REACH_RADII = 8.0
-# Disks of at most this many beam radii collect 0 (the exact share is below
-# 1e-279); on smaller ones the rim integral's squared distances underflow.
-_SPECK_RADII = 1e-140
 # Disks below this many beam radii, where the rim integral's halves cancel,
 # take the series of :func:`_small_disk_fraction`, to this many terms.
 _SMALL_DISK_RADII = 0.01
@@ -272,8 +269,8 @@ def _rim_fraction(a, b, d):
     ``s = 0`` nears the real axis as ``d`` falls: with the switch at
     ``d = 1`` it cost up to 2e-10 relative near ``a b = 20``; at ``d = 2``
     neither form errs by more than 4e-14 on disks of 0.01 beam radii and up.
-    On smaller disks the integrand's halves cancel to a share ~ ``b^2``, so
-    those samples (``b < 0.02``) take :func:`_small_disk_fraction` instead.
+    On smaller disks the integrand's halves cancel to a share ~ ``b^2``; those
+    take :func:`_small_disk_fraction` instead.
     """
     ab = a * b
     cut = 20.0 / np.maximum(ab, 20.0)  # sin^2(phi1 / 2)
@@ -302,11 +299,7 @@ def _rim_fraction(a, b, d):
     while rows > 1:
         rows //= 2
         flow[:rows] += flow[rows : 2 * rows]
-    fraction = np.clip((swept - half * flow[0]) / math.pi, 0.0, 1.0)
-    small = b < 2.0 * _SMALL_DISK_RADII
-    if small.any():
-        fraction[small] = _small_disk_fraction(a[small], b[small])
-    return fraction
+    return np.clip((swept - half * flow[0]) / math.pi, 0.0, 1.0)
 
 
 def _small_disk_fraction(a, b):
@@ -336,21 +329,31 @@ def _disk_fraction(beam_radius_w, offset, disk_radius):
     """Array form of :func:`gaussian_disk_fraction`, without argument checks.
 
     Exactly 1 or 0 beyond ``_REACH_RADII`` beam radii inside or outside the
-    rim, and 0 on disks of at most ``_SPECK_RADII`` beam radii;
-    :func:`_rim_fraction` on the band between.
+    rim, and 0 on a disk of radius 0.  Each sample of the band between takes
+    one rule: :func:`_small_disk_fraction` on disks under
+    ``_SMALL_DISK_RADII`` beam radii, :func:`_rim_fraction` on the rest.
     """
     w, offset, disk_radius = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (beam_radius_w, offset, disk_radius))
     )
     inside = offset + _REACH_RADII * w <= disk_radius
-    band = ~(inside | (offset - _REACH_RADII * w >= disk_radius)) & (disk_radius > _SPECK_RADII * w)
+    band = ~(inside | (offset - _REACH_RADII * w >= disk_radius)) & (disk_radius > 0.0)
     fraction = np.array(inside, dtype=float)
     if band.any():
         # Lengths no float holds give NaN here, caught below.
         with np.errstate(over="ignore", invalid="ignore"):
             scale = 2.0 / w[band]
-            edge = _rim_fraction(scale * offset[band], scale * disk_radius[band],
-                                 scale * (offset[band] - disk_radius[band]))
+            a, b = scale * offset[band], scale * disk_radius[band]
+            d = scale * (offset[band] - disk_radius[band])
+            small = b < 2.0 * _SMALL_DISK_RADII
+            if small.any():
+                edge = np.empty_like(b)
+                edge[small] = _small_disk_fraction(a[small], b[small])
+                rim = ~small
+                if rim.any():
+                    edge[rim] = _rim_fraction(a[rim], b[rim], d[rim])
+            else:  # the usual band, rim samples only: no subset copies
+                edge = _rim_fraction(a, b, d)
         if not np.isfinite(edge).all():
             raise FloatingPointError("Gaussian disk fraction is not finite: beam too narrow for the disk")
         fraction[band] = edge
@@ -380,10 +383,11 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
 
     Notes
     -----
-    Within 8 beam radii of the rim the fraction is a contour integral over
-    the disk's rim, 32-point Gauss-Legendre on the part of the rim near the
-    beam axis plus the angle the rest subtends (:func:`_rim_fraction`); it
-    needs exp, expm1, tan, asin and atan2, and no Bessel function.  Checked
+    Within 8 beam radii of the rim, on disks of at least 0.01 beam radii,
+    the fraction is a contour integral over the disk's rim, 32-point
+    Gauss-Legendre on the part of the rim near the beam axis plus the angle
+    the rest subtends (:func:`_rim_fraction`); it needs exp, expm1, tan,
+    asin and atan2, and no Bessel function.  Checked
     against an mpmath evaluation of the radial Bessel-I0 integral, for disks
     of 0.01 to 100 beam radii and offsets up to 7 beam radii beyond the rim
     (400 draws), the error is at most 4.4e-16 absolute, 1.1e-14 relative
@@ -394,14 +398,15 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
     (:func:`_small_disk_fraction`); for disks of 1e-8 to 0.01 beam radii and
     the same offsets (200 draws) it errs by at most 2.7e-20 absolute,
     1.4e-15 relative above 1e-10 and 1.9e-14 below.  Smaller
-    fractions may round to 0.  Only a subnormal beam radius, for which
+    fractions may round to 0: a disk's share is below ``2 R^2 / w^2``, so
+    under about 1e-154 beam radii it is subnormal and under about 1e-162
+    beam radii 0.  Only a subnormal beam radius, for which
     ``2 / w`` overflows, gives a non-finite value; that raises
     :class:`FloatingPointError`.
 
     The fraction is exactly 1 where ``offset + 8 w <= disk_radius`` and 0
     where ``offset - 8 w >= disk_radius``, where the exact share differs
-    from those by at most 6.4e-58.  It is 0 on disks of at most 1e-140 beam
-    radii, whose exact share is below 1e-279.
+    from those by at most 6.4e-58, and exactly 0 on a disk of radius 0.
     """
     if not beam_radius_w > 0:
         raise ValueError(f"beam_radius_w must be > 0, got {beam_radius_w}")

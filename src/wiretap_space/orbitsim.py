@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linkbudget import _beam_radius, _station_fraction
+from .linkbudget import DEFAULT_GAMMA_TARGET, _beam_radius, _check_gamma_target, _station_fraction
 from .numerics import ConfigError, Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
@@ -47,9 +47,9 @@ __all__ = [
 OFFSET_BOUNDS = (1e3, 2e5)
 OFFSET_TOL = 25.0
 # Smallest interceptor orbit offset, metres.  Closer orbits differ from the
-# transmitter's only by rounding in the pass geometry: at 1e-9 m the pass
-# integral reads 4783 against 4464 at 1e-6 m, and at 1e-13 m the two
-# angular rates are equal.
+# transmitter's only by rounding in the difference of the two angular rates:
+# at 1e-9 m it reads 2.17e-19 rad/s against 2.33e-19 exact, and the pass
+# integral 4722 against 4464 at 1e-6 m; at 1e-11 m the rates are equal.
 MIN_EVE_ORBIT_OFFSET = 1e-3
 
 # Trapezoid panels of the beam crossing and of the half window, on the grid of
@@ -59,7 +59,9 @@ PASS_PANELS = 512
 
 
 class StepSizeWarning(UserWarning):
-    """The pass integral changed by more than 1% when the grid was refined."""
+    """The pass grid does not resolve the pass: the integral changed by more
+    than 1% when the grid was refined, or the window reaches the
+    interceptor's next alignment, whose crossing falls on the coarse grid."""
 
 
 @dataclass(frozen=True)
@@ -325,13 +327,27 @@ def integrated_gamma(
     offset from it, and so both efficiencies, repeat their values at ``t``.
     ``convergence_delta`` is the relative change from the integral over
     every other sample, and a :class:`StepSizeWarning` is emitted when it
-    exceeds 1%.  Raises :class:`FloatingPointError` where the interceptor's
-    collected fraction (``gaussian_disk_fraction``) or the degradation is not finite.
+    exceeds 1%.  The grid resolves only the crossing at alignment, so a
+    :class:`StepSizeWarning` is also emitted when the half window ``T``
+    reaches the next one, ``T >= P - t_f`` with ``P = 2 pi / |w_E - w_A|``
+    the interceptor's alignment period and ``t_f`` the fine zone's
+    half-width (equal rates never realign).  Raises
+    :class:`FloatingPointError` where the interceptor's collected fraction
+    (``numerics._disk_fraction``) or the degradation is not finite.
     """
     half = pass_window(scenario, constants)
     if half <= 0.0:
         raise ConfigError(["pass window is empty; lower min_elevation"])
     crossing = min(1.25 * _crossing_half_time(scenario, constants), half)
+    _, _, w_alice, w_eve = _orbits(scenario, constants)
+    realignment = 2.0 * math.pi / abs(w_eve - w_alice) if w_eve != w_alice else math.inf
+    if half >= realignment - crossing:
+        warnings.warn(
+            f"pass half-window {half:.4g} s reaches the interceptor's next alignment, "
+            f"{realignment:.4g} s after this one; the pass grid resolves only the crossing at t = 0",
+            StepSizeWarning,
+            stacklevel=2,
+        )
     # Mirrored about 0: 2 * CROSSING_PANELS panels cover [0, crossing], panels
     # of at most half / (2 * PASS_PANELS) the rest of the half window.
     fine = np.linspace(0.0, crossing, 2 * CROSSING_PANELS + 1)
@@ -373,15 +389,14 @@ def integrated_gamma(
 def required_orbital_exclusion(
     scenario: OrbitScenario,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    gamma_target: float = 0.1,
+    gamma_target: float = DEFAULT_GAMMA_TARGET,
 ) -> float:
     """Orbital separation below the transmitter achieving ``gamma_target``.
 
     Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`
     down to a bracket of :data:`OFFSET_TOL`.
     """
-    if not 0.0 < gamma_target < 1.0:
-        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
+    _check_gamma_target(gamma_target)
 
     def excess(offset: float) -> float:
         probe = replace(scenario, eve_orbit_offset=offset)

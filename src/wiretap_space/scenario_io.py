@@ -25,6 +25,7 @@ from typing import IO, Any, Iterable, NamedTuple, Sequence
 
 from .detection import _distinguishability_angle, _helstrom_error
 from .linkbudget import (
+    DEFAULT_GAMMA_TARGET,
     LinkGeometry,
     bob_free_space,
     fraction_to_db,
@@ -74,7 +75,6 @@ CAPACITY_SWEEP_PARAMS = (
 )
 _GEOMETRY_PARAMS = ("dist_bob_m", "exclusion_radius_m")  # sweep axes that only derive gamma
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
-DEFAULT_GAMMA_TARGET = 0.1  # degradation target of exclusion radii and table1
 MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
 
 
@@ -502,8 +502,9 @@ def exclusion_sweep(
     ``axis=None`` the single row at ``gamma_target``: the axis value, then the
     radii of :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`'s row.
 
-    ``gamma_target=None`` is :data:`DEFAULT_GAMMA_TARGET`; a ``dist_bob_m`` axis
-    holds the target there, and a ``gamma_target`` axis rejects one.
+    ``gamma_target=None`` is
+    :data:`~wiretap_space.linkbudget.DEFAULT_GAMMA_TARGET`; a ``dist_bob_m``
+    axis holds the target there, and a ``gamma_target`` axis rejects one.
     """
     target = DEFAULT_GAMMA_TARGET if gamma_target is None else gamma_target
     if axis is None:
@@ -536,7 +537,8 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> tuple[list[s
     Per row, the :data:`TABLE1_HEADER` columns: the label, the receiver's
     range in km, free-space loss in dB, the repeaterless key-rate bound at that
     loss alone (receiver-side losses excluded), the partial-model exclusion
-    radius for the degradation target ``gamma`` (0.1), that target, and the
+    radius for the degradation target ``gamma``
+    (:data:`~wiretap_space.linkbudget.DEFAULT_GAMMA_TARGET`), that target, and the
     photon-number-optimised private rate at the daytime stray-light default.
     Rows whose detectors are equal to the bit (the presets share one) share one
     photon search through :func:`~wiretap_space.secrecy.optimal_signal_strength`'s memo.

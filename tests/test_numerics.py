@@ -232,6 +232,8 @@ class TestGaussianDiskFraction:
 
     def test_zero_radius(self):
         assert gaussian_disk_fraction(1.0, 0.5, 0.0) == 0.0
+        # Also on a subnormal beam, where 2 / w overflows: no sample reaches a rule.
+        assert gaussian_disk_fraction(1e-310, 0.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("offset", [0.0, 1e-200, 1.0])
     def test_speck_of_a_disk_collects_nothing(self, offset):
@@ -259,6 +261,29 @@ class TestGaussianDiskFraction:
         assert sizes == [1]  # 0.5 only: the others are 8 beam radii inside or outside
         a, b = np.array([2 * 0.5 / w]), np.array([2 * radius / w])
         assert fraction.tolist() == [1.0, 1.0, float(rim_fraction(a, b, a - b)[0]), 0.0, 0.0]
+
+    def test_small_disks_skip_the_rim_integral(self, monkeypatch):
+        rim_fraction, disks = numerics._rim_fraction, []
+
+        def recording(a, b, d):
+            disks.extend(b.tolist())
+            return rim_fraction(a, b, d)
+
+        monkeypatch.setattr(numerics, "_rim_fraction", recording)
+        rng = np.random.default_rng(20261021)
+        w = 10.0 ** rng.uniform(-6.0, 3.0, 2000)
+        radius = w * 10.0 ** rng.uniform(-150.0, 2.0, 2000)
+        offset = np.maximum(radius + w * rng.uniform(-9.0, 9.0, 2000), 0.0)
+        _disk_fraction(w, offset, radius)
+        assert disks and min(disks) >= 2 * numerics._SMALL_DISK_RADII  # in units of w / 2
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-8, 1e-141, 1e-150])
+    def test_on_axis_speck_share(self, ratio):
+        # Every disk under 0.01 beam radii takes the series, down to where
+        # its share underflows.
+        for w in (1e-6, 1.0, 1e3):
+            want = -math.expm1(-2.0 * ratio * ratio)
+            assert gaussian_disk_fraction(w, 0.0, ratio * w) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_rim_of_a_wide_disk_on_the_axis(self):
         # The rim on the beam axis of a disk a million beam radii wide: half
@@ -374,7 +399,7 @@ class TestGaussianDiskFraction:
 
 def _rim_expression(a, b, d):
     """The rim integral of ``numerics._rim_fraction`` in fresh arrays, one per
-    step, with the small-disk series on disks below 0.01 beam radii."""
+    step."""
     ab = a * b
     cut = 20.0 / np.maximum(ab, 20.0)
     near = d < 2.0
@@ -387,8 +412,7 @@ def _rim_expression(a, b, d):
     flow = flow * np.where(near, np.expm1(exponent), np.exp(exponent)) * numerics._RIM_WEIGHTS[:, np.newaxis]
     while flow.shape[0] > 1:
         flow = flow[: flow.shape[0] // 2] + flow[flow.shape[0] // 2 :]
-    rim = np.clip((swept - half * flow[0]) / math.pi, 0.0, 1.0)
-    return np.where(b < 0.02, numerics._small_disk_fraction(a, b), rim)
+    return np.clip((swept - half * flow[0]) / math.pi, 0.0, 1.0)
 
 
 class TestInPlaceRim:

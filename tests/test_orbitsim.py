@@ -385,6 +385,26 @@ class TestIntegratedGamma:
         assert _crossing_half_time(scenario, DEFAULT_CONSTANTS) == math.inf
         assert integrated_gamma(scenario).times.size == 4 * CROSSING_PANELS + 1
 
+    def test_window_past_the_next_alignment_warns(self):
+        # Just below the geostationary orbit, with the interceptor 400 km up,
+        # the half window outlasts her alignment period: every crossing but
+        # the one at t = 0 falls on the coarse grid, which the step-halving
+        # delta (8.5e-8 here) cannot see.
+        scenario = OrbitScenario(alice_altitude=35786e3, eve_orbit_offset=35386e3)
+        _, period = alignment_periods(scenario)
+        message = r"7\.628e\+07 s reaches the interceptor's next alignment, 5926 s after"
+        with pytest.warns(StepSizeWarning, match=message):
+            profile = integrated_gamma(scenario)
+        assert profile.pass_half_duration > period
+        assert profile.convergence_delta < 0.01
+
+    def test_reference_pass_does_not_warn(self):
+        # (Equal angular rates never realign: test_zero_crossing_speed_spans_the_window.)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StepSizeWarning)
+            profile = integrated_gamma(LEO)
+        assert profile.pass_half_duration < alignment_periods(LEO)[1]
+
     def test_reference_pass_samples(self):
         assert integrated_gamma(LEO).times.size == MAX_PASS_SAMPLES == 4097
 

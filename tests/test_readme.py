@@ -1,5 +1,7 @@
 """The README's CLI examples and "Library use" section run, the section
-names only what exists, and the kernel-call counts it states are counted."""
+names only what exists, the kernel-call counts it states are counted, and
+its sweepable parameters are the schema's (``test_scenario_io`` pins its
+configuration table)."""
 import importlib
 import json
 import pkgutil
@@ -12,23 +14,28 @@ import numpy as np
 import wiretap_space
 from wiretap_space import secrecy
 from wiretap_space.cli import EXIT_OK, main
-from wiretap_space.scenario_io import CAPACITY_SWEEP_OUTPUTS, SweepAxis, config_from_dict, sweep
+from wiretap_space.scenario_io import (
+    CAPACITY_SWEEP_OUTPUTS,
+    CAPACITY_SWEEP_PARAMS,
+    EXCLUSION_SWEEP_PARAMS,
+    SweepAxis,
+    config_from_dict,
+    sweep,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_use() -> str:
+def _section(heading: str) -> str:
     text = README.read_text(encoding="utf-8")
-    start = text.index("## Library use")
+    start = text.index(heading)
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
 
 
 def _cli_examples() -> list[list[str]]:
     """The argv of each ``wiretap-space`` line of the README's CLI block."""
-    text = README.read_text(encoding="utf-8")
-    start = text.index("## CLI")
-    (block,) = re.findall(r"```sh\n(.*?)```", text[start:text.index("\n## ", start + 1)], flags=re.S)
+    (block,) = re.findall(r"```sh\n(.*?)```", _section("## CLI"), flags=re.S)
     commands = []
     for line in block.replace("\\\n", " ").splitlines():
         argv = shlex.split(line, comments=True)
@@ -48,7 +55,7 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
 
 
 def test_library_use_example_runs():
-    (block,) = re.findall(r"```python\n(.*?)```", _library_use(), flags=re.S)
+    (block,) = re.findall(r"```python\n(.*?)```", _section("## Library use"), flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
 
 
@@ -57,7 +64,7 @@ def test_library_use_names_resolve():
         importlib.import_module(f"wiretap_space.{info.name}")
         for info in pkgutil.iter_modules(wiretap_space.__path__)
     ]
-    prose = re.sub(r"```.*?```", "", _library_use(), flags=re.S)
+    prose = re.sub(r"```.*?```", "", _section("## Library use"), flags=re.S)
     names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", prose))
     assert names
     unresolved = [
@@ -87,3 +94,11 @@ def test_stated_kernel_calls_are_counted(monkeypatch):
     calls.clear()
     secrecy.optimal_signal_strength(config.detector, 0.1)
     assert len(calls) == stated_photons
+
+
+def test_sweepable_parameters_are_the_schema():
+    text = " ".join(_section("## Configuration schema").split())
+    sentence = re.search(r"Sweepable parameters: (.*?) \(capacity sweeps\); (.*?) \(exclusion sweeps", text)
+    capacity, exclusion = sentence.groups()
+    assert re.findall(r"`(\w+)`", capacity) == list(CAPACITY_SWEEP_PARAMS)
+    assert re.findall(r"`(\w+)`", exclusion) == list(EXCLUSION_SWEEP_PARAMS)
