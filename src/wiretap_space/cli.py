@@ -25,16 +25,10 @@ from typing import Sequence
 
 from .linkbudget import DEFAULT_GAMMA_TARGET, bob_free_space, eve_free_space, fraction_to_db, gamma_partial
 from .numerics import BracketError, ConfigError
-from .orbitsim import (
-    PASS_PROFILE_COLUMNS,
-    alignment_periods,
-    integrated_gamma,
-    required_orbital_exclusion,
-)
+from .orbitsim import alignment_periods, integrated_gamma, required_orbital_exclusion
 from .scenario_io import (
     ScenarioConfig,
     SweepAxis,
-    _capacity_table,
     config_to_dict,
     emit_table1,
     exclusion_sweep,
@@ -188,11 +182,14 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
                                "photon number and q" for name in ignored])
         mu, point = optimal_signal_strength(config.detector, gamma)
         config = with_values(config, [("received_mean_photons", mu), ("q", point.q)])
-    return _capacity_table(config, [])
+    return sweep(config, [])
 
 
 def _run_sweep(args: argparse.Namespace, config: ScenarioConfig):
-    return sweep(config, [_parse_axis(a) for a in args.axis] if args.axis else None)
+    axes = [_parse_axis(a) for a in args.axis] if args.axis else config.sweep_axes
+    if not axes:
+        raise ConfigError(["sweep needs 1 or 2 axes, got 0"])
+    return sweep(config, axes)
 
 
 def _run_linkbudget(args: argparse.Namespace, config: ScenarioConfig):
@@ -235,8 +232,9 @@ def _run_orbit(args: argparse.Namespace, config: ScenarioConfig):
         summary["required_offset_m"] = required_orbital_exclusion(
             config.orbit, config.constants, gamma_target=args.solve_gamma
         )
-    series = zip(profile.times, profile.eta_bob, profile.eta_eve, profile.d_bob, profile.d_eve, profile.beam_offset)
-    return PASS_PROFILE_COLUMNS, series, summary
+    columns = {"t_s": profile.times, "eta_bob": profile.eta_bob, "eta_eve": profile.eta_eve,
+               "d_bob_m": profile.d_bob, "d_eve_m": profile.d_eve, "offset_m": profile.beam_offset}
+    return list(columns), zip(*columns.values()), summary
 
 
 def _run_table1(args: argparse.Namespace, config: ScenarioConfig):

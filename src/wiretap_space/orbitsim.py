@@ -33,7 +33,6 @@ __all__ = [
     "OrbitScenario",
     "PassProfile",
     "StepSizeWarning",
-    "PASS_PROFILE_COLUMNS",
     "angular_velocity",
     "pass_window",
     "integrated_gamma",
@@ -394,17 +393,39 @@ def required_orbital_exclusion(
     """Orbital separation below the transmitter achieving ``gamma_target``.
 
     Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`
-    down to a bracket of :data:`OFFSET_TOL`.
+    down to a bracket of :data:`OFFSET_TOL`.  Raises :class:`ConfigError`
+    before any probe when ``alice_altitude`` is at most the bracket's upper
+    end, as no interceptor orbit that far below fits.  The probes' warnings
+    make one :class:`StepSizeWarning` for the solve: how many probes warned,
+    and the first such probe's offset and message.
     """
     _check_gamma_target(gamma_target)
+    lo, hi = OFFSET_BOUNDS
+    if scenario.alice_altitude <= hi:
+        raise ConfigError([f"the offset solve searches {lo / 1e3:g}-{hi / 1e3:g} km below the transmitter, "
+                           f"so alice_altitude must exceed {hi:g} m, got {scenario.alice_altitude}"])
+    probes: list[float] = []
+    warned: list[tuple[float, Warning]] = []  # (offset, its first StepSizeWarning)
 
     def excess(offset: float) -> float:
-        probe = replace(scenario, eve_orbit_offset=offset)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StepSizeWarning)
-            return integrated_gamma(probe, constants).integrated_gamma - gamma_target
+        probes.append(offset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", StepSizeWarning)
+            gamma = integrated_gamma(replace(scenario, eve_orbit_offset=offset), constants).integrated_gamma
+        step = [w.message for w in caught if issubclass(w.category, StepSizeWarning)]
+        if step:
+            warned.append((offset, step[0]))
+        for w in caught:  # any other warning goes on as it came
+            if not issubclass(w.category, StepSizeWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return gamma - gamma_target
 
-    return find_root(excess, Interval(*OFFSET_BOUNDS), tol=OFFSET_TOL)
+    offset = find_root(excess, Interval(lo, hi), tol=OFFSET_TOL)
+    if warned:
+        first, message = warned[0]
+        warnings.warn(f"{len(warned)} of {len(probes)} offset probes do not resolve their pass; "
+                      f"the first, at {first:g} m: {message}", StepSizeWarning, stacklevel=2)
+    return offset
 
 
 def alignment_periods(
@@ -423,5 +444,3 @@ def alignment_periods(
         raise ConfigError(["degenerate configuration: equal angular rates"])
     return 2.0 * math.pi / d_ground, 2.0 * math.pi / d_eve
 
-
-PASS_PROFILE_COLUMNS = ("t_s", "eta_bob", "eta_eve", "d_bob_m", "d_eve_m", "offset_m")

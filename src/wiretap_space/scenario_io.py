@@ -10,10 +10,10 @@ configs produce byte-identical files.  Each table is ``(header, rows)`` of
 plain lists; each 12-column capacity row is built by :func:`capacity_row`
 from a point's values, and each exclusion row by
 :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
-The ``capacity`` table is a sweep with no axis, and only the kernel's
-columns check ``dw_rate <= private_capacity``.  A sweep validates each axis
-value once (no section rule joins two fields); the first invalid cell in
-row-major order still raises its own message.
+The ``capacity`` table is :func:`sweep` with no axis, and only the
+kernel's columns check ``dw_rate <= private_capacity``.  A sweep validates
+each axis value once (no section rule joins two fields); the first invalid
+cell in row-major order still raises its own message.
 """
 from __future__ import annotations
 
@@ -255,40 +255,39 @@ def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear")
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Build a fully validated config; unset fields take the dataclass defaults."""
+    """Build a fully validated config from a JSON document, read once.
+
+    Unknown keys and sections that are not objects are reported in document
+    order, then each given field's type in schema order; each section is
+    built from its given fields alone, so unset fields take the defaults of
+    its dataclass and nowhere else.
+    """
     if not isinstance(data, dict):
         raise ConfigError([f"top-level document must be an object, got {type(data).__name__}"])
     violations: list[str] = []
-    raw: dict[str, Any] = {"label": "micius-leo", "sweep": []}
-    given: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
     for key, value in data.items():
-        if key in _SCHEMA:
-            if not isinstance(value, dict):
-                violations.append(f"section {key!r} must be an object")
-                continue
-            known = {f.key for f in _SCHEMA[key][1]}
-            for sub_key, sub_value in value.items():
-                if sub_key in known:
-                    given[key][sub_key] = sub_value
-                else:
-                    violations.append(f"unknown key {key}.{sub_key!r}")
-        elif key in raw:
-            raw[key] = value
+        if key not in _SCHEMA:
+            if key not in ("label", "sweep"):
+                violations.append(f"unknown key {key!r}")
+        elif not isinstance(value, dict):
+            violations.append(f"section {key!r} must be an object")
         else:
-            violations.append(f"unknown key {key!r}")
-    if not isinstance(raw["label"], str) or not raw["label"]:
+            known = {f.key for f in _SCHEMA[key][1]}
+            violations.extend(f"unknown key {key}.{sub_key!r}" for sub_key in value if sub_key not in known)
+    label = data.get("label", "micius-leo")
+    if not isinstance(label, str) or not label:
         violations.append("label must be a non-empty string")
 
-    kwargs: dict[str, dict[str, Any]] = {}
+    kwargs: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
     for section, (cls, section_fields) in _SCHEMA.items():
-        kwargs[section] = values = {f.name: f.default for f in fields(cls)}
-        for f in section_fields:
-            if f.key in given[section]:
-                value = _checked(given[section][f.key], values[f.attr], f"{section}.{f.key}", violations)
-                values[f.attr] = math.radians(value) if f.degrees and value is not None else value
+        obj = data.get(section)
+        for f in section_fields if isinstance(obj, dict) else ():
+            if f.key in obj:
+                value = _checked(obj[f.key], getattr(cls, f.attr), f"{section}.{f.key}", violations)
+                kwargs[section][f.attr] = math.radians(value) if f.degrees and value is not None else value
 
     axes: list[SweepAxis] = []
-    sweep_raw = raw["sweep"]
+    sweep_raw = data.get("sweep", [])
     if not isinstance(sweep_raw, list):
         violations.append("sweep must be an array of axis objects")
         sweep_raw = []
@@ -325,7 +324,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             violations.append(f"{section}: {exc}")
     if violations:
         raise ConfigError(violations)
-    return ScenarioConfig(label=raw["label"], sweep_axes=tuple(axes), **sections)
+    return ScenarioConfig(label=label, sweep_axes=tuple(axes), **sections)
 
 
 def preset_config(name: str) -> ScenarioConfig:
@@ -431,16 +430,21 @@ def _accepts(config: ScenarioConfig, param: str, value: float) -> bool:
 def sweep(
     config: ScenarioConfig, axes: Sequence[SweepAxis] | None = None
 ) -> tuple[list[str], list[list[float]]]:
-    """Row-major grid evaluation of the secrecy quantities over 1 or 2 axes.
+    """Row-major grid evaluation of the secrecy quantities over 0, 1 or 2 axes.
 
     Returns ``(header, rows)``; the first columns repeat the axis values,
-    the rest are the evaluated outputs at that cell.  Axes that cannot reach
-    the output raise; the rest is :func:`_capacity_table`, which with no axis
-    is the ``capacity`` command's row, and whose kernel columns
-    (:func:`~wiretap_space.secrecy._point_columns`) alone check the rate invariant.
+    the rest are the evaluated outputs at that cell.  ``axes=None`` takes the
+    config's; with no axis the table is the ``capacity`` command's row, the
+    config's one cell.  Axes that cannot reach the output raise.  Each axis
+    value is validated once (no section rule joins two fields), and the first
+    invalid cell in row-major order, or the first whose degradation (taken
+    once per geometry) is outside [0, 1), raises its own message; then one
+    evaluation of the kernel's columns
+    (:func:`~wiretap_space.secrecy._point_columns`, which alone checks the
+    rate invariant) covers the whole grid.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
-    if not 1 <= len(axes) <= 2:
+    if len(axes) > 2:
         raise ConfigError([f"sweep needs 1 or 2 axes, got {len(axes)}"])
     for axis in axes:
         if axis.param not in CAPACITY_SWEEP_PARAMS:
@@ -455,18 +459,6 @@ def sweep(
     if geometry and ("gamma" in params or config.operating.gamma is not None):
         source = "the gamma axis" if "gamma" in params else "operating.gamma"
         raise ConfigError([f"sweep axis {geometry[0]!r} has no effect: the degradation is fixed by {source}"])
-    return _capacity_table(config, axes)
-
-
-def _capacity_table(config: ScenarioConfig, axes: Sequence[SweepAxis]) -> tuple[list[str], list[list[float]]]:
-    """The capacity rows of the grid of ``axes``; no axis gives the config's one point.
-
-    Each axis value is validated once (no section rule joins two fields), and
-    the first invalid cell in row-major order, or the first whose degradation
-    (taken once per geometry) is outside [0, 1), raises its own message; then
-    one evaluation of the kernel's columns covers the whole grid.
-    """
-    params = [axis.param for axis in axes]
     grids = _axis_grids(axes)
     valid = [[_accepts(config, param, v) for v in grid] for param, grid in zip(params, grids)]
     grid = list(itertools.product(*grids))

@@ -559,8 +559,9 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
 
     def test_missing_axes_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep")
-        assert code == EXIT_CONFIG
+        code, out, err = run_cli(capsys, "sweep")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == ["config error: sweep needs 1 or 2 axes, got 0"]
 
 
 class TestLinkbudgetCommand:
@@ -794,6 +795,26 @@ class TestOrbitCommand:
         assert code == EXIT_OK
         summary = json.loads(out)
         assert 12e3 <= summary["required_offset_m"] <= 20e3
+
+    @pytest.mark.parametrize("altitude", [1.5e5, 2e5])
+    def test_solve_below_the_offset_bracket_exits_2(self, capsys, tmp_path, altitude):
+        # The solve probed a 200 km offset, which the orbit rejects: the run
+        # printed "internal error" about an offset the user never gave.
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps({"orbit": {"alice_altitude_m": altitude}}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path), "--solve-gamma", "0.1")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[-1] == (
+            "config error: the offset solve searches 1-200 km below the transmitter, "
+            f"so alice_altitude must exceed 200000 m, got {altitude}"
+        )
+
+    def test_solve_just_above_the_offset_bracket(self, capsys, tmp_path):
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps({"orbit": {"alice_altitude_m": 200001.0}}))
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--config", str(path), "--solve-gamma", "0.1")
+        assert code == EXIT_OK, err
+        assert 1e3 <= json.loads(out)["required_offset_m"] <= 2e5
 
 
 class TestTable1Command:
@@ -1082,3 +1103,17 @@ def test_extreme_orbits_print_no_nan_or_infinity(capsys, tmp_path):
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), data
         assert "internal error" not in err and not re.search(r"\(\d+, '", err), (data, err)
         assert "NaN" not in out and "Infinity" not in out, data
+
+
+@pytest.mark.parametrize("altitude", [1e-300, 1.5e5, 2e5, 2.00001e5, None, 1e300])
+def test_extreme_orbits_solve_without_internal_error(capsys, tmp_path, altitude):
+    # At 150 and 200 km the offset solve probed a 200 km offset that the
+    # orbit rejects, and the run printed "internal error" with exit 3.
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps({"orbit": {} if altitude is None else {"alice_altitude_m": altitude}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, "orbit", "--format", "json", "--solve-gamma", "0.1", "--config", str(path))
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    assert "internal error" not in err, err
+    assert "NaN" not in out and "Infinity" not in out

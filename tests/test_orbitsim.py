@@ -13,14 +13,13 @@ from oracles import bisect_reference, mp_pass_geometry, mp_pass_half_width, prop
 from wiretap_space import orbitsim
 from wiretap_space.cli import EXIT_OK, main
 from wiretap_space.linkbudget import LinkBudgetWarning, LinkGeometry, bob_free_space
-from wiretap_space.numerics import gaussian_disk_fraction
+from wiretap_space.numerics import BracketError, ConfigError, gaussian_disk_fraction
 from wiretap_space.orbitsim import (
     CROSSING_PANELS,
     DEFAULT_CONSTANTS,
     MIN_EVE_ORBIT_OFFSET,
     OrbitScenario,
     PASS_PANELS,
-    PASS_PROFILE_COLUMNS,
     PhysicalConstants,
     StepSizeWarning,
     alignment_periods,
@@ -586,7 +585,9 @@ class TestIntegratedGamma:
 
 class TestRequiredOrbitalExclusion:
     def test_reference_target(self):
-        offset = required_orbital_exclusion(LEO, gamma_target=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none of its probes warns
+            offset = required_orbital_exclusion(LEO, gamma_target=0.1)
         assert abs(offset - 16e3) / 16e3 < 0.25
 
     def test_monotone_in_target(self):
@@ -598,6 +599,37 @@ class TestRequiredOrbitalExclusion:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             required_orbital_exclusion(LEO, gamma_target=1.0)
+
+    def test_probe_warnings_make_one_warning(self):
+        # Three of the 15 probes of a geostationary solve reach the
+        # interceptor's next alignment; the solve used to hide them.
+        geo = OrbitScenario(alice_altitude=35786e3)
+        with pytest.warns(StepSizeWarning) as caught:
+            offset = required_orbital_exclusion(geo, gamma_target=0.1)
+        assert offset == 8566.95556640625
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            "3 of 15 offset probes do not resolve their pass; the first, at 200000 m: "
+            "pass half-window 7.628e+07 s reaches the interceptor's next alignment"
+        )
+
+    def test_probe_warnings_of_other_kinds_pass_through(self):
+        # The beam-radius products of a 1e-300 rad divergence overflow.
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(BracketError):
+            required_orbital_exclusion(OrbitScenario(divergence_full_angle=1e-300), gamma_target=0.1)
+
+    @pytest.mark.parametrize("altitude", [1.5e5, 2e5])
+    def test_altitude_inside_the_bracket_is_a_config_error(self, altitude, monkeypatch):
+        def no_probe(*args):
+            raise AssertionError("the solve probed a pass")
+
+        monkeypatch.setattr(orbitsim, "integrated_gamma", no_probe)
+        with pytest.raises(ConfigError) as info:
+            required_orbital_exclusion(OrbitScenario(alice_altitude=altitude), gamma_target=0.1)
+        assert info.value.violations == [
+            "the offset solve searches 1-200 km below the transmitter, "
+            f"so alice_altitude must exceed 200000 m, got {altitude}"
+        ]
 
 
 class TestAlignmentPeriods:
@@ -630,6 +662,10 @@ class TestAlignmentPeriods:
             angular_velocity(a_eve), angular_velocity(a_alice), duration=60 * 86400.0, step=step
         )
         assert abs(intercept_sim - intercept) <= step
+
+
+# The pass profile's CSV header, one column per series of the profile.
+PASS_PROFILE_COLUMNS = ("t_s", "eta_bob", "eta_eve", "d_bob_m", "d_eve_m", "offset_m")
 
 
 def _profile_csv_reference(profile) -> bytes:

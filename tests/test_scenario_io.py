@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wiretap_space.cli import main
 from wiretap_space.linkbudget import radius_vs_gamma_curve
+from wiretap_space.orbitsim import OrbitScenario
+from wiretap_space.receiver import DetectorModel
 from wiretap_space.scenario_io import (
     _SCHEMA,
     CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
     MAX_SWEEP_CELLS,
     ConfigError,
+    OperatingPoint,
     SweepAxis,
     capacity_row,
     config_from_dict,
@@ -75,6 +79,33 @@ class TestConfigLoading:
             )
         text = " ".join(info.value.violations)
         assert "p_dark" in text and "eta_b" in text
+
+    def test_every_key_and_type_violation_reported_in_order(self):
+        # Unknown keys and non-object sections in document order, then the
+        # label, the field types in schema order, then the sweep axes.
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({
+                "orbit": {"min_elevation_deg": "x", "bogus": 1}, "zzz": 1, "link": [], "label": "",
+                "detector": {"p_dark": True},
+                "sweep": [{"param": "q", "min": 0.1, "max": 0.9, "points": 3, "extra": 1, "b": 2}, 5],
+            })
+        assert info.value.violations == [
+            "unknown key orbit.'bogus'",
+            "unknown key 'zzz'",
+            "section 'link' must be an object",
+            "label must be a non-empty string",
+            "detector.p_dark must be a number, got True",
+            "orbit.min_elevation_deg must be a number, got 'x'",
+            "unknown key sweep[0].'b'",
+            "unknown key sweep[0].'extra'",
+            "sweep[1] must be an object",
+        ]
+
+    def test_sections_take_their_dataclass_defaults(self):
+        config = config_from_dict({"orbit": {"min_elevation_deg": 30.0}, "operating": {"q": None}})
+        assert config.orbit == OrbitScenario(min_elevation=math.radians(30.0))
+        assert config.operating == OperatingPoint()
+        assert config.detector == DetectorModel()
 
     @pytest.mark.parametrize(
         "data, message",
@@ -287,6 +318,20 @@ class TestSweep:
         header, rows = sweep(config, [axis])
         q_col = header.index("q")
         assert all(0.4 <= row[q_col] <= 0.6 for row in rows)
+
+    def test_no_axis_is_the_capacity_row(self, capsys):
+        config = config_from_dict({"operating": {"gamma": 0.1}})
+        header, rows = sweep(config, [])
+        assert (header, len(rows)) == (list(CAPACITY_SWEEP_OUTPUTS), 1)
+        assert sweep(config) == (header, rows)  # the config has no axis either
+        assert main(["capacity", "--gamma", "0.1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == rows_to_json(header, rows)
+
+    def test_three_axes_rejected(self):
+        axes = [SweepAxis(param=p, lo=0.1, hi=0.2, points=2) for p in ("q", "gamma", "stray_mean")]
+        with pytest.raises(ConfigError) as info:
+            sweep(config_from_dict({}), axes)
+        assert info.value.violations == ["sweep needs 1 or 2 axes, got 3"]
 
     def test_unknown_parameter_rejected(self):
         config = config_from_dict({})
