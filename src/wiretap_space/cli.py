@@ -11,6 +11,9 @@ path), 3 for a numerical failure (an offset bracket with no sign change, a
 value no float can hold) or an internal error (any other ``ValueError``).
 A reader that closes stdout early (``| head``) ends the run with exit 0.
 The process prints each warning as one line, ``warning: <Category>: <message>``.
+The kernels, and numpy with them, are imported by the runners that need them,
+so ``linkbudget``, ``exclusion``, ``--help`` and a run whose config, flags or
+axes are rejected before a kernel runs load no numpy.
 """
 from __future__ import annotations
 
@@ -23,9 +26,8 @@ import sys
 import warnings
 from typing import Sequence
 
+from ._common import BracketError, ConfigError
 from .linkbudget import DEFAULT_GAMMA_TARGET, bob_free_space, eve_free_space, fraction_to_db, gamma_partial
-from .numerics import BracketError, ConfigError
-from .orbitsim import alignment_periods, integrated_gamma, required_orbital_exclusion
 from .scenario_io import (
     ScenarioConfig,
     SweepAxis,
@@ -42,7 +44,6 @@ from .scenario_io import (
     with_values,
     write_csv,
 )
-from .secrecy import optimal_signal_strength
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,6 +181,7 @@ def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
         if ignored:
             raise ConfigError([f"{name} has no effect with --optimize-photons, which searches the "
                                "photon number and q" for name in ignored])
+        from .secrecy import optimal_signal_strength
         mu, point = optimal_signal_strength(config.detector, gamma)
         config = with_values(config, [("received_mean_photons", mu), ("q", point.q)])
     return sweep(config, [])
@@ -213,6 +215,7 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig):
 
 
 def _run_orbit(args: argparse.Namespace, config: ScenarioConfig):
+    from .orbitsim import alignment_periods, integrated_gamma, required_orbital_exclusion
     profile = integrated_gamma(config.orbit, config.constants)
     revisit, intercept_period = alignment_periods(config.orbit, config.constants)
     visible = profile.times[profile.eta_eve > 1e-3]

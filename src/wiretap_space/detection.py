@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_photons, _entropy
+from ._common import _check_photons, _distinguishability_angle, _helstrom_error
+from .numerics import _entropy
 
 __all__ = [
     "BinaryCoherentEnsemble",
@@ -83,11 +84,6 @@ def distinguishability_angle(mean_photons: float) -> float:
     return _distinguishability_angle(mean_photons)
 
 
-def _distinguishability_angle(n: float) -> float:
-    """:func:`distinguishability_angle` at ``n`` photons, unchecked, in scalar ``math``."""
-    return math.atan2(math.sqrt(-math.expm1(-n)), math.exp(-0.5 * n))
-
-
 def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     """Minimum average error probability for one-shot discrimination.
 
@@ -97,13 +93,6 @@ def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     mpmath reference over 1e-18 to 160 photons, priors near 1/2 included.
     """
     return _helstrom_error(ensemble.mean_photons, ensemble.prior_q)
-
-
-def _helstrom_error(n: float, q: float) -> float:
-    """:func:`helstrom_error` at ``n`` photons and prior ``q``, unchecked, in scalar ``math``."""
-    spread = 4.0 * q * (1.0 - q)
-    root = math.sqrt((1.0 - 2.0 * q) ** 2 + spread * -math.expm1(-n))
-    return 0.5 * (spread * math.exp(-n)) / (1.0 + root)
 
 
 def _overlap_terms(n):

@@ -3,10 +3,10 @@
 The transmitted beam is Gaussian with a full divergence angle ``theta_div``
 quoted at 1/e^2, so its 1/e^2 radius at range ``d`` is ``theta_div * d / 2``.
 The static budget collects the footprint-area fraction ``(a / (theta d))^2``,
-``a = min(D, theta d)`` the filled aperture; the encircled-power form is the
-pass model's default (both in :func:`_station_fraction`, which ``orbitsim``
-imports).  The interceptor's fraction adds the Gaussian tail factor imposed
-by the exclusion angle.
+``a = min(D, theta d)`` the filled aperture (:func:`_footprint_fraction`,
+which ``orbitsim._station_fraction`` also takes beside the pass model's
+default, the encircled-power form).  The interceptor's fraction adds the
+Gaussian tail factor imposed by the exclusion angle.
 
 Two exclusion-radius models are provided.  The "partial" model gives the
 interceptor a fixed telescope at the same range as the receiver and inverts
@@ -20,9 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import ConfigError
+from ._common import ConfigError
 
 __all__ = [
     "LinkBudgetWarning",
@@ -68,22 +66,16 @@ def _beam_radius(divergence, distance):
     return 0.5 * divergence * distance
 
 
-def _station_fraction(diam, divergence, distance, model: str):
-    """Fraction of the beam collected by a centred aperture, at most 1.
-
-    ``"footprint"``: ``(a / (theta d))^2``, filled aperture over footprint
-    area, as ``(D / max(D, theta d))^2``: exactly 1 on a footprint narrower
-    than the aperture, also on one that underflows to 0.  ``"gaussian"``:
-    encircled power ``1 - exp(-D^2 / (2 w^2))`` with ``w`` the beam radius,
-    as ``-expm1(-2 r^2)`` with ``r = D / (2 w)``, which keeps every digit on
-    wide beams.  Broadcasts over arrays.
+def _footprint_fraction(diam, divergence, distance):
+    """Filled aperture over footprint area, ``(a / (theta d))^2``, as
+    ``(D / max(D, theta d))^2``: exactly 1 on a footprint narrower than the
+    aperture, also on one that underflows to 0.  Broadcasts over arrays, with
+    no numpy: the ``max`` is a sum of two terms, each the value under its
+    mask and 0 elsewhere.
     """
-    if model == "footprint":
-        footprint = divergence * distance
-        wider = np.maximum(diam, footprint) if isinstance(footprint, np.ndarray) else max(diam, footprint)
-        return (diam / wider) ** 2
-    r = 0.5 * diam / _beam_radius(divergence, distance)
-    return -np.expm1(-2.0 * r * r)
+    footprint = divergence * distance
+    wider = (footprint > diam) * footprint + (footprint <= diam) * diam
+    return (diam / wider) ** 2
 
 
 @dataclass(frozen=True)
@@ -145,7 +137,7 @@ def bob_free_space(geom: LinkGeometry) -> float:
     The footprint-area fraction ``(a / (theta d))^2``: 1, with a warning, when
     the footprint is narrower; ``FloatingPointError`` when it underflows to 0.
     """
-    ratio = _station_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob, "footprint")
+    ratio = _footprint_fraction(geom.diam_bob, geom.divergence_full_angle, geom.dist_bob)
     if ratio == 0.0:
         raise FloatingPointError(
             f"receiver fraction underflows to 0: diam_bob={geom.diam_bob}, "
@@ -171,7 +163,7 @@ def eve_free_space(geom: LinkGeometry) -> float:
     Footprint-area fraction at the interceptor's range times the
     Gaussian tail factor ``exp(-2 (2 theta_E / theta_div)^2)``.
     """
-    ratio = _station_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve, "footprint")
+    ratio = _footprint_fraction(geom.diam_eve, geom.divergence_full_angle, geom.dist_eve)
     return ratio * math.exp(_exclusion_exponent(geom))
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from ._common import BracketError, ConfigError, _check_photons
 
 __all__ = [
     "Interval",
@@ -70,18 +72,6 @@ _RIM_NODES = 0.5 + 0.5 * np.concatenate((-np.array(_RIM_HALF_NODES[::-1]), _RIM_
 _RIM_WEIGHTS = np.array(_RIM_HALF_WEIGHTS[::-1] + _RIM_HALF_WEIGHTS)
 
 
-class BracketError(ValueError):
-    """The supplied bracket does not straddle a sign change."""
-
-
-class ConfigError(ValueError):
-    """Invalid user input; ``violations`` lists every problem found."""
-
-    def __init__(self, violations: Sequence[str]):
-        super().__init__("invalid configuration: " + "; ".join(violations))
-        self.violations = list(violations)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A finite open interval ``(lo, hi)`` with ``lo < hi``."""
@@ -130,15 +120,6 @@ def binary_entropy(p: float) -> float:
     if not -_CLAMP_EPS <= p <= 1.0 + _CLAMP_EPS:
         raise ValueError(f"probability out of [0, 1]: {p}")
     return float(_entropy(p))
-
-
-def _check_photons(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless the mean photon number ``value`` is finite and
-    ``>= 0``; NaN gets the ``>= 0`` message."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    if not value < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _channel_information(q, h_out, h_0, h_1, out=None, work=None) -> np.ndarray:

@@ -14,7 +14,7 @@ half, at most ``2 * (CROSSING_PANELS + PASS_PANELS) + 1`` samples, and
 mirrored.  The geometry is taken in the transmitter's co-rotating frame
 from the tangents of half the bodies' angles from it, which numpy's
 ``tan`` makes exactly odd in time.  The beam radius and the station's
-fraction are ``linkbudget``'s.
+footprint fraction are ``linkbudget``'s.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linkbudget import DEFAULT_GAMMA_TARGET, _beam_radius, _check_gamma_target, _station_fraction
+from ._common import MIN_EVE_ORBIT_OFFSET, OrbitScenario, PhysicalConstants
+from .linkbudget import DEFAULT_GAMMA_TARGET, _beam_radius, _check_gamma_target, _footprint_fraction
 from .numerics import ConfigError, Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
@@ -45,12 +46,6 @@ __all__ = [
 # and its bisection tolerance, coarse as each probe integrates a whole pass.
 OFFSET_BOUNDS = (1e3, 2e5)
 OFFSET_TOL = 25.0
-# Smallest interceptor orbit offset, metres.  Closer orbits differ from the
-# transmitter's only by rounding in the difference of the two angular rates:
-# at 1e-9 m it reads 2.17e-19 rad/s against 2.33e-19 exact, and the pass
-# integral 4722 against 4464 at 1e-6 m; at 1e-11 m the rates are equal.
-MIN_EVE_ORBIT_OFFSET = 1e-3
-
 # Trapezoid panels of the beam crossing and of the half window, on the grid of
 # every other pass sample; the pass grid halves each of them.
 CROSSING_PANELS = 512
@@ -63,81 +58,7 @@ class StepSizeWarning(UserWarning):
     interceptor's next alignment, whose crossing falls on the coarse grid."""
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Two-body and Earth-rotation constants; overridable in configs."""
-
-    earth_mu: float = 3.986004418e14
-    earth_radius: float = 6.371e6
-    earth_angular_velocity: float = 7.2921159e-5
-
-    def __post_init__(self):
-        problems = []
-        for name in ("earth_mu", "earth_radius"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.earth_angular_velocity >= 0:
-            problems.append(
-                f"earth_angular_velocity must be >= 0, got {self.earth_angular_velocity}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
-
-
 DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
-class OrbitScenario:
-    """Two-satellite plus ground-station configuration.
-
-    ``eve_orbit_offset`` is the radial separation of the interceptor's orbit
-    below the transmitter's (the orbital exclusion radius), at least
-    :data:`MIN_EVE_ORBIT_OFFSET`.  The time grid
-    of the pass integral follows from these fields (see
-    :func:`integrated_gamma`); it has no settings of its own.
-
-    ``bob_aperture_model`` selects how the ground station's collected
-    fraction is computed: ``"gaussian"`` (encircled power, default) or
-    ``"footprint"`` (aperture-over-footprint area ratio).  The footprint
-    approximation overstates the loss roughly twofold near culmination,
-    where the beam footprint is comparable to the telescope, so the
-    encircled-power form is the default for pass integrals.
-    ``legacy_beam_width`` widens only the interceptor's beam radius, to
-    ``theta * d`` instead of ``theta * d / 2``, for comparison runs.
-    """
-
-    alice_altitude: float = 600e3
-    eve_orbit_offset: float = 16e3
-    eve_telescope_diameter: float = 2.0
-    diam_bob: float = 1.0
-    eta_b: float = 0.01
-    divergence_full_angle: float = 1e-5
-    min_elevation: float = math.radians(20.0)
-    bob_aperture_model: str = "gaussian"
-    legacy_beam_width: bool = False
-
-    def __post_init__(self):
-        problems = []
-        if not self.alice_altitude > 0:
-            problems.append(f"alice_altitude must be > 0, got {self.alice_altitude}")
-        if not MIN_EVE_ORBIT_OFFSET <= self.eve_orbit_offset < self.alice_altitude:
-            problems.append(
-                f"eve_orbit_offset must be in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude), "
-                f"got {self.eve_orbit_offset}; the pass geometry does not resolve closer orbits"
-            )
-        for name in ("eve_telescope_diameter", "diam_bob", "divergence_full_angle"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.eta_b <= 1.0:
-            problems.append(f"eta_b must be in (0, 1], got {self.eta_b}")
-        if not 0.0 < self.min_elevation <= 0.5 * math.pi:
-            problems.append(f"min_elevation must be in (0, pi/2], got {self.min_elevation} rad "
-                            f"({math.degrees(self.min_elevation):g} deg)")
-        if self.bob_aperture_model not in ("gaussian", "footprint"):
-            problems.append(f"unknown bob_aperture_model: {self.bob_aperture_model!r}")
-        if problems:
-            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -277,6 +198,22 @@ def _beam_reach(scenario: OrbitScenario, distance):
     widening = 2.0 if scenario.legacy_beam_width else 1.0
     radius = widening * _beam_radius(scenario.divergence_full_angle, distance)
     return radius, 0.5 * scenario.eve_telescope_diameter + _REACH_RADII * radius
+
+
+def _station_fraction(diam, divergence, distance, model: str):
+    """Fraction of the beam collected by a centred aperture of diameter
+    ``diam``, at most 1; broadcasts over arrays.  ``"footprint"``:
+    :func:`~wiretap_space.linkbudget._footprint_fraction`.  ``"gaussian"``:
+    encircled power ``1 - exp(-D^2 / (2 w^2))`` with ``w`` the beam radius,
+    as ``-expm1(-2 r^2)`` with ``r = D / (2 w)``, which keeps every digit on
+    wide beams; exactly 1, with no warning, where ``w`` underflows to 0 or
+    ``r`` or ``r^2`` overflows.
+    """
+    if model == "footprint":
+        return _footprint_fraction(diam, divergence, distance)
+    with np.errstate(over="ignore", divide="ignore"):
+        r = 0.5 * diam / _beam_radius(divergence, distance)
+        return -np.expm1(-2.0 * r * r)
 
 
 def _efficiencies(scenario: OrbitScenario, constants: PhysicalConstants, times: np.ndarray):

@@ -12,12 +12,12 @@ detector fields by :class:`DetectorModel`'s rule, then ``q``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _channel_information, _check_photons, _entropy
+from ._common import DetectorModel, _check_photons
+from .numerics import _channel_information, _entropy
 
 __all__ = [
     "DetectorModel",
@@ -25,28 +25,6 @@ __all__ = [
     "bob_click_model",
     "mutual_info_bob",
 ]
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Receiver imperfections: dark counts, internal optics, stray light."""
-
-    p_dark: float = 1e-7
-    eta_optical: float = 1.0
-    stray_mean: float = 1e-4
-
-    def __post_init__(self):
-        problems = []
-        if not 0.0 <= self.p_dark <= 1.0:
-            problems.append(f"p_dark must be in [0, 1], got {self.p_dark}")
-        if not 0.0 < self.eta_optical <= 1.0:
-            problems.append(f"eta_optical must be in (0, 1], got {self.eta_optical}")
-        if not self.stray_mean >= 0:
-            problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
-        elif not self.stray_mean < math.inf:
-            problems.append(f"stray_mean must be finite, got {self.stray_mean}")
-        if problems:
-            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from a point's values, and each exclusion row by
 The ``capacity`` table is :func:`sweep` with no axis, and only the
 kernel's columns check ``dw_rate <= private_capacity``.  A sweep validates
 each axis value once (no section rule joins two fields); the first invalid
-cell in row-major order still raises its own message.
+cell in row-major order still raises its own message.  The module loads
+no numpy: :func:`sweep` (past its checks) and :func:`emit_table1` import
+the secrecy kernel when they run.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
-from .detection import _distinguishability_angle, _helstrom_error
+from ._common import ClockedLink, ConfigError, DetectorModel, OrbitScenario, PhysicalConstants, SecrecyPoint
+from ._common import _check_photons, _distinguishability_angle, _helstrom_error
 from .linkbudget import (
     DEFAULT_GAMMA_TARGET,
     LinkGeometry,
@@ -31,16 +34,6 @@ from .linkbudget import (
     fraction_to_db,
     gamma_partial,
     radius_vs_gamma_curve,
-)
-from .numerics import ConfigError, _check_photons
-from .orbitsim import OrbitScenario, PhysicalConstants
-from .receiver import DetectorModel
-from .secrecy import (
-    ClockedLink,
-    SecrecyPoint,
-    _point_columns,
-    optimal_signal_strength,
-    plob_bound,
 )
 
 __all__ = [
@@ -445,7 +438,7 @@ def sweep(
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if len(axes) > 2:
-        raise ConfigError([f"sweep needs 1 or 2 axes, got {len(axes)}"])
+        raise ConfigError([f"at most 2 sweep axes, got {len(axes)}"])
     for axis in axes:
         if axis.param not in CAPACITY_SWEEP_PARAMS:
             raise ConfigError(
@@ -472,6 +465,7 @@ def sweep(
     if cells < len(grid):
         with_values(config, zip(params, grid[cells]))  # raises the first invalid cell's message
     gamma = [gamma_of[key] for key in keys]
+    from .secrecy import _point_columns  # numpy, once every config error is reported
     operating, detector = config.operating, config.detector
     q = columns.get("q", operating.q)  # None unless q is set or swept
     points = _point_columns(
@@ -535,6 +529,7 @@ def emit_table1(configs: Sequence[ScenarioConfig] | None = None) -> tuple[list[s
     Rows whose detectors are equal to the bit (the presets share one) share one
     photon search through :func:`~wiretap_space.secrecy.optimal_signal_strength`'s memo.
     """
+    from .secrecy import optimal_signal_strength, plob_bound
     if configs is None:
         configs = [preset_config(name) for name in PRESET_NAMES]
     rows = []

@@ -29,10 +29,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import ClockedLink, SecrecyPoint
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
 from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy, _entropy_in_place
@@ -62,34 +62,6 @@ PHOTON_SEARCH_MEMO_SIZE = 128  # photon searches a process keeps, least recently
 # Exact by definition in the 2019 SI.
 _SPEED_OF_LIGHT = 299792458.0  # m/s
 _PLANCK = 6.62607015e-34  # J s
-
-
-@dataclass(frozen=True)
-class SecrecyPoint:
-    """One fully evaluated operating point of the wiretap link."""
-
-    gamma: float
-    received_mean_photons: float
-    q: float
-    info_bob: float
-    info_eve_helstrom: float
-    holevo_eve: float
-    private_capacity: float
-    dw_rate: float
-
-
-@dataclass(frozen=True)
-class ClockedLink:
-    """Symbol clock and carrier wavelength used for rate/power conversions."""
-
-    clock_rate: float = 1e9
-    wavelength: float = 850e-9
-
-    def __post_init__(self):
-        problems = [f"{name} must be > 0, got {getattr(self, name)}"
-                    for name in ("clock_rate", "wavelength") if not getattr(self, name) > 0]
-        if problems:
-            raise ValueError("; ".join(problems))
 
 
 def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:

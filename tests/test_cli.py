@@ -865,6 +865,64 @@ def test_import_does_not_load_scipy_integrate():
     assert result.stdout.strip() == "[]"
 
 
+# Runs ``python -m wiretap_space.cli`` on its arguments, then reports on stderr
+# the exit code, whether numpy was loaded and the scipy modules loaded.
+_MODULES_PROBE = (
+    "import runpy, sys\n"
+    "code = 0\n"
+    "try:\n"
+    "    runpy.run_module('wiretap_space.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exit:\n"
+    "    code = exit.code\n"
+    "print(code, 'numpy' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+)
+
+
+def test_package_import_loads_no_numpy():
+    probe = ("import sys, wiretap_space\n"
+             "package = 'numpy' in sys.modules\n"
+             "from wiretap_space import _common, cli\n"
+             "import wiretap_space.cli\n"
+             "from wiretap_space import LinkGeometry, linkbudget, load_config, scenario_io\n"
+             "print(package, 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy",
+    [
+        pytest.param(["linkbudget", "--config", "micius-geo"], EXIT_OK, False, id="linkbudget"),
+        pytest.param(["exclusion"], EXIT_OK, False, id="exclusion"),
+        pytest.param(["exclusion", "--axis", "gamma_target:0.01:0.5:8:log"], EXIT_OK, False, id="exclusion-gamma"),
+        pytest.param(["exclusion", "--axis", "dist_bob_m:500000:36000000:8:log"], EXIT_OK, False,
+                     id="exclusion-distance"),
+        pytest.param(["--help"], EXIT_OK, False, id="help"),
+        pytest.param(["capacity", "--config", "missing.json"], EXIT_CONFIG, False, id="missing-config"),
+        pytest.param(["capacity", "--config", "invalid.json"], EXIT_CONFIG, False, id="invalid-config"),
+        pytest.param(["sweep", "--axis", "q:0.1:0.9:3", "--axis", "q:0.2:0.8:3"], EXIT_CONFIG, False, id="sweep-axes"),
+        pytest.param(["capacity", "--optimize-photons", "--q", "0.3"], EXIT_CONFIG, False, id="ignored-flag"),
+        pytest.param(["capacity"], EXIT_OK, True, id="capacity"),  # the control: its kernel needs numpy
+    ],
+)
+def test_numpy_loads_only_where_a_kernel_runs(tmp_path, argv, code, numpy):
+    (tmp_path / "invalid.json").write_text(json.dumps({"detector": {"p_dark": 2.0}}))
+    result = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], cwd=tmp_path, env=_package_env(),
+                            capture_output=True, text=True)
+    assert result.stderr.splitlines()[-1] == f"{code} {numpy} []", result.stderr
+
+
+def test_orbit_on_a_beam_far_narrower_than_the_aperture_prints_no_warning(tmp_path):
+    # r^2 of the station's encircled power, r = D / (2 w), overflowed and warned.
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({"orbit": {"divergence_rad": 1e-300}}))
+    result = subprocess.run([sys.executable, "-m", "wiretap_space.cli", "orbit", "--format", "json",
+                             "--config", str(config)], env=_package_env(), capture_output=True, text=True)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert [line for line in result.stderr.splitlines() if line.startswith("warning:")] == []
+    assert json.loads(result.stdout)["integrated_eta_bob_s"] > 0.0
+
+
 @pytest.mark.parametrize("argv", [["orbit"], ["sweep", "--axis", "received_mean_photons:0.01:10:1500"]])
 def test_closed_stdout_exits_quietly(argv):
     # A reader that stops after the first line (``| head -1``) closes the

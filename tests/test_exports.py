@@ -1,7 +1,10 @@
 """Every exported name resolves, so a stale export fails here, not on ``import *``."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,23 @@ def test_package_exports_resolve_and_are_listed():
 
 def test_every_module_export_is_a_package_attribute():
     assert sorted(name for name in LISTED if not hasattr(wiretap_space, name)) == []
+
+
+def test_dir_and_star_import_give_exactly_the_modules_all():
+    namespace = {}
+    exec("from wiretap_space import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(LISTED)
+    assert dir(wiretap_space) == sorted(LISTED)
+
+
+def test_an_export_resolves_on_first_access():
+    # The package loads its modules only when an export is asked for.
+    probe = ("import sys, wiretap_space\n"
+             "print('wiretap_space.secrecy' in sys.modules, wiretap_space.secrecy_points.__module__)")
+    src = str(Path(wiretap_space.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "wiretap_space.secrecy"]
 
 
 def test_cli_imports_only_public_names():

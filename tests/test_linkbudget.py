@@ -19,8 +19,8 @@ from wiretap_space.linkbudget import (
     gamma_partial,
     radius_vs_gamma_curve,
     _beam_radius,
-    _station_fraction,
 )
+from wiretap_space.orbitsim import _station_fraction
 
 MICIUS = LinkGeometry()  # 1200 km, 1 m / 2 m telescopes, 20 dB receiver loss
 

@@ -30,6 +30,7 @@ from wiretap_space.orbitsim import (
     _crossing_half_time,
     _efficiencies,
     _pass_geometry,
+    _station_fraction,
 )
 
 LEO = OrbitScenario()  # 600 km transmitter, interceptor 16 km below
@@ -192,6 +193,15 @@ class TestInstantaneousEfficiencies:
         w = 0.5 * 1e-5 * 600e3
         expected = 0.01 * (1.0 - math.exp(-2.0 * 0.25 / (w * w)))
         assert eta_bob == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("divergence", [1e-300, 1e-320, 5e-324])
+    def test_beam_far_narrower_than_the_aperture_is_collected_whole_without_warning(self, divergence):
+        # r^2 (at 1e-300) or r = D / (2 w) (at 1e-320) overflows, or w underflows
+        # to 0 (at 5e-324); under the suite's filterwarnings = error, a
+        # RuntimeWarning would raise here.
+        assert _station_fraction(1.0, divergence, np.array([6e5, 1e6]), "gaussian").tolist() == [1.0, 1.0]
+        profile = integrated_gamma(replace(LEO, divergence_full_angle=divergence))
+        assert set(profile.eta_bob.tolist()) == {LEO.eta_b}
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_series_matches_per_sample_scalar(self, legacy):
@@ -613,9 +623,23 @@ class TestRequiredOrbitalExclusion:
             "pass half-window 7.628e+07 s reaches the interceptor's next alignment"
         )
 
-    def test_probe_warnings_of_other_kinds_pass_through(self):
-        # The beam-radius products of a 1e-300 rad divergence overflow.
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(BracketError):
+    def test_probe_warnings_of_other_kinds_pass_through(self, monkeypatch):
+        # Each probe warns a RuntimeWarning; the solve passes each one on as it came.
+        def warning_probe(scenario, constants):
+            warnings.warn("probe overflow", RuntimeWarning)
+            return integrated_gamma(scenario, constants)
+
+        monkeypatch.setattr(orbitsim, "integrated_gamma", warning_probe)
+        with pytest.warns(RuntimeWarning, match="probe overflow") as caught:
+            assert required_orbital_exclusion(LEO, gamma_target=0.1) == 12405.09033203125
+        assert [str(w.message) for w in caught] == ["probe overflow"] * 15
+
+    def test_no_crossing_in_the_bracket_is_a_bracket_error(self):
+        # A 1e-300 rad beam keeps the interceptor's share below the target at
+        # every offset in the bracket, so there is no crossing to solve for.
+        # The suite's filterwarnings = error also pins its probes warning-free
+        # (the beam-radius products used to overflow).
+        with pytest.raises(BracketError):
             required_orbital_exclusion(OrbitScenario(divergence_full_angle=1e-300), gamma_target=0.1)
 
     @pytest.mark.parametrize("altitude", [1.5e5, 2e5])

@@ -331,7 +331,7 @@ class TestSweep:
         axes = [SweepAxis(param=p, lo=0.1, hi=0.2, points=2) for p in ("q", "gamma", "stray_mean")]
         with pytest.raises(ConfigError) as info:
             sweep(config_from_dict({}), axes)
-        assert info.value.violations == ["sweep needs 1 or 2 axes, got 3"]
+        assert info.value.violations == ["at most 2 sweep axes, got 3"]
 
     def test_unknown_parameter_rejected(self):
         config = config_from_dict({})
