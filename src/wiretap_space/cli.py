@@ -27,7 +27,9 @@ import warnings
 from typing import Sequence
 
 from ._common import BracketError, ConfigError
-from .linkbudget import DEFAULT_GAMMA_TARGET, bob_free_space, eve_free_space, fraction_to_db, gamma_partial
+from .linkbudget import (
+    DEFAULT_GAMMA_TARGET, bob_free_space, check_offset_solve, eve_free_space, fraction_to_db, gamma_partial,
+)
 from .scenario_io import (
     ScenarioConfig,
     SweepAxis,
@@ -215,6 +217,8 @@ def _run_exclusion(args: argparse.Namespace, config: ScenarioConfig):
 
 
 def _run_orbit(args: argparse.Namespace, config: ScenarioConfig):
+    if args.solve_gamma is not None:  # the solve's inputs, before the pass
+        check_offset_solve(config.orbit.alice_altitude, args.solve_gamma)
     from .orbitsim import alignment_periods, integrated_gamma, required_orbital_exclusion
     profile = integrated_gamma(config.orbit, config.constants)
     revisit, intercept_period = alignment_periods(config.orbit, config.constants)

@@ -37,6 +37,8 @@ __all__ = [
 
 
 DEFAULT_GAMMA_TARGET = 0.1  # degradation target of exclusion radii, table1 and the orbital-offset solve
+# Orbital-offset search range of ``orbitsim.required_orbital_exclusion``, metres.
+OFFSET_BOUNDS = (1e3, 2e5)
 
 
 class LinkBudgetWarning(UserWarning):
@@ -59,6 +61,18 @@ def _check_gamma_target(gamma_target: float) -> None:
     """Raise ``ConfigError`` unless the degradation target is in (0, 1)."""
     if not 0.0 < gamma_target < 1.0:
         raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
+
+
+def check_offset_solve(alice_altitude: float, gamma_target: float) -> None:
+    """Raise ``ConfigError`` unless the orbital-offset solve can run: the target
+    in (0, 1), then the transmitter above :data:`OFFSET_BOUNDS`' upper end, as
+    no interceptor orbit that far below fits.  The solve's inputs, checked
+    before any pass (and with no numpy)."""
+    _check_gamma_target(gamma_target)
+    lo, hi = OFFSET_BOUNDS
+    if alice_altitude <= hi:
+        raise ConfigError([f"the offset solve searches {lo / 1e3:g}-{hi / 1e3:g} km below the transmitter, "
+                           f"so alice_altitude must exceed {hi:g} m, got {alice_altitude}"])
 
 
 def _beam_radius(divergence, distance):

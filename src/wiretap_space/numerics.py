@@ -2,11 +2,12 @@
 
 Binary Shannon entropy and the mutual information of binary channels from
 their entropies (shared by the secrecy kernel and the one-point functions),
-bounded 1-D maximisation (a grid scan, then nested rescans of the best
-point's neighbourhood) for many functions in lockstep or for one, bracketed
-bisection, and the power fraction of a Gaussian beam falling on an offset
-circular disk, as a contour integral over the disk's rim (on disks under
-0.01 beam radii, a series for the disk's mean of the beam).
+bounded 1-D maximisation (a grid scan, nested rescans of the best point's
+neighbourhood, then one parabolic step) for many functions in lockstep or
+for one, bracketed bisection, and the power fraction of a Gaussian beam
+falling on an offset circular disk, as a contour integral over the disk's
+rim (on disks under 0.01 beam radii, a series for the disk's mean of the
+beam).
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -152,10 +153,19 @@ def maximize_lockstep(
     the best point stays on the new grid (to rounding) and an endpoint
     maximum stays exactly at the bound.  Each scan keeps a cell's first
     maximum (``np.argmax``).  The nominal step shrinks by ``2 / (points - 1)``
-    per scan, alike for every cell, and the search ends with the scan whose
-    step is at most ``tol``.  Each call of ``f`` holds at most
-    ``SCAN_BLOCK_CELLS * GRID_POINTS`` points.  Returns ``(argmax, max)``
-    arrays of length ``cells``.
+    per scan, alike for every cell, and the last scan is the one whose step
+    is at most ``tol``.
+
+    Then one parabolic step (successive parabolic interpolation, Brent 1973,
+    ch. 5): where a cell's best point of the last scan is interior and its
+    values there and at its two neighbours are concave, the vertex of the
+    parabola through them, inside the neighbours' bracket, is evaluated, all
+    such cells in one more call of ``f``; a vertex is kept only where its
+    value is at least the grid's best.  Endpoint maxima and flat or convex
+    triples keep the grid point, so no cell ends below its last scan.
+
+    Each call of ``f`` holds at most ``SCAN_BLOCK_CELLS * GRID_POINTS``
+    points.  Returns ``(argmax, max)`` arrays of length ``cells``.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -167,22 +177,40 @@ def maximize_lockstep(
     grid = grid[np.newaxis]  # one row for every cell: f's terms in x alone are taken once per call
     rows = np.arange(cells)
     best, best_f = np.empty(cells, dtype=np.intp), np.empty(cells)
+    below, above = np.empty(cells), np.empty(cells)  # the last scan's values beside the best point
     while True:
-        block = SCAN_BLOCK_CELLS * GRID_POINTS // grid.shape[1]
+        last, n = step <= tol, grid.shape[1]
+        block = SCAN_BLOCK_CELLS * GRID_POINTS // n
         for start in range(0, cells, block):
             part = slice(start, start + block)
             values = f(grid if len(grid) == 1 else grid[part], rows[part, np.newaxis])
-            best[part] = np.argmax(values, axis=1)
-            best_f[part] = values[np.arange(values.shape[0]), best[part]]
-        grid = np.broadcast_to(grid, (cells, grid.shape[1]))
-        if step <= tol:
-            return grid[rows, best], best_f
-        j = np.clip(best, 1, grid.shape[1] - 2)
+            i, r = np.argmax(values, axis=1), np.arange(values.shape[0])
+            best[part], best_f[part] = i, values[r, i]
+            if last:
+                below[part], above[part] = values[r, np.maximum(i - 1, 0)], values[r, np.minimum(i + 1, n - 1)]
+        grid = np.broadcast_to(grid, (cells, n))
+        j = np.clip(best, 1, n - 2)
         low, high = grid[rows, j - 1], grid[rows, j + 1]
+        if last:
+            break
         # np.linspace(low, high, points) for each cell, bit for bit
         grid = low[:, np.newaxis] + np.arange(points) * ((high - low) / (points - 1))[:, np.newaxis]
         grid[:, -1] = high
         step *= 2.0 / (points - 1)
+    x = grid[rows, best]
+    # The parabola's vertex by Brent's form, from the differences to the best point.
+    with np.errstate(all="ignore"):
+        left, right = (x - low) * (best_f - above), (high - x) * (best_f - below)
+        vertex = x - 0.5 * ((x - low) * left - (high - x) * right) / (left + right)
+    polish = np.flatnonzero((best > 0) & (best < n - 1) & (left + right > 0.0) & np.isfinite(vertex))
+    vertex = np.clip(vertex, low, high)
+    for start in range(0, polish.size, SCAN_BLOCK_CELLS * GRID_POINTS):
+        part = polish[start : start + SCAN_BLOCK_CELLS * GRID_POINTS]
+        values = f(vertex[part, np.newaxis], part[:, np.newaxis])[:, 0]
+        better = values >= best_f[part]
+        kept = part[better]
+        x[kept], best_f[kept] = vertex[kept], values[better]
+    return x, best_f
 
 
 def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tuple[float, float]:

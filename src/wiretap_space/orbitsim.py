@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._common import MIN_EVE_ORBIT_OFFSET, OrbitScenario, PhysicalConstants
-from .linkbudget import DEFAULT_GAMMA_TARGET, _beam_radius, _check_gamma_target, _footprint_fraction
+from .linkbudget import DEFAULT_GAMMA_TARGET, OFFSET_BOUNDS, _beam_radius, _footprint_fraction, check_offset_solve
 from .numerics import ConfigError, Interval, _REACH_RADII, _disk_fraction, find_root
 
 __all__ = [
@@ -42,9 +42,8 @@ __all__ = [
 ]
 
 
-# Orbital-offset search range of :func:`required_orbital_exclusion`, metres,
-# and its bisection tolerance, coarse as each probe integrates a whole pass.
-OFFSET_BOUNDS = (1e3, 2e5)
+# Bisection tolerance of :func:`required_orbital_exclusion` over
+# ``OFFSET_BOUNDS``, coarse as each probe integrates a whole pass.
 OFFSET_TOL = 25.0
 # Trapezoid panels of the beam crossing and of the half window, on the grid of
 # every other pass sample; the pass grid halves each of them.
@@ -332,15 +331,12 @@ def required_orbital_exclusion(
     Bisects :func:`integrated_gamma` over offsets of :data:`OFFSET_BOUNDS`
     down to a bracket of :data:`OFFSET_TOL`.  Raises :class:`ConfigError`
     before any probe when ``alice_altitude`` is at most the bracket's upper
-    end, as no interceptor orbit that far below fits.  The probes' warnings
+    end, as no interceptor orbit that far below fits
+    (:func:`~wiretap_space.linkbudget.check_offset_solve`).  The probes' warnings
     make one :class:`StepSizeWarning` for the solve: how many probes warned,
     and the first such probe's offset and message.
     """
-    _check_gamma_target(gamma_target)
-    lo, hi = OFFSET_BOUNDS
-    if scenario.alice_altitude <= hi:
-        raise ConfigError([f"the offset solve searches {lo / 1e3:g}-{hi / 1e3:g} km below the transmitter, "
-                           f"so alice_altitude must exceed {hi:g} m, got {scenario.alice_altitude}"])
+    check_offset_solve(scenario.alice_altitude, gamma_target)
     probes: list[float] = []
     warned: list[tuple[float, Warning]] = []  # (offset, its first StepSizeWarning)
 
@@ -357,7 +353,7 @@ def required_orbital_exclusion(
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         return gamma - gamma_target
 
-    offset = find_root(excess, Interval(lo, hi), tol=OFFSET_TOL)
+    offset = find_root(excess, Interval(*OFFSET_BOUNDS), tol=OFFSET_TOL)
     if warned:
         first, message = warned[0]
         warnings.warn(f"{len(warned)} of {len(probes)} offset probes do not resolve their pass; "

@@ -73,6 +73,9 @@ MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' p
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """One sweep axis: ``points`` values of ``param`` from ``lo`` to ``hi``,
+    evenly spaced on a ``"linear"`` or ``"log"`` scale."""
+
     param: str
     lo: float
     hi: float
@@ -125,6 +128,9 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A resolved configuration: one value for every field of every section,
+    and the sweep axes it names (none by default)."""
+
     label: str
     detector: DetectorModel
     geometry: LinkGeometry

@@ -55,9 +55,9 @@ __all__ = [
 ]
 
 Q_SEARCH_BOUNDS = (0.01, 0.99)
-Q_SEARCH_TOL = 1e-4
+Q_SCAN_STEP = 1e-3  # largest step of the q-search's last scan, before its parabolic step
 PHOTON_SEARCH_BOUNDS = (1e-3, 1e2)
-LOG_TOL = 1e-3  # photon search tolerance in log10 of the photon number
+LOG_SCAN_STEP = 2.5e-3  # the same for the photon search, in log10 of the photon number
 PHOTON_SEARCH_MEMO_SIZE = 128  # photon searches a process keeps, least recently used dropped
 # Exact by definition in the 2019 SI.
 _SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -109,14 +109,17 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
 
     The unclipped difference is maximised (it is continuous where the
     clipped value has flat zero plateaus), every cell in lockstep by
-    :func:`maximize_lockstep`'s nested scans; a call's rows ``(6, block, 1)``
-    broadcast against its priors, the first scan's one shared row of them included.
+    :func:`maximize_lockstep`: the 64-point scan, two 9-point rescans down to a
+    step of 9.7e-4 (at most :data:`Q_SCAN_STEP`) and one parabolic step, at
+    most 64 + 9 + 9 + 1 points per cell, 4 kernel calls for up to 128 cells.
+    A call's rows ``(6, block, 1)`` broadcast against its priors, the first
+    scan's one shared row of them included.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)
         return info_bob - info_eve
 
-    return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, terms.shape[1])
+    return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])
 
 
 def secrecy_points(
@@ -251,15 +254,17 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     """Maximise the q-optimised capacity over the received mean photon number.
 
     :func:`maximize_lockstep` on one cell over log10 of the photon number in
-    :data:`PHOTON_SEARCH_BOUNDS`, rescanning at ``GRID_POINTS + 1`` points
-    down to a step of at most :data:`LOG_TOL`: three scans, each one lockstep
-    q-search over its points for the clipped capacity, so a zero plateau
-    resolves to the lower bound.  The point is the winning cell evaluated at
-    the ``q*`` its own q-search in the last scan found, which is
-    :func:`private_capacity` at the winning photon number bit for bit: 16
-    kernel calls.  The process keeps the last :data:`PHOTON_SEARCH_MEMO_SIZE`
-    searches, keyed on the bits of ``(p_dark, eta_optical, stray_mean, gamma)``
-    (checked first), and returns a kept one without a kernel call.
+    :data:`PHOTON_SEARCH_BOUNDS`: a 64-point scan and one ``GRID_POINTS + 1``
+    point rescan down to a step of 2.5e-3 decades (at most
+    :data:`LOG_SCAN_STEP`), each one lockstep q-search over its points for
+    the clipped capacity, so a zero plateau resolves to the lower bound; then
+    the parabolic step, a one-cell q-search at the vertex.  The point is the
+    kept cell (the vertex, or else the rescan's best) evaluated at the ``q*``
+    its own q-search found, which is :func:`private_capacity` at that photon
+    number bit for bit: 13 kernel calls.  The process keeps the last
+    :data:`PHOTON_SEARCH_MEMO_SIZE` searches, keyed on the bits of
+    ``(p_dark, eta_optical, stray_mean, gamma)`` (checked first), and returns
+    a kept one without a kernel call.
     """
     _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
     return _photon_search(struct.pack("<4d", detector.p_dark, detector.eta_optical, detector.stray_mean, gamma))
@@ -269,18 +274,17 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
 def _photon_search(key: bytes) -> tuple[float, SecrecyPoint]:
     """:func:`optimal_signal_strength` of the packed ``(p_dark, eta_optical, stray_mean, gamma)``."""
     *fields, gamma = struct.unpack("<4d", key)
-    last_scan = {}
+    q_at = {}  # each searched log10 photon number's q*
 
     def capacity(log_mu, cell):
         q, unclipped = _optimal_q(_cell_terms(10.0**log_mu.ravel(), gamma, *fields))
-        last_scan.update(q=q, capacity=np.maximum(unclipped, 0.0))
-        return last_scan["capacity"].reshape(log_mu.shape)
+        q_at.update(zip(log_mu.ravel().tolist(), q.tolist()))
+        return np.maximum(unclipped, 0.0).reshape(log_mu.shape)
 
     bounds = Interval(*map(math.log10, PHOTON_SEARCH_BOUNDS))
-    log_mu, _ = maximize_lockstep(capacity, bounds, LOG_TOL, 1, GRID_POINTS + 1)
+    log_mu, _ = maximize_lockstep(capacity, bounds, LOG_SCAN_STEP, 1, GRID_POINTS + 1)
     (mu,) = (10.0**log_mu).tolist()  # the array power, as in the scans
-    q = last_scan["q"][np.argmax(last_scan["capacity"])]  # the cell maximize_lockstep kept
-    (point,) = secrecy_points(mu, gamma, q, *fields)
+    (point,) = secrecy_points(mu, gamma, q_at[log_mu[0]], *fields)  # the q of the cell maximize_lockstep kept
     return mu, point
 
 

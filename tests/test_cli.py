@@ -902,11 +902,17 @@ def test_package_import_loads_no_numpy():
         pytest.param(["capacity", "--config", "invalid.json"], EXIT_CONFIG, False, id="invalid-config"),
         pytest.param(["sweep", "--axis", "q:0.1:0.9:3", "--axis", "q:0.2:0.8:3"], EXIT_CONFIG, False, id="sweep-axes"),
         pytest.param(["capacity", "--optimize-photons", "--q", "0.3"], EXIT_CONFIG, False, id="ignored-flag"),
+        # The offset solve's inputs are checked before the pass.
+        pytest.param(["orbit", "--solve-gamma", "2"], EXIT_CONFIG, False, id="solve-target"),
+        pytest.param(["orbit", "--solve-gamma", "0.1", "--config", "low-orbit.json"], EXIT_CONFIG, False,
+                     id="solve-altitude"),
         pytest.param(["capacity"], EXIT_OK, True, id="capacity"),  # the control: its kernel needs numpy
     ],
 )
 def test_numpy_loads_only_where_a_kernel_runs(tmp_path, argv, code, numpy):
     (tmp_path / "invalid.json").write_text(json.dumps({"detector": {"p_dark": 2.0}}))
+    low_orbit = {"orbit": {"alice_altitude_m": 1.5e5, "eve_orbit_offset_m": 1e3}}
+    (tmp_path / "low-orbit.json").write_text(json.dumps(low_orbit))
     result = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv], cwd=tmp_path, env=_package_env(),
                             capture_output=True, text=True)
     assert result.stderr.splitlines()[-1] == f"{code} {numpy} []", result.stderr

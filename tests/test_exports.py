@@ -71,3 +71,17 @@ def test_cli_imports_only_public_names():
     ]
     assert imported
     assert [(module, name) for module, name in imported if name.startswith("_")] == []
+
+
+def test_every_public_dataclass_has_its_own_docstring():
+    # Without one, ``dataclasses`` derives ``__doc__`` from the signature
+    # (``inspect.signature``) each time its module is imported.
+    missing = []
+    for path in sorted(Path(wiretap_space.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", ())]
+            if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+                    and ast.get_docstring(node) is None):
+                missing.append(f"{path.stem}.{node.name}")
+    assert missing == []

@@ -160,6 +160,46 @@ class TestMaximizeLockstep:
             alone = maximize_lockstep(lambda v, c: f(v, c + cell), domain, tol, 1, points)
             assert (alone[0][0], alone[1][0]) == (x[cell], fx[cell])
 
+    def test_parabolic_step_never_ends_below_the_last_scan(self):
+        # Cells of one objective on [0, 1]: interior peaks (asymmetric, so the
+        # parabola does not fit them exactly), cusps (where the vertex can be
+        # worse than the grid), endpoint maxima (a line each way, a convex
+        # bowl), a constant and a clipped peak with a flat top.
+        peaks = np.array([0.123456, 0.5, 0.77777, 0.31415])
+        cusps = np.array([0.2468, 0.654321])
+        kinds = ["peak"] * 4 + ["cusp"] * 2 + ["up", "down", "bowl", "constant", "plateau"]
+        centres = np.concatenate((peaks, cusps, [0.0] * 5))
+
+        def f(x, cell):
+            kind, t = np.array(kinds)[cell], x - centres[cell]
+            return np.select(
+                [kind == "peak", kind == "cusp", kind == "up", kind == "down", kind == "bowl", kind == "constant"],
+                [-t * t + 0.5 * t**3, -np.sqrt(np.abs(t)), x, -x, (x - 0.4) ** 2, 0.0 * x],
+                np.minimum(-(x - 0.61) ** 2, -1e-4),
+            )
+
+        calls = []
+
+        def recorded(x, cell):
+            calls.append(f(x, cell))
+            return calls[-1]
+
+        x, fx = maximize_lockstep(recorded, Interval(0.0, 1.0), 1e-3, len(kinds))
+        # 64 points, two 9-point rescans, then one call over the vertex cells.
+        assert [values.shape for values in calls[:3]] == [(11, GRID_POINTS), (11, 9), (11, 9)]
+        # The vertex cells: the interior maxima (peaks, cusps, the plateau's edge).
+        assert calls[3].shape == (7, 1) and len(calls) == 4
+        last_scan_best = calls[2].max(axis=1)
+        assert (fx >= last_scan_best).all()
+        assert np.array_equal(fx, f(x[:, np.newaxis], np.arange(len(kinds))[:, np.newaxis])[:, 0])
+        # The vertex lands far inside the last scan's step of 9.7e-4.
+        assert np.abs(x[:4] - peaks).max() < 1e-5
+        # A peak the last scan hits exactly keeps it: the vertex, off by rounding, is worse.
+        assert (x[1], fx[1]) == (0.5, 0.0)
+        # Endpoint maxima stay exactly at their bound; a constant at the lower one.
+        assert (x[6], x[7], x[8], x[9]) == (1.0, 0.0, 1.0, 0.0)
+        assert fx[10] == -1e-4
+
     @pytest.mark.parametrize("hi", [1e-20, 3e-17])
     def test_upper_bound_near_zero_is_returned_exactly(self, hi):
         # The rescans' low + k (high - low) / (points - 1) misses a bound this

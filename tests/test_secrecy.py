@@ -13,10 +13,9 @@ from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS,
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
-    LOG_TOL,
     PHOTON_SEARCH_BOUNDS,
+    Q_SCAN_STEP,
     Q_SEARCH_BOUNDS,
-    Q_SEARCH_TOL,
     ClockedLink,
     devetak_winter_rate,
     dw_rate_symmetric,
@@ -249,8 +248,11 @@ class TestBatchInvariance:
             assert _bits(alone) == _bits(forward[i]) == _bits(reverse[i]), i
 
     def test_optimal_q_matches_dense_grid(self, cells):
+        # The parabolic step puts q within 1.6e-6 of a 1e-7 lattice's argmax on
+        # these cells (the scans alone: 3.1e-5), far inside the last scan's
+        # step of 9.7e-4.
         points = self._grid(cells, None, slice(None))
-        for i in range(0, self.CELLS, 16):
+        for i in range(self.CELLS):
             detector = cells["detectors"][i]
             mu, gamma = cells["mu"][i], cells["gamma"][i]
 
@@ -260,8 +262,10 @@ class TestBatchInvariance:
                 info_bob, info_eve = secrecy._prior_terms(terms, qs)
                 return info_bob - info_eve
 
-            reference = grid_argmax(unclipped, *Q_SEARCH_BOUNDS, n=98_001)
-            assert abs(points[i].q - reference) <= Q_SEARCH_TOL, i
+            coarse = grid_argmax(unclipped, *Q_SEARCH_BOUNDS, n=9_801)
+            lo, hi = max(coarse - 2e-4, Q_SEARCH_BOUNDS[0]), min(coarse + 2e-4, Q_SEARCH_BOUNDS[1])
+            reference = grid_argmax(unclipped, lo, hi, n=round((hi - lo) / 1e-7) + 1)
+            assert abs(points[i].q - reference) <= 3e-6, i
 
 
 @pytest.fixture
@@ -306,43 +310,48 @@ class TestKernelCalls:
         assert len(rows) == 512
         scan_calls = math.ceil(512 / SCAN_BLOCK_CELLS)
         assert calls[:scan_calls] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls
-        # Each rescan cuts the step by 4, from 0.0156 to 6.1e-5 <= Q_SEARCH_TOL
-        # in four, each one call over every cell; then one evaluation of every
-        # cell at its optimum.
+        # Each rescan cuts the step by 4, from 0.0156 to 9.7e-4 <= Q_SCAN_STEP
+        # in two, each one call over every cell; then the parabolic step, one
+        # call over the cells whose vertex it takes (here every cell), and one
+        # evaluation of every cell at its optimum.
         step = (Q_SEARCH_BOUNDS[1] - Q_SEARCH_BOUNDS[0]) / (GRID_POINTS - 1)
-        rescans = math.ceil(math.log(step / Q_SEARCH_TOL) / math.log((REFINE_POINTS - 1) / 2))
-        assert rescans == 4
-        assert calls[scan_calls:] == [512 * REFINE_POINTS] * rescans + [512]
-        assert len(calls) == 9
+        rescans = math.ceil(math.log(step / Q_SCAN_STEP) / math.log((REFINE_POINTS - 1) / 2))
+        assert rescans == 2
+        assert calls[scan_calls:] == [512 * REFINE_POINTS] * rescans + [512, 512]
+        assert len(calls) == 8
 
     def test_photon_scan_is_one_batch(self, calls, day_detector):
         optimal_signal_strength(day_detector, 0.1)
         # The 64 photon numbers of the scan form one 64-cell q-search.
         assert calls[0] == GRID_POINTS * GRID_POINTS
-        # Three scans of 5 calls each (one scan call, four rescans), then the
-        # evaluation of the optimum at the q its cell's q-search found.
-        q_search = lambda cells: [cells * GRID_POINTS] + [cells * REFINE_POINTS] * 4
-        assert calls == q_search(GRID_POINTS) + 2 * q_search(GRID_POINTS + 1) + [1]
-        assert len(calls) == 16
+        # Two scans and the vertex's one-cell q-search, 4 calls each (one scan
+        # call, two rescans, a parabolic step over at most every cell), then
+        # the evaluation of the optimum at the q its cell's q-search found.
+        q_search = lambda cells: [cells * GRID_POINTS] + [cells * REFINE_POINTS] * 2
+        searches = [calls[:3], calls[4:7], calls[8:11]]
+        assert searches == [q_search(GRID_POINTS), q_search(GRID_POINTS + 1), q_search(1)]
+        assert [calls[3], calls[7], calls[11]] <= [GRID_POINTS, GRID_POINTS + 1, 1]
+        assert 0 < min(calls[3], calls[7], calls[11]) and calls[12] == 1
+        assert len(calls) == 13
 
     def test_photon_optimised_capacity_table_reuses_the_searched_prior(self, calls, capsys):
         assert main(["capacity", "--optimize-photons"]) == 0
-        # The photon search's 16 calls, then the table evaluates its one cell at
+        # The photon search's 13 calls, then the table evaluates its one cell at
         # the q the search found: no second q-search.
-        assert len(calls) == 17 and calls[-1] == 1
+        assert len(calls) == 14 and calls[-1] == 1
         capsys.readouterr()
 
     def test_table1_runs_one_photon_search(self, calls, capsys):
         assert len({preset_config(name).detector for name in PRESET_NAMES}) == 1
         assert main(["table1"]) == 0
-        # The three presets share one detector and gamma, so one search of 16 calls.
-        assert len(calls) == 16
+        # The three presets share one detector and gamma, so one search of 13 calls.
+        assert len(calls) == 13
         capsys.readouterr()
 
     def test_one_cell_budget(self, calls):
         private_capacity(DetectorModel(), 4.0, 0.1)
-        # One scan call, four rescans, one evaluation at the optimum.
-        assert calls == [GRID_POINTS] + [REFINE_POINTS] * 4 + [1]
+        # One scan call, two rescans, the parabolic step, one evaluation at the optimum.
+        assert calls == [GRID_POINTS] + [REFINE_POINTS] * 2 + [1, 1]
 
     def test_prior_free_terms_once_per_search(self, cell_calls, day_detector):
         rng = np.random.default_rng(7)
@@ -359,8 +368,8 @@ class TestKernelCalls:
         assert cell_calls == [512]
         cell_calls.clear()
         optimal_signal_strength(day_detector, 0.1)
-        # Three scans, one q-search each, then the optimum.
-        assert cell_calls == [GRID_POINTS, GRID_POINTS + 1, GRID_POINTS + 1, 1]
+        # Two scans and the vertex, one q-search each, then the optimum.
+        assert cell_calls == [GRID_POINTS, GRID_POINTS + 1, 1, 1]
 
     def test_search_maximises_the_kernel_bitwise(self):
         # Seeded cells over the design search's detectors and photon range.
@@ -435,7 +444,7 @@ class TestInPlaceKernel:
             return info_bob - info_eve
 
         got = secrecy._optimal_q(terms)
-        want = maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SEARCH_TOL, terms.shape[1])
+        want = maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])
         for got, want in zip(got, want):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -474,24 +483,33 @@ class TestOnePointFunctions:
 class TestPhotonSearch:
     def test_matches_a_dense_local_scan(self):
         # Seeded draws over the detectors and degradations of the design search.
+        # The parabolic step puts mu within 6.2e-6 relative of the lattices'
+        # optimum on these draws (the scans alone: 8.6e-5), far inside the last
+        # scan's step of 2.5e-3 decades.
         rng = np.random.default_rng(20)
-        for _ in range(20):
+        for _ in range(30):
             detector = DetectorModel(
                 p_dark=10 ** rng.uniform(-9, -5), eta_optical=rng.uniform(0.5, 1.0),
                 stray_mean=10 ** rng.uniform(-7, -2),
             )
             gamma = rng.uniform(0.02, 0.4)
             mu, best = optimal_signal_strength(detector, gamma)
-            # A 1e-4-decade lattice aligned to tenths of a decade, not to mu.
-            log_mu = round(math.log10(mu), 1) + np.linspace(-0.15, 0.15, 3001)
-            points = secrecy_points(
-                10.0**log_mu, gamma, None, detector.p_dark, detector.eta_optical, detector.stray_mean
-            )
-            capacity = [p.private_capacity for p in points]
-            dense = log_mu[int(np.argmax(capacity))]
-            assert abs(math.log10(mu) - dense) <= LOG_TOL / 2, (detector, gamma)
+
+            def capacity(log_mu):
+                points = secrecy_points(
+                    10.0**log_mu, gamma, None, detector.p_dark, detector.eta_optical, detector.stray_mean
+                )
+                return np.array([p.private_capacity for p in points])
+
+            # A 1e-4-decade lattice aligned to tenths of a decade, not to mu,
+            # then a 1e-7-decade one around its optimum.
+            centre = round(math.log10(mu), 1)
+            coarse = grid_argmax(capacity, centre - 0.15, centre + 0.15, n=3001)
+            log_mu = coarse + np.linspace(-2e-4, 2e-4, 4001)
+            dense = capacity(log_mu)
+            assert abs(mu / 10.0 ** log_mu[np.argmax(dense)] - 1.0) <= 1e-5, (detector, gamma)
             # The capacity moves at second order in the distance to the optimum.
-            assert best.private_capacity >= max(capacity) - 1e-8
+            assert best.private_capacity >= dense.max() - 1e-10
 
     def test_zero_capacity_returns_the_lower_bound(self, day_detector):
         # Near-unit degradation: the capacity is 0 at every photon number.
@@ -536,7 +554,7 @@ class TestPhotonSearchMemo:
 
     def test_repeat_is_identical_and_makes_no_kernel_call(self, calls, day_detector):
         first = optimal_signal_strength(day_detector, 0.1)
-        assert len(calls) == 16
+        assert len(calls) == 13
         calls.clear()
         equal = DetectorModel(p_dark=1e-7, eta_optical=1.0, stray_mean=1e-4)
         for detector in (day_detector, equal):
@@ -548,7 +566,7 @@ class TestPhotonSearchMemo:
         secrecy._photon_search.cache_clear()
         calls.clear()
         again = optimal_signal_strength(day_detector, 0.25)
-        assert len(calls) == 16
+        assert len(calls) == 13
         assert _result_bits(again) == _result_bits(first)
 
     def test_neighbouring_keys_get_their_own_search(self):
@@ -587,4 +605,4 @@ class TestPhotonSearchMemo:
         optimal_signal_strength(day_detector, gammas[-1])  # the newest is kept
         assert calls == []
         optimal_signal_strength(day_detector, gammas[0])  # the oldest was dropped
-        assert len(calls) == 16
+        assert len(calls) == 13
