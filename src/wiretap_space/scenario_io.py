@@ -1,14 +1,16 @@
 """Configuration parsing, scenario presets, sweeps and report tables.
 
-Configs are single JSON documents.  One schema table, ``_SCHEMA``, maps each
-JSON field to its section's dataclass attribute; defaults and type rules
-come from the dataclass field defaults (the LEO reference preset), and the
-same table drives validation, the resolved-config echo and :func:`with_values`
-(sweep cells, CLI flags).  All tabular output is deterministic: row-major grid
-order, fixed column sets, and 9-significant-digit formatting, so identical
-configs produce byte-identical files.  Each table is ``(header, rows)`` of
-plain lists; each 12-column capacity row is built by :func:`capacity_row`
-from a point's values, and each exclusion row by
+Configs are single JSON documents.  The schema table, ``_SCHEMA``, is read
+from the six section dataclasses: each field is a JSON field, under its
+attribute's name unless ``_JSON_KEYS`` names another, and its default gives
+the default and type rule (the LEO reference preset).  The same table drives
+validation, the resolved-config echo and :func:`with_values` (sweep cells,
+CLI flags); ``_AXIS_KEYS`` holds the keys of a sweep axis.  All tabular
+output is deterministic: row-major grid order, fixed column sets, and
+9-significant-digit formatting, so identical configs produce byte-identical
+files.  Each table is ``(header, rows)`` of plain lists; each 12-column
+capacity row is built by :func:`capacity_row` from a point's values, and
+each exclusion row by
 :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
 The ``capacity`` table is :func:`sweep` with no axis, and only the
 kernel's columns check ``dw_rate <= private_capacity``.  A sweep validates
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
 from ._common import ClockedLink, ConfigError, DetectorModel, OrbitScenario, PhysicalConstants, SecrecyPoint
@@ -147,67 +149,40 @@ class _Field(NamedTuple):
     degrees: bool = False  # JSON value in degrees, attribute in radians
 
 
-# The config schema: one row per JSON field, in echo order.  Defaults and
-# type rules come from each section's dataclass field defaults.
+# The config sections in echo order.  Each section's JSON fields are its
+# dataclass's fields in their order; defaults and type rules are their defaults.
+_SECTIONS = {"detector": DetectorModel, "geometry": LinkGeometry, "link": ClockedLink,
+             "operating": OperatingPoint, "orbit": OrbitScenario, "constants": PhysicalConstants}
+# The JSON keys that differ from their attribute, alike in every section that
+# holds it; a ``_deg`` key holds an angle that the attribute keeps in radians.
+_JSON_KEYS = {
+    "dist_bob": "dist_bob_m", "dist_eve": "dist_eve_m", "diam_bob": "diam_bob_m", "diam_eve": "diam_eve_m",
+    "divergence_full_angle": "divergence_rad", "exclusion_radius": "exclusion_radius_m",
+    "clock_rate": "clock_rate_hz", "wavelength": "wavelength_m",
+    "alice_altitude": "alice_altitude_m", "eve_orbit_offset": "eve_orbit_offset_m",
+    "eve_telescope_diameter": "eve_telescope_diameter_m", "min_elevation": "min_elevation_deg",
+    "earth_radius": "earth_radius_m", "earth_angular_velocity": "earth_angular_velocity_rad_s",
+}
 _SCHEMA: dict[str, tuple[type, tuple[_Field, ...]]] = {
-    "detector": (DetectorModel, (
-        _Field("p_dark", "p_dark"),
-        _Field("eta_optical", "eta_optical"),
-        _Field("stray_mean", "stray_mean"),
-    )),
-    "geometry": (LinkGeometry, (
-        _Field("dist_bob_m", "dist_bob"),
-        _Field("dist_eve_m", "dist_eve"),
-        _Field("diam_bob_m", "diam_bob"),
-        _Field("diam_eve_m", "diam_eve"),
-        _Field("divergence_rad", "divergence_full_angle"),
-        _Field("eta_b", "eta_b"),
-        _Field("exclusion_radius_m", "exclusion_radius"),
-    )),
-    "link": (ClockedLink, (
-        _Field("clock_rate_hz", "clock_rate"),
-        _Field("wavelength_m", "wavelength"),
-    )),
-    "operating": (OperatingPoint, (
-        _Field("received_mean_photons", "received_mean_photons"),
-        _Field("gamma", "gamma"),
-        _Field("q", "q"),
-    )),
-    "orbit": (OrbitScenario, (
-        _Field("alice_altitude_m", "alice_altitude"),
-        _Field("eve_orbit_offset_m", "eve_orbit_offset"),
-        _Field("eve_telescope_diameter_m", "eve_telescope_diameter"),
-        _Field("diam_bob_m", "diam_bob"),
-        _Field("eta_b", "eta_b"),
-        _Field("divergence_rad", "divergence_full_angle"),
-        _Field("min_elevation_deg", "min_elevation", degrees=True),
-        _Field("bob_aperture_model", "bob_aperture_model"),
-        _Field("legacy_beam_width", "legacy_beam_width"),
-    )),
-    "constants": (PhysicalConstants, (
-        _Field("earth_mu", "earth_mu"),
-        _Field("earth_radius_m", "earth_radius"),
-        _Field("earth_angular_velocity_rad_s", "earth_angular_velocity"),
-    )),
+    section: (cls, tuple(_Field(key, f.name, key.endswith("_deg"))
+                         for f in fields(cls) for key in [_JSON_KEYS.get(f.name, f.name)]))
+    for section, cls in _SECTIONS.items()
 }
 # JSON key -> (section, field); a key two sections share maps to the first.
 _FIELD_BY_KEY = {f.key: (section, f) for section, (_, fs) in reversed(_SCHEMA.items()) for f in fs}
+# A sweep axis's JSON keys in SweepAxis field order, each with what a missing one reads as.
+_AXIS_KEYS = {"param": "", "min": 0.0, "max": 0.0, "points": 0, "scale": "linear"}
 
 # The LEO reference preset is the dataclass defaults; the others move the
 # receiver and interceptor to medium and geostationary range.
 _PRESET_OVERRIDES: dict[str, dict[str, Any]] = {
     "micius-leo": {},
-    "micius-meo": {
-        "label": "micius-meo",
-        "geometry": {"dist_bob_m": 1e7, "dist_eve_m": 1e7, "exclusion_radius_m": 100.0},
-    },
-    "micius-geo": {
-        "label": "micius-geo",
-        "geometry": {"dist_bob_m": 3.6e7, "dist_eve_m": 3.6e7, "exclusion_radius_m": 340.0},
-    },
+    "micius-meo": {"geometry": {"dist_bob_m": 1e7, "dist_eve_m": 1e7, "exclusion_radius_m": 100.0}},
+    "micius-geo": {"geometry": {"dist_bob_m": 3.6e7, "dist_eve_m": 3.6e7, "exclusion_radius_m": 340.0}},
 }
 
 PRESET_NAMES = tuple(_PRESET_OVERRIDES)
+
 
 def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
     """``value`` as the type of ``default``; appends a violation on mismatch."""
@@ -233,6 +208,11 @@ def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
     return number
 
 
+def _axis_part_error(name: str, value: Any) -> ValueError:
+    """The error of an axis bound or point count that is not a number of its kind."""
+    return ValueError(f"{name} must be {'a whole number' if name == 'points' else 'a number'}, got {value!r}")
+
+
 def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear") -> SweepAxis:
     """One sweep axis from JSON values or the strings of a CLI axis spec.
 
@@ -243,13 +223,13 @@ def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear")
     bounds = []
     for name, value in (("min", lo), ("max", hi)):
         if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+            raise _axis_part_error(name, value)
         bound = float(value)
         if not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {value!r}")
         bounds.append(bound)
     if isinstance(points, bool) or isinstance(points, float) and not points.is_integer():
-        raise ValueError(f"points must be a whole number, got {points!r}")
+        raise _axis_part_error("points", points)
     return SweepAxis(param=param, lo=bounds[0], hi=bounds[1], points=int(points), scale=scale)
 
 
@@ -294,23 +274,18 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         if not isinstance(axis_raw, dict):
             violations.append(f"sweep[{i}] must be an object")
             continue
-        unknown = set(axis_raw) - {"param", "min", "max", "points", "scale"}
-        for key in sorted(unknown):
+        for key in sorted(set(axis_raw) - _AXIS_KEYS.keys()):
             violations.append(f"unknown key sweep[{i}].{key!r}")
+        parts = {key: axis_raw.get(key, default) for key, default in _AXIS_KEYS.items()}
         try:
-            axes.append(
-                parse_axis(
-                    axis_raw.get("param", ""),
-                    axis_raw.get("min", 0.0),
-                    axis_raw.get("max", 0.0),
-                    axis_raw.get("points", 0),
-                    axis_raw.get("scale", "linear"),
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            for key in ("min", "max", "points"):  # JSON numbers only, as in every schema field
+                if isinstance(parts[key], bool) or not isinstance(parts[key], (int, float)):
+                    raise _axis_part_error(key, parts[key])
+            axes.append(parse_axis(*parts.values()))
+        except (ValueError, OverflowError) as exc:
             violations.append(f"sweep[{i}]: {exc}")
     if len(axes) > 2:
-        violations.append(f"at most 2 sweep axes supported, got {len(axes)}")
+        violations.append(f"at most 2 sweep axes, got {len(axes)}")
 
     if violations:
         raise ConfigError(violations)
@@ -330,7 +305,7 @@ def preset_config(name: str) -> ScenarioConfig:
     """One of the built-in orbit-class presets."""
     if name not in _PRESET_OVERRIDES:
         raise ConfigError([f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"])
-    return config_from_dict(_PRESET_OVERRIDES[name])
+    return config_from_dict({"label": name, **_PRESET_OVERRIDES[name]})
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -361,10 +336,7 @@ def config_to_dict(config: ScenarioConfig) -> dict[str, Any]:
         for f in section_fields:
             value = getattr(obj, f.attr)
             out[section][f.key] = value / (math.pi / 180) if f.degrees else value  # math.radians undone exactly
-    out["sweep"] = [
-        {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale}
-        for a in config.sweep_axes
-    ]
+    out["sweep"] = [dict(zip(_AXIS_KEYS, astuple(axis))) for axis in config.sweep_axes]
     return out
 
 

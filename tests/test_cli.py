@@ -188,7 +188,7 @@ class TestConfigHandling:
         [
             ([{"label": "a"}], "top-level document must be an object, got list"),
             ({"sweep": [{"param": "q", "min": 0.1, "max": 0.9, "points": 3}] * 3},
-             "at most 2 sweep axes supported, got 3"),
+             "at most 2 sweep axes, got 3"),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, data, message):
@@ -196,6 +196,18 @@ class TestConfigHandling:
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "capacity"])
+    @pytest.mark.parametrize("key", ["min", "max", "points"])
+    @pytest.mark.parametrize("value", ["0.1", None, [3]], ids=["string", "null", "list"])
+    def test_non_number_axis_part_exits_2(self, capsys, tmp_path, command, key, value):
+        # A JSON axis takes numbers only, as every schema field does; the
+        # message is the one a boolean gets.
+        path = tmp_path / "axis.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3, key: value}]}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        kind = "a whole number" if key == "points" else "a number"
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: sweep[0]: {key} must be {kind}, got {value!r}\n")
 
     def test_unparseable_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

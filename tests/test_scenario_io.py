@@ -219,6 +219,53 @@ class TestConfigLoading:
         rebuilt = config_from_dict(config_to_dict(config))
         assert rebuilt == config
 
+    def test_round_trip_of_every_field(self):
+        # (section, JSON key, attribute, value): each of the 27 fields set off its default.
+        rows = [
+            ("detector", "p_dark", "p_dark", 2e-7),
+            ("detector", "eta_optical", "eta_optical", 0.5),
+            ("detector", "stray_mean", "stray_mean", 0.01),
+            ("geometry", "dist_bob_m", "dist_bob", 2e6),
+            ("geometry", "dist_eve_m", "dist_eve", 2.5e6),
+            ("geometry", "diam_bob_m", "diam_bob", 1.5),
+            ("geometry", "diam_eve_m", "diam_eve", 3.0),
+            ("geometry", "divergence_rad", "divergence_full_angle", 2e-5),
+            ("geometry", "eta_b", "eta_b", 0.02),
+            ("geometry", "exclusion_radius_m", "exclusion_radius", 25.0),
+            ("link", "clock_rate_hz", "clock_rate", 5e8),
+            ("link", "wavelength_m", "wavelength", 1.55e-6),
+            ("operating", "received_mean_photons", "received_mean_photons", 2.0),
+            ("operating", "gamma", "gamma", 0.2),
+            ("operating", "q", "q", 0.3),
+            ("orbit", "alice_altitude_m", "alice_altitude", 5e5),
+            ("orbit", "eve_orbit_offset_m", "eve_orbit_offset", 2e4),
+            ("orbit", "eve_telescope_diameter_m", "eve_telescope_diameter", 1.5),
+            ("orbit", "diam_bob_m", "diam_bob", 1.2),
+            ("orbit", "eta_b", "eta_b", 0.05),
+            ("orbit", "divergence_rad", "divergence_full_angle", 3e-5),
+            ("orbit", "min_elevation_deg", "min_elevation", 35.0),
+            ("orbit", "bob_aperture_model", "bob_aperture_model", "footprint"),
+            ("orbit", "legacy_beam_width", "legacy_beam_width", True),
+            ("constants", "earth_mu", "earth_mu", 3.9e14),
+            ("constants", "earth_radius_m", "earth_radius", 6.4e6),
+            ("constants", "earth_angular_velocity_rad_s", "earth_angular_velocity", 7e-5),
+        ]
+        doc = {"label": "all-fields"}
+        for section, key, _, value in rows:
+            doc.setdefault(section, {})[key] = value
+        doc["sweep"] = [
+            {"param": "received_mean_photons", "min": 0.5, "max": 8.0, "points": 3, "scale": "log"},
+            {"param": "stray_mean", "min": 1e-5, "max": 1e-3, "points": 2, "scale": "linear"},
+        ]
+        config = config_from_dict(doc)
+        assert json.dumps(config_to_dict(config)) == json.dumps(doc)  # the same values, in the same order
+        for section, _, attr, value in rows:
+            expected = math.radians(value) if attr == "min_elevation" else value
+            assert getattr(getattr(config, section), attr) == expected, (section, attr)
+        assert config.sweep_axes == (
+            SweepAxis("received_mean_photons", 0.5, 8.0, 3, "log"), SweepAxis("stray_mean", 1e-5, 1e-3, 2),
+        )
+
     def test_elevation_echo_converts_back_to_the_stored_angle(self):
         # math.degrees echoed an angle that math.radians took to another one
         # for 518 of 10,007 seeded elevations (49.175 as 49.175000000000004).
