@@ -175,7 +175,7 @@ def maximize_lockstep(
     grid = domain.lo + np.arange(GRID_POINTS) * step
     grid[-1] = domain.hi
     grid = grid[np.newaxis]  # one row for every cell: f's terms in x alone are taken once per call
-    rows = np.arange(cells)
+    rows, offsets = np.arange(cells), np.arange(points)
     best, best_f = np.empty(cells, dtype=np.intp), np.empty(cells)
     below, above = np.empty(cells), np.empty(cells)  # the last scan's values beside the best point
     while True:
@@ -188,22 +188,22 @@ def maximize_lockstep(
             best[part], best_f[part] = i, values[r, i]
             if last:
                 below[part], above[part] = values[r, np.maximum(i - 1, 0)], values[r, np.minimum(i + 1, n - 1)]
-        grid = np.broadcast_to(grid, (cells, n))
-        j = np.clip(best, 1, n - 2)
-        low, high = grid[rows, j - 1], grid[rows, j + 1]
+        own = rows if len(grid) > 1 else 0  # each cell's row of the grid, or the one shared row
+        j = np.minimum(np.maximum(best, 1), n - 2)
+        low, high = grid[own, j - 1], grid[own, j + 1]
         if last:
             break
         # np.linspace(low, high, points) for each cell, bit for bit
-        grid = low[:, np.newaxis] + np.arange(points) * ((high - low) / (points - 1))[:, np.newaxis]
+        grid = low[:, np.newaxis] + offsets * ((high - low) / (points - 1))[:, np.newaxis]
         grid[:, -1] = high
         step *= 2.0 / (points - 1)
-    x = grid[rows, best]
+    x = grid[own, best]
     # The parabola's vertex by Brent's form, from the differences to the best point.
     with np.errstate(all="ignore"):
         left, right = (x - low) * (best_f - above), (high - x) * (best_f - below)
         vertex = x - 0.5 * ((x - low) * left - (high - x) * right) / (left + right)
-    polish = np.flatnonzero((best > 0) & (best < n - 1) & (left + right > 0.0) & np.isfinite(vertex))
-    vertex = np.clip(vertex, low, high)
+    polish = ((best > 0) & (best < n - 1) & (left + right > 0.0) & np.isfinite(vertex)).nonzero()[0]
+    vertex = np.minimum(np.maximum(vertex, low), high)
     for start in range(0, polish.size, SCAN_BLOCK_CELLS * GRID_POINTS):
         part = polish[start : start + SCAN_BLOCK_CELLS * GRID_POINTS]
         values = f(vertex[part, np.newaxis], part[:, np.newaxis])[:, 0]

@@ -224,7 +224,10 @@ def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear")
     for name, value in (("min", lo), ("max", hi)):
         if isinstance(value, bool):
             raise _axis_part_error(name, value)
-        bound = float(value)
+        try:
+            bound = float(value)
+        except OverflowError:  # an integer beyond every float, as :func:`_checked` takes it
+            bound = math.inf
         if not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {value!r}")
         bounds.append(bound)
@@ -282,7 +285,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
                 if isinstance(parts[key], bool) or not isinstance(parts[key], (int, float)):
                     raise _axis_part_error(key, parts[key])
             axes.append(parse_axis(*parts.values()))
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             violations.append(f"sweep[{i}]: {exc}")
     if len(axes) > 2:
         violations.append(f"at most 2 sweep axes, got {len(axes)}")

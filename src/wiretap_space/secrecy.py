@@ -11,7 +11,8 @@ no further loss or noise.
 All general-prior values come from one numpy kernel in two steps:
 :func:`_cell_terms` (the click model, the interceptor's overlap terms) over
 broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
-:func:`_prior_terms` (both channels' mutual information) at priors ``q``.
+:func:`_prior_terms` (both channels' mutual information) at priors ``q``,
+the interceptor's once per distinct photon number where the cells share them.
 :func:`secrecy_points` alone composes them: the first step once per batch,
 shared by the lockstep q-search and the final evaluation, which adds the
 Holevo bound.  ``private_capacity_fixed``, ``private_capacity`` and
@@ -75,27 +76,70 @@ def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
 
 def _prior_terms(terms, q):
     """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
-    priors ``q`` in [0, 1].  Past the interceptor's errors ``e0, e1``, every step
-    is written in place into those two rows and four more of the broadcast
-    shape: the output probabilities ``q eps0 + (1-q) eps1`` and
-    ``q (1-e0) + (1-q) e1``, the entropies, then both informations."""
+    priors ``q`` in [0, 1], an array whose first axis runs over the cells or,
+    when every cell shares its priors, has length 1.  Each channel's
+    information is written in place into new rows of the broadcast shape, with
+    two rows of scratch shared by both (:func:`_receiver_information`,
+    :func:`_interceptor_information`).  Where every cell shares the priors,
+    as in the q-search's first scan, the interceptor's rows depend only on a
+    cell's ``(s, y)``: they are taken once per distinct pair
+    (:func:`_distinct_columns`) and gathered back to the cells, bit for bit
+    what each cell's own row would be."""
     eps0, eps1, h_eps0, h_eps1, s, y = terms
-    e0, e1, _, _ = _helstrom_split(s, y, q)
     p = 1.0 - q
-    # Four rows apart: one stack of them would be a block per call that the
-    # allocator maps and unmaps (256 KiB at 8,192 points).
-    h_bob, h_eve, work, log = (np.empty_like(e0) for _ in range(4))
+    # Two rows apart: one stack of them would be a block per call that the
+    # allocator maps and unmaps.
+    shape = np.broadcast(eps0, q).shape
+    work, log = np.empty(shape), np.empty(shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.multiply(q, eps0, out=h_bob)
-        h_bob += np.multiply(p, eps1, out=work)
-        np.subtract(1.0, e0, out=h_eve)
-        h_eve *= q
-        h_eve += np.multiply(p, e1, out=work)
-        for row in (h_bob, h_eve, e0, e1):
-            _entropy_in_place(row, work, log)
-    info_bob = _channel_information(q, h_bob, h_eps0, h_eps1, out=h_bob, work=work)
-    info_eve = _channel_information(q, h_eve, e0, e1, out=h_eve, work=work)
-    return info_bob, info_eve
+        info_bob = _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1, work, log)
+        distinct = _distinct_columns(terms[4:]) if len(q) == 1 < len(s) else None
+        if distinct is None:
+            return info_bob, _interceptor_information(q, p, s, y, work, log)
+        first, cell_of = distinct
+        m = len(first)
+        return info_bob, _interceptor_information(q, p, s[first], y[first], work[:m], log[:m])[cell_of]
+
+
+def _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1, work, log):
+    """The receiver's ``I(X;Y)`` at priors ``q`` (``p = 1 - q``) from its click rows, in a new
+    array: the output probability ``q eps0 + p eps1``, its entropy, then the information.
+    ``work`` and ``log`` are scratch of the broadcast shape; the caller holds
+    ``np.errstate(invalid="ignore", divide="ignore")``."""
+    h = np.multiply(q, eps0)
+    h += np.multiply(p, eps1, out=work)
+    return _channel_information(q, _entropy_in_place(h, work, log), h_eps0, h_eps1, out=h, work=work)
+
+
+def _interceptor_information(q, p, s, y, work, log):
+    """The interceptor's Helstrom ``I(X;Z)`` at priors ``q`` (``p = 1 - q``) from her overlap rows
+    ``(s, y)``, as :func:`_receiver_information` takes the receiver's: her errors ``e0, e1``
+    (:func:`_helstrom_split`), her output probability ``q (1-e0) + p e1``, the three entropies in
+    place, then the information."""
+    e0, e1, _, _ = _helstrom_split(s, y, q)
+    h = np.subtract(1.0, e0)
+    h *= q
+    h += np.multiply(p, e1, out=work)
+    for row in (h, e0, e1):
+        _entropy_in_place(row, work, log)
+    return _channel_information(q, h, e0, e1, out=h, work=work)
+
+
+def _distinct_columns(overlap):
+    """``(first, cell_of)`` for the ``(s, y)`` rows ``overlap``, one column per cell: ``first`` holds
+    one cell of each distinct pair of bits and ``cell_of`` each cell's position in ``first``;
+    ``None`` when no two cells share their bits."""
+    key = overlap.reshape(2, -1).view(np.int64)
+    order = np.lexsort(key)
+    key = key.take(order, axis=1)
+    new = key[:, 1:] != key[:, :-1]
+    new = new[0] | new[1]  # each sorted cell past the first whose pair differs from the one before
+    if new.all():
+        return None
+    starts = np.concatenate(([True], new))
+    cell_of = np.empty_like(order)
+    cell_of[order] = starts.cumsum() - 1
+    return order[starts], cell_of
 
 
 def _check_point_args(received_mean_photons: float, gamma: float) -> None:
@@ -113,7 +157,8 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     step of 9.7e-4 (at most :data:`Q_SCAN_STEP`) and one parabolic step, at
     most 64 + 9 + 9 + 1 points per cell, 4 kernel calls for up to 128 cells.
     A call's rows ``(6, block, 1)`` broadcast against its priors, the first
-    scan's one shared row of them included.
+    scan's one shared row of them included; there :func:`_prior_terms` takes
+    the interceptor's terms once per distinct photon number of the block.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)

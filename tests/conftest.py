@@ -20,3 +20,19 @@ def fresh_photon_memo():
 def day_detector() -> DetectorModel:
     """Daytime reference detector: clear-sky stray light, quiet dark counts."""
     return DetectorModel(p_dark=1e-7, eta_optical=1.0, stray_mean=1e-4)
+
+
+@pytest.fixture
+def channel_calls(monkeypatch):
+    """Points each channel's information is taken on, one entry per kernel call, by channel."""
+    sizes = {"receiver": [], "interceptor": []}
+    for channel, recorded in sizes.items():
+        name = f"_{channel}_information"
+
+        def counted(*args, information=getattr(secrecy, name), recorded=recorded):
+            info = information(*args)
+            recorded.append(info.size)
+            return info
+
+        monkeypatch.setattr(secrecy, name, counted)
+    return sizes

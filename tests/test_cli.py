@@ -209,6 +209,15 @@ class TestConfigHandling:
         kind = "a whole number" if key == "points" else "a number"
         assert (code, out, err) == (EXIT_CONFIG, "", f"config error: sweep[0]: {key} must be {kind}, got {value!r}\n")
 
+    @pytest.mark.parametrize("command", ["sweep", "capacity"])
+    @pytest.mark.parametrize("key", ["min", "max"])
+    def test_axis_bound_beyond_every_float_exits_2(self, capsys, tmp_path, command, key):
+        # A JSON integer no float holds is infinite, as in every schema field.
+        path = tmp_path / "axis.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3, key: 10**400}]}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: sweep[0]: {key} must be finite, got {10**400!r}\n")
+
     def test_unparseable_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")

@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the third-party packages the
-source imports, and the README names the same set."""
+source imports, and the README names the same set; every Python file parses
+as the declared oldest Python does."""
 import ast
 import re
 import sys
@@ -50,3 +51,15 @@ def test_numpy_floor_has_every_function_the_source_calls():
     (requirement,) = [r for r in _requirements() if r.startswith("numpy")]
     major, minor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", requirement).groups()
     assert (int(major), int(minor)) >= (2, 0)
+
+
+def test_every_file_parses_at_the_declared_python_floor():
+    """Each file of ``src/``, ``tests/`` and ``bench/`` is valid syntax for the oldest
+    Python that ``requires-python`` admits, checked here without that Python."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    major, minor = map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups())
+    paths = sorted(p for folder in ("src", "tests", "bench") for p in (ROOT / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(major, minor))

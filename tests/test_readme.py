@@ -9,11 +9,10 @@ import re
 import shlex
 from pathlib import Path
 
-import numpy as np
-
 import wiretap_space
 from wiretap_space import secrecy
 from wiretap_space.cli import EXIT_OK, main
+from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS
 from wiretap_space.scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
@@ -75,25 +74,25 @@ def test_library_use_names_resolve():
     assert unresolved == []
 
 
-def test_stated_kernel_calls_are_counted(monkeypatch):
+def test_stated_kernel_calls_are_counted(channel_calls):
     text = " ".join(README.read_text(encoding="utf-8").split())
     stated_sweep = int(re.search(r"A 32×16 grid takes (\d+) kernel calls", text).group(1))
     stated_photons = int(re.search(r"winning photon number: (\d+) kernel calls", text).group(1))
-    calls = []
-    kernel = secrecy._prior_terms
-
-    def counted(terms, q):
-        calls.append(np.broadcast(terms[0], q).size)
-        return kernel(terms, q)
-
-    monkeypatch.setattr(secrecy, "_prior_terms", counted)
+    first_scan = re.search(
+        r"first (\d+) calls the interceptor's terms are taken on (\d+) × 64 points of each (\d+)-cell block "
+        r"and the receiver's on (\d+) × 64", text).groups()
+    scan_calls, interceptor, block, receiver = map(int, first_scan)
     config = config_from_dict({})
     sweep(config, [SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
                    SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log")])
-    assert len(calls) == stated_sweep
-    calls.clear()
+    # One call of each channel per kernel call.
+    assert len(channel_calls["receiver"]) == len(channel_calls["interceptor"]) == stated_sweep
+    assert block == SCAN_BLOCK_CELLS and scan_calls == 512 // block
+    assert channel_calls["receiver"][:scan_calls] == [receiver * GRID_POINTS] * scan_calls
+    assert channel_calls["interceptor"][:scan_calls] == [interceptor * GRID_POINTS] * scan_calls
+    channel_calls["receiver"].clear()
     secrecy.optimal_signal_strength(config.detector, 0.1)
-    assert len(calls) == stated_photons
+    assert len(channel_calls["receiver"]) == stated_photons
 
 
 def test_sweepable_parameters_are_the_schema():

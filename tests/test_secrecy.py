@@ -301,7 +301,7 @@ class TestKernelCalls:
         monkeypatch.setattr(secrecy, "_cell_terms", counted)
         return sizes
 
-    def test_sweep_grid_budget(self, calls):
+    def test_sweep_grid_budget(self, calls, channel_calls):
         axes = [
             SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
             SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"),
@@ -317,8 +317,16 @@ class TestKernelCalls:
         step = (Q_SEARCH_BOUNDS[1] - Q_SEARCH_BOUNDS[0]) / (GRID_POINTS - 1)
         rescans = math.ceil(math.log(step / Q_SCAN_STEP) / math.log((REFINE_POINTS - 1) / 2))
         assert rescans == 2
-        assert calls[scan_calls:] == [512 * REFINE_POINTS] * rescans + [512, 512]
+        later = [512 * REFINE_POINTS] * rescans + [512, 512]
+        assert calls[scan_calls:] == later
         assert len(calls) == 8
+        # The first scan's priors are one row that every cell of a block
+        # shares: the receiver's information is taken on each cell's 64
+        # points, the interceptor's once per photon number, 8 of a block's 128
+        # cells (the 16 stray-light values of one photon number share it).
+        photon_numbers = SCAN_BLOCK_CELLS // 16
+        assert channel_calls["receiver"] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
+        assert channel_calls["interceptor"] == [photon_numbers * GRID_POINTS] * scan_calls + later
 
     def test_photon_scan_is_one_batch(self, calls, day_detector):
         optimal_signal_strength(day_detector, 0.1)
@@ -381,6 +389,78 @@ class TestKernelCalls:
         q, best = secrecy._optimal_q(terms)
         info_bob, info_eve = secrecy._prior_terms(terms, q)
         assert (best == info_bob - info_eve).all()
+
+
+class TestSharedPhotonNumbers:
+    """Cells that share the interceptor's ``(s, y)`` take her first-scan terms
+    once, gathered back to each of them; every cell's point is still that cell
+    evaluated alone, bit for bit."""
+
+    @staticmethod
+    def _check_sweep_cells(axes, gamma=0.1):
+        config = config_from_dict({"operating": {"gamma": gamma}})
+        header, rows = sweep(config, axes)
+        named = [axis.param for axis in axes]
+        assert header[: len(axes)] == named
+        for row in rows:
+            fields = dict(zip(named, row))
+            detector = DetectorModel(**{
+                name: fields.get(name, getattr(config.detector, name))
+                for name in ("p_dark", "eta_optical", "stray_mean")
+            })
+            mu = fields.get("received_mean_photons", config.operating.received_mean_photons)
+            alone = private_capacity(detector, mu, gamma)
+            assert [v.hex() for v in row[len(axes) : len(axes) + 8]] == _bits(alone), row
+        return rows
+
+    @pytest.mark.parametrize("inner", [
+        SweepAxis("stray_mean", 1e-7, 1e-2, 9, "log"),
+        SweepAxis("p_dark", 1e-9, 1e-5, 9, "log"),
+    ], ids=["stray_mean", "p_dark"])
+    def test_noise_axis_sweeps(self, channel_calls, inner):
+        # 20 x 9 = 180 cells: two blocks, the first cut inside a photon number's run.
+        rows = self._check_sweep_cells([SweepAxis("received_mean_photons", 0.01, 50.0, 20, "log"), inner])
+        assert len(rows) == 180 > SCAN_BLOCK_CELLS
+        # Block one holds photon numbers 0-14 (the 15th in part), block two 14-19.
+        assert channel_calls["interceptor"][:2] == [15 * GRID_POINTS, 6 * GRID_POINTS]
+
+    def test_one_noise_axis_shares_one_photon_number(self, channel_calls):
+        rows = self._check_sweep_cells([SweepAxis("stray_mean", 1e-7, 1e-2, 200, "log")])
+        assert len(rows) == 200
+        assert channel_calls["interceptor"][:2] == [GRID_POINTS, GRID_POINTS]
+        assert channel_calls["receiver"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS, 72 * GRID_POINTS]
+
+    @staticmethod
+    def _check_batch(mu, gamma, stray_mean):
+        points = secrecy_points(mu, gamma, None, 1e-7, 0.8, stray_mean)
+        for i, point in enumerate(points):
+            alone = private_capacity(DetectorModel(1e-7, 0.8, float(stray_mean[i])), float(mu[i]), gamma)
+            assert _bits(point) == _bits(alone), i
+
+    def test_repeats_that_are_not_adjacent(self, channel_calls):
+        rng = np.random.default_rng(37)
+        mu = rng.permutation(np.repeat([0.0, 0.3, 2.0, 7.5, 40.0], 6))
+        assert 1 + (mu[1:] != mu[:-1]).sum() > 5  # more runs than values: some copies lie apart
+        self._check_batch(mu, 0.2, 10.0 ** rng.uniform(-7, -2, mu.size))
+        assert channel_calls["receiver"][0] == 30 * GRID_POINTS
+        assert channel_calls["interceptor"][0] == 5 * GRID_POINTS
+
+    def test_equal_s_but_different_y(self, channel_calls):
+        # From about 37.4 photons on, the interceptor's s = -expm1(-n) rounds
+        # to 1.0 while y = 2 e^(-n/2) sqrt(s), and with it her first-scan
+        # terms, still differs: the pairs are keyed on both rows.
+        mu = np.array([76.0, 120.0, 76.0, 120.0, 120.0])  # 38 and 60 photons at gamma 1/2
+        stray_mean = np.geomspace(1e-6, 1e-3, mu.size)
+        terms = secrecy._cell_terms(mu, 0.5, 1e-7, 0.8, stray_mean)
+        s, y = terms[4:]
+        assert (s == 1.0).all() and y[0] != y[1]
+        q = np.linspace(*Q_SEARCH_BOUNDS, GRID_POINTS)[np.newaxis]
+        shared = secrecy._prior_terms(terms[:, :, np.newaxis], q)[1]
+        assert channel_calls["interceptor"] == [2 * GRID_POINTS]
+        alone = np.array([secrecy._prior_terms(terms[:, [i], np.newaxis], q)[1][0] for i in range(mu.size)])
+        assert (alone[0] != alone[1]).all()
+        assert np.array_equal(shared.view(np.int64), alone.view(np.int64))
+        self._check_batch(mu, 0.5, stray_mean)
 
 
 def _entropy_expression(p):
