@@ -1,7 +1,8 @@
 """What the config layer and the CLI need at load, in plain ``math``: the
 exceptions, the photon-number check, the config sections, the secrecy point
 record and the scalar closed forms of :func:`~wiretap_space.scenario_io.capacity_row`.
-The modules that export these names import them from here.
+The modules that export these names import them from here; the secrecy kernel
+raises the sections :class:`DetectorModel` and :class:`OperatingPoint` for its bad inputs.
 """
 from __future__ import annotations
 
@@ -61,6 +62,32 @@ class DetectorModel:
             problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
         elif not self.stray_mean < math.inf:
             problems.append(f"stray_mean must be finite, got {self.stray_mean}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Default evaluation point: photon number, degradation and prior.
+
+    ``gamma=None`` derives the degradation from the geometry;
+    ``q=None`` optimises the input probability.
+    """
+
+    received_mean_photons: float = 4.0
+    gamma: float | None = None
+    q: float | None = None
+
+    def __post_init__(self):
+        problems = []
+        try:
+            _check_photons("received_mean_photons", self.received_mean_photons)
+        except ValueError as exc:
+            problems.append(str(exc))
+        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+            problems.append(f"gamma must be in [0, 1), got {self.gamma}")
+        if self.q is not None and not 0.0 < self.q < 1.0:
+            problems.append(f"q must be in (0, 1), got {self.q}")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -130,16 +130,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str) -> int | float | str:
+    """An axis spec's numeric part as an ``int``, else a ``float``, else the text, for :func:`parse_axis`."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
 def _parse_axis(text: str) -> SweepAxis:
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ConfigError(
             [f"axis spec must be PARAM:MIN:MAX:POINTS[:SCALE], got {text!r}"]
         )
-    try:
-        return parse_axis(*parts)
-    except ValueError as exc:
-        raise ConfigError([f"axis spec {text!r}: {exc}"]) from exc
+    param, *numbers = parts[:4]
+    return parse_axis(f"axis spec {text!r}", param, *map(_number, numbers), *parts[4:])
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:

@@ -5,7 +5,8 @@ from the six section dataclasses: each field is a JSON field, under its
 attribute's name unless ``_JSON_KEYS`` names another, and its default gives
 the default and type rule (the LEO reference preset).  The same table drives
 validation, the resolved-config echo and :func:`with_values` (sweep cells,
-CLI flags); ``_AXIS_KEYS`` holds the keys of a sweep axis.  All tabular
+CLI flags); its type rule also reads the parts of a sweep axis, whose keys are
+``_AXIS_KEYS``, in :func:`parse_axis`, one reader for configs and CLI specs.  All tabular
 output is deterministic: row-major grid order, fixed column sets, and
 9-significant-digit formatting, so identical configs produce byte-identical
 files.  Each table is ``(header, rows)`` of plain lists; each 12-column
@@ -27,8 +28,8 @@ import math
 from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
-from ._common import ClockedLink, ConfigError, DetectorModel, OrbitScenario, PhysicalConstants, SecrecyPoint
-from ._common import _check_photons, _distinguishability_angle, _helstrom_error
+from ._common import ClockedLink, ConfigError, DetectorModel, OperatingPoint, OrbitScenario, PhysicalConstants
+from ._common import SecrecyPoint, _distinguishability_angle, _helstrom_error
 from .linkbudget import (
     DEFAULT_GAMMA_TARGET,
     LinkGeometry,
@@ -75,8 +76,8 @@ MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' p
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One sweep axis: ``points`` values of ``param`` from ``lo`` to ``hi``,
-    evenly spaced on a ``"linear"`` or ``"log"`` scale."""
+    """One sweep axis: ``points`` (an int or numpy integer) values of ``param`` from finite
+    ``lo`` to ``hi``, evenly spaced on a ``"linear"`` or ``"log"`` scale."""
 
     param: str
     lo: float
@@ -85,6 +86,11 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
+        for name, bound in (("min", self.lo), ("max", self.hi)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound!r}")
+        if isinstance(self.points, bool) or not hasattr(self.points, "__index__"):  # what range() takes
+            raise ValueError(f"points must be a whole number, got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"sweep axis needs at least 2 points, got {self.points}")
         if self.scale not in ("linear", "log"):
@@ -100,32 +106,6 @@ class SweepAxis:
         lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
         inner = (lo + (hi - lo) * i / (n - 1) for i in range(1, n - 1))
         return [float(self.lo), *(10.0 ** t if log else t for t in inner), float(self.hi)]
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Default evaluation point: photon number, degradation and prior.
-
-    ``gamma=None`` derives the degradation from the geometry;
-    ``q=None`` optimises the input probability.
-    """
-
-    received_mean_photons: float = 4.0
-    gamma: float | None = None
-    q: float | None = None
-
-    def __post_init__(self):
-        problems = []
-        try:
-            _check_photons("received_mean_photons", self.received_mean_photons)
-        except ValueError as exc:
-            problems.append(str(exc))
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            problems.append(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.q is not None and not 0.0 < self.q < 1.0:
-            problems.append(f"q must be in (0, 1), got {self.q}")
-        if problems:
-            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -185,7 +165,8 @@ PRESET_NAMES = tuple(_PRESET_OVERRIDES)
 
 
 def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
-    """``value`` as the type of ``default``; appends a violation on mismatch."""
+    """``value`` as the type of ``default``; appends a violation on mismatch.
+    An ``int`` default takes a whole number: an ``int``, or a float with no fraction as its ``int``."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             violations.append(f"{name} must be a boolean")
@@ -196,9 +177,13 @@ def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
         return value
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        violations.append(f"{name} must be a number, got {value!r}")
+    whole = isinstance(default, int)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or whole and isinstance(value, float) and not value.is_integer()):
+        violations.append(f"{name} must be {'a whole number' if whole else 'a number'}, got {value!r}")
         return None
+    if whole:
+        return int(value)
     try:
         number = float(value)
     except OverflowError:
@@ -208,32 +193,20 @@ def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
     return number
 
 
-def _axis_part_error(name: str, value: Any) -> ValueError:
-    """The error of an axis bound or point count that is not a number of its kind."""
-    return ValueError(f"{name} must be {'a whole number' if name == 'points' else 'a number'}, got {value!r}")
-
-
-def parse_axis(param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear") -> SweepAxis:
-    """One sweep axis from JSON values or the strings of a CLI axis spec.
-
-    Bounds must be finite numbers and ``points`` a whole number; booleans
-    are rejected.  Raises ``ValueError`` naming the offending part; values
-    of no numeric form raise what ``float`` and ``int`` raise.
-    """
-    bounds = []
-    for name, value in (("min", lo), ("max", hi)):
-        if isinstance(value, bool):
-            raise _axis_part_error(name, value)
+def parse_axis(prefix: str, param: Any, lo: Any, hi: Any, points: Any, scale: Any = "linear") -> SweepAxis:
+    """One sweep axis from its parts, as a config's axis object or a CLI spec gives them: each
+    part by the schema fields' type rule (:func:`_checked`, ``_AXIS_KEYS``'s defaults as the
+    types), then the axis by :class:`SweepAxis`'s.  Raises one :class:`ConfigError` listing
+    every violation, each as ``f"{prefix}: {violation}"``."""
+    violations: list[str] = []
+    parts = [_checked(value, default, key, violations)
+             for value, (key, default) in zip((param, lo, hi, points, scale), _AXIS_KEYS.items())]
+    if not violations:
         try:
-            bound = float(value)
-        except OverflowError:  # an integer beyond every float, as :func:`_checked` takes it
-            bound = math.inf
-        if not math.isfinite(bound):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        bounds.append(bound)
-    if isinstance(points, bool) or isinstance(points, float) and not points.is_integer():
-        raise _axis_part_error("points", points)
-    return SweepAxis(param=param, lo=bounds[0], hi=bounds[1], points=int(points), scale=scale)
+            return SweepAxis(*parts)
+        except ValueError as exc:
+            violations.append(str(exc))
+    raise ConfigError([f"{prefix}: {violation}" for violation in violations])
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
@@ -279,14 +252,11 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             continue
         for key in sorted(set(axis_raw) - _AXIS_KEYS.keys()):
             violations.append(f"unknown key sweep[{i}].{key!r}")
-        parts = {key: axis_raw.get(key, default) for key, default in _AXIS_KEYS.items()}
+        parts = (axis_raw.get(key, default) for key, default in _AXIS_KEYS.items())
         try:
-            for key in ("min", "max", "points"):  # JSON numbers only, as in every schema field
-                if isinstance(parts[key], bool) or not isinstance(parts[key], (int, float)):
-                    raise _axis_part_error(key, parts[key])
-            axes.append(parse_axis(*parts.values()))
-        except ValueError as exc:
-            violations.append(f"sweep[{i}]: {exc}")
+            axes.append(parse_axis(f"sweep[{i}]", *parts))
+        except ConfigError as exc:
+            violations.extend(exc.violations)
     if len(axes) > 2:
         violations.append(f"at most 2 sweep axes, got {len(axes)}")
 

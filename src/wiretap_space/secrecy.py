@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from ._common import ClockedLink, SecrecyPoint
+from ._common import ClockedLink, OperatingPoint, SecrecyPoint
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
 from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy, _entropy_in_place
@@ -142,12 +142,6 @@ def _distinct_columns(overlap):
     return order[starts], cell_of
 
 
-def _check_point_args(received_mean_photons: float, gamma: float) -> None:
-    _check_photons("received_mean_photons", received_mean_photons)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-
-
 def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (column) of the :func:`_cell_terms` rows, ``(q*, I(X;Y) - I(X;Z) at q*)``.
 
@@ -175,8 +169,8 @@ def secrecy_points(
     ``q=None`` maximises each cell's secrecy value over the input
     probability, as :func:`private_capacity` does; otherwise ``q`` gives each
     cell's input probability.  Each check raises the first bad cell's message, in this order:
-    photon number and gamma as the one-point functions check them, then the detector fields
-    as :class:`~wiretap_space.receiver.DetectorModel` does, then ``q``.  The ``capacity`` table
+    photon number and gamma by :class:`~wiretap_space.scenario_io.OperatingPoint`'s rule, then
+    the detector fields by :class:`~wiretap_space.receiver.DetectorModel`'s, then ``q``.  The ``capacity`` table
     (a sweep with no axis) reads the same :func:`_point_columns`, the one check of the rate invariant.
     """
     columns = _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_mean)
@@ -195,7 +189,7 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
     bad = ~((0.0 <= mu) & (mu < math.inf)) | ~((0.0 <= gamma) & (gamma < 1.0))
     if bad.any():
         first = np.flatnonzero(bad)[0]
-        _check_point_args(float(mu[first]), float(gamma[first]))
+        OperatingPoint(float(mu[first]), float(gamma[first]))  # raises
     bad = ~((0.0 <= p_dark) & (p_dark <= 1.0)) | ~((0.0 < eta_optical) & (eta_optical <= 1.0))
     bad |= ~((0.0 <= stray_mean) & (stray_mean < math.inf))
     if bad.any():
@@ -264,11 +258,11 @@ def private_capacity_symmetric(
     ``eps*`` is the interceptor's minimum error probability.  Kept free of
     the general measurement machinery so the two paths cross-check.
     """
-    _check_point_args(received_mean_photons, gamma)
-    channel = bob_click_model(detector, received_mean_photons)
+    OperatingPoint(received_mean_photons, gamma)  # raises; for a gamma of None, the next line does
     eps_star = helstrom_error(
         BinaryCoherentEnsemble(mean_photons=gamma * received_mean_photons, prior_q=0.5)
     )
+    channel = bob_click_model(detector, received_mean_photons)
     value = (
         binary_entropy(eps_star)
         + binary_entropy(0.5 * (channel.eps0 + channel.eps1))
@@ -284,9 +278,9 @@ def dw_rate_symmetric(detector: DetectorModel, received_mean_photons: float, gam
     ``[h((eps0+eps1)/2) - (h(eps0)+h(eps1))/2 - h((1+c)/2)]+`` with
     ``c = exp(-gamma * received_mean_photons / 2)`` the interceptor overlap.
     """
-    _check_point_args(received_mean_photons, gamma)
-    channel = bob_click_model(detector, received_mean_photons)
+    OperatingPoint(received_mean_photons, gamma)  # raises; for a gamma of None, the next line does
     c = overlap(gamma * received_mean_photons)
+    channel = bob_click_model(detector, received_mean_photons)
     value = (
         binary_entropy(0.5 * (channel.eps0 + channel.eps1))
         - 0.5 * (binary_entropy(channel.eps0) + binary_entropy(channel.eps1))
@@ -311,7 +305,7 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     ``(p_dark, eta_optical, stray_mean, gamma)`` (checked first), and returns
     a kept one without a kernel call.
     """
-    _check_point_args(PHOTON_SEARCH_BOUNDS[0], gamma)
+    OperatingPoint(PHOTON_SEARCH_BOUNDS[0], gamma)  # raises; for a gamma of None, struct.pack does
     return _photon_search(struct.pack("<4d", detector.p_dark, detector.eta_optical, detector.stray_mean, gamma))
 
 

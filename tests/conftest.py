@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property test draws the same examples on every run and host, and
+# keeps no example database between runs.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 from wiretap_space import secrecy
 from wiretap_space.receiver import DetectorModel

@@ -218,6 +218,25 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert (code, out, err) == (EXIT_CONFIG, "", f"config error: sweep[0]: {key} must be finite, got {10**400!r}\n")
 
+    @pytest.mark.parametrize("command", ["sweep", "capacity"])
+    @pytest.mark.parametrize(
+        "axis, messages",
+        [
+            ({"param": 5}, ["param must be a string"]),
+            ({"scale": 5}, ["scale must be a string"]),
+            ({"min": "a", "max": "b"}, ["min must be a number, got 'a'", "max must be a number, got 'b'"]),
+            ({"param": None, "points": 2.5, "scale": ["log"]},
+             ["param must be a string", "points must be a whole number, got 2.5", "scale must be a string"]),
+        ],
+    )
+    def test_every_bad_axis_part_exits_2_at_load(self, capsys, tmp_path, command, axis, messages):
+        # A non-string param passed the load, so capacity, which reads no axis, exited 0.
+        path = tmp_path / "axis.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3, **axis}]}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines() == [f"config error: sweep[0]: {message}" for message in messages]
+
     def test_unparseable_config_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -471,9 +490,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            ("gamma:0.1:inf:3", "max must be finite, got 'inf'"),
-            ("gamma:nan:0.5:3", "min must be finite, got 'nan'"),
-            ("gamma:0.1:0.5:2.7", "invalid literal for int()"),
+            ("gamma:0.1:inf:3", "max must be finite, got inf"),
+            ("gamma:nan:0.5:3", "min must be finite, got nan"),
+            ("gamma:0.1:0.5:2.7", "points must be a whole number, got 2.7"),
         ],
     )
     def test_axis_spec_rejections(self, capsys, spec, message):
@@ -481,6 +500,46 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert f"config error: axis spec {spec!r}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "spec, axis",
+        [
+            ("gamma:abc:0.5:3", {"min": "abc"}),
+            ("gamma:a:b:3", {"min": "a", "max": "b"}),
+            ("gamma:0.1:inf:3", {"max": math.inf}),
+            ("gamma:-inf:0.5:3", {"min": -math.inf}),
+            ("gamma:0.1:0.5:2.7", {"points": 2.7}),
+            ("gamma:0.1:0.5:1", {"points": 1}),
+            ("gamma:0.1:0.5:3:cubic", {"scale": "cubic"}),
+            ("gamma:0:0.5:3:log", {"min": 0, "scale": "log"}),
+            ("gamma:0.5:0.1:3", {"min": 0.5, "max": 0.1}),
+        ],
+    )
+    def test_axis_spec_and_config_axis_report_alike(self, capsys, tmp_path, spec, axis):
+        # The same part gives the same text after its prefix from either source.
+        path = tmp_path / "axis.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": 3, **axis}]}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: sweep[0]: ")
+        expected = [line.replace("sweep[0]:", f"axis spec {spec!r}:", 1) for line in err.splitlines()]
+        code, out, err = run_cli(capsys, "sweep", "--axis", spec)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == expected  # after the resolved-config echo
+
+    @pytest.mark.parametrize("spec", ["gamma:0.1:0.5:3.0", "gamma:0.1:0.5:3e0"])
+    def test_whole_float_point_count_accepted(self, capsys, spec):
+        assert run_cli(capsys, "sweep", "--axis", spec) == run_cli(capsys, "sweep", "--axis", "gamma:0.1:0.5:3")
+
+    def test_401_digit_point_count_reaches_the_cell_count(self, capsys, tmp_path):
+        points = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": points}]}))
+        for argv in (["--config", str(path)], ["--axis", f"gamma:0.1:0.5:{points}"]):
+            code, out, err = run_cli(capsys, "sweep", *argv)
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err.splitlines()[-1] == (
+                f"config error: sweep grid has {points} cells; at most {MAX_SWEEP_CELLS} are allowed")
 
     @pytest.mark.parametrize(
         "specs, cells",
@@ -922,6 +981,7 @@ def test_package_import_loads_no_numpy():
         pytest.param(["capacity", "--config", "missing.json"], EXIT_CONFIG, False, id="missing-config"),
         pytest.param(["capacity", "--config", "invalid.json"], EXIT_CONFIG, False, id="invalid-config"),
         pytest.param(["sweep", "--axis", "q:0.1:0.9:3", "--axis", "q:0.2:0.8:3"], EXIT_CONFIG, False, id="sweep-axes"),
+        pytest.param(["sweep", "--axis", "gamma:0.1:0.5:2.7"], EXIT_CONFIG, False, id="bad-axis"),
         pytest.param(["capacity", "--optimize-photons", "--q", "0.3"], EXIT_CONFIG, False, id="ignored-flag"),
         # The offset solve's inputs are checked before the pass.
         pytest.param(["orbit", "--solve-gamma", "2"], EXIT_CONFIG, False, id="solve-target"),
@@ -1078,7 +1138,6 @@ def _run_quietly(argv):
 @settings(
     max_examples=150,
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
@@ -1114,7 +1173,7 @@ _FLAG_ARGVS = st.sampled_from(sorted(_VALUE_FLAGS)).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_FLAG_ARGVS)
 def test_arbitrary_value_flags_end_in_a_defined_exit_code(argv):
     code, err = _run_quietly(argv)

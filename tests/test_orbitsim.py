@@ -417,7 +417,7 @@ class TestIntegratedGamma:
     def test_reference_pass_samples(self):
         assert integrated_gamma(LEO).times.size == MAX_PASS_SAMPLES == 4097
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(
         altitude=st.floats(1e3, 3e7),
         offset_share=st.floats(1e-9, 1.0, exclude_max=True),

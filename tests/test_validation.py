@@ -1,11 +1,13 @@
 """Argument checks of the library: each raises its own message, NaN included."""
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import warnings
 
+from wiretap_space import secrecy
 from wiretap_space.detection import (
     BinaryCoherentEnsemble,
     distinguishability_angle,
@@ -23,7 +25,7 @@ from wiretap_space.linkbudget import (
 from wiretap_space.numerics import Interval, binary_entropy, find_root, gaussian_disk_fraction
 from wiretap_space.orbitsim import OrbitScenario
 from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_model
-from wiretap_space.scenario_io import OperatingPoint, SweepAxis, preset_config, with_values
+from wiretap_space.scenario_io import OperatingPoint, SweepAxis, exclusion_sweep, preset_config, sweep, with_values
 from wiretap_space.secrecy import (
     ClockedLink,
     devetak_winter_rate,
@@ -98,6 +100,11 @@ def test_nan_raises_its_own_message(call, message):
         (lambda: private_capacity(DetectorModel(), -1.0, 0.1), "received_mean_photons must be >= 0, got -1.0"),
         (lambda: private_capacity_symmetric(DetectorModel(), -1.0, 0.1),
          "received_mean_photons must be >= 0, got -1.0"),
+        # Both of a cell's problems, joined by OperatingPoint's rule.
+        (lambda: secrecy_points([1.0, -1.0], [0.1, 2.0], None, 1e-7, 1.0, 1e-4),
+         "received_mean_photons must be >= 0, got -1.0; gamma must be in [0, 1), got 2.0"),
+        (lambda: private_capacity(DetectorModel(), -1.0, 2.0),
+         "received_mean_photons must be >= 0, got -1.0; gamma must be in [0, 1), got 2.0"),
         (lambda: private_rate(-0.1, ClockedLink()), "capacity must be >= 0, got -0.1"),
         (lambda: required_laser_power(-1.0, 0.5, ClockedLink()), "target_received_mean_photons must be >= 0, got -1.0"),
         (lambda: find_root(lambda x: x, Interval(-1.0, 1.0), 0.0), "tol must be > 0, got 0.0"),
@@ -108,6 +115,49 @@ def test_out_of_range_argument_raises_its_message(call, message):
 
 
 INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda config: sweep(config, [SweepAxis("gamma", 0.1, 0.5, 3.0)]), "points must be a whole number, got 3.0"),
+        (lambda config: exclusion_sweep(config, SweepAxis("dist_bob_m", 1e5, 1e6, 3.5)),
+         "points must be a whole number, got 3.5"),
+        (lambda config: SweepAxis("gamma", 0.1, 0.5, True), "points must be a whole number, got True"),
+        (lambda config: exclusion_sweep(config, SweepAxis("dist_bob_m", 1e5, INF, 3, "log")),
+         "max must be finite, got inf"),
+        (lambda config: SweepAxis("gamma", NAN, 0.5, 3), "min must be finite, got nan"),
+    ],
+)
+def test_sweep_axis_needs_finite_bounds_and_an_integer_count(call, message):
+    # A float count raised TypeError in grid(), True read as a count of 1,
+    # and an infinite log bound ended in FloatingPointError.
+    _raises(lambda: call(preset_config("micius-leo")), message)
+
+
+def test_sweep_axis_takes_a_numpy_count():
+    assert SweepAxis("gamma", 0.1, 0.5, np.int64(3)).grid() == SweepAxis("gamma", 0.1, 0.5, 3).grid()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: secrecy_points(1.0, None, None, 1e-7, 1.0, 1e-4),
+        lambda: private_capacity(DetectorModel(), 1.0, None),
+        lambda: private_capacity_symmetric(DetectorModel(), 1.0, None),
+        lambda: dw_rate_symmetric(DetectorModel(), 1.0, None),
+        lambda: optimal_signal_strength(DetectorModel(), None),
+    ],
+)
+def test_gamma_none_raises_before_any_kernel_call(call, monkeypatch):
+    # OperatingPoint reads a gamma of None as "derive it"; the kernel has no geometry to derive it from.
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    for name in ("_cell_terms", "bob_click_model"):
+        monkeypatch.setattr(secrecy, name, kernel)
+    with pytest.raises((TypeError, ValueError, struct.error)):  # the kernel's AssertionError is none of these
+        call()
 
 
 # ``x >= 0`` holds for +inf, and ``gamma * inf`` is NaN at gamma = 0.
