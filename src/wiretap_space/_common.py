@@ -1,14 +1,15 @@
 """What the config layer and the CLI need at load, in plain ``math``: the
-exceptions, the photon-number check, the config sections, the secrecy point
-record and the scalar closed forms of :func:`~wiretap_space.scenario_io.capacity_row`.
-The modules that export these names import them from here; the secrecy kernel
-raises the sections :class:`DetectorModel` and :class:`OperatingPoint` for its bad inputs.
+exceptions, the range rules, the config sections, the secrecy point record and
+the scalar closed forms of :func:`~wiretap_space.scenario_io.capacity_row`.
+The modules that export these names import them from here.  Each range is
+declared once, in :data:`_RANGES`, and read by the sections' fields (:func:`_ruled`),
+the argument checks (:func:`_check_ranges`) and the secrecy kernel's masks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Sequence
 
 
 class BracketError(ValueError):
@@ -23,13 +24,84 @@ class ConfigError(ValueError):
         self.violations = list(violations)
 
 
-def _check_photons(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless the mean photon number ``value`` is finite and
-    ``>= 0``; NaN gets the ``>= 0`` message."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    if not value < math.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
+# Each range, by the text its message quotes, and its test, which takes a float or
+# a numpy array alike (a bool or a mask); NaN fails every one.  A rule is a range or
+# two joined by " and ", and a value's message names the first range it breaks.
+_RANGES: dict[str, Callable[[Any], Any]] = {
+    "[0, 1]": lambda v: (0.0 <= v) & (v <= 1.0),
+    "(0, 1]": lambda v: (0.0 < v) & (v <= 1.0),
+    "[0, 1)": lambda v: (0.0 <= v) & (v < 1.0),
+    "(0, 1)": lambda v: (0.0 < v) & (v < 1.0),
+    ">= 0": lambda v: 0.0 <= v,
+    "> 0": lambda v: 0.0 < v,
+    "finite": lambda v: abs(v) < math.inf,
+}
+_PHOTONS = ">= 0 and finite"  # a mean photon number's rule
+_RANGES[_PHOTONS] = lambda v: _RANGES[">= 0"](v) & _RANGES["finite"](v)
+
+
+def _must_be(name: str, bound: str, value: Any) -> str:
+    """The text of every range message."""
+    return f"{name} must be {bound}, got {value}"
+
+
+def _range_problem(name: str, rule: str, value: Any) -> str | None:
+    """The message of the first range of ``rule`` that ``value`` breaks, or ``None``;
+    a value that no range compares (``None``) breaks the first."""
+    for text in rule.split(" and "):
+        try:
+            if _RANGES[text](value):
+                continue
+        except TypeError:
+            pass
+        return _must_be(name, f"in {text}" if text[0] in "[(" else text, value)
+    return None
+
+
+def _check_ranges(*checks: tuple[str, str, Any]) -> None:
+    """Raise ``ValueError`` naming each ``(name, rule, value)`` whose value breaks
+    its rule, in the order given, joined by ``; ``."""
+    problems = [problem for check in checks if (problem := _range_problem(*check))]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _ruled(rule: str | Callable[[Any], str | None], default: Any = MISSING) -> Any:
+    """A section field with its rule: a rule of :data:`_RANGES`, or a function of
+    the section that gives the field's message or ``None``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check_fields(section: Any) -> None:
+    """The sections' ``__post_init__``: raise ``ValueError`` naming every field that
+    breaks its rule, in field order, joined by ``; ``.  A field whose default is
+    ``None`` takes ``None``."""
+    problems = []
+    for name, rule, test, optional in section._checks:
+        value = getattr(section, name)
+        if test is None:
+            problems.append(rule(section))
+        elif not (value is None and optional or test(value)):
+            problems.append(_range_problem(name, rule, value))
+    if any(problems):
+        raise ValueError("; ".join(filter(None, problems)))
+
+
+def _section(cls: type) -> type:
+    """``dataclass(frozen=True)`` with :func:`_check_fields` as ``__post_init__``; the fields'
+    rules (:func:`_ruled`) are read here once: ``_rules`` maps names to rules in field order,
+    ``_checks`` holds name, rule, test (``None`` for a function) and whether the default is ``None``."""
+    cls.__post_init__ = _check_fields
+    cls = dataclass(frozen=True)(cls)
+    cls._rules = {f.name: f.metadata["rule"] for f in fields(cls) if "rule" in f.metadata}
+    cls._checks = [(name, rule, None if callable(rule) else _RANGES[rule], getattr(cls, name, MISSING) is None)
+                   for name, rule in cls._rules.items()]
+    return cls
+
+
+def _check_as(section: type, **values: Any) -> None:
+    """:func:`_check_ranges` of arguments by the rules of ``section``'s fields of their names."""
+    _check_ranges(*((name, section._rules[name], value) for name, value in values.items()))
 
 
 def _distinguishability_angle(n: float) -> float:
@@ -44,29 +116,16 @@ def _helstrom_error(n: float, q: float) -> float:
     return 0.5 * (spread * math.exp(-n)) / (1.0 + root)
 
 
-@dataclass(frozen=True)
+@_section
 class DetectorModel:
     """Receiver imperfections: dark counts, internal optics, stray light."""
 
-    p_dark: float = 1e-7
-    eta_optical: float = 1.0
-    stray_mean: float = 1e-4
-
-    def __post_init__(self):
-        problems = []
-        if not 0.0 <= self.p_dark <= 1.0:
-            problems.append(f"p_dark must be in [0, 1], got {self.p_dark}")
-        if not 0.0 < self.eta_optical <= 1.0:
-            problems.append(f"eta_optical must be in (0, 1], got {self.eta_optical}")
-        if not self.stray_mean >= 0:
-            problems.append(f"stray_mean must be >= 0, got {self.stray_mean}")
-        elif not self.stray_mean < math.inf:
-            problems.append(f"stray_mean must be finite, got {self.stray_mean}")
-        if problems:
-            raise ValueError("; ".join(problems))
+    p_dark: float = _ruled("[0, 1]", 1e-7)
+    eta_optical: float = _ruled("(0, 1]", 1.0)
+    stray_mean: float = _ruled(_PHOTONS, 1e-4)
 
 
-@dataclass(frozen=True)
+@_section
 class OperatingPoint:
     """Default evaluation point: photon number, degradation and prior.
 
@@ -74,22 +133,9 @@ class OperatingPoint:
     ``q=None`` optimises the input probability.
     """
 
-    received_mean_photons: float = 4.0
-    gamma: float | None = None
-    q: float | None = None
-
-    def __post_init__(self):
-        problems = []
-        try:
-            _check_photons("received_mean_photons", self.received_mean_photons)
-        except ValueError as exc:
-            problems.append(str(exc))
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            problems.append(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.q is not None and not 0.0 < self.q < 1.0:
-            problems.append(f"q must be in (0, 1), got {self.q}")
-        if problems:
-            raise ValueError("; ".join(problems))
+    received_mean_photons: float = _ruled(_PHOTONS, 4.0)
+    gamma: float | None = _ruled("[0, 1)", None)
+    q: float | None = _ruled("(0, 1)", None)
 
 
 @dataclass(frozen=True)
@@ -106,18 +152,12 @@ class SecrecyPoint:
     dw_rate: float
 
 
-@dataclass(frozen=True)
+@_section
 class ClockedLink:
     """Symbol clock and carrier wavelength used for rate/power conversions."""
 
-    clock_rate: float = 1e9
-    wavelength: float = 850e-9
-
-    def __post_init__(self):
-        problems = [f"{name} must be > 0, got {getattr(self, name)}"
-                    for name in ("clock_rate", "wavelength") if not getattr(self, name) > 0]
-        if problems:
-            raise ValueError("; ".join(problems))
+    clock_rate: float = _ruled("> 0", 1e9)
+    wavelength: float = _ruled("> 0", 850e-9)
 
 
 # Smallest interceptor orbit offset, metres.  Closer orbits differ from the
@@ -127,28 +167,37 @@ class ClockedLink:
 MIN_EVE_ORBIT_OFFSET = 1e-3
 
 
-@dataclass(frozen=True)
+@_section
 class PhysicalConstants:
     """Two-body and Earth-rotation constants; overridable in configs."""
 
-    earth_mu: float = 3.986004418e14
-    earth_radius: float = 6.371e6
-    earth_angular_velocity: float = 7.2921159e-5
-
-    def __post_init__(self):
-        problems = []
-        for name in ("earth_mu", "earth_radius"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.earth_angular_velocity >= 0:
-            problems.append(
-                f"earth_angular_velocity must be >= 0, got {self.earth_angular_velocity}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
+    earth_mu: float = _ruled("> 0", 3.986004418e14)
+    earth_radius: float = _ruled("> 0", 6.371e6)
+    earth_angular_velocity: float = _ruled(">= 0", 7.2921159e-5)
 
 
-@dataclass(frozen=True)
+def _offset_problem(orbit: OrbitScenario) -> str | None:
+    """``eve_orbit_offset``'s rule: from :data:`MIN_EVE_ORBIT_OFFSET` to below ``alice_altitude``."""
+    offset = orbit.eve_orbit_offset
+    return None if MIN_EVE_ORBIT_OFFSET <= offset < orbit.alice_altitude else (
+        _must_be("eve_orbit_offset", f"in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude)", offset)
+        + "; the pass geometry does not resolve closer orbits")
+
+
+def _elevation_problem(orbit: OrbitScenario) -> str | None:
+    """``min_elevation``'s rule, in radians and degrees: above the horizon, at most the zenith."""
+    angle = orbit.min_elevation
+    return None if 0.0 < angle <= 0.5 * math.pi else _must_be(
+        "min_elevation", "in (0, pi/2]", f"{angle} rad ({math.degrees(angle):g} deg)")
+
+
+def _aperture_problem(orbit: OrbitScenario) -> str | None:
+    """``bob_aperture_model``'s rule: one of the two collection models."""
+    model = orbit.bob_aperture_model
+    return None if model in ("gaussian", "footprint") else f"unknown bob_aperture_model: {model!r}"
+
+
+@_section
 class OrbitScenario:
     """Two-satellite plus ground-station configuration.
 
@@ -168,34 +217,12 @@ class OrbitScenario:
     ``theta * d`` instead of ``theta * d / 2``, for comparison runs.
     """
 
-    alice_altitude: float = 600e3
-    eve_orbit_offset: float = 16e3
-    eve_telescope_diameter: float = 2.0
-    diam_bob: float = 1.0
-    eta_b: float = 0.01
-    divergence_full_angle: float = 1e-5
-    min_elevation: float = math.radians(20.0)
-    bob_aperture_model: str = "gaussian"
+    alice_altitude: float = _ruled("> 0", 600e3)
+    eve_orbit_offset: float = _ruled(_offset_problem, 16e3)
+    eve_telescope_diameter: float = _ruled("> 0", 2.0)
+    diam_bob: float = _ruled("> 0", 1.0)
+    eta_b: float = _ruled("(0, 1]", 0.01)
+    divergence_full_angle: float = _ruled("> 0", 1e-5)
+    min_elevation: float = _ruled(_elevation_problem, math.radians(20.0))
+    bob_aperture_model: str = _ruled(_aperture_problem, "gaussian")
     legacy_beam_width: bool = False
-
-    def __post_init__(self):
-        problems = []
-        if not self.alice_altitude > 0:
-            problems.append(f"alice_altitude must be > 0, got {self.alice_altitude}")
-        if not MIN_EVE_ORBIT_OFFSET <= self.eve_orbit_offset < self.alice_altitude:
-            problems.append(
-                f"eve_orbit_offset must be in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude), "
-                f"got {self.eve_orbit_offset}; the pass geometry does not resolve closer orbits"
-            )
-        for name in ("eve_telescope_diameter", "diam_bob", "divergence_full_angle"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.eta_b <= 1.0:
-            problems.append(f"eta_b must be in (0, 1], got {self.eta_b}")
-        if not 0.0 < self.min_elevation <= 0.5 * math.pi:
-            problems.append(f"min_elevation must be in (0, pi/2], got {self.min_elevation} rad "
-                            f"({math.degrees(self.min_elevation):g} deg)")
-        if self.bob_aperture_model not in ("gaussian", "footprint"):
-            problems.append(f"unknown bob_aperture_model: {self.bob_aperture_model!r}")
-        if problems:
-            raise ValueError("; ".join(problems))

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from ._common import ConfigError
+from ._common import ConfigError, _check_ranges, _range_problem, _ruled, _section
 
 __all__ = [
     "LinkBudgetWarning",
@@ -52,15 +51,14 @@ def db_to_fraction(loss_db: float) -> float:
 
 def fraction_to_db(fraction: float) -> float:
     """Convert a transmission fraction to a positive loss in dB."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    _check_ranges(("fraction", "(0, 1]", fraction))
     return 0.0 - 10.0 * math.log10(fraction)  # 0.0 at 1, not -0.0
 
 
 def _check_gamma_target(gamma_target: float) -> None:
     """Raise ``ConfigError`` unless the degradation target is in (0, 1)."""
-    if not 0.0 < gamma_target < 1.0:
-        raise ConfigError([f"gamma_target must be in (0, 1), got {gamma_target}"])
+    if problem := _range_problem("gamma_target", "(0, 1)", gamma_target):
+        raise ConfigError([problem])
 
 
 def check_offset_solve(alice_altitude: float, gamma_target: float) -> None:
@@ -92,7 +90,7 @@ def _footprint_fraction(diam, divergence, distance):
     return (diam / wider) ** 2
 
 
-@dataclass(frozen=True)
+@_section
 class LinkGeometry:
     """Downlink geometry for the receiver and a ground-based interceptor.
 
@@ -101,25 +99,13 @@ class LinkGeometry:
     pointing, optics, detector) into one fraction.
     """
 
-    dist_bob: float = 1.2e6
-    dist_eve: float = 1.2e6
-    diam_bob: float = 1.0
-    diam_eve: float = 2.0
-    divergence_full_angle: float = 1e-5
-    eta_b: float = 0.01
-    exclusion_radius: float = 12.5
-
-    def __post_init__(self):
-        problems = []
-        for name in ("dist_bob", "dist_eve", "diam_bob", "diam_eve", "divergence_full_angle"):
-            if not getattr(self, name) > 0:
-                problems.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.eta_b <= 1.0:
-            problems.append(f"eta_b must be in (0, 1], got {self.eta_b}")
-        if not self.exclusion_radius >= 0:
-            problems.append(f"exclusion_radius must be >= 0, got {self.exclusion_radius}")
-        if problems:
-            raise ValueError("; ".join(problems))
+    dist_bob: float = _ruled("> 0", 1.2e6)
+    dist_eve: float = _ruled("> 0", 1.2e6)
+    diam_bob: float = _ruled("> 0", 1.0)
+    diam_eve: float = _ruled("> 0", 2.0)
+    divergence_full_angle: float = _ruled("> 0", 1e-5)
+    eta_b: float = _ruled("(0, 1]", 0.01)
+    exclusion_radius: float = _ruled(">= 0", 12.5)
 
     @property
     def exclusion_angle(self) -> float:
@@ -224,10 +210,8 @@ def exclusion_radius_partial(
     of exactly 1 returns 0; ``FloatingPointError`` when it overflows.
     """
     _check_gamma_target(gamma_target)
-    if not dist > 0 or not divergence > 0 or not diam_ratio_eve_over_bob >= 0:
-        raise ValueError("dist and divergence must be > 0 and the diameter ratio >= 0")
-    if not 0.0 < eta_b <= 1.0:
-        raise ValueError(f"eta_b must be in (0, 1], got {eta_b}")
+    _check_ranges(("dist", "> 0", dist), ("eta_b", "(0, 1]", eta_b),
+                  ("diam_ratio_eve_over_bob", ">= 0", diam_ratio_eve_over_bob), ("divergence", "> 0", divergence))
     log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * (diam_ratio_eve_over_bob * diam_ratio_eve_over_bob)
     if math.isinf(log_arg):
         raise FloatingPointError(f"log argument overflows: diameter ratio {diam_ratio_eve_over_bob}")
@@ -253,8 +237,7 @@ def exclusion_radius_total(
     right side underflows to 0 or the radius overflows.
     """
     _check_gamma_target(gamma_target)
-    if not dist > 0 or not diam_bob > 0 or not divergence > 0:
-        raise ValueError("dist, diam_bob and divergence must be > 0")
+    _check_ranges(("dist", "> 0", dist), ("diam_bob", "> 0", diam_bob), ("divergence", "> 0", divergence))
     scale = divergence * dist
     ratio = diam_bob / scale if scale > 0.0 else math.inf  # a footprint that underflows is the narrower
     rhs = -gamma_target * math.expm1(-2.0 * ratio * ratio)  # not ** 2, which raises on overflow

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._common import BracketError, ConfigError, _check_photons
+from ._common import BracketError, ConfigError, _check_ranges
 
 __all__ = [
     "Interval",
@@ -167,8 +167,7 @@ def maximize_lockstep(
     Each call of ``f`` holds at most ``SCAN_BLOCK_CELLS * GRID_POINTS``
     points.  Returns ``(argmax, max)`` arrays of length ``cells``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_ranges(("tol", "> 0", tol))
     if points < 5 or points % 2 == 0:
         raise ValueError(f"points must be odd and >= 5, got {points}")
     step = (domain.hi - domain.lo) / (GRID_POINTS - 1)
@@ -230,8 +229,7 @@ def maximize_1d(f: Callable[[float], float], domain: Interval, tol: float) -> tu
 
 def find_root(f: Callable[[float], float], bracket: Interval, tol: float) -> float:
     """Bisection on ``bracket`` down to width ``tol``; returns the midpoint."""
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_ranges(("tol", "> 0", tol))
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -417,10 +415,6 @@ def gaussian_disk_fraction(beam_radius_w: float, offset: float, disk_radius: flo
     where ``offset - 8 w >= disk_radius``, where the exact share differs
     from those by at most 6.4e-58, and exactly 0 on a disk of radius 0.
     """
-    if not beam_radius_w > 0:
-        raise ValueError(f"beam_radius_w must be > 0, got {beam_radius_w}")
-    if not offset >= 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
-    if not disk_radius >= 0:
-        raise ValueError(f"disk_radius must be >= 0, got {disk_radius}")
+    _check_ranges(("beam_radius_w", "> 0", beam_radius_w), ("offset", ">= 0", offset),
+                  ("disk_radius", ">= 0", disk_radius))
     return float(_disk_fraction(beam_radius_w, offset, disk_radius))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DetectorModel, _check_photons
+from ._common import _PHOTONS, DetectorModel, _RANGES, _check_ranges, _range_problem
 from .numerics import _channel_information, _entropy
 
 __all__ = [
@@ -57,9 +57,9 @@ def _no_click_probabilities(received_mean_photons, p_dark, eta_optical, stray_me
 def _checked_prior(q) -> np.ndarray:
     """``q`` as a float array; raises for the first value outside [0, 1]."""
     q = np.asarray(q, dtype=float)
-    inside = (0.0 <= q) & (q <= 1.0)
+    inside = _RANGES["[0, 1]"](q)
     if not inside.all():
-        raise ValueError(f"q must be in [0, 1], got {float(q[~inside][0])}")
+        raise ValueError(_range_problem("q", "[0, 1]", float(q[~inside][0])))
     return q
 
 
@@ -70,7 +70,7 @@ def bob_click_model(detector: DetectorModel, received_mean_photons: float) -> Bo
     detector with every channel loss already applied (detector efficiency is
     folded into the channel efficiency upstream).
     """
-    _check_photons("received_mean_photons", received_mean_photons)
+    _check_ranges(("received_mean_photons", _PHOTONS, received_mean_photons))
     eps0, eps1 = _no_click_probabilities(
         received_mean_photons, detector.p_dark, detector.eta_optical, detector.stray_mean
     )

@@ -15,10 +15,11 @@ each exclusion row by
 :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
 The ``capacity`` table is :func:`sweep` with no axis, and only the
 kernel's columns check ``dw_rate <= private_capacity``.  A sweep validates
-each axis value once (no section rule joins two fields); the first invalid
-cell in row-major order still raises its own message.  The module loads
-no numpy: :func:`sweep` (past its checks) and :func:`emit_table1` import
-the secrecy kernel when they run.
+each axis value once: no rule of the sections a capacity axis sets
+(``detector``, ``geometry``, ``operating``) joins two fields, only ``orbit``'s
+offset rule does.  The first invalid cell in row-major order still raises
+its own message.  The module loads no numpy: :func:`sweep` (past its checks)
+and :func:`emit_table1` import the secrecy kernel when they run.
 """
 from __future__ import annotations
 
@@ -292,6 +293,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(
             [f"config {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past Python's digit limit, deep nesting
+        raise ConfigError([f"config {path!r} is not valid JSON: {exc}"]) from exc
     return config_from_dict(data)
 
 
@@ -380,7 +383,8 @@ def sweep(
     the rest are the evaluated outputs at that cell.  ``axes=None`` takes the
     config's; with no axis the table is the ``capacity`` command's row, the
     config's one cell.  Axes that cannot reach the output raise.  Each axis
-    value is validated once (no section rule joins two fields), and the first
+    value is validated once (no rule of ``detector``, ``geometry`` or
+    ``operating``, the sections an axis sets, joins two fields), and the first
     invalid cell in row-major order, or the first whose degradation (taken
     once per geometry) is outside [0, 1), raises its own message; then one
     evaluation of the kernel's columns

@@ -33,10 +33,10 @@ import struct
 
 import numpy as np
 
-from ._common import ClockedLink, OperatingPoint, SecrecyPoint
+from ._common import _PHOTONS, _RANGES, ClockedLink, OperatingPoint, SecrecyPoint, _check_as, _check_ranges
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _channel_information, _check_photons, _entropy, _entropy_in_place
+from .numerics import GRID_POINTS, Interval, _channel_information, _entropy, _entropy_in_place
 from .numerics import binary_entropy, maximize_lockstep
 from .receiver import DetectorModel, _checked_prior, _no_click_probabilities, bob_click_model
 
@@ -186,15 +186,12 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
         np.ravel(a).astype(float)
         for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
     )
-    bad = ~((0.0 <= mu) & (mu < math.inf)) | ~((0.0 <= gamma) & (gamma < 1.0))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        OperatingPoint(float(mu[first]), float(gamma[first]))  # raises
-    bad = ~((0.0 <= p_dark) & (p_dark <= 1.0)) | ~((0.0 < eta_optical) & (eta_optical <= 1.0))
-    bad |= ~((0.0 <= stray_mean) & (stray_mean < math.inf))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        DetectorModel(float(p_dark[first]), float(eta_optical[first]), float(stray_mean[first]))  # raises
+    for section, cells in ((OperatingPoint, {"received_mean_photons": mu, "gamma": gamma}),
+                           (DetectorModel, {"p_dark": p_dark, "eta_optical": eta_optical, "stray_mean": stray_mean})):
+        bad = ~np.logical_and.reduce([_RANGES[section._rules[name]](column) for name, column in cells.items()])
+        if bad.any():
+            first = np.flatnonzero(bad)[0]
+            section(**{name: float(column[first]) for name, column in cells.items()})  # raises
     terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
     if q is None:
         q, _ = _optimal_q(terms)
@@ -258,7 +255,7 @@ def private_capacity_symmetric(
     ``eps*`` is the interceptor's minimum error probability.  Kept free of
     the general measurement machinery so the two paths cross-check.
     """
-    OperatingPoint(received_mean_photons, gamma)  # raises; for a gamma of None, the next line does
+    _check_as(OperatingPoint, received_mean_photons=received_mean_photons, gamma=gamma)
     eps_star = helstrom_error(
         BinaryCoherentEnsemble(mean_photons=gamma * received_mean_photons, prior_q=0.5)
     )
@@ -278,7 +275,7 @@ def dw_rate_symmetric(detector: DetectorModel, received_mean_photons: float, gam
     ``[h((eps0+eps1)/2) - (h(eps0)+h(eps1))/2 - h((1+c)/2)]+`` with
     ``c = exp(-gamma * received_mean_photons / 2)`` the interceptor overlap.
     """
-    OperatingPoint(received_mean_photons, gamma)  # raises; for a gamma of None, the next line does
+    _check_as(OperatingPoint, received_mean_photons=received_mean_photons, gamma=gamma)
     c = overlap(gamma * received_mean_photons)
     channel = bob_click_model(detector, received_mean_photons)
     value = (
@@ -305,7 +302,7 @@ def optimal_signal_strength(detector: DetectorModel, gamma: float) -> tuple[floa
     ``(p_dark, eta_optical, stray_mean, gamma)`` (checked first), and returns
     a kept one without a kernel call.
     """
-    OperatingPoint(PHOTON_SEARCH_BOUNDS[0], gamma)  # raises; for a gamma of None, struct.pack does
+    _check_as(OperatingPoint, gamma=gamma)
     return _photon_search(struct.pack("<4d", detector.p_dark, detector.eta_optical, detector.stray_mean, gamma))
 
 
@@ -329,15 +326,13 @@ def _photon_search(key: bytes) -> tuple[float, SecrecyPoint]:
 
 def plob_bound(eta: float) -> float:
     """Repeaterless secret-key upper bound ``-log2(1 - eta)`` in bits per use."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta}")
+    _check_ranges(("eta", "[0, 1)", eta))
     return -math.log2(1.0 - eta)
 
 
 def private_rate(capacity: float, link: ClockedLink) -> float:
     """Convert bits per use to bits per second at the link's clock rate."""
-    if not capacity >= 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    _check_ranges(("capacity", ">= 0", capacity))
     return capacity * link.clock_rate
 
 
@@ -350,9 +345,8 @@ def required_laser_power(
     end-to-end efficiency; multiplying by the clock rate and the photon
     energy gives watts.
     """
-    _check_photons("target_received_mean_photons", target_received_mean_photons)
-    if not 0.0 < total_efficiency <= 1.0:
-        raise ValueError(f"total_efficiency must be in (0, 1], got {total_efficiency}")
+    _check_ranges(("target_received_mean_photons", _PHOTONS, target_received_mean_photons),
+                  ("total_efficiency", "(0, 1]", total_efficiency))
     transmitted = target_received_mean_photons / total_efficiency
     photon_energy = _PLANCK * _SPEED_OF_LIGHT / link.wavelength
     return transmitted * link.clock_rate * photon_energy

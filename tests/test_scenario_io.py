@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import math
 import random
 import re
+import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -16,7 +18,9 @@ from wiretap_space.cli import main
 from wiretap_space.linkbudget import radius_vs_gamma_curve
 from wiretap_space.orbitsim import OrbitScenario
 from wiretap_space.receiver import DetectorModel
+from wiretap_space._common import _check_fields
 from wiretap_space.scenario_io import (
+    _FIELD_BY_KEY,
     _SCHEMA,
     CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
@@ -177,18 +181,27 @@ class TestConfigLoading:
     def test_readme_schema_table_matches(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text().split("## Configuration schema", 1)[1]
-        rows = re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*) \|", section, flags=re.MULTILINE)
+        rows = re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*) \| ([^|]*) \|", section, flags=re.MULTILINE)
         keys = ["label"] + [
             f"{name}.{f.key}" for name, (_, fields) in _SCHEMA.items() for f in fields
         ] + ["sweep"]
-        assert [field for field, _ in rows] == keys
+        assert [field for field, _, _ in rows] == keys
         resolved = config_to_dict(config_from_dict({}))
-        for field, cell in rows:
+        rules = {f"{name}.{f.key}": cls._rules.get(f.attr) for name, (cls, fields) in _SCHEMA.items() for f in fields}
+        for field, cell, range_cell in rows:
             default = resolved
             for part in field.split("."):
                 default = default[part]
             text = cell.strip().strip("`")
             assert (text if field == "label" else json.loads(text)) == default, field
+            # The Range column is the field's declared rule; a section's own rule is in words.
+            rule, range_cell = rules.get(field), range_cell.strip()
+            if rule is None:
+                assert range_cell == "-", field
+            elif callable(rule):
+                assert range_cell not in ("", "-"), field
+            else:
+                assert range_cell == f"`{rule}`", field
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -207,6 +220,30 @@ class TestConfigLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            # json.load raises Python's int-string-limit ValueError past 4300 digits.
+            ('{"sweep": [{"param": "gamma", "min": 0.1, "max": 0.5, "points": ' + "1" * 5000 + "}]}",
+             "Exceeds the limit (4300 digits)"),
+            (b'{"label": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["5000-digit-points", "not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_json_is_a_config_error_naming_the_file(self, tmp_path, capsys, content, reason):
+        # Each was an internal error, exit 3.
+        if reason.startswith("Exceeds") and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no integer digit limit")
+        path = tmp_path / "big.json"
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        (violation,) = info.value.violations
+        assert violation.startswith(f"config {str(path)!r} is not valid JSON: ") and reason in violation
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
 
     def test_presets(self):
         assert preset_config("micius-meo").geometry.dist_bob == pytest.approx(1e7)
@@ -384,6 +421,16 @@ class TestSweep:
         config = config_from_dict({})
         with pytest.raises(ConfigError):
             sweep(config, [SweepAxis(param="altitude", lo=1.0, hi=2.0, points=2)])
+
+    def test_the_sections_an_axis_sets_check_each_field_alone(self):
+        # sweep validates each axis value once, which holds while no rule of these sections reads a second field.
+        sections = {_FIELD_BY_KEY[param][0] for param in CAPACITY_SWEEP_PARAMS}
+        assert sections == {"detector", "geometry", "operating"}
+        for section in sections:
+            cls = _SCHEMA[section][0]
+            assert cls.__post_init__ is _check_fields, section
+            assert all(isinstance(rule, str) for rule in cls._rules.values()), section
+            assert list(cls._rules) == [f.name for f in dataclasses.fields(cls)], section
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Argument checks of the library: each raises its own message, NaN included."""
+import ast
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import warnings
 
+import wiretap_space
 from wiretap_space import secrecy
 from wiretap_space.detection import (
     BinaryCoherentEnsemble,
@@ -23,7 +26,7 @@ from wiretap_space.linkbudget import (
     fraction_to_db,
 )
 from wiretap_space.numerics import Interval, binary_entropy, find_root, gaussian_disk_fraction
-from wiretap_space.orbitsim import OrbitScenario
+from wiretap_space.orbitsim import OrbitScenario, PhysicalConstants
 from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_model
 from wiretap_space.scenario_io import OperatingPoint, SweepAxis, exclusion_sweep, preset_config, sweep, with_values
 from wiretap_space.secrecy import (
@@ -80,13 +83,12 @@ def test_nan_raises_its_own_message(call, message):
     [
         (lambda: fraction_to_db(0.0), "fraction must be in (0, 1], got 0.0"),
         (lambda: fraction_to_db(1.5), "fraction must be in (0, 1], got 1.5"),
-        (lambda: exclusion_radius_partial(0.1, 0.0, 0.01, 2.0, 1e-5),
-         "dist and divergence must be > 0 and the diameter ratio >= 0"),
+        (lambda: exclusion_radius_partial(0.1, 0.0, 0.01, 2.0, 1e-5), "dist must be > 0, got 0.0"),
         (lambda: exclusion_radius_partial(0.1, 1e6, 0.01, -1.0, 1e-5),
-         "dist and divergence must be > 0 and the diameter ratio >= 0"),
+         "diam_ratio_eve_over_bob must be >= 0, got -1.0"),
         (lambda: exclusion_radius_partial(0.1, 1e6, 0.0, 2.0, 1e-5), "eta_b must be in (0, 1], got 0.0"),
-        (lambda: exclusion_radius_total(0.1, 1e6, 0.0, 1e-5), "dist, diam_bob and divergence must be > 0"),
-        (lambda: exclusion_radius_total(0.1, 1e6, 1.0, 0.0), "dist, diam_bob and divergence must be > 0"),
+        (lambda: exclusion_radius_total(0.1, 1e6, 0.0, 1e-5), "diam_bob must be > 0, got 0.0"),
+        (lambda: exclusion_radius_total(0.1, 1e6, 1.0, 0.0), "divergence must be > 0, got 0.0"),
         (lambda: OrbitScenario(alice_altitude=0.0),
          "alice_altitude must be > 0, got 0.0; eve_orbit_offset must be in [0.001 m, alice_altitude), "
          "got 16000.0; the pass geometry does not resolve closer orbits"),
@@ -292,3 +294,74 @@ def test_detector_check_comes_after_photons_and_gamma_and_before_q(field, value,
             "received_mean_photons must be >= 0, got -1.0")
     _raises(lambda: secrecy_points(1.0, [0.1, 0.1, 1.0], None, **fields), "gamma must be in [0, 1), got 1.0")
     _raises(lambda: secrecy_points(1.0, 0.1, [1.5, 0.5, 0.5], **fields), message)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: optimal_signal_strength(DetectorModel(), None), "gamma must be in [0, 1), got None"),
+        (lambda: private_capacity_symmetric(DetectorModel(), 1.0, None), "gamma must be in [0, 1), got None"),
+        (lambda: dw_rate_symmetric(DetectorModel(), 1.0, None), "gamma must be in [0, 1), got None"),
+        (lambda: secrecy_points(1.0, None, None, 1e-7, 1.0, 1e-4), "gamma must be in [0, 1), got nan"),
+    ],
+)
+def test_gamma_none_is_named_by_its_rule(call, message, monkeypatch):
+    # optimal_signal_strength raised struct.error, the symmetric forms a bare TypeError from gamma * mu.
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    for name in ("_cell_terms", "bob_click_model", "_photon_search"):
+        monkeypatch.setattr(secrecy, name, kernel)
+    _raises(call, message)
+
+
+def test_sections_join_every_problem_in_field_order():
+    _raises(lambda: OrbitScenario(eta_b=0.0, divergence_full_angle=0.0),
+            "eta_b must be in (0, 1], got 0.0; divergence_full_angle must be > 0, got 0.0")
+    _raises(lambda: BinaryCoherentEnsemble(-1.0, 2.0),
+            "mean_photons must be >= 0, got -1.0; prior_q must be in [0, 1], got 2.0")
+
+
+# Each range of a declared rule: the message's text and values just outside it.
+_OUTSIDE = {
+    "[0, 1]": ("in [0, 1]", [-5e-324, math.nextafter(1.0, 2.0)]),
+    "(0, 1]": ("in (0, 1]", [0.0, math.nextafter(1.0, 2.0)]),
+    "[0, 1)": ("in [0, 1)", [-5e-324, 1.0]),
+    "(0, 1)": ("in (0, 1)", [0.0, 1.0]),
+    ">= 0": (">= 0", [-5e-324]),
+    "> 0": ("> 0", [0.0, -5e-324]),
+    "finite": ("finite", [INF]),
+}
+# Each ruled section with the fields it needs besides its defaults.
+_SECTIONS = {DetectorModel: {}, OperatingPoint: {}, ClockedLink: {}, LinkGeometry: {}, OrbitScenario: {},
+             BinaryCoherentEnsemble: {"mean_photons": 1.0}, PhysicalConstants: {}}
+_RULED_FIELDS = [(cls, name, rule) for cls in _SECTIONS for name, rule in cls._rules.items() if isinstance(rule, str)]
+# The kernel's five columns, as secrecy_points takes them.
+_KERNEL_COLUMNS = ("received_mean_photons", "gamma", "p_dark", "eta_optical", "stray_mean")
+
+
+@pytest.mark.parametrize("cls, name, rule", _RULED_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_each_declared_rule_gives_its_text_in_the_section_and_the_kernel(cls, name, rule):
+    ranges = rule.split(" and ")
+    cases = [(value, text) for part in ranges for text, values in [_OUTSIDE[part]] for value in values]
+    cases.append((NAN, _OUTSIDE[ranges[0]][0]))  # NaN breaks the first range
+    for value, text in cases:
+        message = f"{name} must be {text}, got {value}"
+        with pytest.raises(ValueError) as exc:
+            cls(**{**_SECTIONS[cls], name: value})
+        assert message in str(exc.value).split("; "), (value, str(exc.value))
+        if cls in (OperatingPoint, DetectorModel) and name in _KERNEL_COLUMNS:
+            cells = {"received_mean_photons": 1.0, "gamma": 0.1, "q": 0.5, **_VALID_DETECTOR}
+            _raises(lambda: secrecy_points(**{**cells, name: [cells[name], value]}), message)
+
+
+def test_no_range_message_is_written_outside_the_rule_table():
+    # Every range message comes from the one rule helper of _common, so a bound and its text cannot drift apart.
+    phrases = ("must be in [", "must be in (", "must be >= 0", "must be > 0")
+    package = Path(wiretap_space.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [f"{path.name}:{node.lineno}: {node.value!r}" for p in phrases if p in node.value]
+    assert found == []
