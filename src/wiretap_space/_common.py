@@ -1,6 +1,8 @@
 """What the config layer and the CLI need at load, in plain ``math``: the
 exceptions, the range rules, the config sections, the secrecy point record and
-the scalar closed forms of :func:`~wiretap_space.scenario_io.capacity_row`.
+the scalar closed forms of the capacity rows' derived columns, which
+:func:`~wiretap_space.scenario_io.capacity_row` and the sweep's column builder
+map over a point's values.
 The modules that export these names import them from here.  Each range is
 declared once, in :data:`_RANGES`, and read by the sections' fields (:func:`_ruled`),
 the argument checks (:func:`_check_ranges`) and the secrecy kernel's masks.
@@ -74,14 +76,15 @@ def _ruled(rule: str | Callable[[Any], str | None], default: Any = MISSING) -> A
 
 def _check_fields(section: Any) -> None:
     """The sections' ``__post_init__``: raise ``ValueError`` naming every field that
-    breaks its rule, in field order, joined by ``; ``.  A field whose default is
-    ``None`` takes ``None``."""
+    breaks its rule, in field order, joined by ``; ``, as :func:`_check_ranges`
+    does, so a value that no range compares breaks its first.  A field whose
+    default is ``None`` takes ``None``."""
     problems = []
-    for name, rule, test, optional in section._checks:
+    for name, rule, optional in section._checks:
         value = getattr(section, name)
-        if test is None:
+        if callable(rule):
             problems.append(rule(section))
-        elif not (value is None and optional or test(value)):
+        elif not (value is None and optional):
             problems.append(_range_problem(name, rule, value))
     if any(problems):
         raise ValueError("; ".join(filter(None, problems)))
@@ -90,12 +93,11 @@ def _check_fields(section: Any) -> None:
 def _section(cls: type) -> type:
     """``dataclass(frozen=True)`` with :func:`_check_fields` as ``__post_init__``; the fields'
     rules (:func:`_ruled`) are read here once: ``_rules`` maps names to rules in field order,
-    ``_checks`` holds name, rule, test (``None`` for a function) and whether the default is ``None``."""
+    ``_checks`` holds name, rule and whether the default is ``None``."""
     cls.__post_init__ = _check_fields
     cls = dataclass(frozen=True)(cls)
     cls._rules = {f.name: f.metadata["rule"] for f in fields(cls) if "rule" in f.metadata}
-    cls._checks = [(name, rule, None if callable(rule) else _RANGES[rule], getattr(cls, name, MISSING) is None)
-                   for name, rule in cls._rules.items()]
+    cls._checks = [(name, rule, getattr(cls, name, MISSING) is None) for name, rule in cls._rules.items()]
     return cls
 
 
@@ -179,16 +181,25 @@ class PhysicalConstants:
 def _offset_problem(orbit: OrbitScenario) -> str | None:
     """``eve_orbit_offset``'s rule: from :data:`MIN_EVE_ORBIT_OFFSET` to below ``alice_altitude``."""
     offset = orbit.eve_orbit_offset
-    return None if MIN_EVE_ORBIT_OFFSET <= offset < orbit.alice_altitude else (
-        _must_be("eve_orbit_offset", f"in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude)", offset)
-        + "; the pass geometry does not resolve closer orbits")
+    try:
+        if MIN_EVE_ORBIT_OFFSET <= offset < orbit.alice_altitude:
+            return None
+    except TypeError:  # a value no bound compares breaks the rule
+        pass
+    return (_must_be("eve_orbit_offset", f"in [{MIN_EVE_ORBIT_OFFSET} m, alice_altitude)", offset)
+            + "; the pass geometry does not resolve closer orbits")
 
 
 def _elevation_problem(orbit: OrbitScenario) -> str | None:
     """``min_elevation``'s rule, in radians and degrees: above the horizon, at most the zenith."""
     angle = orbit.min_elevation
-    return None if 0.0 < angle <= 0.5 * math.pi else _must_be(
-        "min_elevation", "in (0, pi/2]", f"{angle} rad ({math.degrees(angle):g} deg)")
+    try:
+        if 0.0 < angle <= 0.5 * math.pi:
+            return None
+        angle = f"{angle} rad ({math.degrees(angle):g} deg)"
+    except TypeError:  # a value no bound compares breaks the rule
+        pass
+    return _must_be("min_elevation", "in (0, pi/2]", angle)
 
 
 def _aperture_problem(orbit: OrbitScenario) -> str | None:

@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -130,11 +131,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What int() reads in base 10: digits, single underscores between them, a sign, blanks around.
+_WHOLE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _number(text: str) -> int | float | str:
-    """An axis spec's numeric part as an ``int``, else a ``float``, else the text, for :func:`parse_axis`."""
-    for kind in (int, float):
-        with contextlib.suppress(ValueError):
-            return kind(text)
+    """An axis spec's numeric part as an ``int`` where it is a whole number, else a ``float``,
+    else the text, for :func:`parse_axis`.  A whole number past Python's integer-digit limit
+    raises ``int()``'s ``ValueError``, as it does in a config."""
+    if _WHOLE.fullmatch(text):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        return float(text)
     return text
 
 
@@ -145,7 +153,11 @@ def _parse_axis(text: str) -> SweepAxis:
             [f"axis spec must be PARAM:MIN:MAX:POINTS[:SCALE], got {text!r}"]
         )
     param, *numbers = parts[:4]
-    return parse_axis(f"axis spec {text!r}", param, *map(_number, numbers), *parts[4:])
+    try:
+        numbers = [_number(number) for number in numbers]
+    except ValueError as exc:
+        raise ConfigError([f"axis spec {text!r}: {exc}"]) from exc
+    return parse_axis(f"axis spec {text!r}", param, *numbers, *parts[4:])
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:

@@ -9,16 +9,17 @@ CLI flags); its type rule also reads the parts of a sweep axis, whose keys are
 ``_AXIS_KEYS``, in :func:`parse_axis`, one reader for configs and CLI specs.  All tabular
 output is deterministic: row-major grid order, fixed column sets, and
 9-significant-digit formatting, so identical configs produce byte-identical
-files.  Each table is ``(header, rows)`` of plain lists; each 12-column
-capacity row is built by :func:`capacity_row` from a point's values, and
+files.  Each table is ``(header, rows)`` of plain lists; the 12-column
+capacity rows are built column by column from the kernel's columns by
+:func:`_derived_columns`, whose one-point form is :func:`capacity_row`, and
 each exclusion row by
 :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
 The ``capacity`` table is :func:`sweep` with no axis, and only the
-kernel's columns check ``dw_rate <= private_capacity``.  A sweep validates
-each axis value once: no rule of the sections a capacity axis sets
-(``detector``, ``geometry``, ``operating``) joins two fields, only ``orbit``'s
-offset rule does.  The first invalid cell in row-major order still raises
-its own message.  The module loads no numpy: :func:`sweep` (past its checks)
+kernel's columns check ``dw_rate <= private_capacity``.  A sweep checks
+each axis value once, by its field's rule, with no section built for it: no
+rule of the sections a capacity axis sets (``detector``, ``geometry``,
+``operating``) joins two fields, only ``orbit``'s offset rule does.  The
+first invalid cell in row-major order still raises its own message.  The module loads no numpy: :func:`sweep` (past its checks)
 and :func:`emit_table1` import the secrecy kernel when they run.
 """
 from __future__ import annotations
@@ -26,11 +27,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
 from ._common import ClockedLink, ConfigError, DetectorModel, OperatingPoint, OrbitScenario, PhysicalConstants
-from ._common import SecrecyPoint, _distinguishability_angle, _helstrom_error
+from ._common import _RANGES, SecrecyPoint, _distinguishability_angle, _helstrom_error
 from .linkbudget import (
     DEFAULT_GAMMA_TARGET,
     LinkGeometry,
@@ -350,13 +352,22 @@ _POINT_FIELDS = tuple(f.name for f in fields(SecrecyPoint))
 CAPACITY_SWEEP_OUTPUTS = (*_POINT_FIELDS, "epsilon_star", "phi_deg", "private_rate_bps", "dw_rate_bps")
 
 
+def _derived_columns(columns: Sequence[Sequence[float]], clock_rate: float) -> list[list[float]]:
+    """The 4 :data:`CAPACITY_SWEEP_OUTPUTS` columns past the point's fields from the point's
+    columns, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order: the interceptor's
+    Helstrom error and angle at her ``gamma * mu`` photons, by their scalar closed forms, and
+    the two rates in bits per second."""
+    gamma, mu, q, *_, private_capacity, dw_rate = columns
+    n_eve = list(map(operator.mul, gamma, mu))
+    return [list(map(_helstrom_error, n_eve, q)), list(map(math.degrees, map(_distinguishability_angle, n_eve))),
+            [c * clock_rate for c in private_capacity], [r * clock_rate for r in dw_rate]]
+
+
 def capacity_row(values: Sequence[float], clock_rate: float) -> list[float]:
     """The :data:`CAPACITY_SWEEP_OUTPUTS` columns from an evaluated point's
-    values, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order."""
-    gamma, mu, q, *_, private_capacity, dw_rate = values
-    n_eve = gamma * mu
-    return [*values, _helstrom_error(n_eve, q), math.degrees(_distinguishability_angle(n_eve)),
-            private_capacity * clock_rate, dw_rate * clock_rate]
+    values, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order:
+    :func:`_derived_columns` of one point."""
+    return [*values, *(value for (value,) in _derived_columns([[v] for v in values], clock_rate))]
 
 
 def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
@@ -365,13 +376,6 @@ def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError([f"sweep grid has {cells} cells; at most {MAX_SWEEP_CELLS} are allowed"])
     return [axis.grid() for axis in axes]
-
-
-def _accepts(config: ScenarioConfig, param: str, value: float) -> bool:
-    try:
-        return with_values(config, [(param, value)]) is not None
-    except ConfigError:
-        return False
 
 
 def sweep(
@@ -383,13 +387,16 @@ def sweep(
     the rest are the evaluated outputs at that cell.  ``axes=None`` takes the
     config's; with no axis the table is the ``capacity`` command's row, the
     config's one cell.  Axes that cannot reach the output raise.  Each axis
-    value is validated once (no rule of ``detector``, ``geometry`` or
-    ``operating``, the sections an axis sets, joins two fields), and the first
-    invalid cell in row-major order, or the first whose degradation (taken
-    once per geometry) is outside [0, 1), raises its own message; then one
+    value is checked once, by its field's rule in ``_RANGES`` (no rule of
+    ``detector``, ``geometry`` or ``operating``, the sections an axis sets,
+    joins two fields), and the first invalid cell in row-major order, or the
+    first whose degradation is outside [0, 1), raises its own message through
+    :func:`with_values`.  Sections are built only for the degradation of each
+    distinct geometry value; a ``gamma`` axis value is its own.  Then one
     evaluation of the kernel's columns
     (:func:`~wiretap_space.secrecy._point_columns`, which alone checks the
-    rate invariant) covers the whole grid.
+    rate invariant) covers the whole grid, and :func:`_derived_columns` adds
+    the rest, column by column.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if len(axes) > 2:
@@ -408,18 +415,19 @@ def sweep(
         source = "the gamma axis" if "gamma" in params else "operating.gamma"
         raise ConfigError([f"sweep axis {geometry[0]!r} has no effect: the degradation is fixed by {source}"])
     grids = _axis_grids(axes)
-    valid = [[_accepts(config, param, v) for v in grid] for param, grid in zip(params, grids)]
+    rules = (_SECTIONS[section]._rules[f.attr] for section, f in map(_FIELD_BY_KEY.get, params))
+    valid = [list(map(_RANGES[rule], grid)) for rule, grid in zip(rules, grids)]
     grid = list(itertools.product(*grids))
     invalid = (k for k, ok in enumerate(itertools.product(*valid)) if not all(ok))
     cells = len(grid) if all(map(all, valid)) else next(invalid)  # those before the first invalid one
     columns = dict(zip(params, zip(*grid)))
-    fixing = [p for p in params if p in ("gamma", *_GEOMETRY_PARAMS)]  # the axes the degradation depends on
-    keys = list(zip(*(columns[p] for p in fixing))) if fixing else [()] * len(grid)
-    gamma_of = {key: resolved_gamma(with_values(config, zip(fixing, key)))
-                for key in dict.fromkeys(keys[:cells])}  # each distinct key once, in row-major order
+    if "gamma" not in columns:  # else each axis value is its own degradation
+        keys = list(zip(*(columns[p] for p in geometry))) if geometry else [()] * len(grid)
+        gamma_of = {key: resolved_gamma(with_values(config, zip(geometry, key)))
+                    for key in dict.fromkeys(keys[:cells])}  # each distinct key once, in row-major order
     if cells < len(grid):
         with_values(config, zip(params, grid[cells]))  # raises the first invalid cell's message
-    gamma = [gamma_of[key] for key in keys]
+    gamma = columns["gamma"] if "gamma" in columns else list(map(gamma_of.__getitem__, keys))
     from .secrecy import _point_columns  # numpy, once every config error is reported
     operating, detector = config.operating, config.detector
     q = columns.get("q", operating.q)  # None unless q is set or swept
@@ -428,8 +436,8 @@ def sweep(
         columns.get("p_dark", detector.p_dark), detector.eta_optical,
         columns.get("stray_mean", detector.stray_mean),
     )
-    clock = config.link.clock_rate
-    rows = [[*values, *capacity_row(point, clock)] for values, point in zip(grid, zip(*points))]
+    derived = _derived_columns(points, config.link.clock_rate)
+    rows = list(map(list, zip(*columns.values(), *points, *derived)))
     return [*params, *CAPACITY_SWEEP_OUTPUTS], rows
 
 

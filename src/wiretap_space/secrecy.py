@@ -12,7 +12,7 @@ All general-prior values come from one numpy kernel in two steps:
 :func:`_cell_terms` (the click model, the interceptor's overlap terms) over
 broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
 :func:`_prior_terms` (both channels' mutual information) at priors ``q``,
-the interceptor's once per distinct photon number where the cells share them.
+each once per distinct pair of its terms where the cells share the priors.
 :func:`secrecy_points` alone composes them: the first step once per batch,
 shared by the lockstep q-search and the final evaluation, which adds the
 Holevo bound.  ``private_capacity_fixed``, ``private_capacity`` and
@@ -81,24 +81,30 @@ def _prior_terms(terms, q):
     information is written in place into new rows of the broadcast shape, with
     two rows of scratch shared by both (:func:`_receiver_information`,
     :func:`_interceptor_information`).  Where every cell shares the priors,
-    as in the q-search's first scan, the interceptor's rows depend only on a
-    cell's ``(s, y)``: they are taken once per distinct pair
-    (:func:`_distinct_columns`) and gathered back to the cells, bit for bit
-    what each cell's own row would be."""
-    eps0, eps1, h_eps0, h_eps1, s, y = terms
+    as in the q-search's first scan, a channel's information depends on a
+    cell only through its first two rows, the receiver's ``(eps0, eps1)`` and
+    the interceptor's ``(s, y)``: it is taken once per distinct pair of bits
+    (:func:`_once_per_pair`), bit for bit what each cell's own row would be."""
     p = 1.0 - q
     # Two rows apart: one stack of them would be a block per call that the
     # allocator maps and unmaps.
-    shape = np.broadcast(eps0, q).shape
+    shape = np.broadcast(terms[0], q).shape
     work, log = np.empty(shape), np.empty(shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        info_bob = _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1, work, log)
-        distinct = _distinct_columns(terms[4:]) if len(q) == 1 < len(s) else None
-        if distinct is None:
-            return info_bob, _interceptor_information(q, p, s, y, work, log)
-        first, cell_of = distinct
-        m = len(first)
-        return info_bob, _interceptor_information(q, p, s[first], y[first], work[:m], log[:m])[cell_of]
+        info_bob = _once_per_pair(_receiver_information, terms[:4], q, p, work, log)
+        return info_bob, _once_per_pair(_interceptor_information, terms[4:], q, p, work, log)
+
+
+def _once_per_pair(information, rows, q, p, work, log):
+    """``information(q, p, *rows, work, log)``, one channel's information from its ``rows``; where
+    every cell shares the priors (``q`` has one row), taken once per distinct pair of bits of the
+    first two rows (:func:`_distinct_columns`) and gathered back to the cells."""
+    distinct = _distinct_columns(rows[:2]) if len(q) == 1 < rows.shape[1] else None
+    if distinct is None:
+        return information(q, p, *rows, work, log)
+    first, cell_of = distinct
+    m = len(first)
+    return information(q, p, *(row[first] for row in rows), work[:m], log[:m])[cell_of]
 
 
 def _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1, work, log):
@@ -125,11 +131,11 @@ def _interceptor_information(q, p, s, y, work, log):
     return _channel_information(q, h, e0, e1, out=h, work=work)
 
 
-def _distinct_columns(overlap):
-    """``(first, cell_of)`` for the ``(s, y)`` rows ``overlap``, one column per cell: ``first`` holds
+def _distinct_columns(pairs):
+    """``(first, cell_of)`` for two rows ``pairs``, one column per cell: ``first`` holds
     one cell of each distinct pair of bits and ``cell_of`` each cell's position in ``first``;
     ``None`` when no two cells share their bits."""
-    key = overlap.reshape(2, -1).view(np.int64)
+    key = pairs.reshape(2, -1).view(np.int64)
     order = np.lexsort(key)
     key = key.take(order, axis=1)
     new = key[:, 1:] != key[:, :-1]
@@ -152,7 +158,9 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     most 64 + 9 + 9 + 1 points per cell, 4 kernel calls for up to 128 cells.
     A call's rows ``(6, block, 1)`` broadcast against its priors, the first
     scan's one shared row of them included; there :func:`_prior_terms` takes
-    the interceptor's terms once per distinct photon number of the block.
+    each channel's information once per distinct pair of its terms in the
+    block: the receiver's once per photon number and detector, the
+    interceptor's once per photon number of hers.
     """
     def unclipped(q, cell):
         info_bob, info_eve = _prior_terms(terms[:, cell], q)

@@ -541,6 +541,18 @@ class TestSweepCommand:
             assert err.splitlines()[-1] == (
                 f"config error: sweep grid has {points} cells; at most {MAX_SWEEP_CELLS} are allowed")
 
+    @pytest.mark.parametrize("command, param", [("sweep", "gamma"), ("exclusion", "gamma_target")])
+    def test_point_count_past_the_integer_digit_limit_exits_2(self, capsys, command, param):
+        # The whole number is reported by Python's own limit, as a config's is, not read as inf.
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as limit:
+            int(digits)
+        spec = f"{param}:0.1:0.5:{digits}"
+        code, out, err = run_cli(capsys, command, "--axis", spec)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.splitlines()[1:] == [f"config error: axis spec {spec!r}: {limit.value}"]
+        assert "got inf" not in err
+
     @pytest.mark.parametrize(
         "specs, cells",
         [

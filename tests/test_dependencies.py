@@ -1,6 +1,7 @@
 """The declared runtime dependencies are exactly the third-party packages the
 source imports, and the README names the same set; every Python file parses
-as the declared oldest Python does."""
+as the declared oldest Python does, and the CI workflow tests the declared
+floors."""
 import ast
 import re
 import sys
@@ -14,9 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wiretap_space"
 
 
-def _requirements() -> list[str]:
+def _project() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["dependencies"]
+        return tomllib.load(fh)["project"]
+
+
+def _requirements() -> list[str]:
+    return _project()["dependencies"]
 
 
 def _declared() -> set[str]:
@@ -56,10 +61,18 @@ def test_numpy_floor_has_every_function_the_source_calls():
 def test_every_file_parses_at_the_declared_python_floor():
     """Each file of ``src/``, ``tests/`` and ``bench/`` is valid syntax for the oldest
     Python that ``requires-python`` admits, checked here without that Python."""
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        floor = tomllib.load(fh)["project"]["requires-python"]
-    major, minor = map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups())
+    major, minor = map(int, re.fullmatch(r">=(\d+)\.(\d+)", _project()["requires-python"]).groups())
     paths = sorted(p for folder in ("src", "tests", "bench") for p in (ROOT / folder).rglob("*.py"))
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(major, minor))
+
+
+def test_workflow_tests_the_declared_floors():
+    """A job of the CI workflow runs the oldest Python ``requires-python`` admits with
+    numpy pinned to the floor of its requirement."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (python,) = re.fullmatch(r">=(\d+\.\d+)", _project()["requires-python"]).groups()
+    (numpy,) = [re.fullmatch(r"numpy>=(\d+\.\d+)", r).group(1) for r in _requirements() if r.startswith("numpy")]
+    assert f'python-version: "{python}"' in workflow
+    assert f'pip install "numpy=={numpy}.*"' in workflow

@@ -82,17 +82,43 @@ def test_stated_kernel_calls_are_counted(channel_calls):
         r"first (\d+) calls the interceptor's terms are taken on (\d+) × 64 points of each (\d+)-cell block "
         r"and the receiver's on (\d+) × 64", text).groups()
     scan_calls, interceptor, block, receiver = map(int, first_scan)
+    degradation_scan = re.search(
+        r"`received_mean_photons` × `gamma` grid's first (\d+) calls the receiver's terms are taken on "
+        r"(\d+) × 64 points of each block and the interceptor's on (\d+) × 64", text).groups()
     config = config_from_dict({})
-    sweep(config, [SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
-                   SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log")])
-    # One call of each channel per kernel call.
-    assert len(channel_calls["receiver"]) == len(channel_calls["interceptor"]) == stated_sweep
-    assert block == SCAN_BLOCK_CELLS and scan_calls == 512 // block
-    assert channel_calls["receiver"][:scan_calls] == [receiver * GRID_POINTS] * scan_calls
-    assert channel_calls["interceptor"][:scan_calls] == [interceptor * GRID_POINTS] * scan_calls
+    for inner, (calls, receiver, interceptor) in (
+        (SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"), (scan_calls, receiver, interceptor)),
+        (SweepAxis("gamma", 0.02, 0.5, 16), map(int, degradation_scan)),
+    ):
+        channel_calls["receiver"].clear()
+        channel_calls["interceptor"].clear()
+        sweep(config, [SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"), inner])
+        # One call of each channel per kernel call.
+        assert len(channel_calls["receiver"]) == len(channel_calls["interceptor"]) == stated_sweep
+        assert block == SCAN_BLOCK_CELLS and calls == 512 // block
+        assert channel_calls["receiver"][:calls] == [receiver * GRID_POINTS] * calls
+        assert channel_calls["interceptor"][:calls] == [interceptor * GRID_POINTS] * calls
     channel_calls["receiver"].clear()
     secrecy.optimal_signal_strength(config.detector, 0.1)
     assert len(channel_calls["receiver"]) == stated_photons
+
+
+def test_a_sweep_along_a_point_field_has_two_shapes(capsys):
+    # The README's output conventions: the axis name twice in the CSV header,
+    # once in each JSON row, and the two values equal.
+    text = " ".join(_section("## Output conventions").split())
+    assert ("A sweep along `gamma`, `received_mean_photons` or `q` prints that name twice in the CSV header"
+            in text)
+    argv = ["sweep", "--axis", "gamma:0:0.5:2"]
+    assert main(argv) == EXIT_OK
+    header, *lines = capsys.readouterr().out.split("\r\n")[:-1]
+    assert header.split(",") == ["gamma", *CAPACITY_SWEEP_OUTPUTS]
+    assert CAPACITY_SWEEP_OUTPUTS[0] == "gamma"
+    assert [line.split(",")[0] for line in lines] == [line.split(",")[1] for line in lines] == ["0", "0.5"]
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [list(row) for row in rows] == [list(CAPACITY_SWEEP_OUTPUTS)] * 2
+    assert [row["gamma"] for row in rows] == [0.0, 0.5]
 
 
 def test_sweepable_parameters_are_the_schema():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wiretap_space.cli import main
-from wiretap_space.linkbudget import radius_vs_gamma_curve
+from wiretap_space.linkbudget import LinkGeometry, radius_vs_gamma_curve
 from wiretap_space.orbitsim import OrbitScenario
 from wiretap_space.receiver import DetectorModel
 from wiretap_space._common import _check_fields
@@ -571,7 +571,7 @@ def _fails_alike(config, axes):
 
 
 _GEOMETRY = ("dist_bob_m", "exclusion_radius_m")
-_AXIS_SETS = [(p,) for p in CAPACITY_SWEEP_PARAMS] + [
+_AXIS_SETS = [(), *((p,) for p in CAPACITY_SWEEP_PARAMS)] + [
     pair for pair in itertools.permutations(CAPACITY_SWEEP_PARAMS, 2)
     if not ("gamma" in pair and set(pair) & set(_GEOMETRY))
 ]
@@ -581,8 +581,10 @@ class TestColumnSweep:
     """The sweep validates each axis value once and evaluates columns; its rows
     and its errors are those of the cell-by-cell evaluation, bit for bit."""
 
-    @pytest.mark.parametrize("params", _AXIS_SETS, ids="-".join)
+    @pytest.mark.parametrize("params", _AXIS_SETS, ids=lambda params: "-".join(params) or "no-axis")
     def test_rows_equal_the_cell_by_cell_path(self, params):
+        # Each row is its axis values, then capacity_row of its point (repr is
+        # exact): the sweep's column builder and the one-point form agree.
         rng = random.Random(f"columns:{params}")
         for gamma, q in itertools.product((None, 0.2), (None, 0.3)):
             if gamma is not None and set(params) & set(_GEOMETRY):
@@ -592,6 +594,53 @@ class TestColumnSweep:
             header, rows = sweep(config, axes)
             assert header == [*params, *CAPACITY_SWEEP_OUTPUTS]
             assert repr(rows) == repr(_per_cell(config, axes))
+
+    # Each capacity axis's parameter with values just outside each side of its
+    # range, and the message of the first cell that holds one.
+    _JUST_OUTSIDE = [
+        ("received_mean_photons", (-5e-324, 1.0), "received_mean_photons must be >= 0, got -5e-324"),
+        ("gamma", (-5e-324, 0.5), "gamma must be in [0, 1), got -5e-324"),
+        ("gamma", (0.5, 1.0), "gamma must be in [0, 1), got 1.0"),
+        ("q", (0.0, 0.5), "q must be in (0, 1), got 0.0"),
+        ("q", (0.5, 1.0), "q must be in (0, 1), got 1.0"),
+        ("stray_mean", (-5e-324, 1e-3), "stray_mean must be >= 0, got -5e-324"),
+        ("p_dark", (-5e-324, 1e-7), "p_dark must be in [0, 1], got -5e-324"),
+        ("p_dark", (0.5, math.nextafter(1.0, 2.0)), "p_dark must be in [0, 1], got 1.0000000000000002"),
+        ("dist_bob_m", (0.0, 1e6), "dist_bob must be > 0, got 0.0"),
+        ("dist_bob_m", (-5e-324, 1e6), "dist_bob must be > 0, got -5e-324"),
+        ("exclusion_radius_m", (-5e-324, 12.0), "exclusion_radius must be >= 0, got -5e-324"),
+    ]
+
+    @pytest.mark.parametrize("param, bounds, message", _JUST_OUTSIDE, ids=lambda v: v if isinstance(v, str) else "")
+    def test_values_just_outside_each_range(self, param, bounds, message):
+        # Checked by the field's rule, each value raises the message its
+        # section gives it, first in row-major order, on either axis.
+        config = config_from_dict({})
+        bad = SweepAxis(param, *bounds, 3)
+        other = "received_mean_photons" if param != "received_mean_photons" else "stray_mean"
+        good = _seeded_axis(random.Random(f"outside:{param}"), other, 2)
+        for axes in ([bad], [bad, good], [good, bad]):
+            assert _fails_alike(config, axes) == message
+
+    def test_sections_are_built_only_for_the_degradation(self, monkeypatch):
+        # Axis values are checked by their fields' rules, with no section per
+        # value; a geometry axis builds one geometry per distinct value for its
+        # degradation, and a gamma axis value is its own degradation.
+        config = config_from_dict({})
+        built = []
+        for cls in (DetectorModel, LinkGeometry, OperatingPoint):
+            def counted(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        photons = SweepAxis("received_mean_photons", 0.1, 20.0, 8, "log")
+        for inner in ("gamma", "q", "stray_mean", "p_dark"):
+            sweep(config, [photons, _seeded_axis(random.Random(inner), inner, 4)])
+        assert built == []
+        for inner in _GEOMETRY:
+            sweep(config, [photons, _seeded_axis(random.Random(inner), inner, 4)])
+            sweep(config, [_seeded_axis(random.Random(inner), inner, 4), photons])
+        assert built == ["LinkGeometry"] * 16
 
     # An invalid range of each parameter: its first invalid value is the
     # grid's first (lower bounds) or a later one (upper bounds).

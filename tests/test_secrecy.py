@@ -328,6 +328,25 @@ class TestKernelCalls:
         assert channel_calls["receiver"] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
         assert channel_calls["interceptor"] == [photon_numbers * GRID_POINTS] * scan_calls + later
 
+    def test_gamma_axis_sweep_budget(self, calls, channel_calls):
+        axes = [
+            SweepAxis("received_mean_photons", 0.1, 20.0, 32, "log"),
+            SweepAxis("gamma", 0.02, 0.5, 16),
+        ]
+        _, rows = sweep(config_from_dict({}), axes)
+        assert len(rows) == 512
+        scan_calls = 512 // SCAN_BLOCK_CELLS
+        # The parabolic step skips the two cells whose optimum is q's lower
+        # bound (20 photons at gamma 0.468 and 0.5).
+        later = [512 * REFINE_POINTS] * 2 + [510, 512]
+        assert calls == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
+        # Along gamma it is the receiver's first-scan information that repeats:
+        # taken once per photon number, 8 of a block's 128 cells, while each
+        # cell's interceptor photon number gamma * mu is its own.
+        photon_numbers = SCAN_BLOCK_CELLS // 16
+        assert channel_calls["receiver"] == [photon_numbers * GRID_POINTS] * scan_calls + later
+        assert channel_calls["interceptor"] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
+
     def test_photon_scan_is_one_batch(self, calls, day_detector):
         optimal_signal_strength(day_detector, 0.1)
         # The 64 photon numbers of the scan form one 64-cell q-search.
@@ -393,7 +412,8 @@ class TestKernelCalls:
 
 class TestSharedPhotonNumbers:
     """Cells that share the interceptor's ``(s, y)`` take her first-scan terms
-    once, gathered back to each of them; every cell's point is still that cell
+    once, gathered back to each of them, and cells that share the receiver's
+    ``(eps0, eps1)`` take his once; every cell's point is still that cell
     evaluated alone, bit for bit."""
 
     @staticmethod
@@ -429,6 +449,24 @@ class TestSharedPhotonNumbers:
         assert len(rows) == 200
         assert channel_calls["interceptor"][:2] == [GRID_POINTS, GRID_POINTS]
         assert channel_calls["receiver"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS, 72 * GRID_POINTS]
+
+    @pytest.mark.parametrize("inner", [
+        SweepAxis("gamma", 0.02, 0.6, 9),
+        SweepAxis("dist_bob_m", 0.9e6, 1.4e6, 9),
+        SweepAxis("exclusion_radius_m", 11.0, 30.0, 9),
+    ], ids=lambda axis: axis.param)
+    def test_degradation_axis_sweeps(self, channel_calls, inner):
+        # Along an axis that moves only the degradation the receiver's terms
+        # are shared instead: each row is still its cell's own private_capacity.
+        config = config_from_dict({})
+        header, rows = sweep(config, [SweepAxis("received_mean_photons", 0.01, 50.0, 20, "log"), inner])
+        assert len(rows) == 180 and header[2:4] == ["gamma", "received_mean_photons"]
+        for row in rows:
+            alone = private_capacity(config.detector, row[3], row[2])
+            assert [v.hex() for v in row[2:10]] == _bits(alone), row
+        # Block one holds photon numbers 0-14 (the 15th in part), block two 14-19.
+        assert channel_calls["receiver"][:2] == [15 * GRID_POINTS, 6 * GRID_POINTS]
+        assert channel_calls["interceptor"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS, 52 * GRID_POINTS]
 
     @staticmethod
     def _check_batch(mu, gamma, stray_mean):

@@ -2,6 +2,7 @@
 import ast
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,26 @@ def test_each_declared_rule_gives_its_text_in_the_section_and_the_kernel(cls, na
         if cls in (OperatingPoint, DetectorModel) and name in _KERNEL_COLUMNS:
             cells = {"received_mean_photons": 1.0, "gamma": 0.1, "q": 0.5, **_VALID_DETECTOR}
             _raises(lambda: secrecy_points(**{**cells, name: [cells[name], value]}), message)
+
+
+@pytest.mark.parametrize("value", [None, "x"])
+@pytest.mark.parametrize("cls, name, rule", _RULED_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_a_value_no_range_compares_gives_the_rule_text(cls, name, rule, value):
+    # As _check_ranges does: the message of the rule's first range, not Python's TypeError.
+    if value is None and name in {f.name for f in fields(cls) if f.default is None}:
+        cls(**{**_SECTIONS[cls], name: value})  # an optional field takes None
+        return
+    with pytest.raises(ValueError) as exc:
+        cls(**{**_SECTIONS[cls], name: value})
+    assert f"{name} must be {_OUTSIDE[rule.split(' and ')[0]][0]}, got {value}" in str(exc.value).split("; ")
+
+
+@pytest.mark.parametrize("value", [None, "x"])
+@pytest.mark.parametrize("name", [name for name, rule in OrbitScenario._rules.items() if callable(rule)])
+def test_a_value_no_bound_compares_breaks_a_function_rule(name, value):
+    with pytest.raises(ValueError) as exc:
+        OrbitScenario(**{name: value})
+    assert str(exc.value).startswith((f"{name} must be in ", f"unknown {name}: ")), str(exc.value)
 
 
 def test_no_range_message_is_written_outside_the_rule_table():
