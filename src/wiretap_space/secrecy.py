@@ -74,7 +74,7 @@ def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
     return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_overlap_terms(n_eve)))
 
 
-def _prior_terms(terms, q):
+def _prior_terms(terms, q, mirrored=False):
     """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
     priors ``q`` in [0, 1], an array whose first axis runs over the cells or,
     when every cell shares its priors, has length 1.  Each channel's
@@ -84,15 +84,17 @@ def _prior_terms(terms, q):
     as in the q-search's first scan, a channel's information depends on a
     cell only through its first two rows, the receiver's ``(eps0, eps1)`` and
     the interceptor's ``(s, y)``: it is taken once per distinct pair of bits
-    (:func:`_once_per_pair`), bit for bit what each cell's own row would be."""
+    (:func:`_once_per_pair`), bit for bit what each cell's own row would be.
+    ``mirrored`` (the q-search's first scan) takes hers by :func:`_mirrored_information`."""
     p = 1.0 - q
     # Two rows apart: one stack of them would be a block per call that the
     # allocator maps and unmaps.
     shape = np.broadcast(terms[0], q).shape
     work, log = np.empty(shape), np.empty(shape)
+    interceptor = _mirrored_information if mirrored else _interceptor_information
     with np.errstate(invalid="ignore", divide="ignore"):
         info_bob = _once_per_pair(_receiver_information, terms[:4], q, p, work, log)
-        return info_bob, _once_per_pair(_interceptor_information, terms[4:], q, p, work, log)
+        return info_bob, _once_per_pair(interceptor, terms[4:], q, p, work, log)
 
 
 def _once_per_pair(information, rows, q, p, work, log):
@@ -131,6 +133,15 @@ def _interceptor_information(q, p, s, y, work, log):
     return _channel_information(q, h, e0, e1, out=h, work=work)
 
 
+def _mirrored_information(q, p, s, y, work, log):
+    """:func:`_interceptor_information` on the lower half of one shared row ``q`` symmetric about 1/2
+    (in a contiguous prefix of the scratch), its reversed copy on the upper half: hers at ``1 - q``."""
+    n = q.shape[1] // 2
+    work, log = (a.reshape(-1)[: len(a) * n].reshape(-1, n) for a in (work, log))
+    half = _interceptor_information(q[:, :n], p[:, :n], s, y, work, log)
+    return np.concatenate((half, half[:, ::-1]), axis=1)
+
+
 def _distinct_columns(pairs):
     """``(first, cell_of)`` for two rows ``pairs``, one column per cell: ``first`` holds
     one cell of each distinct pair of bits and ``cell_of`` each cell's position in ``first``;
@@ -160,10 +171,17 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
     scan's one shared row of them included; there :func:`_prior_terms` takes
     each channel's information once per distinct pair of its terms in the
     block: the receiver's once per photon number and detector, the
-    interceptor's once per photon number of hers.
+    interceptor's once per photon number of hers, on the lower 32 priors and
+    mirrored: her states are pure, so her information is symmetric in
+    q <-> 1 - q (Helstrom 1976), as is the row (checked: an even :data:`GRID_POINTS`,
+    bounds that sum to 1).  This only ranks the scan's points; an exact tie of
+    q and 1 - q keeps the lower.
     """
+    if GRID_POINTS % 2 or sum(Q_SEARCH_BOUNDS) != 1.0:
+        raise ValueError(f"the first q scan must be symmetric about 1/2, got {GRID_POINTS} over {Q_SEARCH_BOUNDS}")
+
     def unclipped(q, cell):
-        info_bob, info_eve = _prior_terms(terms[:, cell], q)
+        info_bob, info_eve = _prior_terms(terms[:, cell], q, mirrored=q.shape == (1, GRID_POINTS))
         return info_bob - info_eve
 
     return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])

@@ -79,12 +79,12 @@ def test_stated_kernel_calls_are_counted(channel_calls):
     stated_sweep = int(re.search(r"A 32×16 grid takes (\d+) kernel calls", text).group(1))
     stated_photons = int(re.search(r"winning photon number: (\d+) kernel calls", text).group(1))
     first_scan = re.search(
-        r"first (\d+) calls the interceptor's terms are taken on (\d+) × 64 points of each (\d+)-cell block "
+        r"first (\d+) calls the interceptor's terms are taken on (\d+) × 32 points of each (\d+)-cell block "
         r"and the receiver's on (\d+) × 64", text).groups()
     scan_calls, interceptor, block, receiver = map(int, first_scan)
     degradation_scan = re.search(
         r"`received_mean_photons` × `gamma` grid's first (\d+) calls the receiver's terms are taken on "
-        r"(\d+) × 64 points of each block and the interceptor's on (\d+) × 64", text).groups()
+        r"(\d+) × 64 points of each block and the interceptor's on (\d+) × 32", text).groups()
     config = config_from_dict({})
     for inner, (calls, receiver, interceptor) in (
         (SweepAxis("stray_mean", 1e-7, 1e-2, 16, "log"), (scan_calls, receiver, interceptor)),
@@ -97,7 +97,8 @@ def test_stated_kernel_calls_are_counted(channel_calls):
         assert len(channel_calls["receiver"]) == len(channel_calls["interceptor"]) == stated_sweep
         assert block == SCAN_BLOCK_CELLS and calls == 512 // block
         assert channel_calls["receiver"][:calls] == [receiver * GRID_POINTS] * calls
-        assert channel_calls["interceptor"][:calls] == [interceptor * GRID_POINTS] * calls
+        # Hers on the lower half of the first scan's priors, mirrored onto the upper half.
+        assert channel_calls["interceptor"][:calls] == [interceptor * GRID_POINTS // 2] * calls
     channel_calls["receiver"].clear()
     secrecy.optimal_signal_strength(config.detector, 0.1)
     assert len(channel_calls["receiver"]) == stated_photons

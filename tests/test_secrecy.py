@@ -8,7 +8,7 @@ import pytest
 from oracles import grid_argmax
 from wiretap_space import secrecy
 from wiretap_space.cli import main
-from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, helstrom_projector, holevo_binary
+from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, helstrom_projector, holevo_binary, holevo_bound
 from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, Interval, binary_entropy, maximize_lockstep
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
@@ -274,9 +274,9 @@ def calls(monkeypatch):
     sizes = []
     kernel = secrecy._prior_terms
 
-    def counted(terms, q):
+    def counted(terms, q, **kwargs):
         sizes.append(np.broadcast(terms[0], q).size)
-        return kernel(terms, q)
+        return kernel(terms, q, **kwargs)
 
     monkeypatch.setattr(secrecy, "_prior_terms", counted)
     return sizes
@@ -323,10 +323,11 @@ class TestKernelCalls:
         # The first scan's priors are one row that every cell of a block
         # shares: the receiver's information is taken on each cell's 64
         # points, the interceptor's once per photon number, 8 of a block's 128
-        # cells (the 16 stray-light values of one photon number share it).
+        # cells (the 16 stray-light values of one photon number share it), on
+        # the row's lower 32 priors, mirrored onto the upper 32.
         photon_numbers = SCAN_BLOCK_CELLS // 16
         assert channel_calls["receiver"] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
-        assert channel_calls["interceptor"] == [photon_numbers * GRID_POINTS] * scan_calls + later
+        assert channel_calls["interceptor"] == [photon_numbers * GRID_POINTS // 2] * scan_calls + later
 
     def test_gamma_axis_sweep_budget(self, calls, channel_calls):
         axes = [
@@ -342,10 +343,11 @@ class TestKernelCalls:
         assert calls == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
         # Along gamma it is the receiver's first-scan information that repeats:
         # taken once per photon number, 8 of a block's 128 cells, while each
-        # cell's interceptor photon number gamma * mu is its own.
+        # cell's interceptor photon number gamma * mu is its own, her
+        # information taken on the lower 32 priors of the row.
         photon_numbers = SCAN_BLOCK_CELLS // 16
         assert channel_calls["receiver"] == [photon_numbers * GRID_POINTS] * scan_calls + later
-        assert channel_calls["interceptor"] == [SCAN_BLOCK_CELLS * GRID_POINTS] * scan_calls + later
+        assert channel_calls["interceptor"] == [SCAN_BLOCK_CELLS * GRID_POINTS // 2] * scan_calls + later
 
     def test_photon_scan_is_one_batch(self, calls, day_detector):
         optimal_signal_strength(day_detector, 0.1)
@@ -442,12 +444,12 @@ class TestSharedPhotonNumbers:
         rows = self._check_sweep_cells([SweepAxis("received_mean_photons", 0.01, 50.0, 20, "log"), inner])
         assert len(rows) == 180 > SCAN_BLOCK_CELLS
         # Block one holds photon numbers 0-14 (the 15th in part), block two 14-19.
-        assert channel_calls["interceptor"][:2] == [15 * GRID_POINTS, 6 * GRID_POINTS]
+        assert channel_calls["interceptor"][:2] == [15 * GRID_POINTS // 2, 6 * GRID_POINTS // 2]
 
     def test_one_noise_axis_shares_one_photon_number(self, channel_calls):
         rows = self._check_sweep_cells([SweepAxis("stray_mean", 1e-7, 1e-2, 200, "log")])
         assert len(rows) == 200
-        assert channel_calls["interceptor"][:2] == [GRID_POINTS, GRID_POINTS]
+        assert channel_calls["interceptor"][:2] == [GRID_POINTS // 2, GRID_POINTS // 2]
         assert channel_calls["receiver"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS, 72 * GRID_POINTS]
 
     @pytest.mark.parametrize("inner", [
@@ -466,7 +468,7 @@ class TestSharedPhotonNumbers:
             assert [v.hex() for v in row[2:10]] == _bits(alone), row
         # Block one holds photon numbers 0-14 (the 15th in part), block two 14-19.
         assert channel_calls["receiver"][:2] == [15 * GRID_POINTS, 6 * GRID_POINTS]
-        assert channel_calls["interceptor"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS, 52 * GRID_POINTS]
+        assert channel_calls["interceptor"][:2] == [SCAN_BLOCK_CELLS * GRID_POINTS // 2, 52 * GRID_POINTS // 2]
 
     @staticmethod
     def _check_batch(mu, gamma, stray_mean):
@@ -481,7 +483,7 @@ class TestSharedPhotonNumbers:
         assert 1 + (mu[1:] != mu[:-1]).sum() > 5  # more runs than values: some copies lie apart
         self._check_batch(mu, 0.2, 10.0 ** rng.uniform(-7, -2, mu.size))
         assert channel_calls["receiver"][0] == 30 * GRID_POINTS
-        assert channel_calls["interceptor"][0] == 5 * GRID_POINTS
+        assert channel_calls["interceptor"][0] == 5 * GRID_POINTS // 2
 
     def test_equal_s_but_different_y(self, channel_calls):
         # From about 37.4 photons on, the interceptor's s = -expm1(-n) rounds
@@ -557,14 +559,137 @@ class TestInPlaceKernel:
 
     def test_q_search_on_a_shared_row_matches_one_row_per_cell(self, terms):
         def unclipped(q, cell):
+            first = q.shape == (1, GRID_POINTS)
             q = np.broadcast_to(q, np.broadcast_shapes(q.shape, cell.shape))  # one row of priors per cell
             info_bob, info_eve = _prior_terms_expression(terms[:, cell], q)
+            if first:  # the kernel's mirrored first scan: her lower 32 values, then the same reversed
+                half = GRID_POINTS // 2
+                info_eve = np.concatenate((info_eve[:, :half], info_eve[:, half - 1 :: -1]), axis=1)
             return info_bob - info_eve
 
         got = secrecy._optimal_q(terms)
         want = maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])
         for got, want in zip(got, want):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_the_mirror_moves_only_an_exact_tie(self, terms):
+        # Against the q-search that takes her first-scan information on all 64
+        # priors only cell 9 moves: p_dark = 1, so the receiver learns nothing and
+        # the objective -I(X;Z) is symmetric.  The mirror makes its q = 0.01 and
+        # 0.99 an exact tie, which keeps the lower point.
+        got, want = secrecy._optimal_q(terms), _unmirrored_q(terms)
+        moved = [np.flatnonzero(g.view(np.int64) != w.view(np.int64)).tolist() for g, w in zip(got, want)]
+        assert moved == [[9], [9]]
+        assert terms[0, 9] == terms[1, 9]  # eps0 = eps1
+        assert (got[0][9], want[0][9]) == Q_SEARCH_BOUNDS
+        assert got[1][9] == pytest.approx(want[1][9], rel=1e-12)
+
+
+def _unmirrored_q(terms):
+    """:func:`secrecy._optimal_q` with her first-scan information taken on every prior of the row."""
+    def unclipped(q, cell):
+        info_bob, info_eve = secrecy._prior_terms(terms[:, cell], q)
+        return info_bob - info_eve
+
+    return maximize_lockstep(unclipped, Interval(*secrecy.Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])
+
+
+def _assert_same_bits(got, want):
+    for got, want in zip(got, want):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMirroredFirstScan:
+    """The q-search's first scan takes the interceptor's information on the
+    lower half of its priors and mirrors it onto the upper half, by her
+    q <-> 1 - q symmetry; a search's ``(q*, value)`` stays the unmirrored one
+    bit for bit unless q and 1 - q tie exactly."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """``(terms, result)`` of each q-search."""
+        recorded, search = [], secrecy._optimal_q
+
+        def recording(terms):
+            recorded.append((terms, search(terms)))
+            return recorded[-1][1]
+
+        monkeypatch.setattr(secrecy, "_optimal_q", recording)
+        return recorded
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("inner", ["stray_mean", "p_dark", "gamma", "dist_bob_m", "exclusion_radius_m"])
+    def test_sweeps_match_the_unmirrored_search(self, searches, inner, seed):
+        # 32x16 sweeps over seeded ranges, those of the sweep-grid benchmark: no exact tie.
+        rng = np.random.default_rng(seed)
+        log_uniform = lambda lo, hi: float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+        low = {
+            "stray_mean": log_uniform(1e-7, 1e-5), "p_dark": log_uniform(1e-9, 1e-7),
+            "gamma": rng.uniform(0.01, 0.1), "dist_bob_m": rng.uniform(0.9e6, 1.1e6),
+            "exclusion_radius_m": rng.uniform(11.0, 13.0),
+        }[inner]
+        high = {
+            "stray_mean": low * log_uniform(1e2, 1e4), "p_dark": low * log_uniform(1e1, 1e3),
+            "gamma": rng.uniform(0.3, 0.6), "dist_bob_m": rng.uniform(1.2e6, 1.4e6),
+            "exclusion_radius_m": rng.uniform(16.0, 30.0),
+        }[inner]
+        scale = "log" if inner in ("stray_mean", "p_dark") else "linear"
+        operating = {"gamma": rng.uniform(0.02, 0.4)} if scale == "log" else {}
+        config = config_from_dict({"operating": operating})
+        outer = SweepAxis("received_mean_photons", log_uniform(1e-3, 1e-1), log_uniform(1.0, 100.0), 32, "log")
+        sweep(config, [outer, SweepAxis(inner, low, high, 16, scale)])
+        ((terms, got),) = searches
+        assert terms.shape[1] == 512
+        _assert_same_bits(got, _unmirrored_q(terms))
+
+    @pytest.mark.parametrize("bounds", [(1e-3, 1.0 - 1e-3), (0.0, 1.0)])
+    def test_widened_symmetric_bounds_keep_the_mirror(self, monkeypatch, bounds):
+        rng = np.random.default_rng(41)
+        mu = 10.0 ** rng.uniform(-3.0, 2.0, 300)
+        fields = (10.0 ** rng.uniform(-9, -5, mu.size), rng.uniform(0.5, 1.0, mu.size), 10.0 ** rng.uniform(-7, -2, mu.size))
+        terms = secrecy._cell_terms(mu, rng.uniform(0.0, 0.9, mu.size), *fields)
+        monkeypatch.setattr(secrecy, "Q_SEARCH_BOUNDS", bounds)
+        _assert_same_bits(secrecy._optimal_q(terms), _unmirrored_q(terms))
+
+    @pytest.mark.parametrize("name, value", [
+        ("GRID_POINTS", GRID_POINTS - 1),
+        ("Q_SEARCH_BOUNDS", (0.01, 0.98)),
+        ("Q_SEARCH_BOUNDS", (0.02, 0.99)),
+    ])
+    def test_an_asymmetric_first_scan_raises(self, monkeypatch, name, value):
+        monkeypatch.setattr(secrecy, name, value)
+        with pytest.raises(ValueError, match="must be symmetric about 1/2"):
+            private_capacity(DetectorModel(), 4.0, 0.1)
+
+    def test_her_information_is_symmetric_in_the_prior(self):
+        # Seeded cells from 1e-6 to 100 of her photons, at priors with 1 - q
+        # exact (multiples of 2^-20), so that only the kernel's rounding can
+        # tell q from 1 - q.  chi is exactly symmetric: q (1 - q) is one
+        # product either way.  I(X;Z) agrees within 1e-7 relative (5.5e-8
+        # measured, at the fewest photons, where its entropies cancel) and
+        # within 1e-10 from 1e-3 photons on (4.6e-11 measured).
+        rng = np.random.default_rng(16)
+        n_eve = 10.0 ** rng.uniform(-6.0, 2.0, 2000)
+        gamma = rng.uniform(0.05, 0.95, n_eve.size)
+        q = np.round(rng.uniform(0.001, 0.999, n_eve.size) * 2**20) / 2**20
+        assert (1.0 - (1.0 - q) == q).all()
+        terms = secrecy._cell_terms(n_eve / gamma, gamma, 1e-7, 0.8, 1e-4)
+        at_q, at_flip = secrecy._prior_terms(terms, q)[1], secrecy._prior_terms(terms, 1.0 - q)[1]
+        assert (at_q > 0.0).all()
+        relative = np.abs(at_q - at_flip) / np.maximum(at_q, at_flip)
+        assert relative.max() <= 1e-7
+        assert relative[n_eve >= 1e-3].max() <= 1e-10
+        assert np.array_equal(holevo_bound(terms[4], q), holevo_bound(terms[4], 1.0 - q))
+
+    def test_photon_search_halves_her_first_scans(self, channel_calls, day_detector):
+        optimal_signal_strength(day_detector, 0.1)
+        # Three q-searches of 4 calls (the 64 and 65 photon numbers of the
+        # scans, then the vertex) and the optimum: each search's first call
+        # takes her information on 32 of the 64 priors of each photon number.
+        her = channel_calls["interceptor"]
+        assert len(her) == 13
+        assert [her[0], her[4], her[8]] == [n * GRID_POINTS // 2 for n in (GRID_POINTS, GRID_POINTS + 1, 1)]
+        assert channel_calls["receiver"][0] == GRID_POINTS * GRID_POINTS
 
 
 class TestOnePointFunctions:
