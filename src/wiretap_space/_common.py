@@ -10,6 +10,7 @@ the argument checks (:func:`_check_ranges`) and the secrecy kernel's masks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Sequence
 
@@ -27,8 +28,9 @@ class ConfigError(ValueError):
 
 
 # Each range, by the text its message quotes, and its test, which takes a float or
-# a numpy array alike (a bool or a mask); NaN fails every one.  A rule is a range or
-# two joined by " and ", and a value's message names the first range it breaks.
+# a numpy array alike (a bool or a mask); NaN fails every one, and "finite" an int
+# past the largest float.  A rule is a range or two joined by " and ", and a value's
+# message names the first range it breaks.
 _RANGES: dict[str, Callable[[Any], Any]] = {
     "[0, 1]": lambda v: (0.0 <= v) & (v <= 1.0),
     "(0, 1]": lambda v: (0.0 < v) & (v <= 1.0),
@@ -36,7 +38,7 @@ _RANGES: dict[str, Callable[[Any], Any]] = {
     "(0, 1)": lambda v: (0.0 < v) & (v < 1.0),
     ">= 0": lambda v: 0.0 <= v,
     "> 0": lambda v: 0.0 < v,
-    "finite": lambda v: abs(v) < math.inf,
+    "finite": lambda v: abs(v) <= sys.float_info.max,
 }
 _PHOTONS = ">= 0 and finite"  # a mean photon number's rule
 _RANGES[_PHOTONS] = lambda v: _RANGES[">= 0"](v) & _RANGES["finite"](v)

@@ -2,13 +2,15 @@
 
 Subcommands: ``capacity``, ``sweep``, ``linkbudget``, ``exclusion``,
 ``orbit``, ``table1``.  Value flags such as ``--q`` override config fields,
-and every run echoes the resolved configuration to stderr, so results are
-reproducible from the log alone.  :func:`main` loads the config, echoes it,
-computes the command's table (each ``_run_*`` returns one) and writes it
-(only :func:`_write` writes).  Exit codes: 0 on success, 2 for a
-``ConfigError`` (an invalid config, flag or axis, or an unwritable ``--out``
-path), 3 for a numerical failure (an offset bracket with no sign change, a
-value no float can hold) or an internal error (any other ``ValueError``).
+each checked by its field's rule (``--gamma-target`` and ``--solve-gamma`` by
+the degradation target's), and every run echoes the resolved configuration
+to stderr, so results are reproducible from the log alone.  :func:`main`
+loads the config, echoes it, computes the command's table (each ``_run_*``
+returns one) and writes it (only :func:`_write` writes).  Exit codes: 0 on
+success, 2 for a ``ConfigError`` (an invalid config, flag or axis, or an
+output, ``--out`` or stdout, that cannot be written), 3 for a numerical
+failure (an offset bracket with no sign change, a value no float can hold)
+or an internal error (any other ``ValueError``).
 A reader that closes stdout early (``| head``) ends the run with exit 0.
 The process prints each warning as one line, ``warning: <Category>: <message>``.
 The kernels, and numpy with them, are imported by the runners that need them,
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import re
 import sys
@@ -57,17 +58,6 @@ _FLAG_KEYS = {"photons": "received_mean_photons", "gamma": "gamma", "q": "q",
               "offset": "eve_orbit_offset_m"}
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of the float flags: a finite number, as in configs."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -87,11 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cap = sub.add_parser("capacity", parents=[common], help="evaluate one operating point")
-    cap.add_argument("--photons", type=_finite_float, help="received mean photon number")
-    cap.add_argument("--gamma", type=_finite_float, help="channel degradation override")
-    cap.add_argument(
-        "--q", type=_finite_float, help="fix the input probability instead of optimising"
-    )
+    cap.add_argument("--photons", type=float, help="received mean photon number")
+    cap.add_argument("--gamma", type=float, help="channel degradation override")
+    cap.add_argument("--q", type=float, help="fix the input probability instead of optimising")
     cap.add_argument(
         "--optimize-photons",
         action="store_true",
@@ -109,9 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("linkbudget", parents=[common], help="static link budget for the geometry")
 
     exc = sub.add_parser("exclusion", parents=[common], help="exclusion radii, both models")
-    exc.add_argument(
-        "--gamma-target", type=_finite_float, help=f"degradation target (default {DEFAULT_GAMMA_TARGET})"
-    )
+    exc.add_argument("--gamma-target", type=float, help=f"degradation target (default {DEFAULT_GAMMA_TARGET})")
     exc.add_argument(
         "--axis",
         metavar="PARAM:MIN:MAX:POINTS[:SCALE]",
@@ -119,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     orb = sub.add_parser("orbit", parents=[common], help="simulate one orbital pass")
-    orb.add_argument("--offset", type=_finite_float, help="interceptor orbit offset in metres")
+    orb.add_argument("--offset", type=float, help="interceptor orbit offset in metres")
     orb.add_argument(
         "--solve-gamma",
-        type=_finite_float,
+        type=float,
         metavar="GAMMA",
         help="also solve for the offset achieving this integrated degradation",
     )
@@ -182,14 +168,20 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows, summary: dict 
         print("pass-summary: " + json.dumps(summary), file=sys.stderr)
     try:
         stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+        with stream if args.out else contextlib.nullcontext():
+            if args.format == "csv":
+                write_csv(stream, header, rows)
+            else:
+                document = rows_to_json(header, rows) if summary is None else summary
+                stream.write(json.dumps(document, indent=2) + "\n")
     except OSError as exc:
-        raise ConfigError([f"cannot write output {args.out!r}: {exc}"]) from exc
-    with stream if args.out else contextlib.nullcontext():
-        if args.format == "csv":
-            write_csv(stream, header, rows)
-        else:
-            document = rows_to_json(header, rows) if summary is None else summary
-            stream.write(json.dumps(document, indent=2) + "\n")
+        if not args.out or isinstance(exc, BrokenPipeError):
+            raise  # main_entry reports stdout's failures; a reader that closed early wants no more
+        raise _unwritable(args.out, exc) from exc
+
+
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError([f"cannot write output {path!r}: {exc}"])
 
 
 def _run_capacity(args: argparse.Namespace, config: ScenarioConfig):
@@ -288,9 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         table = _RUNNERS[args.command](args, config)
         _write(args, *table)
     except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report(exc)
     except (BracketError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -300,17 +290,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def _report(exc: ConfigError) -> int:
+    for violation in exc.violations:
+        print(f"config error: {violation}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main_entry() -> None:
     # One line per warning, without the caller's path and line; in-process main() callers keep theirs.
     warnings.formatwarning = lambda message, category, *_: f"warning: {category.__name__}: {message}\n"
     try:
         code = main(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (``| head``) and wants no more; the
-        # rest goes to the null device, so the exit flush cannot fail again.
+    except OSError as exc:  # stdout's; main() reports the --out file's
+        # The rest goes to the null device, so the exit flush cannot fail again.
+        # A reader that closed stdout early (``| head``) wants no more.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_OK
+        code = EXIT_OK if isinstance(exc, BrokenPipeError) else _report(_unwritable("<stdout>", exc))
     sys.exit(code)
 
 

@@ -81,8 +81,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got ({self.lo}, {self.hi})")
+        _check_ranges(("lo", "finite", self.lo), ("hi", "finite", self.hi))
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got ({self.lo}, {self.hi})")
 

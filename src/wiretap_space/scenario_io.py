@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
 from ._common import ClockedLink, ConfigError, DetectorModel, OperatingPoint, OrbitScenario, PhysicalConstants
-from ._common import _RANGES, SecrecyPoint, _distinguishability_angle, _helstrom_error
+from ._common import _RANGES, SecrecyPoint, _check_ranges, _distinguishability_angle, _helstrom_error, _must_be
 from .linkbudget import (
     DEFAULT_GAMMA_TARGET,
     LinkGeometry,
@@ -89,9 +89,7 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
-        for name, bound in (("min", self.lo), ("max", self.hi)):
-            if not math.isfinite(bound):
-                raise ValueError(f"{name} must be finite, got {bound!r}")
+        _check_ranges(("min", "finite", self.lo), ("max", "finite", self.hi))
         if isinstance(self.points, bool) or not hasattr(self.points, "__index__"):  # what range() takes
             raise ValueError(f"points must be a whole number, got {self.points!r}")
         if self.points < 2:
@@ -191,8 +189,8 @@ def _checked(value: Any, default: Any, name: str, violations: list[str]) -> Any:
         number = float(value)
     except OverflowError:
         number = math.inf
-    if not math.isfinite(number):
-        violations.append(f"{name} must be finite, got {value!r}")
+    if not _RANGES["finite"](number):
+        violations.append(_must_be(name, "finite", value))  # the value as given: 10**400 keeps its digits
     return number
 
 
@@ -337,13 +335,10 @@ def resolved_gamma(config: ScenarioConfig) -> float:
     if config.operating.gamma is not None:
         return config.operating.gamma
     gamma = gamma_partial(config.geometry)
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError(
-            [
-                f"geometry yields degradation {gamma:.4g}, outside [0, 1); "
-                "no secrecy is possible at this operating point"
-            ]
-        )
+    rule = OperatingPoint._rules["gamma"]
+    if not _RANGES[rule](gamma):
+        raise ConfigError([f"geometry yields degradation {gamma:.4g}, outside {rule}; "
+                           "no secrecy is possible at this operating point"])
     return gamma
 
 

@@ -361,11 +361,27 @@ class TestConfigHandling:
         ],
     )
     def test_non_finite_flag_exits_2(self, capsys, command, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main([command, f"{flag}={value}"])
-        assert exc.value.code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"argument {flag}: must be a finite number, got {value!r}" in err
+        # A number is checked by its field's rule, as in a config; argparse rejects only text that is no number.
+        try:
+            code = main([command, f"{flag}={value}"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1].endswith(_FLAG_MESSAGES[flag, value])
+
+
+# The last stderr line of each rejected float flag value.
+_FLAG_MESSAGES = {
+    ("--photons", "inf"): "config error: received_mean_photons must be finite, got inf",
+    ("--photons", "nan"): "config error: received_mean_photons must be >= 0, got nan",
+    ("--gamma", "-inf"): "config error: gamma must be in [0, 1), got -inf",
+    ("--q", "NaN"): "config error: q must be in (0, 1), got nan",
+    ("--q", "half"): "argument --q: invalid float value: 'half'",
+    ("--gamma-target", "inf"): "config error: gamma_target must be in (0, 1), got inf",
+    ("--offset", "nan"): "config error: eve_orbit_offset must be in [0.001 m, alice_altitude), got nan; "
+                         "the pass geometry does not resolve closer orbits",
+    ("--solve-gamma", "1e999"): "config error: gamma_target must be in (0, 1), got inf",
+}
 
 
 class TestOutFile:
@@ -1035,6 +1051,21 @@ def test_closed_stdout_exits_quietly(argv):
         assert process.wait() == EXIT_OK, err
     assert header.startswith(b"t_s," if argv[0] == "orbit" else b"received_mean_photons,")
     assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that takes no write")
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("command", ["capacity", "orbit"])
+@pytest.mark.parametrize("path", ["/dev/full", "<stdout>"])
+def test_output_that_cannot_be_written_exits_2(command, output_format, path):
+    # A failed write, close of --out or final flush of stdout printed an OSError traceback and exited 1.
+    argv = [sys.executable, "-m", "wiretap_space.cli", command, "--format", output_format]
+    with open("/dev/full" if path == "<stdout>" else os.devnull, "w") as stdout:
+        result = subprocess.run(argv if path == "<stdout>" else [*argv, "--out", path], env=_package_env(),
+                                stdout=stdout, stderr=subprocess.PIPE, text=True)
+    errors = [line for line in result.stderr.splitlines() if not line.startswith(("resolved-config:", "pass-summary:"))]
+    assert result.returncode == EXIT_CONFIG, result.stderr
+    assert len(errors) == 1 and errors[0].startswith(f"config error: cannot write output {path!r}: "), errors
 
 
 def test_warnings_print_one_line_free_of_the_install_path(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The declared runtime dependencies are exactly the third-party packages the
 source imports, and the README names the same set; every Python file parses
-as the declared oldest Python does, and the CI workflow tests the declared
-floors."""
+as the declared oldest Python does, the CI workflow tests the declared
+floors, and the console script resolves to the CLI's entry and runs in CI."""
 import ast
+import importlib.metadata
 import re
 import sys
 from pathlib import Path
@@ -76,3 +77,13 @@ def test_workflow_tests_the_declared_floors():
     (numpy,) = [re.fullmatch(r"numpy>=(\d+\.\d+)", r).group(1) for r in _requirements() if r.startswith("numpy")]
     assert f'python-version: "{python}"' in workflow
     assert f'pip install "numpy=={numpy}.*"' in workflow
+
+
+def test_console_script_resolves_to_a_callable():
+    """The ``wiretap-space`` script of ``[project.scripts]`` loads a callable, and both
+    workflow jobs run it; every process test runs ``python -m wiretap_space.cli`` instead."""
+    ((name, value),) = _project()["scripts"].items()
+    assert name == "wiretap-space"
+    assert callable(importlib.metadata.EntryPoint(name, value, "console_scripts").load())
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert workflow.count(f"run: {name} linkbudget\n") == 2

@@ -44,6 +44,7 @@ from wiretap_space.secrecy import (
 )
 
 NAN = math.nan
+INF = math.inf
 
 
 def _raises(call, message):
@@ -111,13 +112,11 @@ def test_nan_raises_its_own_message(call, message):
         (lambda: private_rate(-0.1, ClockedLink()), "capacity must be >= 0, got -0.1"),
         (lambda: required_laser_power(-1.0, 0.5, ClockedLink()), "target_received_mean_photons must be >= 0, got -1.0"),
         (lambda: find_root(lambda x: x, Interval(-1.0, 1.0), 0.0), "tol must be > 0, got 0.0"),
+        (lambda: Interval(INF, 1.0), "lo must be finite, got inf"),
     ],
 )
 def test_out_of_range_argument_raises_its_message(call, message):
     _raises(call, message)
-
-
-INF = math.inf
 
 
 @pytest.mark.parametrize(
@@ -130,6 +129,7 @@ INF = math.inf
         (lambda config: exclusion_sweep(config, SweepAxis("dist_bob_m", 1e5, INF, 3, "log")),
          "max must be finite, got inf"),
         (lambda config: SweepAxis("gamma", NAN, 0.5, 3), "min must be finite, got nan"),
+        (lambda config: SweepAxis("gamma", NAN, INF, 3), "min must be finite, got nan; max must be finite, got inf"),
     ],
 )
 def test_sweep_axis_needs_finite_bounds_and_an_integer_count(call, message):
@@ -222,6 +222,9 @@ class TestFindRootEnds:
         (lambda: required_laser_power(INF, 0.5, ClockedLink()),
          "target_received_mean_photons must be finite, got inf"),
         (lambda: DetectorModel(stray_mean=INF), "stray_mean must be finite, got inf"),
+        # An int past the largest float compared below inf, and the photon search's memo key raised struct.error.
+        (lambda: DetectorModel(stray_mean=10**400), f"stray_mean must be finite, got {10**400}"),
+        (lambda: SweepAxis("gamma", 0.0, 10**400, 3), f"max must be finite, got {10**400}"),
         (lambda: optimal_signal_strength(DetectorModel(stray_mean=INF), 0.1), "stray_mean must be finite, got inf"),
         (lambda: with_values(preset_config("micius-leo"), [("received_mean_photons", INF)]),
          "invalid configuration: received_mean_photons must be finite, got inf"),
@@ -378,7 +381,7 @@ def test_a_value_no_bound_compares_breaks_a_function_rule(name, value):
 
 def test_no_range_message_is_written_outside_the_rule_table():
     # Every range message comes from the one rule helper of _common, so a bound and its text cannot drift apart.
-    phrases = ("must be in [", "must be in (", "must be >= 0", "must be > 0")
+    phrases = ("must be in [", "must be in (", "must be >= 0", "must be > 0", "must be finite", "finite number")
     package = Path(wiretap_space.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
