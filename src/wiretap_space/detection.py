@@ -7,8 +7,10 @@ discrimination quantities below depend on the states only through ``c``.
 Angles are kept in radians; degree rendering belongs to the reporting layer.
 ``(s, y) = (1 - c^2, 2c sqrt(1 - c^2))`` is taken once per photon number
 (:func:`_overlap_terms`) and split between the projectors once per prior
-(:func:`_helstrom_split`); the secrecy kernel and :func:`helstrom_projector`
-share both steps, as the kernel and :func:`holevo_binary` share :func:`holevo_bound`.
+(:func:`_helstrom_split`, which returns both conditional errors and both
+projector angles, each pair as two rows of one array); the secrecy kernel and
+:func:`helstrom_projector` share both steps, as the kernel and
+:func:`holevo_binary` share :func:`holevo_bound`.
 """
 from __future__ import annotations
 
@@ -90,23 +92,49 @@ def helstrom_error(ensemble: BinaryCoherentEnsemble) -> float:
     return _helstrom_error(ensemble.mean_photons, ensemble.prior_q)
 
 
-def _overlap_terms(n):
+def _overlap_terms(n, out=None):
     """``(s, y) = (-expm1(-n), 2c sqrt(s))`` at photon numbers ``n``, ``s = 1 - c^2``: the sine ``y``
-    and cosine ``2s - 1`` of twice ``b = pi/2 - phi``.  Both are exactly 0 at ``n = 0``."""
-    s = -np.expm1(-n)
-    return s, 2.0 * np.exp(-0.5 * n) * np.sqrt(s)
+    and cosine ``2s - 1`` of twice ``b = pi/2 - phi``.  Both are exactly 0 at ``n = 0``.  As in a
+    ufunc, ``out``, two rows of the broadcast shape, takes them; ``None`` allocates."""
+    if out is None:
+        out = np.empty((2,) + np.shape(n))
+    s, y = out[0, ...], out[1, ...]  # views, at 0-d too
+    np.negative(n, out=s)
+    np.expm1(s, out=s)
+    np.negative(s, out=s)
+    np.multiply(n, -0.5, out=y)
+    np.exp(y, out=y)
+    y *= 2.0
+    y *= np.sqrt(s)
+    return s, y
 
 
-def _helstrom_split(s, y, q):
-    """``(error_given_0, error_given_1, projector_angle_0, projector_angle_1)``
-    at priors ``q`` from :func:`_overlap_terms`; all zero at ``c = 0``.  Each
-    angle is its own closed form, and no sum in its atan2 abscissa cancels.
-    At ``s = 0`` and ``q = 1/2`` both are ``atan2(0, 0)``; ``phi1``'s abscissa
-    is taken as ``-((2q-1) - 2qs)``, ``-0`` there, to keep the split ``(0, pi/2)``."""
-    d, p, s2 = 2.0 * q - 1.0, 1.0 - q, s + s
-    phi0 = 0.5 * np.arctan2(p * y, d + p * s2)
-    phi1 = 0.5 * np.arctan2(q * y, -(d - q * s2))
-    return np.square(np.sin(phi0)), np.square(np.sin(phi1)), phi0, phi1
+def _helstrom_split(s, y, q, p, out=None, work=None):
+    """``(errors, angles)``: the rows ``(error_given_0, error_given_1)`` and
+    ``(projector_angle_0, projector_angle_1)`` at priors ``q`` (``p = 1 - q``)
+    from :func:`_overlap_terms`; all zero at ``c = 0``.  Both angles are one
+    ``arctan2`` over a pair of rows of ordinates ``((1-q) y, q y)`` and abscissae
+    ``((2q-1) + 2(1-q)s, -((2q-1) - 2qs))``, in which no sum cancels, and both
+    errors one ``sin`` and one square of them.  At ``s = 0`` and ``q = 1/2`` both
+    angles are ``atan2(0, 0)``; ``phi1``'s abscissa is taken in that negated form,
+    ``-0`` there, to keep the split ``(0, pi/2)``.  As in a ufunc, ``out`` (two rows
+    of the broadcast shape) takes the errors and ``work`` (two pairs of such rows)
+    the ordinates and abscissae, the angles written over the ordinates; ``None`` allocates."""
+    if out is None:
+        out = np.empty((2,) + np.broadcast(s, y, q).shape)
+    ordinate, abscissa = np.empty((2,) + out.shape) if work is None else work
+    x0, x1 = abscissa[0, ...], abscissa[1, ...]  # views, at 0-d too
+    d, s2 = 2.0 * q - 1.0, s + s
+    np.multiply(p, y, out=ordinate[0, ...])
+    np.multiply(q, y, out=ordinate[1, ...])
+    np.multiply(p, s2, out=x0)
+    x0 += d
+    np.multiply(q, s2, out=x1)
+    np.subtract(d, x1, out=x1)
+    np.negative(x1, out=x1)
+    angles = np.arctan2(ordinate, abscissa, out=ordinate)
+    angles *= 0.5
+    return np.square(np.sin(angles, out=out), out=out), angles
 
 
 def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
@@ -125,7 +153,7 @@ def helstrom_projector(ensemble: BinaryCoherentEnsemble) -> HelstromSolution:
     form, bit for bit; ``q e0 + (1-q) e1`` agrees with it to rounding.
     """
     n, q = ensemble.mean_photons, ensemble.prior_q
-    e0, e1, phi0, phi1 = (float(v) for v in _helstrom_split(*_overlap_terms(n), q))
+    (e0, e1), (phi0, phi1) = (v.tolist() for v in _helstrom_split(*_overlap_terms(n), q, 1.0 - q))
     return HelstromSolution(_helstrom_error(n, q), e0, e1, _distinguishability_angle(n), phi0, phi1)
 
 

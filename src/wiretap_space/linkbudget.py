@@ -207,19 +207,22 @@ def exclusion_radius_partial(
 
     Raises ``ConfigError`` when the logarithm argument is below 1, i.e. when
     the target degradation is met with no exclusion zone at all; an argument
-    of exactly 1 returns 0; ``FloatingPointError`` when it overflows.
+    of exactly 1 returns 0.  Where the argument overflows, its logarithm is
+    the sum of its factors' logs, ``-ln gamma - ln eta_b + 2 ln(a_E/a_B)``.
     """
     _check_gamma_target(gamma_target)
     _check_ranges(("dist", "> 0", dist), ("eta_b", "(0, 1]", eta_b),
                   ("diam_ratio_eve_over_bob", ">= 0", diam_ratio_eve_over_bob), ("divergence", "> 0", divergence))
     log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * (diam_ratio_eve_over_bob * diam_ratio_eve_over_bob)
     if math.isinf(log_arg):
-        raise FloatingPointError(f"log argument overflows: diameter ratio {diam_ratio_eve_over_bob}")
-    if log_arg < 1.0:
+        log_value = -math.log(gamma_target) - math.log(eta_b) + 2.0 * math.log(diam_ratio_eve_over_bob)
+    elif log_arg < 1.0:
         raise ConfigError(
             [f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"]
         )
-    return _beam_radius(divergence, dist) * math.sqrt(0.5 * math.log(log_arg))
+    else:
+        log_value = math.log(log_arg)
+    return _beam_radius(divergence, dist) * math.sqrt(0.5 * log_value)
 
 
 def exclusion_radius_total(

@@ -84,6 +84,6 @@ def mutual_info_bob(q: float, channel: BobChannel) -> float:
     ``h(q eps0 + (1-q) eps1) - q h(eps0) - (1-q) h(eps1)``.
     """
     q = _checked_prior(q)
-    eps0, eps1 = channel.eps0, channel.eps1
-    entropies = _entropy(np.stack((q * eps0 + (1.0 - q) * eps1, eps0, eps1)))
-    return float(_channel_information(q, *entropies))
+    p, eps0, eps1 = 1.0 - q, channel.eps0, channel.eps1
+    entropies = _entropy(np.stack((q * eps0 + p * eps1, eps0, eps1)))
+    return float(_channel_information(q, p, *entropies))

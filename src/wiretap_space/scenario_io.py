@@ -75,6 +75,7 @@ CAPACITY_SWEEP_PARAMS = (
 _GEOMETRY_PARAMS = ("dist_bob_m", "exclusion_radius_m")  # sweep axes that only derive gamma
 EXCLUSION_SWEEP_PARAMS = ("gamma_target", "dist_bob_m")
 MAX_SWEEP_CELLS = 100_000  # grid cells of one sweep, the product of its axes' points
+MAX_CONFIG_BYTES = 1 << 20  # bytes of a config file; real ones hold a few hundred
 
 
 @dataclass(frozen=True)
@@ -283,12 +284,17 @@ def preset_config(name: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate a JSON config file."""
+    """Parse and validate a JSON config file of at most :data:`MAX_CONFIG_BYTES`
+    bytes; the bytes past it are never read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
+    if len(text) > MAX_CONFIG_BYTES:
+        raise ConfigError([f"config {path!r} is larger than {MAX_CONFIG_BYTES} bytes"])
+    try:
+        data = json.loads(text.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"config {path!r} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"]

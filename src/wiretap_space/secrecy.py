@@ -10,9 +10,14 @@ no further loss or noise.
 
 All general-prior values come from one numpy kernel in two steps:
 :func:`_cell_terms` (the click model, the interceptor's overlap terms) over
-broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, and
-:func:`_prior_terms` (both channels' mutual information) at priors ``q``,
-each once per distinct pair of its terms where the cells share the priors.
+broadcast cells of ``(mu, gamma, p_dark, eta_optical, stray_mean)``, written
+as rows of one array, and :func:`_prior_terms` (both channels' mutual
+information) at priors ``q``, each once per distinct pair of its terms where
+the cells share the priors.  Both steps work in place on blocks of rows, so
+that each numpy call covers as much as it can: the interceptor's two
+conditional errors come from one ``arctan2`` over a pair of rows, and her
+three entropies from one call over a block of three; every operation on every
+element, and its order, is that of the expressions the steps stand for.
 :func:`secrecy_points` alone composes them: the first step once per batch,
 shared by the lockstep q-search and the final evaluation, which adds the
 Holevo bound.  ``private_capacity_fixed``, ``private_capacity`` and
@@ -36,7 +41,7 @@ import numpy as np
 from ._common import _PHOTONS, _RANGES, ClockedLink, OperatingPoint, SecrecyPoint, _check_as, _check_ranges
 from .detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_error
 from .detection import holevo_bound, overlap
-from .numerics import GRID_POINTS, Interval, _channel_information, _entropy, _entropy_in_place
+from .numerics import GRID_POINTS, Interval, _channel_information, _entropy_in_place
 from .numerics import binary_entropy, maximize_lockstep
 from .receiver import DetectorModel, _checked_prior, _no_click_probabilities, bob_click_model
 
@@ -67,78 +72,85 @@ _PLANCK = 6.62607015e-34  # J s
 
 def _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean) -> np.ndarray:
     """The kernel's rows ``(eps0, eps1, h(eps0), h(eps1), s, y)`` that do not depend
-    on the prior, stacked over the broadcast cells; ``(s, y)`` is :func:`_overlap_terms`."""
-    eps0, eps1, n_eve = np.broadcast_arrays(
-        *_no_click_probabilities(mu, p_dark, eta_optical, stray_mean), gamma * mu
-    )
-    return np.stack((eps0, eps1, *_entropy(np.stack((eps0, eps1))), *_overlap_terms(n_eve)))
+    on the prior, written over the broadcast cells into one array; ``(s, y)`` is
+    :func:`_overlap_terms`.  Two more rows are the entropies' scratch."""
+    rows = np.empty((8,) + np.broadcast(mu, gamma, p_dark, eta_optical, stray_mean).shape)
+    rows[0], rows[1] = _no_click_probabilities(mu, p_dark, eta_optical, stray_mean)
+    rows[2:4] = rows[:2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _entropy_in_place(rows[2:4], rows[4:6], rows[6:])
+    _overlap_terms(gamma * mu, out=rows[4:6])
+    return rows[:6]
 
 
 def _prior_terms(terms, q, mirrored=False):
     """``(info_bob, info_eve_helstrom)`` from :func:`_cell_terms` rows and
     priors ``q`` in [0, 1], an array whose first axis runs over the cells or,
-    when every cell shares its priors, has length 1.  Each channel's
-    information is written in place into new rows of the broadcast shape, with
-    two rows of scratch shared by both (:func:`_receiver_information`,
-    :func:`_interceptor_information`).  Where every cell shares the priors,
-    as in the q-search's first scan, a channel's information depends on a
-    cell only through its first two rows, the receiver's ``(eps0, eps1)`` and
-    the interceptor's ``(s, y)``: it is taken once per distinct pair of bits
+    when every cell shares its priors, has length 1.  ``p = 1 - q`` is taken
+    once, for both channels and each product by ``1 - q``.  Each channel's
+    information is written in place into rows of its broadcast shape: the
+    receiver's over his output probability, with two rows of scratch
+    (:func:`_receiver_information`); the interceptor's over the first row of a
+    block of three, her output probability and her two errors, whose three
+    entropies one call takes, with two blocks of scratch
+    (:func:`_interceptor_information`).  Where every cell shares the priors, as
+    in the q-search's first scan, a channel's information depends on a cell only
+    through its first two rows, the receiver's ``(eps0, eps1)`` and the
+    interceptor's ``(s, y)``: it is taken once per distinct pair of bits
     (:func:`_once_per_pair`), bit for bit what each cell's own row would be.
     ``mirrored`` (the q-search's first scan) takes hers by :func:`_mirrored_information`."""
     p = 1.0 - q
-    # Two rows apart: one stack of them would be a block per call that the
-    # allocator maps and unmaps.
-    shape = np.broadcast(terms[0], q).shape
-    work, log = np.empty(shape), np.empty(shape)
     interceptor = _mirrored_information if mirrored else _interceptor_information
     with np.errstate(invalid="ignore", divide="ignore"):
-        info_bob = _once_per_pair(_receiver_information, terms[:4], q, p, work, log)
-        return info_bob, _once_per_pair(interceptor, terms[4:], q, p, work, log)
+        info_eve = _once_per_pair(interceptor, terms[4:], q, p)  # hers first: her nine rows are the most
+        return _once_per_pair(_receiver_information, terms[:4], q, p), info_eve
 
 
-def _once_per_pair(information, rows, q, p, work, log):
-    """``information(q, p, *rows, work, log)``, one channel's information from its ``rows``; where
-    every cell shares the priors (``q`` has one row), taken once per distinct pair of bits of the
+def _once_per_pair(information, rows, q, p):
+    """``information(q, p, *rows)``, one channel's information from its ``rows``; where every
+    cell shares the priors (``q`` has one row), taken once per distinct pair of bits of the
     first two rows (:func:`_distinct_columns`) and gathered back to the cells."""
     distinct = _distinct_columns(rows[:2]) if len(q) == 1 < rows.shape[1] else None
     if distinct is None:
-        return information(q, p, *rows, work, log)
+        return information(q, p, *rows)
     first, cell_of = distinct
-    m = len(first)
-    return information(q, p, *(row[first] for row in rows), work[:m], log[:m])[cell_of]
+    return information(q, p, *(row[first] for row in rows))[cell_of]
 
 
-def _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1, work, log):
-    """The receiver's ``I(X;Y)`` at priors ``q`` (``p = 1 - q``) from its click rows, in a new
-    array: the output probability ``q eps0 + p eps1``, its entropy, then the information.
-    ``work`` and ``log`` are scratch of the broadcast shape; the caller holds
-    ``np.errstate(invalid="ignore", divide="ignore")``."""
+def _receiver_information(q, p, eps0, eps1, h_eps0, h_eps1):
+    """The receiver's ``I(X;Y)`` at priors ``q`` (``p = 1 - q``) from his click rows, in a new
+    array: the output probability ``q eps0 + p eps1``, its entropy in place, then the
+    information.  The caller holds ``np.errstate(invalid="ignore", divide="ignore")``."""
     h = np.multiply(q, eps0)
+    work, log = np.empty(h.shape), np.empty(h.shape)
     h += np.multiply(p, eps1, out=work)
-    return _channel_information(q, _entropy_in_place(h, work, log), h_eps0, h_eps1, out=h, work=work)
+    return _channel_information(q, p, _entropy_in_place(h, work, log), h_eps0, h_eps1, out=h, work=work)
 
 
-def _interceptor_information(q, p, s, y, work, log):
+def _interceptor_information(q, p, s, y):
     """The interceptor's Helstrom ``I(X;Z)`` at priors ``q`` (``p = 1 - q``) from her overlap rows
-    ``(s, y)``, as :func:`_receiver_information` takes the receiver's: her errors ``e0, e1``
-    (:func:`_helstrom_split`), her output probability ``q (1-e0) + p e1``, the three entropies in
-    place, then the information."""
-    e0, e1, _, _ = _helstrom_split(s, y, q)
-    h = np.subtract(1.0, e0)
+    ``(s, y)``, as :func:`_receiver_information` takes the receiver's, in one block of three
+    rows: her errors ``e0, e1`` in its last two (:func:`_helstrom_split`, its ordinates and
+    abscissae in the scratch blocks), her output probability ``q (1-e0) + p e1`` in its first,
+    the three entropies in place in one call over the block, then the information in its first
+    row.  The block and its two blocks of scratch are three arrays: one of nine rows would, on a
+    sweep's first scan, pass the allocator's mapping threshold and be mapped and unmapped per call."""
+    shape = (3,) + np.broadcast(q, s).shape
+    block, work, log = np.empty(shape), np.empty(shape), np.empty(shape)
+    h, e0, e1 = block
+    _helstrom_split(s, y, q, p, out=block[1:], work=(work[:2], log[:2]))
+    np.subtract(1.0, e0, out=h)
     h *= q
-    h += np.multiply(p, e1, out=work)
-    for row in (h, e0, e1):
-        _entropy_in_place(row, work, log)
-    return _channel_information(q, h, e0, e1, out=h, work=work)
+    h += np.multiply(p, e1, out=work[0])
+    _entropy_in_place(block, work, log)
+    return _channel_information(q, p, h, e0, e1, out=h, work=work[0])
 
 
-def _mirrored_information(q, p, s, y, work, log):
-    """:func:`_interceptor_information` on the lower half of one shared row ``q`` symmetric about 1/2
-    (in a contiguous prefix of the scratch), its reversed copy on the upper half: hers at ``1 - q``."""
+def _mirrored_information(q, p, s, y):
+    """:func:`_interceptor_information` on the lower half of one shared row ``q`` symmetric about 1/2,
+    its reversed copy on the upper half: hers at ``1 - q``."""
     n = q.shape[1] // 2
-    work, log = (a.reshape(-1)[: len(a) * n].reshape(-1, n) for a in (work, log))
-    half = _interceptor_information(q[:, :n], p[:, :n], s, y, work, log)
+    half = _interceptor_information(q[:, :n], p[:, :n], s, y)
     return np.concatenate((half, half[:, ::-1]), axis=1)
 
 
@@ -181,7 +193,7 @@ def _optimal_q(terms) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the first q scan must be symmetric about 1/2, got {GRID_POINTS} over {Q_SEARCH_BOUNDS}")
 
     def unclipped(q, cell):
-        info_bob, info_eve = _prior_terms(terms[:, cell], q, mirrored=q.shape == (1, GRID_POINTS))
+        info_bob, info_eve = _prior_terms(terms.take(cell, axis=1), q, mirrored=q.shape == (1, GRID_POINTS))
         return info_bob - info_eve
 
     return maximize_lockstep(unclipped, Interval(*Q_SEARCH_BOUNDS), Q_SCAN_STEP, terms.shape[1])
@@ -208,28 +220,33 @@ def _point_columns(received_mean_photons, gamma, q, p_dark, eta_optical, stray_m
     ``capacity`` and ``sweep`` tables read them.  The kernel's only input checks: photon number
     and gamma, then the detector fields, then ``q``.  The one check of ``dw_rate <= private_capacity``:
     the first cell that breaks it raises ``ValueError``."""
-    mu, gamma, p_dark, eta_optical, stray_mean = (
-        np.ravel(a).astype(float)
-        for a in np.broadcast_arrays(received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
-    )
-    for section, cells in ((OperatingPoint, {"received_mean_photons": mu, "gamma": gamma}),
-                           (DetectorModel, {"p_dark": p_dark, "eta_optical": eta_optical, "stray_mean": stray_mean})):
-        bad = ~np.logical_and.reduce([_RANGES[section._rules[name]](column) for name, column in cells.items()])
-        if bad.any():
-            first = np.flatnonzero(bad)[0]
-            section(**{name: float(column[first]) for name, column in cells.items()})  # raises
+    inputs = (received_mean_photons, gamma, p_dark, eta_optical, stray_mean)
+    cells = np.empty((len(inputs),) + np.broadcast(*inputs).shape)  # each input broadcast, as floats
+    for row, values in enumerate(inputs):
+        cells[row] = values
+    cells = cells.reshape(len(inputs), -1)
+    mu, gamma, p_dark, eta_optical, stray_mean = cells
+    for section, names, columns in ((OperatingPoint, ("received_mean_photons", "gamma"), cells[:2]),
+                                    (DetectorModel, ("p_dark", "eta_optical", "stray_mean"), cells[2:])):
+        inside = functools.reduce(np.logical_and, [_RANGES[section._rules[n]](c) for n, c in zip(names, columns)])
+        if not inside.all():
+            first = inside.argmin()
+            section(**{name: float(column[first]) for name, column in zip(names, columns)})  # raises
     terms = _cell_terms(mu, gamma, p_dark, eta_optical, stray_mean)
     if q is None:
         q, _ = _optimal_q(terms)
     else:
-        q = _checked_prior(np.broadcast_to(np.asarray(q, dtype=float), mu.shape))
+        q, fixed = np.empty(mu.shape), q
+        q[...] = fixed
+        _checked_prior(q)
     info_bob, info_eve = _prior_terms(terms, q)
     holevo_eve = holevo_bound(terms[4], q)  # row 4: the interceptor's s = 1 - c^2
     capacity, dw_rate = np.maximum(info_bob - info_eve, 0.0), np.maximum(info_bob - holevo_eve, 0.0)
     columns = [c.tolist() for c in (gamma, mu, q, info_bob, info_eve, holevo_eve, capacity, dw_rate)]
-    broken = np.flatnonzero(dw_rate > capacity + 1e-9)
-    if broken.size:
-        raise ValueError(f"dw_rate {columns[7][broken[0]]} exceeds private_capacity {columns[6][broken[0]]}")
+    broken = dw_rate > capacity + 1e-9
+    if broken.any():
+        first = broken.argmax()
+        raise ValueError(f"dw_rate {columns[7][first]} exceeds private_capacity {columns[6][first]}")
     return columns
 
 

@@ -120,6 +120,15 @@ class TestCapacityCommand:
         ]
 
 
+def test_degradation_target_whose_inverse_overflows_prints_its_row(capsys):
+    # 1/gamma_target overflows: the partial radius's log argument is taken as the sum
+    # of its factors' logs, about 742.8.  This exited 3 blaming the diameter ratio.
+    code, out, err = run_cli(capsys, "exclusion", "--gamma-target", "1e-320")
+    assert code == EXIT_OK and "numerical failure" not in err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert (row["radius_partial_m"], row["radius_total_m"]) == ("115.631902", "230.99733")
+
+
 class TestZeroDegradation:
     """A degradation of 0 means the interceptor collects nothing: the best case."""
 

@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the third-party packages the
 source imports, and the README names the same set; every Python file parses
 as the declared oldest Python does, the CI workflow tests the declared
-floors, and the console script resolves to the CLI's entry and runs in CI."""
+floors and each admitted Python, and the console script resolves to the CLI's
+entry and runs in CI."""
 import ast
 import importlib.metadata
 import re
@@ -87,3 +88,13 @@ def test_console_script_resolves_to_a_callable():
     assert callable(importlib.metadata.EntryPoint(name, value, "console_scripts").load())
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert workflow.count(f"run: {name} linkbudget\n") == 2
+
+
+def test_tier1_matrix_runs_each_admitted_python():
+    """The tier-1 job runs every minor Python from the ``requires-python`` floor on, with no
+    gap, through 3.13 at least: the versions the project admits and that have been released."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"^ +python-version: \[(.*)\]$", workflow, flags=re.M)
+    minors = [int(re.fullmatch(r'"3\.(\d+)"', v.strip()).group(1)) for v in matrix.split(",")]
+    (floor,) = re.fullmatch(r">=3\.(\d+)", _project()["requires-python"]).groups()
+    assert minors == list(range(int(floor), max(minors) + 1)) and max(minors) >= 13

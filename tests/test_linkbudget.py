@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -205,6 +206,23 @@ class TestExclusionRadiusPartial:
     def test_no_exclusion_needed_rejected(self):
         with pytest.raises(ValueError):
             exclusion_radius_partial(0.9, 1.2e6, 1.0, 0.5, 1e-5)
+
+    @pytest.mark.parametrize("gamma, eta_b, ratio", [
+        (1e-320, 0.01, 2.0),  # 1/gamma overflows
+        (1e-300, 0.01, 1e160),  # the squared ratio overflows
+        (0.1, 5e-324, 2.0),  # 1/eta_b overflows
+    ])
+    def test_overflowing_log_argument_is_the_sum_of_its_logs(self, gamma, eta_b, ratio):
+        # This raised FloatingPointError naming the diameter ratio.
+        radius = exclusion_radius_partial(gamma, 1.2e6, eta_b, ratio, 1e-5)
+        arg = (1 / mpmath.mpf(gamma)) * (1 / mpmath.mpf(eta_b)) * mpmath.mpf(ratio) ** 2
+        assert radius == pytest.approx(float(_beam_radius(1e-5, 1.2e6) * mpmath.sqrt(mpmath.log(arg) / 2)), rel=1e-14)
+
+    def test_log_argument_that_does_not_overflow_keeps_its_product(self):
+        product = (1.0 / 1e-300) * (1.0 / 0.01) * (2.0 * 2.0)
+        assert math.isfinite(product)
+        radius = exclusion_radius_partial(1e-300, 1.2e6, 0.01, 2.0, 1e-5)
+        assert radius == _beam_radius(1e-5, 1.2e6) * math.sqrt(0.5 * math.log(product))
 
     @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("dist", [5e5, 1.2e6, 1e7, 3.6e7])

@@ -200,6 +200,46 @@ class TestMaximizeLockstep:
         assert (x[6], x[7], x[8], x[9]) == (1.0, 0.0, 1.0, 0.0)
         assert fx[10] == -1e-4
 
+    @pytest.mark.parametrize("seed, tol", [(0, 1e-3), (1, 1e-6), (2, 1e-2), (3, 0.5)])
+    def test_last_scan_and_vertex_match_their_expressions(self, seed, tol):
+        # Seeded multimodal cells, with lines either way (endpoint maxima) and constants
+        # (flat triples); tol = 0.5 makes the first, shared scan the last.  The last scan's
+        # gathers and the parabolic step, recomputed from its recorded grid and values by
+        # fancy indexing and the vertex's expressions of fresh arrays, bit for bit.
+        rng = np.random.default_rng(seed)
+        cells = 90
+        amp, freq, phase = rng.uniform(-1, 1, (cells, 3)), rng.uniform(0, 40, (cells, 3)), rng.uniform(0, 7, (cells, 3))
+        amp[:10] = 0.0
+        slope = np.zeros(cells)
+        slope[:8] = [1.0, -1.0] * 4
+        f = self._objective(amp, freq, phase, slope)
+        calls = []
+
+        def recorded(x, cell):
+            calls.append((np.broadcast_to(x, np.broadcast_shapes(x.shape, cell.shape)), cell, f(x, cell)))
+            return calls[-1][2]
+
+        x_got, fx_got = maximize_lockstep(recorded, Interval(-1.0, 2.0), tol, cells)
+        (grid, _, values), (vertex_x, vertex_cells, vertex_values) = calls[-2:]
+        n, r = values.shape[1], np.arange(cells)
+        best = np.argmax(values, axis=1)
+        best_f = values[r, best]
+        below, above = values[r, np.maximum(best - 1, 0)], values[r, np.minimum(best + 1, n - 1)]
+        j = np.minimum(np.maximum(best, 1), n - 2)
+        low, high, x = grid[r, j - 1], grid[r, j + 1], grid[r, best]
+        with np.errstate(all="ignore"):
+            left, right = (x - low) * (best_f - above), (high - x) * (best_f - below)
+            vertex = x - 0.5 * ((x - low) * left - (high - x) * right) / (left + right)
+        polish = ((best > 0) & (best < n - 1) & (left + right > 0.0) & np.isfinite(vertex)).nonzero()[0]
+        vertex = np.minimum(np.maximum(vertex, low), high)
+        assert 0 < polish.size < cells
+        assert np.array_equal(vertex_cells[:, 0], polish)
+        assert np.array_equal(vertex_x[:, 0].view(np.int64), vertex[polish].view(np.int64))
+        better = vertex_values[:, 0] >= best_f[polish]
+        x[polish[better]], best_f[polish[better]] = vertex[polish[better]], vertex_values[better, 0]
+        assert np.array_equal(x_got.view(np.int64), x.view(np.int64))
+        assert np.array_equal(fx_got.view(np.int64), best_f.view(np.int64))
+
     @pytest.mark.parametrize("hi", [1e-20, 3e-17])
     def test_upper_bound_near_zero_is_returned_exactly(self, hi):
         # The rescans' low + k (high - low) / (points - 1) misses a bound this

@@ -24,6 +24,7 @@ from wiretap_space.scenario_io import (
     _SCHEMA,
     CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
+    MAX_CONFIG_BYTES,
     MAX_SWEEP_CELLS,
     ConfigError,
     OperatingPoint,
@@ -244,6 +245,20 @@ class TestConfigLoading:
         assert violation.startswith(f"config {str(path)!r} is not valid JSON: ") and reason in violation
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {violation}\n"
+
+    def test_config_past_the_size_bound_is_a_config_error(self, tmp_path, capsys):
+        # An endless file (a device of NUL bytes) was read whole until the process was killed.
+        path = tmp_path / "long.json"
+        body = json.dumps({"label": "long"})
+        path.write_text(body + " " * (MAX_CONFIG_BYTES - len(body)))
+        assert load_config(str(path)).label == "long"
+        with open(path, "a") as fh:
+            fh.write(" ")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.violations == [f"config {str(path)!r} is larger than {MAX_CONFIG_BYTES} bytes"]
+        assert main(["capacity", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {info.value.violations[0]}\n"
 
     def test_presets(self):
         assert preset_config("micius-meo").geometry.dist_bob == pytest.approx(1e7)

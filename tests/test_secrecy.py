@@ -8,8 +8,9 @@ import pytest
 from oracles import grid_argmax
 from wiretap_space import secrecy
 from wiretap_space.cli import main
-from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, helstrom_projector, holevo_binary, holevo_bound
+from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, _overlap_terms, helstrom_projector, holevo_binary, holevo_bound
 from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, Interval, binary_entropy, maximize_lockstep
+from wiretap_space.numerics import _channel_information, _entropy_in_place
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
 from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
 from wiretap_space.secrecy import (
@@ -512,11 +513,20 @@ def _entropy_expression(p):
     return np.fmax(h, 0.0)
 
 
+def _helstrom_errors_expression(s, y, q):
+    """Her two conditional errors, each from its own arctan2 of fresh arrays: the oracle of
+    :func:`detection._helstrom_split`'s one arctan2 over a pair of rows."""
+    d, p, s2 = 2.0 * q - 1.0, 1.0 - q, s + s
+    phi0 = 0.5 * np.arctan2(p * y, d + p * s2)
+    phi1 = 0.5 * np.arctan2(q * y, -(d - q * s2))
+    return np.square(np.sin(phi0)), np.square(np.sin(phi1)), phi0, phi1
+
+
 def _prior_terms_expression(terms, q):
     """:func:`secrecy._prior_terms` as expressions of fresh arrays, the same
     operations in the same order: the oracle of its in-place evaluation."""
     eps0, eps1, h_eps0, h_eps1, s, y = terms
-    e0, e1, _, _ = _helstrom_split(s, y, q)
+    e0, e1, _, _ = _helstrom_errors_expression(s, y, q)
     p_bob, p_eve = q * eps0 + (1.0 - q) * eps1, q * (1.0 - e0) + (1.0 - q) * e1
     h_bob, h_eve, h_e0, h_e1 = map(_entropy_expression, (p_bob, p_eve, e0, e1))
     info_bob = np.maximum(h_bob - q * h_eps0 - (1.0 - q) * h_eps1, 0.0)
@@ -597,6 +607,99 @@ def _unmirrored_q(terms):
 def _assert_same_bits(got, want):
     for got, want in zip(got, want):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _cell_terms_expression(mu, gamma, p_dark, eta_optical, stray_mean):
+    """:func:`secrecy._cell_terms` as expressions of fresh arrays stacked at the end: the oracle
+    of its rows written in place."""
+    stray, no_dark = eta_optical * stray_mean, 1.0 - p_dark
+    eps0, eps1, n = np.broadcast_arrays(no_dark * np.exp(-stray), no_dark * np.exp(-(mu + stray)), gamma * mu)
+    s = -np.expm1(-n)
+    y = 2.0 * np.exp(-0.5 * n) * np.sqrt(s)
+    return np.stack((eps0, eps1, _entropy_expression(eps0), _entropy_expression(eps1), s, y))
+
+
+class TestStepsMatchTheirExpressions:
+    """Each step the kernel takes over blocks of rows in place gives, bit for bit, the
+    expressions of fresh arrays it stands for, one row at a time: her two Helstrom errors from
+    one arctan2, her three entropies in one call, the channel information from the kernel's
+    ``p``, the prior-free rows and the mirrored first scan.  Seeded cells, and the edges:
+    no photons (``s = 0``) at ``q = 1/2``, an overlap that underflows (``c = 0``) and ``q`` at 0 and 1."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rng = np.random.default_rng(20261021)
+        n = 600
+        mu = 10.0 ** rng.uniform(-4.0, 2.3, n)
+        gamma = rng.uniform(0.0, 0.999, n)
+        fields = [10.0 ** rng.uniform(-10, -2, n), rng.uniform(0.05, 1.0, n), 10.0 ** rng.uniform(-9, -1, n)]
+        q = rng.uniform(0.0, 1.0, n)
+        mu[:3], q[:3] = 0.0, 0.5  # s = 0 at q = 1/2: both angles atan2(0, 0)
+        mu[3:6], gamma[3:6], q[3:6] = 2000.0, 0.9, [0.0, 0.5, 1.0]  # c = exp(-900) = 0
+        q[6:9], q[9:12] = 0.0, 1.0
+        return mu, gamma, fields, q
+
+    def test_prior_free_rows(self, cells):
+        mu, gamma, fields, _ = cells
+        got = secrecy._cell_terms(mu, gamma, *fields)
+        assert got.shape == (6, mu.size)
+        _assert_same_bits(got, _cell_terms_expression(mu, gamma, *fields))
+        # Broadcast inputs, and one cell of scalars.
+        mixed = (mu[:50], 0.3, 1e-7, fields[1][:50], 1e-4)
+        _assert_same_bits(secrecy._cell_terms(*mixed), _cell_terms_expression(*mixed))
+        one = secrecy._cell_terms(2.0, 0.1, 1e-7, 0.8, 1e-4)
+        assert one.shape == (6,)
+        assert np.array_equal(one, _cell_terms_expression(2.0, 0.1, 1e-7, 0.8, 1e-4))
+
+    def test_helstrom_errors_and_angles(self, cells):
+        mu, gamma, fields, q = cells
+        _, _, _, _, s, y = secrecy._cell_terms(mu, gamma, *fields)
+        assert s[0] == y[0] == 0.0 and y[3] == 0.0 and s[3] == 1.0
+        errors, angles = _helstrom_split(s, y, q, 1.0 - q)
+        e0, e1, phi0, phi1 = _helstrom_errors_expression(s, y, q)
+        _assert_same_bits((*errors, *angles), (e0, e1, phi0, phi1))
+        # phi1's abscissa is -0 at s = 0 and q = 1/2, so the split is (0, pi/2).
+        assert (angles[0][0], angles[1][0]) == (0.0, math.pi / 2)
+        # One prior shared by every cell, and one float cell (helstrom_projector's).
+        _assert_same_bits(_helstrom_split(s, y, 0.3, 0.7)[0], _helstrom_errors_expression(s, y, 0.3)[:2])
+        got = [v.tolist() for v in _helstrom_split(*_overlap_terms(0.7), 0.2, 0.8)]
+        want = [float(v) for v in _helstrom_errors_expression(*_overlap_terms(0.7), 0.2)]
+        assert got == [want[:2], want[2:]]
+
+    def test_her_three_entropies_in_one_call(self, cells):
+        mu, gamma, fields, q = cells
+        _, _, _, _, s, y = secrecy._cell_terms(mu, gamma, *fields)
+        e0, e1, _, _ = _helstrom_errors_expression(s, y, q)
+        rows = [q * (1.0 - e0) + (1.0 - q) * e1, e0, e1]
+        block = np.array(rows)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            _entropy_in_place(block, np.empty_like(block), np.empty_like(block))
+        _assert_same_bits(block, [_entropy_expression(row) for row in rows])
+
+    def test_channel_information_from_p(self, cells):
+        mu, gamma, fields, q = cells
+        h_out, h_0, h_1 = np.random.default_rng(5).uniform(0.0, 1.0, (3, mu.size))
+        got = _channel_information(q, 1.0 - q, h_out, h_0, h_1)
+        _assert_same_bits([got], [np.maximum(h_out - q * h_0 - (1.0 - q) * h_1, 0.0)])
+
+    def test_prior_terms(self, cells):
+        mu, gamma, fields, q = cells
+        terms = secrecy._cell_terms(mu, gamma, *fields)
+        _assert_same_bits(secrecy._prior_terms(terms, q), _prior_terms_expression(terms, q))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_mirrored_first_scan_rows(self, cells, shared):
+        # The first scan's shape, on cells of their own photon numbers or, shared, on 8
+        # photon numbers of 75 cells each (her half-width rows taken once per number).
+        mu, gamma, fields, _ = cells
+        if shared:
+            mu, gamma = np.repeat(mu[:8], 75), 0.2
+        terms = secrecy._cell_terms(mu, gamma, *fields)[:, :, np.newaxis]
+        row = np.linspace(*Q_SEARCH_BOUNDS, GRID_POINTS)[np.newaxis]
+        info_bob, info_eve = secrecy._prior_terms(terms, row, mirrored=True)
+        want_bob, want_eve = _prior_terms_expression(terms, np.broadcast_to(row, (mu.size, GRID_POINTS)))
+        half = GRID_POINTS // 2
+        _assert_same_bits((info_bob, info_eve), (want_bob, np.concatenate((want_eve[:, :half], want_eve[:, half - 1 :: -1]), axis=1)))
 
 
 class TestMirroredFirstScan:
