@@ -43,10 +43,10 @@ from .scenario_io import (
     preset_config,
     PRESET_NAMES,
     resolved_gamma,
-    rows_to_json,
     sweep,
     with_values,
     write_csv,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -160,7 +160,8 @@ def _echo_config(config: ScenarioConfig) -> None:
 def _write(args: argparse.Namespace, header: Sequence[str], rows, summary: dict | None = None) -> None:
     """Write one command's table to ``--out``, opened only now, or stdout.
 
-    The rows stream out as CSV or, with ``--format json``, as row objects.
+    The rows stream out as CSV or, with ``--format json``, as row objects
+    (:func:`~wiretap_space.scenario_io.write_json`).
     ``summary`` (the orbit pass's) is echoed to stderr and is the JSON
     document in place of the rows.
     """
@@ -171,9 +172,10 @@ def _write(args: argparse.Namespace, header: Sequence[str], rows, summary: dict 
         with stream if args.out else contextlib.nullcontext():
             if args.format == "csv":
                 write_csv(stream, header, rows)
+            elif summary is None:
+                write_json(stream, header, rows)
             else:
-                document = rows_to_json(header, rows) if summary is None else summary
-                stream.write(json.dumps(document, indent=2) + "\n")
+                stream.write(json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         if not args.out or isinstance(exc, BrokenPipeError):
             raise  # main_entry reports stdout's failures; a reader that closed early wants no more

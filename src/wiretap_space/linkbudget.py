@@ -207,21 +207,25 @@ def exclusion_radius_partial(
 
     Raises ``ConfigError`` when the logarithm argument is below 1, i.e. when
     the target degradation is met with no exclusion zone at all; an argument
-    of exactly 1 returns 0.  Where the argument overflows, its logarithm is
-    the sum of its factors' logs, ``-ln gamma - ln eta_b + 2 ln(a_E/a_B)``.
+    of exactly 1 returns 0.  A ratio of 0 makes the argument 0, also where
+    ``1/gamma`` overflows.  Where the product of the factors overflows or
+    underflows to 0, its logarithm is the sum of the factors' logs,
+    ``-ln gamma - ln eta_b + 2 ln(a_E/a_B)``, which decides both cases.
     """
     _check_gamma_target(gamma_target)
     _check_ranges(("dist", "> 0", dist), ("eta_b", "(0, 1]", eta_b),
                   ("diam_ratio_eve_over_bob", ">= 0", diam_ratio_eve_over_bob), ("divergence", "> 0", divergence))
-    log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * (diam_ratio_eve_over_bob * diam_ratio_eve_over_bob)
-    if math.isinf(log_arg):
-        log_value = -math.log(gamma_target) - math.log(eta_b) + 2.0 * math.log(diam_ratio_eve_over_bob)
-    elif log_arg < 1.0:
-        raise ConfigError(
-            [f"no exclusion radius needed: degradation target already met (log argument {log_arg:.4g} < 1)"]
-        )
+    if diam_ratio_eve_over_bob == 0.0:  # the product is 0 even where 1/gamma overflows
+        log_value, shown = -math.inf, "0"
     else:
-        log_value = math.log(log_arg)
+        log_arg = (1.0 / gamma_target) * (1.0 / eta_b) * (diam_ratio_eve_over_bob * diam_ratio_eve_over_bob)
+        if 0.0 < log_arg < math.inf:
+            log_value, shown = math.log(log_arg), f"{log_arg:.4g}"
+        else:  # overflowed, underflowed to 0, or both (inf * 0)
+            log_value = -math.log(gamma_target) - math.log(eta_b) + 2.0 * math.log(diam_ratio_eve_over_bob)
+            shown = f"exp({log_value:.4g})"
+    if log_value < 0.0:
+        raise ConfigError([f"no exclusion radius needed: degradation target already met (log argument {shown} < 1)"])
     return _beam_radius(divergence, dist) * math.sqrt(0.5 * log_value)
 
 

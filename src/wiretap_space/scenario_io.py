@@ -9,11 +9,13 @@ CLI flags); its type rule also reads the parts of a sweep axis, whose keys are
 ``_AXIS_KEYS``, in :func:`parse_axis`, one reader for configs and CLI specs.  All tabular
 output is deterministic: row-major grid order, fixed column sets, and
 9-significant-digit formatting, so identical configs produce byte-identical
-files.  Each table is ``(header, rows)`` of plain lists; the 12-column
-capacity rows are built column by column from the kernel's columns by
-:func:`_derived_columns`, whose one-point form is :func:`capacity_row`, and
-each exclusion row by
-:func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
+files.  Each table is ``(header, rows)``, a list of rows.  A sweep's rows are
+tuples zipped from its columns: the axis columns from the grids, the kernel's
+columns with its echoes of the inputs replaced by the sweep's own floats, and
+the 4 columns :func:`_derived_columns` adds (its one-point form is
+:func:`capacity_row`), so that cells repeating a value share one float.  Each
+exclusion row comes from :func:`~wiretap_space.linkbudget.radius_vs_gamma_curve`.
+:func:`write_csv` and :func:`write_json` stream any table row by row.
 The ``capacity`` table is :func:`sweep` with no axis, and only the
 kernel's columns check ``dw_rate <= private_capacity``.  A sweep checks
 each axis value once, by its field's rule, with no section built for it: no
@@ -28,6 +30,7 @@ import itertools
 import json
 import math
 import operator
+import struct
 from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Any, Iterable, NamedTuple, Sequence
 
@@ -60,6 +63,7 @@ __all__ = [
     "exclusion_sweep",
     "format_cell",
     "write_csv",
+    "write_json",
     "rows_to_json",
 ]
 
@@ -357,11 +361,22 @@ def _derived_columns(columns: Sequence[Sequence[float]], clock_rate: float) -> l
     """The 4 :data:`CAPACITY_SWEEP_OUTPUTS` columns past the point's fields from the point's
     columns, in :class:`~wiretap_space.secrecy.SecrecyPoint` field order: the interceptor's
     Helstrom error and angle at her ``gamma * mu`` photons, by their scalar closed forms, and
-    the two rates in bits per second."""
+    the two rates in bits per second.  The angle depends on the photon number alone, so it is
+    taken once per distinct one, keyed on its bits (``-0.0`` and ``0.0`` give ``-0.0`` and
+    ``0.0``), and the cells that share a photon number share its float; where none repeats,
+    as along a ``gamma`` axis, the keys are not built."""
     gamma, mu, q, *_, private_capacity, dw_rate = columns
     n_eve = list(map(operator.mul, gamma, mu))
-    return [list(map(_helstrom_error, n_eve, q)), list(map(math.degrees, map(_distinguishability_angle, n_eve))),
-            [c * clock_rate for c in private_capacity], [r * clock_rate for r in dw_rate]]
+    if len(set(n_eve)) == len(n_eve):  # no two equal, -0.0 and 0.0 included: one angle each
+        phi = list(map(math.degrees, map(_distinguishability_angle, n_eve)))
+    else:
+        bits = memoryview(struct.pack(f"{len(n_eve)}d", *n_eve)).cast("q").tolist()
+        angle: dict[int, float] = {}
+        phi = [angle[key] if key in angle else angle.setdefault(key, math.degrees(_distinguishability_angle(n)))
+               for key, n in zip(bits, n_eve)]
+    clock = itertools.repeat(clock_rate)
+    return [list(map(_helstrom_error, n_eve, q)), phi,
+            list(map(operator.mul, private_capacity, clock)), list(map(operator.mul, dw_rate, clock))]
 
 
 def capacity_row(values: Sequence[float], clock_rate: float) -> list[float]:
@@ -381,23 +396,25 @@ def _axis_grids(axes: Sequence[SweepAxis]) -> list[list[float]]:
 
 def sweep(
     config: ScenarioConfig, axes: Sequence[SweepAxis] | None = None
-) -> tuple[list[str], list[list[float]]]:
+) -> tuple[list[str], list[tuple[float, ...]]]:
     """Row-major grid evaluation of the secrecy quantities over 0, 1 or 2 axes.
 
-    Returns ``(header, rows)``; the first columns repeat the axis values,
-    the rest are the evaluated outputs at that cell.  ``axes=None`` takes the
-    config's; with no axis the table is the ``capacity`` command's row, the
-    config's one cell.  Axes that cannot reach the output raise.  Each axis
-    value is checked once, by its field's rule in ``_RANGES`` (no rule of
-    ``detector``, ``geometry`` or ``operating``, the sections an axis sets,
-    joins two fields), and the first invalid cell in row-major order, or the
-    first whose degradation is outside [0, 1), raises its own message through
-    :func:`with_values`.  Sections are built only for the degradation of each
+    Returns ``(header, rows)``, the rows a list of tuples; the first columns
+    repeat the axis values, the rest are the evaluated outputs at that cell.
+    ``axes=None`` takes the config's; with no axis the table is the
+    ``capacity`` command's row, the config's one cell.  Axes that cannot
+    reach the output raise.  Each axis value is checked once, by its field's
+    rule in ``_RANGES`` (no rule of ``detector``, ``geometry`` or
+    ``operating``, the sections an axis sets, joins two fields), and the
+    first invalid cell in row-major order, or the first whose degradation is
+    outside [0, 1), raises its own message through :func:`with_values`.  Sections are built only for the degradation of each
     distinct geometry value; a ``gamma`` axis value is its own.  Then one
     evaluation of the kernel's columns
     (:func:`~wiretap_space.secrecy._point_columns`, which alone checks the
     rate invariant) covers the whole grid, and :func:`_derived_columns` adds
-    the rest, column by column.
+    the rest, column by column.  The rows hold the sweep's own floats where the
+    kernel echoes an input (``gamma``, ``received_mean_photons`` and a given
+    ``q``), bit for bit the echo.
     """
     axes = list(axes if axes is not None else config.sweep_axes)
     if len(axes) > 2:
@@ -418,28 +435,40 @@ def sweep(
     grids = _axis_grids(axes)
     rules = (_SECTIONS[section]._rules[f.attr] for section, f in map(_FIELD_BY_KEY.get, params))
     valid = [list(map(_RANGES[rule], grid)) for rule, grid in zip(rules, grids)]
-    grid = list(itertools.product(*grids))
+    columns = dict(zip(params, _axis_columns(grids)))
+    size = math.prod(map(len, grids))
     invalid = (k for k, ok in enumerate(itertools.product(*valid)) if not all(ok))
-    cells = len(grid) if all(map(all, valid)) else next(invalid)  # those before the first invalid one
-    columns = dict(zip(params, zip(*grid)))
+    cells = size if all(map(all, valid)) else next(invalid)  # those before the first invalid one
     if "gamma" not in columns:  # else each axis value is its own degradation
-        keys = list(zip(*(columns[p] for p in geometry))) if geometry else [()] * len(grid)
-        gamma_of = {key: resolved_gamma(with_values(config, zip(geometry, key)))
+        keys = list(zip(*(columns[p] for p in geometry))) if geometry else [()] * size
+        gamma_of = {key: float(resolved_gamma(with_values(config, zip(geometry, key))))
                     for key in dict.fromkeys(keys[:cells])}  # each distinct key once, in row-major order
-    if cells < len(grid):
-        with_values(config, zip(params, grid[cells]))  # raises the first invalid cell's message
+    if cells < size:
+        with_values(config, ((p, column[cells]) for p, column in columns.items()))  # raises its message
     gamma = columns["gamma"] if "gamma" in columns else list(map(gamma_of.__getitem__, keys))
     from .secrecy import _point_columns  # numpy, once every config error is reported
     operating, detector = config.operating, config.detector
+    mu = columns.get("received_mean_photons", operating.received_mean_photons)
     q = columns.get("q", operating.q)  # None unless q is set or swept
-    points = _point_columns(
-        columns.get("received_mean_photons", operating.received_mean_photons), gamma, q,
-        columns.get("p_dark", detector.p_dark), detector.eta_optical,
-        columns.get("stray_mean", detector.stray_mean),
-    )
+    points = _point_columns(mu, gamma, q, columns.get("p_dark", detector.p_dark), detector.eta_optical,
+                            columns.get("stray_mean", detector.stray_mean))
+    # The kernel echoes its inputs as fresh floats of the same bits; the rows take the sweep's own:
+    # a column as it is (an axis's floats, or the degradation's), one value as one float per cell.
+    echoed = (gamma, mu) if q is None else (gamma, mu, q)
+    points[:len(echoed)] = [v if isinstance(v, list) else [float(v)] * size for v in echoed]
     derived = _derived_columns(points, config.link.clock_rate)
-    rows = list(map(list, zip(*columns.values(), *points, *derived)))
-    return [*params, *CAPACITY_SWEEP_OUTPUTS], rows
+    return [*params, *CAPACITY_SWEEP_OUTPUTS], list(zip(*columns.values(), *points, *derived))
+
+
+def _axis_columns(grids: Sequence[list[float]]) -> list[list[float]]:
+    """The axis columns of the row-major grid of ``grids``, of the grids' own floats: each
+    value once per cell of the later axes, the whole once per cell of the earlier ones."""
+    columns = []
+    for i, grid in enumerate(grids):
+        inner, outer = math.prod(map(len, grids[i + 1:])), math.prod(map(len, grids[:i]))
+        repeated = itertools.chain.from_iterable(map(itertools.repeat, grid, itertools.repeat(inner)))
+        columns.append(list(repeated) * outer)
+    return columns
 
 
 EXCLUSION_OUTPUTS = ("radius_partial_m", "radius_total_m")
@@ -540,6 +569,32 @@ def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[An
         else:
             line = ",".join(map(format_cell, row))
             stream.write((line if line or len(row) != 1 else '""') + "\r\n")
+
+
+_FLOAT = frozenset([float])
+
+
+def write_json(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """``json.dumps(rows_to_json(header, rows), indent=2) + "\n"``, written one row at a time.
+    A row of finite floats only, one per header column, is one ``%``-format of the header's
+    template: json prints a finite float as ``float.__repr__``, and the template keeps its rule
+    for a repeated key, which holds its first position and its last value.  Any other row is
+    the encoder's own text for its object, indented one level."""
+    keys = dict(zip(header, range(len(header))))  # each key at its first position, to its last column
+    template = "  {\n" + ",\n".join(f"    {json.dumps(key).replace('%', '%%')}: %r" for key in keys) + "\n  }"
+    picks = tuple(keys.values())
+    pick = tuple if len(picks) == len(header) else lambda row: tuple(map(row.__getitem__, picks))
+    width = len(header) if keys else -1  # a row of no key is the encoder's "{}"
+    prefix = "[\n"
+    for row in rows:
+        stream.write(prefix)
+        prefix = ",\n"
+        # A finite sum has finite terms; one that overflows sends a finite row to the encoder, as printed.
+        if len(row) == width and _FLOAT.issuperset(map(type, row)) and math.isfinite(sum(row)):
+            stream.write(template % pick(row))
+        else:
+            stream.write("  " + json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n  "))
+    stream.write("[]\n" if prefix == "[\n" else "\n]\n")
 
 
 def rows_to_json(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[dict[str, Any]]:

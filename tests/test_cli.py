@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
-from wiretap_space import numerics, secrecy
+from wiretap_space import cli, numerics, secrecy
 from oracles import mp_distinguishability_angle, mp_helstrom_error
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from wiretap_space.linkbudget import LinkBudgetWarning, radius_vs_gamma_curve
@@ -33,6 +33,7 @@ from wiretap_space.scenario_io import (
     format_cell,
     preset_config,
     resolved_gamma,
+    rows_to_json,
 )
 from wiretap_space.secrecy import optimal_signal_strength, private_capacity, private_capacity_fixed
 
@@ -411,6 +412,19 @@ class TestOutFile:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [*map(_COMMANDS.get, sorted(_COMMANDS)), ["table1"],
+                                  ["sweep", "--axis", "gamma:0.01:0.5:8"], ["sweep", "--axis", "gamma:-0.0:0.5:3"],
+                                  ["exclusion", "--axis", "dist_bob_m:500000:36000000:5:log"]],
+                         ids=" ".join)
+def test_json_tables_are_the_encoders_bytes(capsys, monkeypatch, argv):
+    # write_json streams the rows; the document json.dumps would write in one piece is the oracle.
+    code, streamed, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    monkeypatch.setattr(cli, "write_json", lambda stream, header, rows: stream.write(
+        json.dumps(rows_to_json(header, list(rows)), indent=2) + "\n"))
+    assert run_cli(capsys, *argv, "--format", "json")[:2] == (EXIT_OK, streamed)
+
+
 def _echoed(err):
     return json.loads(err.split("resolved-config: ", 1)[1].splitlines()[0])
 
@@ -477,6 +491,9 @@ class TestErrorTaxonomy:
             (["exclusion", "--gamma-target", "1.5"], {}, "gamma_target must be in (0, 1), got 1.5"),
             # D_E / D_B underflows to 0: any interceptor that small meets the target
             (["exclusion"], {"geometry": {"diam_bob_m": 1e300, "diam_eve_m": 1e-300}}, "no exclusion radius needed"),
+            # 1/gamma_target overflows while (D_E / D_B)^2 underflows to 0: this printed nan, exit 0
+            (["exclusion", "--gamma-target", "1e-320"], {"geometry": {"diam_eve_m": 1e-200}},
+             "no exclusion radius needed: degradation target already met (log argument exp(-179.6) < 1)"),
         ],
     )
     def test_user_input_failing_deep_in_a_computation_exits_2(self, capsys, tmp_path, argv, data, message):

@@ -218,6 +218,21 @@ class TestExclusionRadiusPartial:
         arg = (1 / mpmath.mpf(gamma)) * (1 / mpmath.mpf(eta_b)) * mpmath.mpf(ratio) ** 2
         assert radius == pytest.approx(float(_beam_radius(1e-5, 1.2e6) * mpmath.sqrt(mpmath.log(arg) / 2)), rel=1e-14)
 
+    @pytest.mark.parametrize("gamma, ratio, shown", [
+        (1e-320, 0.0, "0"),  # a ratio of 0: inf * 0 was nan
+        (0.1, 0.0, "0"),
+        (1e-320, 1e-200, "exp(-179.6)"),  # 1/gamma overflows, the squared ratio underflows to 0
+        (0.1, 1e-200, "exp(-914.1)"),  # the squared ratio underflows alone; this said "0"
+        (1e-320, 5e-162, "exp(-1.386)"),  # 1/gamma overflows, yet the sum of the logs is below 0
+    ])
+    def test_log_argument_of_no_number_below_1_is_rejected(self, gamma, ratio, shown):
+        # These returned nan (or raised math's domain error) where inf * 0 or a negative
+        # log was taken; the sum of the factors' logs decides, and the message quotes it.
+        message = f"no exclusion radius needed: degradation target already met (log argument {shown} < 1)"
+        with pytest.raises(ConfigError) as raised:
+            exclusion_radius_partial(gamma, 1.2e6, 0.01, ratio, 1e-5)
+        assert raised.value.violations == [message]
+
     def test_log_argument_that_does_not_overflow_keeps_its_product(self):
         product = (1.0 / 1e-300) * (1.0 / 0.01) * (2.0 * 2.0)
         assert math.isfinite(product)

@@ -42,8 +42,9 @@ from wiretap_space.scenario_io import (
     sweep,
     with_values,
     write_csv,
+    write_json,
 )
-from wiretap_space import secrecy
+from wiretap_space import scenario_io, secrecy
 from wiretap_space.secrecy import private_capacity_fixed, secrecy_points
 
 
@@ -478,7 +479,7 @@ class TestSweep:
                 resolved_gamma(direct),
                 direct.operating.q,
             )
-            assert row == [value, *capacity_row(astuple(point), direct.link.clock_rate)]
+            assert row == (value, *capacity_row(astuple(point), direct.link.clock_rate))
 
     def test_capacity_columns_are_the_point_fields_then_the_derived_ones(self):
         assert CAPACITY_SWEEP_OUTPUTS == (
@@ -549,7 +550,7 @@ def _per_cell(config, axes):
         detector = cell.detector
         (point,) = secrecy_points(cell.operating.received_mean_photons, resolved_gamma(cell),
                                   cell.operating.q, detector.p_dark, detector.eta_optical, detector.stray_mean)
-        rows.append([*values, *capacity_row(astuple(point), cell.link.clock_rate)])
+        rows.append((*values, *capacity_row(astuple(point), cell.link.clock_rate)))
     return rows
 
 
@@ -812,6 +813,102 @@ _CELL_FLOAT = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
 )
 _CELL = st.one_of(_CELL_TEXT, _CELL_FLOAT, st.integers())
+
+
+def _encoded(header, rows):
+    """The JSON document in one piece: the oracle of :func:`write_json`."""
+    return json.dumps(rows_to_json(header, rows), indent=2) + "\n"
+
+
+def _streamed(header, rows):
+    buffer = io.StringIO()
+    write_json(buffer, header, rows)
+    return buffer.getvalue()
+
+
+class TestStreamedJson:
+    """``write_json`` writes the encoder's bytes, one row at a time."""
+
+    @pytest.mark.parametrize("header, rows", [([], []), (["a"], []), ([], [[], [1.0]]), (["a", "b"], [[]])])
+    def test_empty_tables_and_rows(self, header, rows):
+        assert _streamed(header, rows) == _encoded(header, rows)
+
+    def test_repeated_key_keeps_its_first_position_and_last_value(self):
+        header, rows = sweep(config_from_dict({}), [SweepAxis("gamma", 0.05, 0.5, 4)])
+        assert header.count("gamma") == 2
+        assert _streamed(header, rows) == _encoded(header, rows)
+        assert _streamed(["a", "b", "a"], [(1.0, 2.0, 3.0)]) == '[\n  {\n    "a": 3.0,\n    "b": 2.0\n  }\n]\n'
+
+    def test_non_finite_cells(self):
+        rows = [[math.nan, 1.0], [math.inf, -math.inf], [1e308, 1e308], [-0.0, 5e-324], [0.5, -math.nan]]
+        assert _streamed(["x", "y"], rows) == _encoded(["x", "y"], rows)
+
+    def test_label_cells(self):
+        header = ["configuration", 'say "x"', "\u00b5,\u03bd", "100%"]
+        rows = [['a "quoted", label', "na\u00efve", 1.5, 0.25], ["\u65e5\u672c", "", -0.0, 2.0], [",", '"', "%r", 1.0]]
+        assert _streamed(header, rows) == _encoded(header, rows)
+
+    def test_int_and_bool_cells(self):
+        rows = [[1, 2.5], [True, False], [2**70, None], [np.float64(0.1), 0.2], [0.5, np.float64(-0.0)]]
+        assert _streamed(["n", "b"], rows) == _encoded(["n", "b"], rows)
+
+    @given(
+        header=st.lists(st.sampled_from(["a", "b", 'q"', "\u00b5", "%s"]), max_size=5),
+        rows=st.lists(st.one_of(st.lists(_CELL_FLOAT, max_size=6), st.lists(_CELL, max_size=6)), max_size=6),
+    )
+    def test_same_bytes_as_the_encoder(self, header, rows):
+        assert _streamed(header, rows) == _encoded(header, rows)
+
+
+class TestSweepRows:
+    """``sweep``'s rows: a list of tuples of the kernel's floats, shared where a column repeats a value."""
+
+    def test_a_list_that_slices_and_iterates_again(self):
+        axes = [SweepAxis("received_mean_photons", 0.1, 10.0, 4, "log"), SweepAxis("gamma", 0.05, 0.4, 3)]
+        header, rows = sweep(config_from_dict({}), axes)
+        assert type(rows) is list and len(rows) == 12
+        assert rows[::5] == [rows[0], rows[5], rows[10]]
+        assert list(rows) == list(rows)
+        assert json.dumps(rows) == json.dumps([list(row) for row in rows])
+
+    # Seeded axes along each parameter; a gamma axis from -0.0 beside a photon axis from 0.0,
+    # where the interceptor sees -0.0 photons in some cells and 0.0 in others.
+    _CASES = [(param,) for param in CAPACITY_SWEEP_PARAMS] + [
+        ("gamma-from-negative-zero",), ("received_mean_photons", "stray_mean"), ("p_dark", "received_mean_photons"),
+    ]
+
+    @pytest.mark.parametrize("params", _CASES, ids=lambda params: "-".join(params))
+    def test_cells_are_the_kernels_bits(self, params):
+        rng = random.Random(f"kernel bits:{params}")
+        config = config_from_dict({})
+        signed_zeros = params == ("gamma-from-negative-zero",)
+        if signed_zeros:
+            params = ("received_mean_photons", "gamma")
+            axes = [SweepAxis("received_mean_photons", 0.0, 4.0, 3), SweepAxis("gamma", -0.0, 0.4, 3)]
+        else:
+            axes = [_seeded_axis(rng, param, points) for param, points in zip(params, (5, 3))]
+        header, rows = sweep(config, axes)
+        grid = list(itertools.product(*(axis.grid() for axis in axes)))
+        cells = [with_values(config, zip(params, values)) for values in grid]
+        inputs = [[cell.operating.received_mean_photons for cell in cells], list(map(resolved_gamma, cells)),
+                  [cell.operating.q for cell in cells] if "q" in params else None,
+                  *([getattr(cell.detector, name) for cell in cells] for name in ("p_dark", "eta_optical", "stray_mean"))]
+        points = secrecy._point_columns(*inputs)
+        expected = list(zip(*zip(*grid), *points,
+                            *scenario_io._derived_columns(points, config.link.clock_rate)))
+        assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in row] for row in expected]
+        assert all(type(v) is float for row in rows for v in row)
+        if signed_zeros:
+            phi = header.index("phi_deg")
+            assert [math.copysign(1.0, row[phi]) for row in rows[:3]] == [-1.0, 1.0, 1.0]  # at -0.0, 0.0, 0.0 photons
+
+    def test_rows_share_the_floats_of_the_columns_they_repeat(self):
+        axes = [SweepAxis("received_mean_photons", 0.1, 10.0, 3, "log"), SweepAxis("stray_mean", 1e-7, 1e-3, 4, "log")]
+        header, rows = sweep(config_from_dict({}), axes)
+        mu, gamma, phi = (CAPACITY_SWEEP_OUTPUTS.index(name) + 2 for name in ("received_mean_photons", "gamma", "phi_deg"))
+        assert all(row[0] is row[mu] for row in rows)  # the axis's float, not the kernel's echo of it
+        assert len({id(row[gamma]) for row in rows}) == 1  # one degradation, one float
+        assert len({id(row[phi]) for row in rows}) == 3  # one angle per photon number
 
 
 class TestCsvAgainstTheCsvModule:
