@@ -3,14 +3,14 @@ coherent-state satellite downlinks.
 
 The package exports exactly the names its modules list in ``__all__``, each
 imported on first use (PEP 562): importing the package, or its numpy-free
-modules ``linkbudget``, ``scenario_io`` and ``cli``, loads no numpy.
+modules ``linkbudget``, ``config``, ``scenario_io`` and ``cli``, loads no numpy.
 """
 import importlib
 
 __version__ = "0.1.0"
 
 # The modules whose ``__all__`` the package exports, the numpy-free ones first.
-_MODULES = ("linkbudget", "scenario_io", "detection", "numerics", "orbitsim", "receiver", "secrecy")
+_MODULES = ("linkbudget", "config", "scenario_io", "detection", "numerics", "orbitsim", "receiver", "secrecy")
 
 
 def __getattr__(name: str):

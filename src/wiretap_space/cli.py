@@ -32,22 +32,18 @@ from ._common import BracketError, ConfigError
 from .linkbudget import (
     DEFAULT_GAMMA_TARGET, bob_free_space, check_offset_solve, eve_free_space, fraction_to_db, gamma_partial,
 )
-from .scenario_io import (
+from .config import (
     ScenarioConfig,
     SweepAxis,
     config_to_dict,
-    emit_table1,
-    exclusion_sweep,
     load_config,
     parse_axis,
     preset_config,
     PRESET_NAMES,
     resolved_gamma,
-    sweep,
     with_values,
-    write_csv,
-    write_json,
 )
+from .scenario_io import emit_table1, exclusion_sweep, sweep, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

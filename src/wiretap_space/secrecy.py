@@ -207,7 +207,7 @@ def secrecy_points(
     ``q=None`` maximises each cell's secrecy value over the input
     probability, as :func:`private_capacity` does; otherwise ``q`` gives each
     cell's input probability.  Each check raises the first bad cell's message, in this order:
-    photon number and gamma by :class:`~wiretap_space.scenario_io.OperatingPoint`'s rule, then
+    photon number and gamma by :class:`~wiretap_space.config.OperatingPoint`'s rule, then
     the detector fields by :class:`~wiretap_space.receiver.DetectorModel`'s, then ``q``.  The ``capacity`` table
     (a sweep with no axis) reads the same :func:`_point_columns`, the one check of the rate invariant.
     """

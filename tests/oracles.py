@@ -11,7 +11,8 @@ the pass window and the total-collection exclusion radius by 50-digit
 bisection of the equations the library inverts in closed form, the pass
 geometry from 50-digit positions in the Earth-centred frame instead of
 half-angle tangents in the transmitter's, and orbital periods by step-wise
-propagation instead of rate differences.
+propagation instead of rate differences, and a JSON table as one list of
+row objects built whole instead of streamed row by row.
 """
 from __future__ import annotations
 
@@ -265,3 +266,9 @@ def propagated_lap_period(
     if events.size < 2:
         raise ValueError("fewer than two lap events; extend the propagation")
     return float(np.mean(np.diff(events)))
+
+
+def rows_to_json(header, rows) -> list[dict]:
+    """A table's rows as JSON objects keyed by the header: the document that
+    ``scenario_io.write_json`` streams, built in one piece."""
+    return [dict(zip(header, row)) for row in rows]

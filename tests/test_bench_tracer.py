@@ -1,11 +1,16 @@
-"""The benchmark tracer wraps package functions by name; each must exist."""
+"""The benchmark reads package names and its tracer wraps package functions by name;
+each must exist."""
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from wiretap_space import scenario_io
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -28,3 +33,11 @@ WRAPPED = [
 def test_wrapped_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"wiretap_space.{module}"), attr))
 
+
+def test_scenario_io_names_the_bench_reads_resolve():
+    # The workloads take the module as ``sio`` (``sio = m.scenario_io``); a comment may name one too.
+    read = {name for path in (BENCH / "run.py", BENCH / "workloads.py")
+            for name in re.findall(r"\b(?:sio|scenario_io)\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8"))}
+    assert read >= {"config_from_dict", "SweepAxis", "preset_config", "resolved_gamma", "sweep", "write_csv",
+                    "emit_table1", "CAPACITY_SWEEP_OUTPUTS"}
+    assert sorted(name for name in read if not hasattr(scenario_io, name)) == []

@@ -19,21 +19,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wiretap_space
 from wiretap_space import cli, numerics, secrecy
-from oracles import mp_distinguishability_angle, mp_helstrom_error
+from oracles import mp_distinguishability_angle, mp_helstrom_error, rows_to_json
 from wiretap_space.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from wiretap_space.config import PRESET_NAMES, config_from_dict, config_to_dict, preset_config, resolved_gamma
 from wiretap_space.linkbudget import LinkBudgetWarning, radius_vs_gamma_curve
 from wiretap_space.scenario_io import (
     CAPACITY_SWEEP_OUTPUTS,
     CAPACITY_SWEEP_PARAMS,
     MAX_SWEEP_CELLS,
-    PRESET_NAMES,
     capacity_row,
-    config_from_dict,
-    config_to_dict,
     format_cell,
-    preset_config,
-    resolved_gamma,
-    rows_to_json,
 )
 from wiretap_space.secrecy import optimal_signal_strength, private_capacity, private_capacity_fixed
 
@@ -1018,6 +1013,7 @@ def test_package_import_loads_no_numpy():
              "from wiretap_space import _common, cli\n"
              "import wiretap_space.cli\n"
              "from wiretap_space import LinkGeometry, linkbudget, load_config, scenario_io\n"
+             "import wiretap_space.config\n"
              "print(package, 'numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["False", "False"]

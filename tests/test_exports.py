@@ -37,6 +37,14 @@ def test_package_exports_resolve_and_are_listed():
     assert sorted(set(names) - LISTED) == []
 
 
+def test_each_export_is_listed_by_one_module():
+    owners = {}
+    for module in MODULES:
+        for name in getattr(importlib.import_module(f"wiretap_space.{module}"), "__all__", ()):
+            owners.setdefault(name, []).append(module)
+    assert {name: where for name, where in owners.items() if len(where) > 1} == {}
+
+
 def test_every_module_export_is_a_package_attribute():
     assert sorted(name for name in LISTED if not hasattr(wiretap_space, name)) == []
 

@@ -12,15 +12,9 @@ from pathlib import Path
 import wiretap_space
 from wiretap_space import secrecy
 from wiretap_space.cli import EXIT_OK, main
+from wiretap_space.config import SweepAxis, config_from_dict
 from wiretap_space.numerics import GRID_POINTS, SCAN_BLOCK_CELLS
-from wiretap_space.scenario_io import (
-    CAPACITY_SWEEP_OUTPUTS,
-    CAPACITY_SWEEP_PARAMS,
-    EXCLUSION_SWEEP_PARAMS,
-    SweepAxis,
-    config_from_dict,
-    sweep,
-)
+from wiretap_space.scenario_io import CAPACITY_SWEEP_OUTPUTS, CAPACITY_SWEEP_PARAMS, EXCLUSION_SWEEP_PARAMS, sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

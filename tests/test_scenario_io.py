@@ -14,33 +14,35 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import rows_to_json
 from wiretap_space.cli import main
 from wiretap_space.linkbudget import LinkGeometry, radius_vs_gamma_curve
 from wiretap_space.orbitsim import OrbitScenario
 from wiretap_space.receiver import DetectorModel
 from wiretap_space._common import _check_fields
-from wiretap_space.scenario_io import (
+from wiretap_space.config import (
     _FIELD_BY_KEY,
     _SCHEMA,
-    CAPACITY_SWEEP_OUTPUTS,
-    CAPACITY_SWEEP_PARAMS,
     MAX_CONFIG_BYTES,
-    MAX_SWEEP_CELLS,
     ConfigError,
     OperatingPoint,
     SweepAxis,
-    capacity_row,
     config_from_dict,
     config_to_dict,
-    emit_table1,
-    format_cell,
-    exclusion_sweep,
     load_config,
     preset_config,
     resolved_gamma,
-    rows_to_json,
-    sweep,
     with_values,
+)
+from wiretap_space.scenario_io import (
+    CAPACITY_SWEEP_OUTPUTS,
+    CAPACITY_SWEEP_PARAMS,
+    MAX_SWEEP_CELLS,
+    capacity_row,
+    emit_table1,
+    format_cell,
+    exclusion_sweep,
+    sweep,
     write_csv,
     write_json,
 )
@@ -794,8 +796,9 @@ class TestWriters:
         assert "0.333333333" in buffer.getvalue()
 
     def test_json_rows(self):
-        rows = rows_to_json(["a", "b"], [[1, 2]])
-        assert rows == [{"a": 1, "b": 2}]
+        buffer = io.StringIO()
+        write_json(buffer, ["a", "b"], [[1, 2]])
+        assert json.loads(buffer.getvalue()) == [{"a": 1, "b": 2}]
 
 
 def _csv_module_lines(header, rows):

@@ -12,7 +12,8 @@ from wiretap_space.detection import BinaryCoherentEnsemble, _helstrom_split, _ov
 from wiretap_space.numerics import GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_CELLS, Interval, binary_entropy, maximize_lockstep
 from wiretap_space.numerics import _channel_information, _entropy_in_place
 from wiretap_space.receiver import DetectorModel, bob_click_model, mutual_info_bob
-from wiretap_space.scenario_io import PRESET_NAMES, SweepAxis, config_from_dict, preset_config, sweep
+from wiretap_space.config import PRESET_NAMES, SweepAxis, config_from_dict, preset_config
+from wiretap_space.scenario_io import sweep
 from wiretap_space.secrecy import (
     PHOTON_SEARCH_BOUNDS,
     Q_SCAN_STEP,

@@ -29,7 +29,8 @@ from wiretap_space.linkbudget import (
 from wiretap_space.numerics import Interval, binary_entropy, find_root, gaussian_disk_fraction
 from wiretap_space.orbitsim import OrbitScenario, PhysicalConstants
 from wiretap_space.receiver import DetectorModel, _checked_prior, bob_click_model
-from wiretap_space.scenario_io import OperatingPoint, SweepAxis, exclusion_sweep, preset_config, sweep, with_values
+from wiretap_space.config import OperatingPoint, SweepAxis, preset_config, with_values
+from wiretap_space.scenario_io import exclusion_sweep, sweep
 from wiretap_space.secrecy import (
     ClockedLink,
     devetak_winter_rate,
